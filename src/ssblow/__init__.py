@@ -1,7 +1,7 @@
 """Phase-space toolkit for the localized self-similar blow-up profiles of
 u_t = (u^m)_xx + |x|^sigma u^p in the critical regime m + p = 2, sigma > 2."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .params import (
     Params,
@@ -24,13 +24,12 @@ from .field import (
     stable_family_P0lambda,
     vertex_normal_form,
 )
-from .integrate import IntegrationControls, EventSpec, Trajectory, integrate, flow_until_fate
+from .integrate import IntegrationControls, EventSpec, Trajectory, integrate
 from .orbits import (
     FateConfig,
     FateKind,
     OrbitFate,
     ShootResult,
-    NOT_ENTERING,
     launch_from_P2,
     launch_from_P0,
     launch_from_Q1_chart,

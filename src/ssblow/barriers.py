@@ -20,7 +20,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
-from scipy.stats import qmc
 
 from .params import (
     Params,
@@ -137,8 +136,6 @@ def plane3_gate(params: Params) -> dict:
     cst = plane3_constants(params)
     p2 = p2_coordinates(params)
     e3 = p2_unstable_eigenvector(params)
-    if e3[2] < 0:
-        e3 = -e3
     n_dot_e3 = cst["A"] * e3[0] + cst["B"] * e3[1] + e3[2]
     return {
         "exit_vector_above_plane": n_dot_e3 > 0.0,
@@ -147,13 +144,15 @@ def plane3_gate(params: Params) -> dict:
     }
 
 
-def _sobol_points(n: int, seed: int, dim: int = 2) -> np.ndarray:
-    sampler = qmc.Sobol(d=dim, scramble=True, seed=seed)
-    m_pow = max(1, int(math.ceil(math.log2(max(n, 2)))))
-    pts = sampler.random_base2(m_pow)
-    while len(pts) < n:
-        pts = np.vstack([pts, sampler.random_base2(m_pow)])
-    return pts[:n]
+# 1/g and 1/g^2 for the plastic number g, the real root of g^3 = g + 1
+_R2_STEP = np.array([0.75487766624669276005, 0.56984029099805326591])
+
+
+def _r2_points(n: int, seed: int) -> np.ndarray:
+    """n points of the R2 Kronecker sequence in [0, 1)^2 with a seeded
+    Cranley-Patterson shift: frac(shift + i * (1/g, 1/g^2)), i = 1..n."""
+    shift = np.random.default_rng(seed).random(2)
+    return (shift + np.arange(1, n + 1)[:, None] * _R2_STEP) % 1.0
 
 
 def barrier_catalog(params: Params, c4: float | None = None) -> list[BarrierSpec]:
@@ -570,7 +569,7 @@ def verify_barrier(
     total = 0
     seed_k = seed
     for _ in range(20):
-        u = _sobol_points(n_samples, seed_k)
+        u = _r2_points(n_samples, seed_k)
         pts = spec.sample(u)
         pts = pts[spec.validity(pts)]
         if len(pts):

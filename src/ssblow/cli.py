@@ -69,27 +69,29 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """flags > config file > defaults."""
-    if not getattr(args, "config", None):
-        return args
-    file_vals = _read_config_file(args.config)
-    for key, raw in file_vals.items():
-        if not hasattr(args, key):
+def _set_config_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Install the config file's values as the subcommand's own defaults.
+
+    Parsing argv again then gives flags > config file > defaults, and
+    argparse converts each value with its option's type.
+    """
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub = subparsers.choices[args.cmd]
+    options = {a.dest: a for a in sub._actions if a.default is not argparse.SUPPRESS}
+    defaults = {}
+    for key, raw in _read_config_file(args.config).items():
+        action = options.get(key)
+        if action is None:
             raise ValueError("unknown config key %r" % key)
-        default = parser.get_default(key)
-        if getattr(args, key) == default:  # flag not supplied
-            cur = getattr(args, key)
-            if isinstance(cur, bool) or isinstance(default, bool):
-                val = raw.lower() in ("1", "true", "yes", "on")
-            elif isinstance(default, int) and default is not None:
-                val = int(raw)
-            elif isinstance(default, float) and default is not None:
-                val = float(raw)
-            else:
-                val = raw
-            setattr(args, key, val)
-    return args
+        if action.choices is not None and raw not in action.choices:
+            raise ValueError("config key %r must be one of %s" % (key, list(action.choices)))
+        if action.nargs == 0:  # store_true
+            defaults[key] = raw.lower() in ("1", "true", "yes", "on")
+        elif action.nargs is None and not isinstance(action, argparse._AppendAction):
+            defaults[key] = raw  # argparse converts an unused string default itself
+        else:
+            defaults[key] = [action.type(v) if action.type else v for v in raw.split()]
+    sub.set_defaults(**defaults)
 
 
 def _controls_from(args) -> IntegrationControls:
@@ -445,10 +447,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            _set_config_defaults(parser, args)
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        args = _merge_config(args, parser)
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

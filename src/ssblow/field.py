@@ -38,7 +38,6 @@ __all__ = [
     "EigenData",
     "eigen_data",
     "CriticalPoint",
-    "p0_lambda_eigenvalues",
     "p2_unstable_eigenvalue",
     "p2_unstable_eigenvector",
     "classify_critical_points",
@@ -58,20 +57,6 @@ __all__ = [
 ]
 
 
-def vector_field(pt, params: Params) -> np.ndarray:
-    """Velocity (X', Y', Z') of the phase-space system at pt = (X, Y, Z)."""
-    x, y, z = (float(v) for v in pt)
-    m1 = params.m - 1.0
-    boa = beta_over_alpha(params)
-    return np.array(
-        [
-            x * (m1 * y - 2.0 * x),
-            -y * y - boa * y + x - x * y - z,
-            (params.sigma - 2.0) * x * z,
-        ]
-    )
-
-
 def make_rhs(params: Params):
     """Tuple-in/tuple-out right-hand side f(eta, (X, Y, Z)) for the integrator."""
     m1 = params.m - 1.0
@@ -87,6 +72,11 @@ def make_rhs(params: Params):
         )
 
     return rhs
+
+
+def vector_field(pt, params: Params) -> np.ndarray:
+    """Velocity (X', Y', Z') of the phase-space system at pt = (X, Y, Z)."""
+    return np.array(make_rhs(params)(0.0, tuple(float(v) for v in pt)))
 
 
 def jacobian(pt, params: Params) -> np.ndarray:
@@ -149,11 +139,6 @@ class CriticalPoint:
     coords: str
     eigen: EigenData | None
     notes: str = ""
-
-
-def p0_lambda_eigenvalues(lam: float, params: Params) -> tuple[float, float, float]:
-    """Closed-form spectrum {(m-1)lambda, -2 lambda - beta/alpha, 0} at P0^lambda."""
-    return ((params.m - 1.0) * lam, -2.0 * lam - beta_over_alpha(params), 0.0)
 
 
 def p2_unstable_eigenvalue(params: Params) -> float:
@@ -265,21 +250,8 @@ def classify_critical_points(
 # ---------------------------------------------------------------------------
 
 
-def infinity_chart_field(cp, params: Params) -> np.ndarray:
-    """Chart velocity (w', y', z') at cp = (w, y, z); Q1 is the origin."""
-    w, y, z = (float(v) for v in cp)
-    m1 = params.m - 1.0
-    boa = beta_over_alpha(params)
-    return np.array(
-        [
-            w * (2.0 - m1 * y),
-            y + w - params.m * y * y - boa * y * w - z * w,
-            z * (params.sigma - m1 * y),
-        ]
-    )
-
-
 def make_chart_rhs(params: Params):
+    """Tuple-in/tuple-out chart right-hand side f(eta, (w, y, z)); Q1 is the origin."""
     m = params.m
     m1 = m - 1.0
     boa = beta_over_alpha(params)
@@ -294,6 +266,11 @@ def make_chart_rhs(params: Params):
         )
 
     return rhs
+
+
+def infinity_chart_field(cp, params: Params) -> np.ndarray:
+    """Chart velocity (w', y', z') at cp = (w, y, z); Q1 is the origin."""
+    return np.array(make_chart_rhs(params)(0.0, tuple(float(v) for v in cp)))
 
 
 def infinity_chart_jacobian(cp, params: Params) -> np.ndarray:

@@ -26,8 +26,6 @@ __all__ = [
     "EventHit",
     "Trajectory",
     "integrate",
-    "flow_until_fate",
-    "z_monotone_defect",
 ]
 
 # Dormand-Prince 5(4) tableau (FSAL: stage 7 equals the next step's stage 1).
@@ -60,10 +58,9 @@ _MIN_STEP = 1e-14  # absolute step underflow threshold
 class IntegrationControls:
     """Step-size and budget controls for one integration run.
 
-    max_time bounds the autonomous variable; sample_stride > 1 thins the
-    recorded samples (events and the final point are always recorded).
-    sample_stride=0 picks a stride automatically so that a run never stores
-    more than ~200k samples.
+    max_time bounds the autonomous variable.  The recorded samples are
+    thinned so that a run never stores more than ~200k of them (events and
+    the final point are always recorded).
     """
 
     rel_tol: float = 1e-10
@@ -71,7 +68,6 @@ class IntegrationControls:
     max_step: float = 0.1
     max_time: float = 1e4
     max_steps: int = 10_000_000
-    sample_stride: int = 0
 
     def __post_init__(self):
         if not (
@@ -84,14 +80,6 @@ class IntegrationControls:
             raise ValueError("all integration controls must be positive")
         if self.rel_tol < 1e-13:
             raise ValueError("rel_tol below 1e-13 is not supported")
-        if self.sample_stride < 0:
-            raise ValueError("sample_stride must be nonnegative")
-
-    def effective_stride(self) -> int:
-        if self.sample_stride:
-            return self.sample_stride
-        est = self.max_time / self.max_step
-        return max(1, int(est / 200_000.0))
 
 
 @dataclass(frozen=True)
@@ -133,10 +121,6 @@ class Trajectory:
     events: list[EventHit] = dc_field(default_factory=list)
     termination: str = "max_time"  # event | max_time | max_steps | step_underflow
     n_steps: int = 0
-
-    @property
-    def samples(self):
-        return list(zip(self.eta, self.points))
 
     @property
     def final_eta(self) -> float:
@@ -280,7 +264,7 @@ def integrate(
     t = 0.0
     rel, ab = controls.rel_tol, controls.abs_tol
     t_end = controls.max_time
-    stride = controls.effective_stride()
+    stride = max(1, int(t_end / controls.max_step / 200_000.0))
 
     f = tuple(float(v) for v in rhs(t, y))
     h = _initial_step(rhs, t, y, f, rel, ab, controls.max_step)
@@ -426,24 +410,3 @@ def integrate(
         termination=termination,
         n_steps=n_steps,
     )
-
-
-def flow_until_fate(field, start, fate_events, controls=None):
-    """Integrate until the first terminal event; returns (trajectory, hit or None)."""
-    for ev in fate_events:
-        if not ev.terminal:
-            raise ValueError("fate events must all be terminal")
-    traj = integrate(field, start, fate_events, controls)
-    return traj, traj.terminal_event()
-
-
-def z_monotone_defect(traj: Trajectory) -> float:
-    """Largest decrease of the third component between consecutive samples.
-
-    Along physical trajectories (X >= 0, Z >= 0) the third component is
-    non-decreasing, so this audit should stay below 1e-9.
-    """
-    z = traj.points[:, 2]
-    if len(z) < 2:
-        return 0.0
-    return float(np.max(z[:-1] - z[1:], initial=0.0))

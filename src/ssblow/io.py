@@ -80,8 +80,9 @@ def write_sweep_csv(path, rows) -> None:
 def read_sweep_csv(path):
     rows = []
     with open(path) as fh:
-        header = fh.readline()
-        assert header.strip() == "sigma,fate,lambda_hat,xi0"
+        header = fh.readline().strip()
+        if header != "sigma,fate,lambda_hat,xi0":
+            raise ValueError("%s: not a sweep CSV (header %r)" % (path, header))
         for line in fh:
             sigma, fate, lam, xi0 = line.rstrip("\n").split(",")
             rows.append(

@@ -52,7 +52,6 @@ __all__ = [
     "ShootResult",
     "InconclusiveError",
     "BracketError",
-    "NOT_ENTERING",
     "launch_from_P2",
     "launch_from_P0",
     "launch_from_Q1_chart",
@@ -122,16 +121,6 @@ class ShootResult:
     evaluations: list = dc_field(default_factory=list)
 
 
-class _NotEntering:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "NOT_ENTERING"
-
-
-NOT_ENTERING = _NotEntering()
-
-
 # ---------------------------------------------------------------------------
 # launches
 # ---------------------------------------------------------------------------
@@ -141,10 +130,7 @@ def launch_from_P2(params: Params, delta: float = 1e-6) -> np.ndarray:
     """P2 + delta * e3 with e3 the unit unstable eigenvector oriented into {Z>0}."""
     if not 0.0 < delta <= 1e-4:
         raise DomainError("delta must lie in (0, 1e-4]")
-    e3 = p2_unstable_eigenvector(params)
-    if e3[2] < 0:
-        e3 = -e3
-    return p2_coordinates(params) + delta * e3
+    return p2_coordinates(params) + delta * p2_unstable_eigenvector(params)
 
 
 def launch_from_P0(K: float, z0: float, params: Params) -> np.ndarray:
@@ -401,17 +387,16 @@ def lambda_of_sigma(
     controls: IntegrationControls | None = None,
     cfg: FateConfig | None = None,
 ):
-    """Y-coordinate of the parabola point the P2 orbit enters, or NOT_ENTERING.
+    """Y-coordinate of the parabola point the P2 orbit enters, or None for an
+    escape to Q3 (the convention of OrbitFate.lambda_hat).
 
     Raises InconclusiveError when the orbit resolves neither way; callers are
     expected to surface that, not swallow it.
     """
     params = validate_params(m, sigma)
     _, fate = run_p2_orbit(params, controls, cfg)
-    if fate.parabola_side:
+    if fate.decisive:
         return fate.lambda_hat
-    if fate.kind == FateKind.ENTERS_Q3:
-        return NOT_ENTERING
     raise InconclusiveError(
         "P2 orbit at m=%.17g sigma=%.17g is inconclusive: %s" % (m, sigma, fate.diagnostics)
     )

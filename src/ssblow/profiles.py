@@ -33,7 +33,6 @@ from .field import center_family_P0, p2_unstable_eigenvector
 from .integrate import EventSpec, IntegrationControls, Trajectory, integrate
 
 __all__ = [
-    "ProfileSample",
     "ProfileFrame",
     "InterfaceReport",
     "SelfSimilarEval",
@@ -51,14 +50,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ProfileSample:
-    xi: float
-    f: float
-    df: float
-    g_slope: float | None = None
-
-
 @dataclass
 class ProfileFrame:
     """Columnar profile samples; xi strictly increasing, f >= 0."""
@@ -71,12 +62,6 @@ class ProfileFrame:
 
     def __len__(self):
         return len(self.xi)
-
-    def samples(self) -> list[ProfileSample]:
-        return [
-            ProfileSample(float(x), float(v), float(d), float(g))
-            for x, v, d, g in zip(self.xi, self.f, self.df, self.g_slope)
-        ]
 
     def decimated(self, step: int) -> "ProfileFrame":
         return ProfileFrame(
@@ -230,8 +215,6 @@ def _asymptotic_start(origin, params, xi_start, a=None, K=None):
     z_s = m / alpha**2 * xi_start ** (params.sigma - 2.0)
     if origin == "p2":
         e3 = p2_unstable_eigenvector(params)
-        if e3[2] < 0:
-            e3 = -e3
         p2 = p2_coordinates(params)
         x_s = p2[0] + z_s * e3[0] / e3[2]
         y_s = p2[1] + z_s * e3[1] / e3[2]
@@ -297,11 +280,6 @@ def _g_of_f(f: float, params: Params) -> float:
     return m / (m - 1.0) * f ** (m - 1.0)
 
 
-def _f_of_g(g: float, params: Params) -> float:
-    m = params.m
-    return ((m - 1.0) * g / m) ** (1.0 / (m - 1.0))
-
-
 def _classify_vanishing(
     xi0: float, g_slope: float, params: Params, slope_tol: float, disc_tol: float
 ):
@@ -320,8 +298,6 @@ def _classify_vanishing(
     if dists[best] <= slope_tol:
         report.matched_slope = candidates[best]
         return "interface", report
-    if g_slope < report.slope_minus - slope_tol:
-        return "sign_change", report
     return "sign_change", report
 
 
@@ -358,9 +334,6 @@ def integrate_ssode(
 
     f0, v0 = _asymptotic_start(origin, params, xi_start, a=a, K=K)
 
-    # The asymptotic origins start with f many orders below any sensible
-    # phase-space abs_tol; error control must resolve f relative to itself
-    # or the early solution is garbage, so the absolute floor is dropped.
     # The asymptotic origins start with f many orders below any sensible
     # phase-space abs_tol; error control must resolve f relative to itself
     # or the early solution is garbage, so the absolute floor is dropped.
@@ -416,15 +389,11 @@ def integrate_ssode(
     end_state = None  # (xi0, g_slope) at a vanishing
     forced_sign_change = False
     fate = None
-    if hit is not None and hit.id == "f_floor":
+    if hit is not None and hit.id in ("f_floor", "steep_sign_change"):
         xi0 = float(hit.point[0])
         fval = max(float(hit.point[1]), f_floor * 1e-3)
         end_state = (xi0, m * fval ** (m - 2.0) * float(hit.point[2]))
-    elif hit is not None and hit.id == "steep_sign_change":
-        xi0 = float(hit.point[0])
-        fval = max(float(hit.point[1]), f_floor * 1e-3)
-        end_state = (xi0, m * fval ** (m - 2.0) * float(hit.point[2]))
-        forced_sign_change = True
+        forced_sign_change = hit.id == "steep_sign_change"
     elif (hit is not None and hit.id == "g_switch") or traj.termination == "step_underflow":
         # continue in the pressure variable down to the g-equivalent of f_floor
         pressure_leg = True

@@ -7,6 +7,7 @@ from ssblow.integrate import EventSpec, IntegrationControls, integrate
 from ssblow.orbits import launch_from_P2
 from ssblow.barriers import (
     ConfigurationError,
+    _r2_points,
     barrier_catalog,
     dregion_constants,
     dregion_gates,
@@ -180,6 +181,19 @@ def test_verify_barrier_input_validation(params15_3):
     spec = barrier_catalog(params15_3)[0]
     with pytest.raises(ConfigurationError):
         verify_barrier(spec, params15_3, 10, seed=1)
+
+
+def test_r2_points_are_seeded_and_low_discrepancy():
+    a = _r2_points(4096, 42)
+    assert a.shape == (4096, 2)
+    assert np.all((a >= 0.0) & (a < 1.0))
+    assert np.array_equal(a, _r2_points(4096, 42))
+    assert not np.array_equal(a, _r2_points(4096, 43))
+    # iid uniform points spread over roughly 43..86 per cell here
+    for seed in range(4):
+        u = _r2_points(4096, seed)
+        cells, _, _ = np.histogram2d(u[:, 0], u[:, 1], bins=8, range=[[0.0, 1.0], [0.0, 1.0]])
+        assert np.all(np.abs(cells - 64) <= 4), (seed, cells.min(), cells.max())
 
 
 def test_verify_reports_are_seed_deterministic(params15_3):

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ssblow
 from ssblow.cli import main
 from ssblow import io as io_mod
 
@@ -307,6 +312,54 @@ def test_config_file_precedence(tmp_path, capsys):
     assert json.loads(out)["config"]["K"] == 0.3
 
 
+def test_config_value_takes_effect_unless_flag_given(tmp_path, capsys):
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("max_time=1\n")
+    args = ("classify", "--m", "1.5", "--sigma", "3", "--config", str(cfg), "--format", "json")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 3
+    assert json.loads(out)["results"]["diagnostics"]["final_eta"] == 1.0
+    # an explicit flag wins even when it equals the built-in default
+    code, _, _ = run_cli(capsys, *args, "--max-time", "10000")
+    assert code == 0
+
+
+def test_config_values_are_converted(tmp_path, capsys):
+    cfg = tmp_path / "p1.cfg"
+    cfg.write_text("a=1e-13\n")
+    code, out, _ = run_cli(
+        capsys, "profile", "--m", "1.5", "--sigma", "3", "--origin", "p1",
+        "--config", str(cfg), "--format", "json",
+    )
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["config"]["a"] == 1e-13
+    assert rep["results"]["fate"] == "interface"
+
+
+def test_config_list_and_choice_values(tmp_path, capsys):
+    cfg = tmp_path / "lists.cfg"
+    cfg.write_text("barrier=cylinder midplane\nn=200\n")
+    code, out, _ = run_cli(
+        capsys, "verify", "--m", "1.5", "--sigma", "3", "--config", str(cfg), "--format", "json"
+    )
+    assert code == 0
+    entries = json.loads(out)["results"]["barriers"]
+    assert [e["barrier"] for e in entries] == ["cylinder", "midplane"]
+    assert all(e["samples_tested"] == 200 for e in entries)
+    cfg.write_text("a_bracket=1e-13 1e-10\n")
+    code, out, _ = run_cli(
+        capsys, "profile", "--m", "1.5", "--sigma", "3", "--origin", "p1",
+        "--config", str(cfg), "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["config"]["a_bracket"] == [1e-13, 1e-10]
+    cfg.write_text("source=p9\n")
+    code, _, err = run_cli(capsys, "classify", "--m", "1.5", "--sigma", "3", "--config", str(cfg))
+    assert code == 2
+    assert "must be one of" in err
+
+
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("does_not_exist=1\n")
@@ -335,3 +388,27 @@ def test_fmt_round_trip_exactness():
         assert float(io_mod.fmt(x)) == x
     for x in (2.0 / 3.0, 1e-300, 1.5e300, 0.1):
         assert float(io_mod.fmt(x)) == x
+
+
+def test_read_sweep_csv_rejects_wrong_header(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("eta,X,Y,Z\n0,1,2,3\n")
+    with pytest.raises(ValueError, match="not a sweep CSV"):
+        io_mod.read_sweep_csv(bad)
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    code = (
+        "import sys, ssblow.cli\n"
+        "rc = ssblow.cli.main(['verify', '--all', '--m', '1.5', '--sigma', '3', '--n', '200',"
+        " '--format', 'json'])\n"
+        "assert rc == 0, rc\n"
+        "print(sorted(name for name in sys.modules if name.startswith('scipy')))\n"
+    )
+    src = str(Path(ssblow.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -6,13 +6,7 @@ from scipy.integrate import solve_ivp
 
 from ssblow.params import derive_exponents, beta_over_alpha
 from ssblow.field import make_rhs, vector_field, p2_coordinates
-from ssblow.integrate import (
-    EventSpec,
-    IntegrationControls,
-    flow_until_fate,
-    integrate,
-    z_monotone_defect,
-)
+from ssblow.integrate import EventSpec, IntegrationControls, integrate
 
 
 def test_linear_field_against_closed_form():
@@ -65,12 +59,13 @@ def test_x_strictly_decreases_in_lower_half(params15_3):
 
 def test_event_location_precision(params15_3):
     ev = EventSpec(id="y0", guard=lambda p: p[1], direction="falling", terminal=True)
-    traj, hit = flow_until_fate(
+    traj = integrate(
         make_rhs(params15_3),
         (0.005, 0.02, 0.002),
         [ev],
         IntegrationControls(max_time=1e3),
     )
+    hit = traj.terminal_event()
     assert hit is not None and hit.id == "y0"
     assert abs(hit.point[1]) < 1e-10
     assert traj.termination == "event"
@@ -80,7 +75,7 @@ def test_simultaneous_events_tie_break_declaration_order():
     rhs = lambda t, y: (0.0, -1.0, 0.0)
     ev_a = EventSpec(id="first", guard=lambda p: p[1], direction="falling", terminal=True)
     ev_b = EventSpec(id="second", guard=lambda p: 2.0 * p[1], direction="falling", terminal=True)
-    traj, hit = flow_until_fate(rhs, (0.0, 1.0, 0.0), [ev_a, ev_b], IntegrationControls(max_time=5.0))
+    hit = integrate(rhs, (0.0, 1.0, 0.0), [ev_a, ev_b], IntegrationControls(max_time=5.0)).terminal_event()
     assert hit.id == "first"
     assert hit.eta == pytest.approx(1.0, abs=1e-9)
 
@@ -90,16 +85,16 @@ def test_earlier_crossing_wins_regardless_of_order():
     late = EventSpec(id="late", guard=lambda p: p[1] + 0.5, direction="falling", terminal=True)
     early = EventSpec(id="early", guard=lambda p: p[1], direction="falling", terminal=True)
     # "early" fires at eta = 1.0, "late" at eta = 1.5
-    _, hit = flow_until_fate(rhs, (0.0, 1.0, 0.0), [late, early], IntegrationControls(max_time=5.0))
+    hit = integrate(rhs, (0.0, 1.0, 0.0), [late, early], IntegrationControls(max_time=5.0)).terminal_event()
     assert hit.id == "early"
 
 
 def test_max_time_without_terminal_event_returns_none(params15_3):
     ev = EventSpec(id="never", guard=lambda p: p[1] + 100.0, direction="falling", terminal=True)
-    traj, hit = flow_until_fate(
+    traj = integrate(
         make_rhs(params15_3), (0.005, 0.02, 0.002), [ev], IntegrationControls(max_time=1.0)
     )
-    assert hit is None and traj.termination == "max_time"
+    assert traj.terminal_event() is None and traj.termination == "max_time"
 
 
 def test_non_terminal_events_are_recorded_and_integration_continues():
@@ -115,20 +110,14 @@ def test_non_terminal_events_are_recorded_and_integration_continues():
 
 def test_event_idempotence_on_relaunch(params15_3):
     ev = EventSpec(id="y0", guard=lambda p: p[1], direction="falling", terminal=True)
-    traj, hit = flow_until_fate(
+    hit = integrate(
         make_rhs(params15_3), (0.005, 0.02, 0.002), [ev], IntegrationControls(max_time=1e3)
-    )
+    ).terminal_event()
     ev2 = EventSpec(id="y0", guard=lambda p: p[1], direction="falling", terminal=True)
-    traj2, hit2 = flow_until_fate(
+    hit2 = integrate(
         make_rhs(params15_3), tuple(hit.point), [ev2], IntegrationControls(max_time=5.0)
-    )
+    ).terminal_event()
     assert hit2 is None or hit2.eta > 1e-10
-
-
-def test_flow_until_fate_rejects_non_terminal():
-    ev = EventSpec(id="x", guard=lambda p: p[0], terminal=False)
-    with pytest.raises(ValueError):
-        flow_until_fate(lambda t, y: (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), [ev])
 
 
 def test_tolerance_halving_moves_endpoint_less_than_10x_tol(params15_3):
@@ -143,7 +132,8 @@ def test_tolerance_halving_moves_endpoint_less_than_10x_tol(params15_3):
 
 def test_z_monotone_on_physical_trajectories(p2_orbit_15_3):
     traj, _ = p2_orbit_15_3
-    assert z_monotone_defect(traj) <= 1e-9
+    # Z is non-decreasing along physical trajectories (X >= 0, Z >= 0)
+    assert np.max(-np.diff(traj.points[:, 2]), initial=0.0) <= 1e-9
 
 
 def test_step_underflow_reports_partial_trajectory():

@@ -12,7 +12,6 @@ from ssblow.params import (
 from ssblow.field import make_rhs, p2_unstable_eigenvector, p2_chart_coordinates, phase_from_chart
 from ssblow.integrate import EventSpec, IntegrationControls, integrate
 from ssblow.orbits import (
-    NOT_ENTERING,
     BracketError,
     FateConfig,
     FateKind,
@@ -95,7 +94,7 @@ def test_classification_requires_standard_events(params15_3):
 def test_lambda_of_sigma_values():
     lam = lambda_of_sigma(1.5, 3.0)
     assert -0.1 < lam < 0.0
-    assert lambda_of_sigma(1.5, 3.4) is NOT_ENTERING
+    assert lambda_of_sigma(1.5, 3.4) is None
 
 
 def test_lambda_trend_decreases_with_sigma():
