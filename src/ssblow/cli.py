@@ -10,6 +10,7 @@ file is byte-stable given the same configuration and seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -137,7 +138,7 @@ def _emit(report: dict, args, wall_time: float) -> None:
         print("  warning: %s" % w)
 
 
-def _add_common(p: argparse.ArgumentParser, sigma=True):
+def _add_common(p: argparse.ArgumentParser, sigma=True, max_step=0.1):
     p.add_argument("--m", type=float, required=True, help="diffusion exponent, 1 < m < 2")
     if sigma:
         p.add_argument("--sigma", type=float, required=True, help="weight exponent, sigma > 2")
@@ -145,7 +146,7 @@ def _add_common(p: argparse.ArgumentParser, sigma=True):
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-10)
     p.add_argument("--abs-tol", dest="abs_tol", type=float, default=1e-12)
-    p.add_argument("--max-step", dest="max_step", type=float, default=0.1)
+    p.add_argument("--max-step", dest="max_step", type=float, default=max_step)
     p.add_argument("--max-time", dest="max_time", type=float, default=1e4)
 
 
@@ -168,8 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z0", type=float, default=1e-5, help="launch height z0 (p0) or chart z (q1)")
     p.add_argument("--out", type=str, default=None, help="trajectory CSV path")
 
+    # sigma-star and sweep keep only fates, so their steps are left to error control
     p = sub.add_parser("sigma-star", help="bisect the critical sigma of the P2 orbit")
-    _add_common(p, sigma=False)
+    _add_common(p, sigma=False, max_step=math.inf)
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-3)
@@ -198,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None, help="verification JSON path")
 
     p = sub.add_parser("sweep", help="classify the P2 orbit across a sigma grid")
-    _add_common(p, sigma=False)
+    _add_common(p, sigma=False, max_step=math.inf)
     p.add_argument("--sigmas", type=str, required=True, help="comma-separated sigma grid")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", type=str, default=None, help="sweep CSV path")
@@ -239,6 +241,8 @@ def _fate_payload(fate) -> dict:
         "diagnostics": {
             "termination": fate.diagnostics.get("termination"),
             "n_steps": fate.diagnostics.get("n_steps"),
+            "n_rejected": fate.diagnostics.get("n_rejected"),
+            "n_rhs": fate.diagnostics.get("n_rhs"),
             "final_eta": fate.diagnostics.get("final_eta"),
             "events": fate.diagnostics.get("events", []),
         },

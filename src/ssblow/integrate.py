@@ -1,12 +1,14 @@
 """Adaptive explicit integration of 3-D fields with root-resolved events.
 
 A single engine serves every orbit computation in the package: a
-Dormand-Prince 5(4) embedded pair with PI-free step control, cubic Hermite
-dense output for event localization, and sign-change event detection with
-per-event arming so that restarting from a located event point does not
-re-fire it.  The right-hand side receives and returns plain float triples;
-keeping the hot loop free of array allocation is what makes million-step
-runs (needed when refining the critical sigma) affordable.
+Dormand-Prince 5(4) embedded pair with PI-free step control, the pair's own
+4th-order continuous extension (Shampine 1986) for event localization, and
+sign-change event detection with per-event arming so that restarting from a
+located event point does not re-fire it.  Steps longer than _PROBE_STEP
+are also searched for a guard that dips through zero and back inside the
+step, so a run with max_step = inf can leave the step to error control.
+The right-hand side receives and returns plain float triples; keeping the
+hot loop free of array allocation is what makes long runs affordable.
 
 scipy.integrate.solve_ivp is deliberately not used here; it remains the
 independent oracle in the test suite.
@@ -51,16 +53,33 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     -1.0 / 40.0,
 )
 
+# Continuous extension: y(t + theta h) = y + h * sum_j Q_j theta^(j+1) with
+# Q = K^T P; the first column of P is (1, 0, ..., 0), so Q_0 = k1.  Rows for
+# k1, k3, k4, k5, k6, k7 (k2's row is zero); columns for theta^2..theta^4.
+_PD = (
+    (-8048581381.0 / 2820520608.0, 8663915743.0 / 2820520608.0, -12715105075.0 / 11282082432.0),
+    (131558114200.0 / 32700410799.0, -68118460800.0 / 10900136933.0, 87487479700.0 / 32700410799.0),
+    (-1754552775.0 / 470086768.0, 14199869525.0 / 1410260304.0, -10690763975.0 / 1880347072.0),
+    (127303824393.0 / 49829197408.0, -318862633887.0 / 49829197408.0, 701980252875.0 / 199316789632.0),
+    (-282668133.0 / 205662961.0, 2019193451.0 / 616988883.0, -1453857185.0 / 822651844.0),
+    (40617522.0 / 29380423.0, -110615467.0 / 29380423.0, 69997945.0 / 29380423.0),
+)
+
 _MIN_STEP = 1e-14  # absolute step underflow threshold
+_PROBE_STEP = 0.1  # accepted steps longer than this are probed for hidden guard dips
+_PROBE_NODES = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875)
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
 class IntegrationControls:
     """Step-size and budget controls for one integration run.
 
-    max_time bounds the autonomous variable.  The recorded samples are
-    thinned so that a run never stores more than ~200k of them (events and
-    the final point are always recorded).
+    max_step is the longest step, and so also the largest gap between
+    stored samples; math.inf leaves the step to error control alone, with a
+    sample at every accepted step.  max_time bounds the autonomous variable.
+    The recorded samples are thinned so that a run never stores more than
+    ~200k of them (events and the final point are always recorded).
     """
 
     rel_tol: float = 1e-10
@@ -91,6 +110,17 @@ class EventSpec:
     "either".  An event only arms once the guard has been on the pre-side
     beyond zero_tol, which makes relaunching from a located event point
     idempotent.
+
+    A crossing is seen when the guard's values at the two ends of an
+    accepted step differ in sign.  On steps longer than 0.1 an armed guard
+    whose end values are both on the pre-side, but nearer zero than their
+    difference, is also probed at interior points of the step, so a dip
+    through zero and back inside one long step still fires.  Steps of at
+    most 0.1 are not probed, so a dip narrower than one step can pass
+    unseen at max_step = 0.1: under a unit field the guard
+    (x - 5)^2 - 1e-6, below zero for 2e-3 in eta, fires no event there.
+    Nor is a dip probed whose end values are farther from zero than their
+    difference.
     """
 
     id: str
@@ -120,7 +150,9 @@ class Trajectory:
     points: np.ndarray
     events: list[EventHit] = dc_field(default_factory=list)
     termination: str = "max_time"  # event | max_time | max_steps | step_underflow
-    n_steps: int = 0
+    n_steps: int = 0  # accepted steps
+    n_rejected: int = 0  # rejected step attempts
+    n_rhs: int = 0  # field evaluations: 6 per attempt plus 2 at the start
 
     @property
     def final_eta(self) -> float:
@@ -137,16 +169,20 @@ class Trajectory:
         return None
 
 
-def _hermite(theta, h, y0, f0, y1, f1):
-    """Cubic Hermite interpolant on one accepted step, theta in [0, 1]."""
-    t2 = theta * theta
-    t3 = t2 * theta
-    h00 = 2.0 * t3 - 3.0 * t2 + 1.0
-    h10 = t3 - 2.0 * t2 + theta
-    h01 = -2.0 * t3 + 3.0 * t2
-    h11 = t3 - t2
+def _dense_coeffs(k1, k3, k4, k5, k6, k7):
+    """Q = K^T P of the continuous extension, one row of 4 per component."""
+    ks = (k1, k3, k4, k5, k6, k7)
     return tuple(
-        h00 * y0[i] + h10 * h * f0[i] + h01 * y1[i] + h11 * h * f1[i] for i in range(3)
+        (k1[i],) + tuple(sum(k[i] * row[j] for k, row in zip(ks, _PD)) for j in range(3))
+        for i in range(3)
+    )
+
+
+def _dense(theta, h, y0, q):
+    """The 4th-order continuous extension at theta in [0, 1] of one step."""
+    return tuple(
+        y0[i] + h * theta * (q[i][0] + theta * (q[i][1] + theta * (q[i][2] + theta * q[i][3])))
+        for i in range(3)
     )
 
 
@@ -209,38 +245,83 @@ class _EventState:
             return self.g < 0.0 <= g_new
         return (self.g > 0.0 >= g_new) or (self.g < 0.0 <= g_new)
 
+    def probe_sign(self, g_new: float) -> float:
+        """The pre-side sign (+1 or -1) when both end values of the step are
+        on the pre-side but nearer zero than their difference; else 0."""
+        g0 = self.g
+        s = 1.0 if g0 > 0.0 else -1.0
+        d = self.spec.direction
+        if not self.armed or (d == "falling" and s < 0.0) or (d == "rising" and s > 0.0):
+            return 0.0
+        lo = min(s * g0, s * g_new)
+        return s if 0.0 < lo < abs(g_new - g0) else 0.0
 
-def _refine(ev: EventSpec, t0, t1, h, y0, f0, y1, f1):
-    """Locate the guard root inside one step via bisection on the interpolant.
 
-    Returns (eta, point).  The eta bracket is reduced below 1e-12 (or the
-    guard magnitude below zero_tol), matching the event-location contract.
+def _refine(guard, t0, h, y0, q, ga, tb, yb, gb):
+    """Locate a guard root between the step start t0 (guard value ga) and tb
+    (state yb, guard value gb of the other sign or zero) by bisection on the
+    continuous extension.
+
+    Returns (eta, point).  The eta bracket is reduced below 1e-12, matching
+    the event-location contract.
     """
-
-    def g_at(t):
-        theta = (t - t0) / h
-        return ev.guard(_hermite(theta, h, y0, f0, y1, f1))
-
-    a, b = t0, t1
-    ga, gb = g_at(a), g_at(b)
-    if ga == 0.0:
-        return a, _hermite(0.0, h, y0, f0, y1, f1)
-    if gb == 0.0 or ga * gb > 0.0:
-        return b, _hermite(1.0, h, y0, f0, y1, f1)
+    if gb == 0.0:
+        return tb, yb
+    a, b = t0, tb
     for _ in range(200):
         mid = 0.5 * (a + b)
         if b - a < 1e-12 or mid in (a, b):
             break
-        gm = g_at(mid)
+        gm = guard(_dense((mid - t0) / h, h, y0, q))
         if gm == 0.0:
             a = b = mid
             break
         if ga * gm < 0.0:
-            b, gb = mid, gm
+            b = mid
         else:
             a, ga = mid, gm
     t_star = 0.5 * (a + b)
-    return t_star, _hermite((t_star - t0) / h, h, y0, f0, y1, f1)
+    return t_star, _dense((t_star - t0) / h, h, y0, q)
+
+
+def _hidden_dip(guard, s, g0, g1, h, y0, q):
+    """Look inside one step for a point where s * guard <= 0 although both
+    ends have s * guard > 0.
+
+    The guard is probed at _PROBE_NODES; a node value at or past zero is
+    returned at once, and every interior minimum below both ends is searched
+    by golden section until it passes zero or its bracket is below 1e-12 in
+    eta.  Returns (theta, guard value) of the first such point, or None.
+    """
+    thetas = (0.0,) + _PROBE_NODES + (1.0,)
+    vals = [s * g0] + [s * guard(_dense(th, h, y0, q)) for th in _PROBE_NODES] + [s * g1]
+    for i in range(1, len(thetas) - 1):
+        if vals[i] <= 0.0:
+            return thetas[i], s * vals[i]
+    floor = min(vals[0], vals[-1])
+    tol = 1e-12 / h
+    for i in range(1, len(thetas) - 1):
+        if not (vals[i] < floor and vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]):
+            continue
+        a, b = thetas[i - 1], thetas[i + 1]
+        c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+        gc, gd = s * guard(_dense(c, h, y0, q)), s * guard(_dense(d, h, y0, q))
+        for _ in range(200):
+            if gc <= 0.0:
+                return c, s * gc
+            if gd <= 0.0:
+                return d, s * gd
+            if b - a < tol:
+                break
+            if gc < gd:
+                b, d, gd = d, c, gc
+                c = b - _GOLDEN * (b - a)
+                gc = s * guard(_dense(c, h, y0, q))
+            else:
+                a, c, gc = c, d, gd
+                d = a + _GOLDEN * (b - a)
+                gd = s * guard(_dense(d, h, y0, q))
+    return None
 
 
 def integrate(
@@ -275,7 +356,8 @@ def integrate(
     pts = [y]
     hits: list[EventHit] = []
     termination = "max_time"
-    n_steps = 0
+    n_steps = n_rejected = 0
+    n_rhs = 2
     since_record = 0
 
     def record(tt, yy, force=False):
@@ -347,6 +429,7 @@ def integrate(
                 y[2] + h * (_B1 * k1[2] + _B3 * k3[2] + _B4 * k4[2] + _B5 * k5[2] + _B6 * k6[2]),
             )
             k7 = rhs(t + h, y_new)
+            n_rhs += 6
             err = 0.0
             bad = False
             for i in range(3):
@@ -363,6 +446,7 @@ def integrate(
             if err <= 1.0:
                 accepted = True
                 break
+            n_rejected += 1
             factor = 0.2 if not math.isfinite(err) else max(0.2, 0.9 * err**-0.2)
             h *= factor
         if not accepted:
@@ -370,13 +454,27 @@ def integrate(
         n_steps += 1
         t_new = t + h
 
-        # event detection on the accepted step
+        # event detection on the accepted step; the extension is built lazily
         fired: list[tuple[float, tuple, EventSpec]] = []
+        q = None
         for st in states:
-            g_new = float(st.spec.guard(y_new))
+            guard = st.spec.guard
+            g_new = float(guard(y_new))
             if st.crossed(g_new):
-                t_star, y_star = _refine(st.spec, t, t_new, h, y, k1, y_new, k7)
+                q = q or _dense_coeffs(k1, k3, k4, k5, k6, k7)
+                t_star, y_star = _refine(guard, t, h, y, q, st.g, t_new, y_new, g_new)
                 fired.append((t_star, y_star, st.spec))
+            elif h > _PROBE_STEP:
+                s = st.probe_sign(g_new)
+                if s:
+                    q = q or _dense_coeffs(k1, k3, k4, k5, k6, k7)
+                    dip = _hidden_dip(guard, s, st.g, g_new, h, y, q)
+                    if dip is not None:
+                        theta, g_dip = dip
+                        t_star, y_star = _refine(
+                            guard, t, h, y, q, st.g, t + theta * h, _dense(theta, h, y, q), g_dip
+                        )
+                        fired.append((t_star, y_star, st.spec))
             st.g = g_new
             st.update_arming(g_new)
         if fired:
@@ -409,4 +507,6 @@ def integrate(
         events=hits,
         termination=termination,
         n_steps=n_steps,
+        n_rejected=n_rejected,
+        n_rhs=n_rhs,
     )

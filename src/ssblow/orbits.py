@@ -201,13 +201,17 @@ def standard_fate_events(params: Params, cfg: FateConfig | None = None) -> list[
     dtol = cfg.parabola_dist_tol
 
     def stagnation_guard(p):
+        # the sign is that of max(fnorm - ftol, dist - dtol); away from the
+        # parabola the distance alone decides it and the field is not needed
         x, y, z = p
-        f = rhs(0.0, p)
-        fnorm = math.sqrt(f[0] * f[0] + f[1] * f[1] + f[2] * f[2])
         lam = min(max(y, lo), hi)
         dz = z + lam * (lam + boa)
         dy = y - lam
         dist = math.sqrt(x * x + dy * dy + dz * dz)
+        if dist - dtol > 0.0:
+            return dist - dtol
+        f = rhs(0.0, p)
+        fnorm = math.sqrt(f[0] * f[0] + f[1] * f[1] + f[2] * f[2])
         return max(fnorm - ftol, dist - dtol)
 
     return [
@@ -235,6 +239,8 @@ def classify_fate(traj: Trajectory, params: Params, cfg: FateConfig | None = Non
     diagnostics = {
         "termination": traj.termination,
         "n_steps": traj.n_steps,
+        "n_rejected": traj.n_rejected,
+        "n_rhs": traj.n_rhs,
         "final_eta": traj.final_eta,
         "events": [(h.id, h.eta) for h in traj.events],
     }
@@ -420,6 +426,9 @@ def sigma_star(
 ) -> ShootResult:
     """Bisect sigma between a parabola-entering and a Q3-escaping fate.
 
+    Only the fates are kept, so without controls the orbits run with
+    max_step = inf: error control alone sets the step.
+
     Convergence at the vertex is logarithmic, so evaluation points very close
     to the critical sigma may come back Inconclusive at the base time budget.
     Each bisection step therefore tries up to retry_cap fallbacks: nearby
@@ -432,7 +441,7 @@ def sigma_star(
         raise BracketError("bracket must satisfy lo < hi")
     if tol <= 0:
         raise BracketError("tol must be positive")
-    base = controls or IntegrationControls()
+    base = controls or IntegrationControls(max_step=math.inf)
     cfg = cfg or FateConfig()
 
     evaluations = []

@@ -23,3 +23,9 @@ def p2_orbit_15_3(params15_3):
 @pytest.fixture(scope="session")
 def p2_orbit_15_34(params15_34):
     return run_p2_orbit(params15_34)
+
+
+@pytest.fixture(scope="session")
+def p2_orbit_15_3285():
+    """The P2 orbit at (m, sigma) = (1.5, 3.285), near the vertex."""
+    return run_p2_orbit(validate_params(1.5, 3.285))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -358,6 +359,35 @@ def test_config_list_and_choice_values(tmp_path, capsys):
     code, _, err = run_cli(capsys, "classify", "--m", "1.5", "--sigma", "3", "--config", str(cfg))
     assert code == 2
     assert "must be one of" in err
+
+
+def test_max_step_defaults_and_overrides(tmp_path):
+    """Fate-only commands leave the step to error control; a flag or a
+    config value still sets the cap."""
+    from ssblow.cli import _set_config_defaults, build_parser
+
+    sweep = ["sweep", "--m", "1.5", "--sigmas", "3"]
+    star = ["sigma-star", "--m", "1.5", "--lo", "3", "--hi", "3.4"]
+    classify = ["classify", "--m", "1.5", "--sigma", "3"]
+    parse = lambda argv: build_parser().parse_args(argv)
+    assert parse(sweep).max_step == parse(star).max_step == math.inf
+    assert parse(classify).max_step == 0.1
+    assert parse(sweep + ["--max-step", "0.1"]).max_step == 0.1
+    cfg = tmp_path / "cap.cfg"
+    cfg.write_text("max_step=0.1\n")
+    parser = build_parser()
+    argv = star + ["--config", str(cfg)]
+    _set_config_defaults(parser, parser.parse_args(argv))
+    assert parser.parse_args(argv).max_step == 0.1
+
+
+def test_classify_json_carries_step_counters(capsys):
+    code, out, _ = run_cli(
+        capsys, "classify", "--m", "1.5", "--sigma", "3.4", "--format", "json"
+    )
+    assert code == 0
+    diag = json.loads(out)["results"]["diagnostics"]
+    assert diag["n_rhs"] == 6 * (diag["n_steps"] + diag["n_rejected"]) + 2
 
 
 def test_config_file_unknown_key(tmp_path, capsys):

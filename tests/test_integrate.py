@@ -120,6 +120,43 @@ def test_event_idempotence_on_relaunch(params15_3):
     assert hit2 is None or hit2.eta > 1e-10
 
 
+@pytest.mark.parametrize("w", [1e-2, 1e-6])
+def test_long_step_sees_a_dip_inside_one_step(w):
+    """Under a constant field the steps grow fivefold; one step spans eta
+    1.95..9.77 and the guard is positive at both of its ends."""
+    rhs = lambda t, y: (1.0, 0.0, 0.0)
+    ev = EventSpec(id="dip", guard=lambda p: (p[0] - 5.0) ** 2 - w, direction="falling")
+    traj = integrate(
+        rhs, (0.0, 0.0, 0.0), [ev], IntegrationControls(max_time=50.0, max_step=math.inf)
+    )
+    hit = traj.terminal_event()
+    assert hit is not None and hit.id == "dip" and traj.termination == "event"
+    assert hit.eta == pytest.approx(5.0 - math.sqrt(w), abs=1e-9)
+    assert hit.point[0] == pytest.approx(5.0 - math.sqrt(w), abs=1e-9)
+    assert traj.eta[-2] < 2.0  # the dip lies inside the last step
+
+
+def test_counters_repeat_and_count_every_rhs_call():
+    """A chirp, cos(eta^2), makes uncapped steps overshoot and be rejected;
+    two runs count alike and n_rhs equals the calls the field received."""
+    calls = [0]
+
+    def rhs(t, y):
+        calls[0] += 1
+        return (math.cos(t * t), -y[1], 0.0)
+
+    controls = IntegrationControls(max_time=10.0, max_step=math.inf)
+    runs = []
+    for _ in range(2):
+        calls[0] = 0
+        traj = integrate(rhs, (0.0, 1.0, 0.0), controls=controls)
+        runs.append((traj.n_steps, traj.n_rejected, traj.n_rhs, calls[0]))
+    assert runs[0] == runs[1]
+    n_steps, n_rejected, n_rhs, n_calls = runs[0]
+    assert n_rejected > 0
+    assert n_rhs == n_calls == 6 * (n_steps + n_rejected) + 2
+
+
 def test_tolerance_halving_moves_endpoint_less_than_10x_tol(params15_3):
     start = (0.005, 0.02, 0.002)
     base = IntegrationControls(rel_tol=1e-8, abs_tol=1e-10, max_time=50.0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -62,9 +64,9 @@ def test_p2_orbit_escapes_at_sigma_34(p2_orbit_15_34, params15_34):
     assert fate.entry_point[2] > z_max
 
 
-def test_p2_orbit_near_vertex_at_sigma_3285():
+def test_p2_orbit_near_vertex_at_sigma_3285(p2_orbit_15_3285):
     pr = validate_params(1.5, 3.285)
-    _, fate = run_p2_orbit(pr)
+    _, fate = p2_orbit_15_3285
     assert fate.parabola_side
     assert abs(fate.lambda_hat + beta_over_alpha(pr) / 2.0) < 0.01
 
@@ -116,6 +118,37 @@ def test_lambda_near_2_is_closer_to_zero():
     )
     lam_3 = lambda_of_sigma(1.5, 3.0)
     assert abs(lam_near2) < abs(lam_3)
+
+
+@pytest.mark.parametrize(
+    "sigma, capped",
+    [(3.0, "p2_orbit_15_3"), (3.285, "p2_orbit_15_3285"), (3.4, "p2_orbit_15_34")],
+)
+def test_uncapped_p2_orbit_keeps_the_capped_fate(sigma, capped, request):
+    """Error control alone (max_step = inf) gives the fate, lambda_hat and
+    terminal event point of the run capped at max_step = 0.1."""
+    traj_c, fate_c = request.getfixturevalue(capped)
+    traj_u, fate_u = run_p2_orbit(
+        validate_params(1.5, sigma), IntegrationControls(max_step=math.inf)
+    )
+    assert fate_u.kind == fate_c.kind
+    assert fate_c.decisive
+    if fate_c.lambda_hat is not None:
+        assert fate_u.lambda_hat == pytest.approx(fate_c.lambda_hat, abs=1e-9)
+    hit_c, hit_u = traj_c.terminal_event(), traj_u.terminal_event()
+    assert hit_u.id == hit_c.id
+    assert np.max(np.abs(hit_u.point - hit_c.point)) < 1e-9
+    assert traj_u.n_steps < traj_c.n_steps / 10
+
+
+def test_fate_diagnostics_carry_repeatable_counters(params15_34):
+    (traj, fate), (_, fate2) = [
+        run_p2_orbit(params15_34, IntegrationControls(max_step=math.inf)) for _ in range(2)
+    ]
+    assert fate2.diagnostics == fate.diagnostics
+    counters = ("n_steps", "n_rejected", "n_rhs")
+    assert [fate.diagnostics[c] for c in counters] == [getattr(traj, c) for c in counters]
+    assert traj.n_rhs == 6 * (traj.n_steps + traj.n_rejected) + 2
 
 
 def test_sigma_star_single_bisection_step():
