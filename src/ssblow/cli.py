@@ -393,9 +393,9 @@ def _cmd_verify(args) -> tuple[int, dict]:
 
 
 def _sweep_one(task):
-    m, sigma, controls_kw = task
+    m, sigma, controls = task
     pr = validate_params(m, sigma)
-    _, fate = run_p2_orbit(pr, IntegrationControls(**controls_kw))
+    _, fate = run_p2_orbit(pr, controls)
     lam = fate.lambda_hat
     xi0 = interface_xi_of_lambda(lam, pr) if lam is not None else None
     return sigma, fate.kind, lam, xi0
@@ -410,12 +410,10 @@ def _cmd_sweep(args) -> tuple[int, dict]:
             "sigma must exceed 2: grid must stay above %.3f" % _SIGMA_FLOOR
         )
     validate_params(args.m, sigmas[0])
-    controls_kw = dict(
-        rel_tol=args.rel_tol, abs_tol=args.abs_tol, max_step=args.max_step, max_time=args.max_time
-    )
+    controls = _controls_from(args)
     config = {"m": args.m, "sigmas": sigmas, "jobs": args.jobs}
     report = _report_skeleton("sweep", config)
-    tasks = [(args.m, s, controls_kw) for s in sigmas]
+    tasks = [(args.m, s, controls) for s in sigmas]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_one, tasks))

@@ -1,12 +1,14 @@
-"""Adaptive explicit integration of 3-D fields with root-resolved events.
+"""Adaptive explicit integration of 3-D fields up to a located event.
 
 A single engine serves every orbit computation in the package: a
 Dormand-Prince 5(4) embedded pair with PI-free step control, the pair's own
 4th-order continuous extension (Shampine 1986) for event localization, and
-sign-change event detection with per-event arming so that restarting from a
-located event point does not re-fire it.  Steps longer than _PROBE_STEP
-are also searched for a guard that dips through zero and back inside the
-step, so a run with max_step = inf can leave the step to error control.
+one event contract: an event fires when its guard falls from positive to
+zero or below, and that ends the run.  A guard arms only once it has been
+above _ARM_TOL, so restarting from a located event point does not re-fire
+it.  Steps longer than _PROBE_STEP are also searched for a guard that dips
+through zero and back inside the step, so a run with max_step = inf can
+leave the step to error control.
 The right-hand side receives and returns plain float triples; keeping the
 hot loop free of array allocation is what makes long runs affordable.
 
@@ -17,7 +19,7 @@ independent oracle in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -66,6 +68,7 @@ _PD = (
 )
 
 _MIN_STEP = 1e-14  # absolute step underflow threshold
+_ARM_TOL = 1e-10  # a guard arms once it has been above this
 _PROBE_STEP = 0.1  # accepted steps longer than this are probed for hidden guard dips
 _PROBE_NODES = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -103,20 +106,21 @@ class IntegrationControls:
 
 @dataclass(frozen=True)
 class EventSpec:
-    """A scalar guard whose root along the trajectory marks an event.
+    """A scalar guard whose fall through zero ends the run.
 
-    The guard must be continuous along trajectories.  direction selects the
-    sign change that fires: "falling" (+ to -), "rising" (- to +), or
-    "either".  An event only arms once the guard has been on the pre-side
-    beyond zero_tol, which makes relaunching from a located event point
-    idempotent.
+    The guard must be continuous along trajectories.  The event fires when
+    the guard falls from positive to zero or below; its eta and point are
+    located on the step's continuous extension, and the run ends there.
+    The event arms only once the guard has been above 1e-10, so
+    relaunching from a located event point is idempotent, and a guard that
+    starts at or below zero fires nothing until it has risen above 1e-10.
 
-    A crossing is seen when the guard's values at the two ends of an
-    accepted step differ in sign.  On steps longer than 0.1 an armed guard
-    whose end values are both on the pre-side, but nearer zero than their
-    difference, is also probed at interior points of the step, so a dip
-    through zero and back inside one long step still fires.  Steps of at
-    most 0.1 are not probed, so a dip narrower than one step can pass
+    A crossing is seen when the guard is positive at the start of an
+    accepted step and at or below zero at its end.  On steps longer than
+    0.1 an armed guard whose end values are both positive, but smaller
+    than their difference, is also probed at interior points of the step,
+    so a dip through zero and back inside one long step still fires.  Steps
+    of at most 0.1 are not probed, so a dip narrower than one step can pass
     unseen at max_step = 0.1: under a unit field the guard
     (x - 5)^2 - 1e-6, below zero for 2e-3 in eta, fires no event there.
     Nor is a dip probed whose end values are farther from zero than their
@@ -125,13 +129,6 @@ class EventSpec:
 
     id: str
     guard: Callable[[Sequence[float]], float]
-    direction: str = "either"
-    terminal: bool = True
-    zero_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.direction not in ("rising", "falling", "either"):
-            raise ValueError("direction must be rising, falling or either")
 
 
 @dataclass(frozen=True)
@@ -139,16 +136,15 @@ class EventHit:
     id: str
     eta: float
     point: np.ndarray
-    terminal: bool
 
 
 @dataclass
 class Trajectory:
-    """Time-ordered samples of one integration with its event record."""
+    """Time-ordered samples of one integration and the event that ended it."""
 
     eta: np.ndarray
     points: np.ndarray
-    events: list[EventHit] = dc_field(default_factory=list)
+    event: EventHit | None = None  # set exactly when termination == "event"
     termination: str = "max_time"  # event | max_time | max_steps | step_underflow
     n_steps: int = 0  # accepted steps
     n_rejected: int = 0  # rejected step attempts
@@ -161,12 +157,6 @@ class Trajectory:
     @property
     def final_point(self) -> np.ndarray:
         return self.points[-1]
-
-    def terminal_event(self) -> EventHit | None:
-        for hit in reversed(self.events):
-            if hit.terminal:
-                return hit
-        return None
 
 
 def _dense_coeffs(k1, k3, k4, k5, k6, k7):
@@ -187,6 +177,9 @@ def _dense(theta, h, y0, q):
 
 
 def _initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, max_step):
+    """Hairer's starting-step estimate, raised to _MIN_STEP: a state near
+    zero under a fast field can give a guess below it, and only error
+    control may judge a step too short."""
     sc = [abs_tol + rel_tol * abs(y0[i]) for i in range(3)]
     d0 = math.sqrt(sum((y0[i] / sc[i]) ** 2 for i in range(3)) / 3.0)
     d1 = math.sqrt(sum((f0[i] / sc[i]) ** 2 for i in range(3)) / 3.0)
@@ -199,15 +192,14 @@ def _initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, max_step):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100.0 * h0, h1, max_step)
+    return max(min(100.0 * h0, h1, max_step), _MIN_STEP)
 
 
 class _EventState:
     """Tracks one guard's previous value and arming across accepted steps.
 
-    Crossing is judged on the sign of the previous versus new guard value;
-    arming requires the guard to have been on the pre-side beyond zero_tol
-    at least once, so restarting exactly at a located root cannot re-fire.
+    The guard arms above _ARM_TOL and disarms below -_ARM_TOL, so
+    restarting exactly at a located root cannot re-fire.
     """
 
     __slots__ = ("spec", "g", "armed")
@@ -219,42 +211,18 @@ class _EventState:
         self.update_arming(g0)
 
     def update_arming(self, g: float):
-        tol = self.spec.zero_tol
-        d = self.spec.direction
-        if d == "falling":
-            if g > tol:
-                self.armed = True
-            elif g < -tol:
-                self.armed = False
-        elif d == "rising":
-            if g < -tol:
-                self.armed = True
-            elif g > tol:
-                self.armed = False
-        else:
-            if abs(g) > tol:
-                self.armed = True
+        if g > _ARM_TOL:
+            self.armed = True
+        elif g < -_ARM_TOL:
+            self.armed = False
 
     def crossed(self, g_new: float) -> bool:
-        if not self.armed:
-            return False
-        d = self.spec.direction
-        if d == "falling":
-            return self.g > 0.0 >= g_new
-        if d == "rising":
-            return self.g < 0.0 <= g_new
-        return (self.g > 0.0 >= g_new) or (self.g < 0.0 <= g_new)
+        return self.armed and self.g > 0.0 >= g_new
 
-    def probe_sign(self, g_new: float) -> float:
-        """The pre-side sign (+1 or -1) when both end values of the step are
-        on the pre-side but nearer zero than their difference; else 0."""
-        g0 = self.g
-        s = 1.0 if g0 > 0.0 else -1.0
-        d = self.spec.direction
-        if not self.armed or (d == "falling" and s < 0.0) or (d == "rising" and s > 0.0):
-            return 0.0
-        lo = min(s * g0, s * g_new)
-        return s if 0.0 < lo < abs(g_new - g0) else 0.0
+    def should_probe(self, g_new: float) -> bool:
+        """Both end values of the step are positive but smaller than their
+        difference."""
+        return self.armed and 0.0 < min(self.g, g_new) < abs(g_new - self.g)
 
 
 def _refine(guard, t0, h, y0, q, ga, tb, yb, gb):
@@ -284,9 +252,9 @@ def _refine(guard, t0, h, y0, q, ga, tb, yb, gb):
     return t_star, _dense((t_star - t0) / h, h, y0, q)
 
 
-def _hidden_dip(guard, s, g0, g1, h, y0, q):
-    """Look inside one step for a point where s * guard <= 0 although both
-    ends have s * guard > 0.
+def _hidden_dip(guard, g0, g1, h, y0, q):
+    """Look inside one step for a point where guard <= 0 although both
+    ends have guard > 0.
 
     The guard is probed at _PROBE_NODES; a node value at or past zero is
     returned at once, and every interior minimum below both ends is searched
@@ -294,10 +262,10 @@ def _hidden_dip(guard, s, g0, g1, h, y0, q):
     eta.  Returns (theta, guard value) of the first such point, or None.
     """
     thetas = (0.0,) + _PROBE_NODES + (1.0,)
-    vals = [s * g0] + [s * guard(_dense(th, h, y0, q)) for th in _PROBE_NODES] + [s * g1]
+    vals = [g0] + [guard(_dense(th, h, y0, q)) for th in _PROBE_NODES] + [g1]
     for i in range(1, len(thetas) - 1):
         if vals[i] <= 0.0:
-            return thetas[i], s * vals[i]
+            return thetas[i], vals[i]
     floor = min(vals[0], vals[-1])
     tol = 1e-12 / h
     for i in range(1, len(thetas) - 1):
@@ -305,22 +273,22 @@ def _hidden_dip(guard, s, g0, g1, h, y0, q):
             continue
         a, b = thetas[i - 1], thetas[i + 1]
         c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-        gc, gd = s * guard(_dense(c, h, y0, q)), s * guard(_dense(d, h, y0, q))
+        gc, gd = guard(_dense(c, h, y0, q)), guard(_dense(d, h, y0, q))
         for _ in range(200):
             if gc <= 0.0:
-                return c, s * gc
+                return c, gc
             if gd <= 0.0:
-                return d, s * gd
+                return d, gd
             if b - a < tol:
                 break
             if gc < gd:
                 b, d, gd = d, c, gc
                 c = b - _GOLDEN * (b - a)
-                gc = s * guard(_dense(c, h, y0, q))
+                gc = guard(_dense(c, h, y0, q))
             else:
                 a, c, gc = c, d, gd
                 d = a + _GOLDEN * (b - a)
-                gd = s * guard(_dense(d, h, y0, q))
+                gd = guard(_dense(d, h, y0, q))
     return None
 
 
@@ -330,12 +298,12 @@ def integrate(
     events: Sequence[EventSpec] = (),
     controls: IntegrationControls | None = None,
 ) -> Trajectory:
-    """Integrate y' = field(eta, y) forward from eta = 0 until a terminal
-    event, max_time, max_steps, or step underflow.
+    """Integrate y' = field(eta, y) forward from eta = 0 until an event,
+    max_time, max_steps, or step underflow.
 
     The field takes (eta, (y0, y1, y2)) and returns a length-3 sequence.
-    Simultaneous events are resolved by the smaller located eta; exact ties
-    fall back to declaration order.
+    When several events fire in one step, the earliest located one ends the
+    run; an exact tie goes to the first declared.
     """
     controls = controls or IntegrationControls()
     rhs = field
@@ -354,7 +322,7 @@ def integrate(
 
     etas = [t]
     pts = [y]
-    hits: list[EventHit] = []
+    hit: EventHit | None = None
     termination = "max_time"
     n_steps = n_rejected = 0
     n_rhs = 2
@@ -455,41 +423,33 @@ def integrate(
         t_new = t + h
 
         # event detection on the accepted step; the extension is built lazily
-        fired: list[tuple[float, tuple, EventSpec]] = []
+        first = None  # (eta, point, spec) of the earliest located root
         q = None
         for st in states:
             guard = st.spec.guard
             g_new = float(guard(y_new))
+            located = None
             if st.crossed(g_new):
                 q = q or _dense_coeffs(k1, k3, k4, k5, k6, k7)
-                t_star, y_star = _refine(guard, t, h, y, q, st.g, t_new, y_new, g_new)
-                fired.append((t_star, y_star, st.spec))
-            elif h > _PROBE_STEP:
-                s = st.probe_sign(g_new)
-                if s:
-                    q = q or _dense_coeffs(k1, k3, k4, k5, k6, k7)
-                    dip = _hidden_dip(guard, s, st.g, g_new, h, y, q)
-                    if dip is not None:
-                        theta, g_dip = dip
-                        t_star, y_star = _refine(
-                            guard, t, h, y, q, st.g, t + theta * h, _dense(theta, h, y, q), g_dip
-                        )
-                        fired.append((t_star, y_star, st.spec))
+                located = _refine(guard, t, h, y, q, st.g, t_new, y_new, g_new)
+            elif h > _PROBE_STEP and st.should_probe(g_new):
+                q = q or _dense_coeffs(k1, k3, k4, k5, k6, k7)
+                dip = _hidden_dip(guard, st.g, g_new, h, y, q)
+                if dip is not None:
+                    theta, g_dip = dip
+                    located = _refine(
+                        guard, t, h, y, q, st.g, t + theta * h, _dense(theta, h, y, q), g_dip
+                    )
+            if located is not None and (first is None or located[0] < first[0]):
+                first = located + (st.spec,)
             st.g = g_new
             st.update_arming(g_new)
-        if fired:
-            fired.sort(key=lambda item: item[0])
-            stop = False
-            for t_star, y_star, spec in fired:
-                pt_star = np.array(y_star)
-                hits.append(EventHit(id=spec.id, eta=t_star, point=pt_star, terminal=spec.terminal))
-                record(t_star, y_star, force=True)
-                if spec.terminal:
-                    termination = "event"
-                    stop = True
-                    break
-            if stop:
-                break
+        if first is not None:
+            t_star, y_star, spec = first
+            hit = EventHit(id=spec.id, eta=t_star, point=np.array(y_star))
+            record(t_star, y_star, force=True)
+            termination = "event"
+            break
 
         record(t_new, y_new)
         y = y_new
@@ -504,7 +464,7 @@ def integrate(
     return Trajectory(
         eta=np.array(etas),
         points=np.array(pts),
-        events=hits,
+        event=hit,
         termination=termination,
         n_steps=n_steps,
         n_rejected=n_rejected,

@@ -20,7 +20,6 @@ __all__ = [
     "write_sweep_csv",
     "read_sweep_csv",
     "dump_report",
-    "load_report",
 ]
 
 
@@ -142,6 +141,3 @@ def dump_report(payload: dict) -> str:
     """Serialize a report dict; floats are written with 17 significant digits."""
     return _render(_jsonable(payload), 0) + "\n"
 
-
-def load_report(text: str) -> dict:
-    return json.loads(text)

@@ -189,9 +189,15 @@ def parabola_entry_distance(pt, params: Params) -> float:
 
 
 def standard_fate_events(params: Params, cfg: FateConfig | None = None) -> list[EventSpec]:
-    """The terminal event set used for all fate classifications.
+    """The event set used for all fate classifications.
 
     Order matters for tie-breaking: stagnation, midplane, Y-floor.
+
+    The eta of a stagnation event (the fate's final_eta, the last row of a
+    classify CSV) is ill-conditioned: near the parabola the guard falls by
+    only about 2e-14 per unit eta, so the located eta can move by 1e-5
+    under a change that moves the state by 1e-16.  Only the event's state,
+    and hence lambda_hat, is accurate.
     """
     cfg = cfg or FateConfig()
     rhs = make_rhs(params)
@@ -215,19 +221,9 @@ def standard_fate_events(params: Params, cfg: FateConfig | None = None) -> list[
         return max(fnorm - ftol, dist - dtol)
 
     return [
-        EventSpec(id="stagnation", guard=stagnation_guard, direction="falling", terminal=True),
-        EventSpec(
-            id="midplane",
-            guard=lambda p: p[1] + boa / 2.0,
-            direction="falling",
-            terminal=True,
-        ),
-        EventSpec(
-            id="y_floor",
-            guard=lambda p: p[1] - cfg.y_floor,
-            direction="falling",
-            terminal=True,
-        ),
+        EventSpec(id="stagnation", guard=stagnation_guard),
+        EventSpec(id="midplane", guard=lambda p: p[1] + boa / 2.0),
+        EventSpec(id="y_floor", guard=lambda p: p[1] - cfg.y_floor),
     ]
 
 
@@ -236,16 +232,16 @@ def classify_fate(traj: Trajectory, params: Params, cfg: FateConfig | None = Non
     cfg = cfg or FateConfig()
     exp = derive_exponents(params)
     boa = beta_over_alpha(params)
+    hit = traj.event
     diagnostics = {
         "termination": traj.termination,
         "n_steps": traj.n_steps,
         "n_rejected": traj.n_rejected,
         "n_rhs": traj.n_rhs,
         "final_eta": traj.final_eta,
-        "events": [(h.id, h.eta) for h in traj.events],
+        "events": [] if hit is None else [(hit.id, hit.eta)],
     }
-    hit = traj.terminal_event()
-    if traj.termination != "event" or hit is None:
+    if hit is None:
         diagnostics["final_point"] = traj.final_point
         return OrbitFate(FateKind.INCONCLUSIVE, None, None, diagnostics)
     pt = hit.point
@@ -324,17 +320,12 @@ def q1_to_p2_connection(
         return math.hypot(p[0] - target[0], p[1] - target[1]) / scale - rel_target
 
     events = [
-        EventSpec(id="p2_arrival", guard=proximity, direction="falling", terminal=True),
-        EventSpec(
-            id="w_overflow",
-            guard=lambda p: 4.0 * target[0] - p[0],
-            direction="falling",
-            terminal=True,
-        ),
+        EventSpec(id="p2_arrival", guard=proximity),
+        EventSpec(id="w_overflow", guard=lambda p: 4.0 * target[0] - p[0]),
     ]
     controls = controls or IntegrationControls(max_time=100.0, max_step=0.01)
     traj = integrate(make_chart_rhs(params), start, events, controls)
-    return traj, traj.terminal_event()
+    return traj, traj.event
 
 
 def run_q1_orbit(
@@ -358,11 +349,9 @@ def run_q1_orbit(
         raise DomainError("handoff threshold must be at least 1e-2")
     start = launch_from_Q1_chart("tangent_v1", delta, params) + np.array([0.0, 0.0, z0])
     chart_controls = controls or IntegrationControls(max_time=100.0, max_step=0.01)
-    handoff = EventSpec(
-        id="handoff", guard=lambda p: p[0] - handoff_w, direction="rising", terminal=True
-    )
+    handoff = EventSpec(id="handoff", guard=lambda p: handoff_w - p[0])
     chart_traj = integrate(make_chart_rhs(params), start, [handoff], chart_controls)
-    hit = chart_traj.terminal_event()
+    hit = chart_traj.event
     if hit is None:
         fate = OrbitFate(
             FateKind.INCONCLUSIVE,

@@ -98,6 +98,17 @@ class ProfileBracketError(ValueError):
     """The a-bracket does not separate the profile fates."""
 
 
+def _physical_rows(keep: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Indices of the rows where keep holds and key strictly exceeds its
+    value at the previous such row."""
+    rows = np.flatnonzero(keep)
+    inc = np.empty(len(rows), dtype=bool)
+    if len(rows):
+        inc[0] = True
+        inc[1:] = np.diff(key[rows]) > 0.0
+    return rows[inc]
+
+
 def reconstruct_profile(traj: Trajectory, params: Params) -> ProfileFrame:
     """Invert the phase-space change of variables along a trajectory.
 
@@ -107,15 +118,9 @@ def reconstruct_profile(traj: Trajectory, params: Params) -> ProfileFrame:
     m = params.m
     exp = derive_exponents(params)
     pts = traj.points
-    keep = (pts[:, 0] > 0.0) & (pts[:, 2] > 0.0)
-    n_dropped = int(np.sum(~keep))
-    x, y, z = pts[keep, 0], pts[keep, 1], pts[keep, 2]
-    inc = np.empty(len(z), dtype=bool)
-    if len(z):
-        inc[0] = True
-        inc[1:] = np.diff(z) > 0.0
-    x, y, z = x[inc], y[inc], z[inc]
-    n_dropped += int(np.sum(~inc))
+    rows = _physical_rows((pts[:, 0] > 0.0) & (pts[:, 2] > 0.0), pts[:, 2])
+    x, y, z = pts[rows, 0], pts[rows, 1], pts[rows, 2]
+    n_dropped = len(pts) - len(rows)
     xi = (exp.alpha**2 * z / m) ** (1.0 / (params.sigma - 2.0))
     f = (exp.alpha * xi**2 * x / m) ** (1.0 / (m - 1.0))
     df = exp.alpha * xi * f ** (2.0 - m) * y / m
@@ -365,16 +370,11 @@ def integrate_ssode(
         gp = m * f ** (m - 2.0) * v
         return max(f - f_signal, gp - _certify_level(xi))
 
-    f_floor_ev = EventSpec(
-        id="f_floor", guard=lambda u: u[1] - f_floor, direction="falling", terminal=True
-    )
+    f_floor_ev = EventSpec(id="f_floor", guard=lambda u: u[1] - f_floor)
     g_switch_ev = EventSpec(
-        id="g_switch",
-        guard=lambda u: _g_of_f(max(u[1], 0.0), params) - g_switch,
-        direction="falling",
-        terminal=True,
+        id="g_switch", guard=lambda u: _g_of_f(max(u[1], 0.0), params) - g_switch
     )
-    steep_ev = EventSpec(id="steep_sign_change", guard=steep_guard, direction="falling", terminal=True)
+    steep_ev = EventSpec(id="steep_sign_change", guard=steep_guard)
     traj = integrate(
         _ssode_rhs(params), (xi_start, f0, v0), [f_floor_ev, g_switch_ev, steep_ev], leg_controls
     )
@@ -385,7 +385,7 @@ def integrate_ssode(
     pressure_leg = False
     xi2 = f2 = v2 = None
 
-    hit = traj.terminal_event()
+    hit = traj.event
     end_state = None  # (xi0, g_slope) at a vanishing
     forced_sign_change = False
     fate = None
@@ -412,12 +412,12 @@ def integrate_ssode(
                 return max(g - g_signal, w - _certify_level(xi))
 
             leg2_events = [
-                EventSpec(id="g_floor", guard=lambda u: u[1] - g_floor, direction="falling", terminal=True),
-                EventSpec(id="steep_sign_change", guard=steep_guard_g, direction="falling", terminal=True),
+                EventSpec(id="g_floor", guard=lambda u: u[1] - g_floor),
+                EventSpec(id="steep_sign_change", guard=steep_guard_g),
             ]
             leg2_controls = replace(leg_controls, max_time=xi_cap - xi_s)
             traj2 = integrate(_pressure_rhs(params), (xi_s, g_s, w_s), leg2_events, leg2_controls)
-            hit2 = traj2.terminal_event()
+            hit2 = traj2.event
             xi2 = traj2.points[:, 0]
             g2 = np.maximum(traj2.points[:, 1], 0.0)
             f2 = ((m - 1.0) * g2 / m) ** (1.0 / (m - 1.0))
@@ -452,13 +452,8 @@ def integrate_ssode(
         v_all = np.concatenate([v1, v2])
     else:
         xi_all, f_all, v_all = xi1, f1, v1
-    keep = f_all > 0.0
-    xi_all, f_all, v_all = xi_all[keep], f_all[keep], v_all[keep]
-    inc = np.empty(len(xi_all), dtype=bool)
-    if len(xi_all):
-        inc[0] = True
-        inc[1:] = np.diff(xi_all) > 0.0
-    xi_all, f_all, v_all = xi_all[inc], f_all[inc], v_all[inc]
+    rows = _physical_rows(f_all > 0.0, xi_all)
+    xi_all, f_all, v_all = xi_all[rows], f_all[rows], v_all[rows]
     g_all = m * f_all ** (m - 2.0) * v_all
     frame = ProfileFrame(xi=xi_all, f=f_all, df=v_all, g_slope=g_all)
 

@@ -147,7 +147,7 @@ def test_criterion_04_escape_to_q3_sigma_34():
         assert fate.kind == FateKind.ENTERS_Q3
         # crossing certificate: Z above the vertex height at and after the
         # midplane crossing
-        hit = traj.terminal_event()
+        hit = traj.event
         assert hit.id == "midplane"
         assert hit.point[2] > z_max
         crossed = traj.points[traj.eta >= hit.eta]

@@ -256,28 +256,19 @@ def test_p2_orbit_never_returns_above_midplane(params15_34):
     height, it stays below forever (Z is non-decreasing)."""
     boa = beta_over_alpha(params15_34)
     z_max = derive_exponents(params15_34).z_max
-    events = [
-        EventSpec(
-            id="midplane",
-            guard=lambda p: p[1] + boa / 2.0,
-            direction="falling",
-            terminal=False,
-        ),
-        EventSpec(id="floor", guard=lambda p: p[1] + 50.0, direction="falling", terminal=True),
-    ]
-    traj = integrate(
-        make_rhs(params15_34),
-        launch_from_P2(params15_34),
-        events,
-        IntegrationControls(max_time=2e3),
-    )
-    crossings = [h for h in traj.events if h.id == "midplane"]
-    assert len(crossings) == 1
-    hit = crossings[0]
-    assert hit.point[2] > z_max + params15_34.m * 0.0  # certificate at the crossing
-    after = traj.eta > hit.eta
-    assert np.all(traj.points[after, 1] <= -boa / 2.0 + 1e-12)
-    assert np.all(traj.points[after, 2] > z_max)
+    midplane = EventSpec(id="midplane", guard=lambda p: p[1] + boa / 2.0)
+    floor = EventSpec(id="floor", guard=lambda p: p[1] + 50.0)
+    controls = IntegrationControls(max_time=2e3)
+    rhs = make_rhs(params15_34)
+    hit = integrate(rhs, launch_from_P2(params15_34), [midplane, floor], controls).event
+    assert hit is not None and hit.id == "midplane"
+    assert hit.point[2] > z_max  # certificate at the crossing
+    # relaunch below the midplane: a return above it would fire "return"
+    back = EventSpec(id="return", guard=lambda p: -(p[1] + boa / 2.0))
+    traj = integrate(rhs, tuple(hit.point), [back, floor], controls)
+    assert traj.termination == "event" and traj.event.id == "floor"
+    assert np.all(traj.points[1:, 1] <= -boa / 2.0 + 1e-12)
+    assert np.all(traj.points[1:, 2] > z_max)
 
 
 def test_no_limit_cycle_proxy_on_confined_orbit(p2_orbit_15_3):

@@ -206,7 +206,7 @@ def test_verify_all(capsys, tmp_path):
     assert code == 0
     rep = json.loads(out)
     assert rep["results"]["all_passed"] is True
-    on_disk = io_mod.load_report(out_json.read_text())
+    on_disk = json.loads(out_json.read_text())
     assert on_disk["results"]["all_passed"] is True
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from ssblow.params import derive_exponents, beta_over_alpha
@@ -58,14 +60,14 @@ def test_x_strictly_decreases_in_lower_half(params15_3):
 
 
 def test_event_location_precision(params15_3):
-    ev = EventSpec(id="y0", guard=lambda p: p[1], direction="falling", terminal=True)
+    ev = EventSpec(id="y0", guard=lambda p: p[1])
     traj = integrate(
         make_rhs(params15_3),
         (0.005, 0.02, 0.002),
         [ev],
         IntegrationControls(max_time=1e3),
     )
-    hit = traj.terminal_event()
+    hit = traj.event
     assert hit is not None and hit.id == "y0"
     assert abs(hit.point[1]) < 1e-10
     assert traj.termination == "event"
@@ -73,51 +75,62 @@ def test_event_location_precision(params15_3):
 
 def test_simultaneous_events_tie_break_declaration_order():
     rhs = lambda t, y: (0.0, -1.0, 0.0)
-    ev_a = EventSpec(id="first", guard=lambda p: p[1], direction="falling", terminal=True)
-    ev_b = EventSpec(id="second", guard=lambda p: 2.0 * p[1], direction="falling", terminal=True)
-    hit = integrate(rhs, (0.0, 1.0, 0.0), [ev_a, ev_b], IntegrationControls(max_time=5.0)).terminal_event()
+    ev_a = EventSpec(id="first", guard=lambda p: p[1])
+    ev_b = EventSpec(id="second", guard=lambda p: 2.0 * p[1])
+    hit = integrate(rhs, (0.0, 1.0, 0.0), [ev_a, ev_b], IntegrationControls(max_time=5.0)).event
     assert hit.id == "first"
     assert hit.eta == pytest.approx(1.0, abs=1e-9)
 
 
 def test_earlier_crossing_wins_regardless_of_order():
     rhs = lambda t, y: (0.0, -1.0, 0.0)
-    late = EventSpec(id="late", guard=lambda p: p[1] + 0.5, direction="falling", terminal=True)
-    early = EventSpec(id="early", guard=lambda p: p[1], direction="falling", terminal=True)
+    late = EventSpec(id="late", guard=lambda p: p[1] + 0.5)
+    early = EventSpec(id="early", guard=lambda p: p[1])
     # "early" fires at eta = 1.0, "late" at eta = 1.5
-    hit = integrate(rhs, (0.0, 1.0, 0.0), [late, early], IntegrationControls(max_time=5.0)).terminal_event()
+    hit = integrate(rhs, (0.0, 1.0, 0.0), [late, early], IntegrationControls(max_time=5.0)).event
     assert hit.id == "early"
 
 
 def test_max_time_without_terminal_event_returns_none(params15_3):
-    ev = EventSpec(id="never", guard=lambda p: p[1] + 100.0, direction="falling", terminal=True)
+    ev = EventSpec(id="never", guard=lambda p: p[1] + 100.0)
     traj = integrate(
         make_rhs(params15_3), (0.005, 0.02, 0.002), [ev], IntegrationControls(max_time=1.0)
     )
-    assert traj.terminal_event() is None and traj.termination == "max_time"
-
-
-def test_non_terminal_events_are_recorded_and_integration_continues():
-    # y(t) = sin(t) crosses zero at pi and 2pi inside (0, 6.5]
-    rhs = lambda t, y: (0.0, math.cos(t), 0.0)
-    ev = EventSpec(id="y0", guard=lambda p: p[1], direction="either", terminal=False)
-    traj = integrate(rhs, (0.0, 0.0, 0.0), [ev], IntegrationControls(max_time=6.5, max_step=0.2))
-    assert traj.termination == "max_time"
-    etas = [h.eta for h in traj.events]
-    assert etas == pytest.approx([math.pi, 2.0 * math.pi], abs=1e-8)
-    assert all(not h.terminal for h in traj.events)
+    assert traj.event is None and traj.termination == "max_time"
 
 
 def test_event_idempotence_on_relaunch(params15_3):
-    ev = EventSpec(id="y0", guard=lambda p: p[1], direction="falling", terminal=True)
+    ev = EventSpec(id="y0", guard=lambda p: p[1])
     hit = integrate(
         make_rhs(params15_3), (0.005, 0.02, 0.002), [ev], IntegrationControls(max_time=1e3)
-    ).terminal_event()
-    ev2 = EventSpec(id="y0", guard=lambda p: p[1], direction="falling", terminal=True)
+    ).event
+    ev2 = EventSpec(id="y0", guard=lambda p: p[1])
     hit2 = integrate(
         make_rhs(params15_3), tuple(hit.point), [ev2], IntegrationControls(max_time=5.0)
-    ).terminal_event()
+    ).event
     assert hit2 is None or hit2.eta > 1e-10
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.floats(min_value=0.1, max_value=10.0),
+    st.floats(min_value=-9.0, max_value=0.99),
+    st.sampled_from([0.1, 1.0, math.inf]),
+)
+@example(9.614216136087348, 0.0, 0.1)  # relaunch from Y = 2.8e-14: a tiny first-step guess
+def test_falling_guard_fires_at_its_root_and_not_again(v, c, max_step):
+    """Y falls at speed v from 1; the guard Y - c fires at (1 - c) / v, and
+    a relaunch from the located point, where the guard is within _ARM_TOL
+    of zero, fires nothing and runs to max_time."""
+    rhs = lambda t, y: (0.0, -v, 0.0)
+    ev = EventSpec(id="level", guard=lambda p: p[1] - c)
+    controls = IntegrationControls(max_time=200.0, max_step=max_step)
+    traj = integrate(rhs, (0.0, 1.0, 0.0), [ev], controls)
+    hit = traj.event
+    assert hit is not None and traj.termination == "event"
+    assert hit.eta == pytest.approx((1.0 - c) / v, abs=1e-9)
+    again = integrate(rhs, tuple(hit.point), [ev], controls)
+    assert again.event is None and again.termination == "max_time"
 
 
 @pytest.mark.parametrize("w", [1e-2, 1e-6])
@@ -125,11 +138,11 @@ def test_long_step_sees_a_dip_inside_one_step(w):
     """Under a constant field the steps grow fivefold; one step spans eta
     1.95..9.77 and the guard is positive at both of its ends."""
     rhs = lambda t, y: (1.0, 0.0, 0.0)
-    ev = EventSpec(id="dip", guard=lambda p: (p[0] - 5.0) ** 2 - w, direction="falling")
+    ev = EventSpec(id="dip", guard=lambda p: (p[0] - 5.0) ** 2 - w)
     traj = integrate(
         rhs, (0.0, 0.0, 0.0), [ev], IntegrationControls(max_time=50.0, max_step=math.inf)
     )
-    hit = traj.terminal_event()
+    hit = traj.event
     assert hit is not None and hit.id == "dip" and traj.termination == "event"
     assert hit.eta == pytest.approx(5.0 - math.sqrt(w), abs=1e-9)
     assert hit.point[0] == pytest.approx(5.0 - math.sqrt(w), abs=1e-9)
@@ -213,8 +226,6 @@ def test_controls_validation():
         IntegrationControls(rel_tol=1e-14)
     with pytest.raises(ValueError):
         IntegrationControls(max_step=-1.0)
-    with pytest.raises(ValueError):
-        EventSpec(id="bad", guard=lambda p: 0.0, direction="sideways")
 
 
 def test_eta_strictly_increasing(p2_orbit_15_3):

@@ -135,7 +135,7 @@ def test_uncapped_p2_orbit_keeps_the_capped_fate(sigma, capped, request):
     assert fate_c.decisive
     if fate_c.lambda_hat is not None:
         assert fate_u.lambda_hat == pytest.approx(fate_c.lambda_hat, abs=1e-9)
-    hit_c, hit_u = traj_c.terminal_event(), traj_u.terminal_event()
+    hit_c, hit_u = traj_c.event, traj_u.event
     assert hit_u.id == hit_c.id
     assert np.max(np.abs(hit_u.point - hit_c.point)) < 1e-9
     assert traj_u.n_steps < traj_c.n_steps / 10
@@ -223,7 +223,7 @@ def test_q1_handoff_matches_phase_coordinates(params15_3):
     chart_traj, phase_traj, fate = run_q1_orbit(
         params15_3, delta=1e-6, z0=1e-15, handoff_w=1e-2
     )
-    hit = chart_traj.terminal_event()
+    hit = chart_traj.event
     assert hit is not None and hit.id == "handoff"
     mapped = phase_from_chart(hit.point)
     assert mapped == pytest.approx(phase_traj.points[0], rel=1e-12)
@@ -271,11 +271,7 @@ def test_midplane_event_certificate_is_checked(params15_34):
     must not be certified as a Q3 escape."""
     boa = beta_over_alpha(params15_34)
     rhs = lambda t, y: (0.0, -1.0, 0.0)
-    events = [
-        EventSpec(
-            id="midplane", guard=lambda p: p[1] + boa / 2.0, direction="falling", terminal=True
-        )
-    ]
+    events = [EventSpec(id="midplane", guard=lambda p: p[1] + boa / 2.0)]
     traj = integrate(rhs, (0.05, 0.0, 0.0), events, IntegrationControls(max_time=10.0))
     fate = classify_fate(traj, params15_34)
     assert fate.kind == FateKind.INCONCLUSIVE
