@@ -138,12 +138,16 @@ def _emit(report: dict, args, wall_time: float) -> None:
         print("  warning: %s" % w)
 
 
-def _add_common(p: argparse.ArgumentParser, sigma=True, max_step=0.1):
+def _add_common(p: argparse.ArgumentParser, sigma=True):
     p.add_argument("--m", type=float, required=True, help="diffusion exponent, 1 < m < 2")
     if sigma:
         p.add_argument("--sigma", type=float, required=True, help="weight exponent, sigma > 2")
     p.add_argument("--config", type=str, default=None, help="key=value config file")
     p.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def _add_controls(p: argparse.ArgumentParser, max_step=0.1):
+    """Integration controls, for the commands that integrate."""
     p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-10)
     p.add_argument("--abs-tol", dest="abs_tol", type=float, default=1e-12)
     p.add_argument("--max-step", dest="max_step", type=float, default=max_step)
@@ -163,6 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="launch an orbit and classify its fate")
     _add_common(p)
+    _add_controls(p)
     p.add_argument("--source", choices=("p2", "p0", "q1"), default="p2")
     p.add_argument("--delta", type=float, default=1e-6, help="launch offset")
     p.add_argument("--K", type=float, default=0.1, help="center-family parameter (p0)")
@@ -171,13 +176,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     # sigma-star and sweep keep only fates, so their steps are left to error control
     p = sub.add_parser("sigma-star", help="bisect the critical sigma of the P2 orbit")
-    _add_common(p, sigma=False, max_step=math.inf)
+    _add_common(p, sigma=False)
+    _add_controls(p, max_step=math.inf)
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-3)
 
     p = sub.add_parser("profile", help="compute a profile f(xi) and its interface data")
     _add_common(p)
+    _add_controls(p)
     p.add_argument("--origin", choices=("p2", "p1", "p0"), default="p2")
     p.add_argument("--a", type=float, default=None, help="f(0) for origin p1")
     p.add_argument(
@@ -200,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None, help="verification JSON path")
 
     p = sub.add_parser("sweep", help="classify the P2 orbit across a sigma grid")
-    _add_common(p, sigma=False, max_step=math.inf)
+    _add_common(p, sigma=False)
+    _add_controls(p, max_step=math.inf)
     p.add_argument("--sigmas", type=str, required=True, help="comma-separated sigma grid")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", type=str, default=None, help="sweep CSV path")
@@ -335,10 +343,7 @@ def _cmd_profile(args) -> tuple[int, dict]:
             args.origin, pr, controls, a=args.a, K=args.K, xi_start=args.xi_start
         )
         frame = res.frame
-        results = {
-            "fate": res.fate, "xi0": res.xi0, "g_slope": res.g_slope,
-            "pressure_leg": res.pressure_leg, "n_samples": len(frame),
-        }
+        results = {"fate": res.fate, "xi0": res.xi0, "g_slope": res.g_slope, "n_samples": len(frame)}
         if res.report is not None:
             results["interface_slopes"] = [res.report.slope_minus, res.report.slope_plus]
             results["discriminant"] = res.report.discriminant

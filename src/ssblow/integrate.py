@@ -70,6 +70,7 @@ _PD = (
 _MIN_STEP = 1e-14  # absolute step underflow threshold
 _ARM_TOL = 1e-10  # a guard arms once it has been above this
 _PROBE_STEP = 0.1  # accepted steps longer than this are probed for hidden guard dips
+_MAX_SAMPLES = 200_000  # a run stores at most this many samples besides its last
 _PROBE_NODES = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -81,8 +82,10 @@ class IntegrationControls:
     max_step is the longest step, and so also the largest gap between
     stored samples; math.inf leaves the step to error control alone, with a
     sample at every accepted step.  max_time bounds the autonomous variable.
-    The recorded samples are thinned so that a run never stores more than
-    ~200k of them (events and the final point are always recorded).
+    A run stores every accepted step until it holds 200k samples; then it
+    drops every other one and from there on keeps every 2nd step, then
+    every 4th, and so on, so it never stores more than 200k samples (events
+    and the final point are always recorded).
     """
 
     rel_tol: float = 1e-10
@@ -313,7 +316,7 @@ def integrate(
     t = 0.0
     rel, ab = controls.rel_tol, controls.abs_tol
     t_end = controls.max_time
-    stride = max(1, int(t_end / controls.max_step / 200_000.0))
+    stride = 1
 
     f = tuple(float(v) for v in rhs(t, y))
     h = _initial_step(rhs, t, y, f, rel, ab, controls.max_step)
@@ -329,12 +332,17 @@ def integrate(
     since_record = 0
 
     def record(tt, yy, force=False):
-        nonlocal since_record
+        nonlocal since_record, stride
         since_record += 1
         if force or since_record >= stride:
             if tt > etas[-1]:
                 etas.append(tt)
                 pts.append(yy)
+                if len(etas) > _MAX_SAMPLES:
+                    # keep every other sample, the start among them, and
+                    # every other one from here on
+                    del etas[1::2], pts[1::2]
+                    stride *= 2
             since_record = 0
 
     while True:

@@ -8,6 +8,7 @@ are comma-separated, LF-terminated, with a header row.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -131,13 +132,14 @@ def _render(obj, indent: int) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, float):
-        return fmt(obj)
+        return fmt(obj) if math.isfinite(obj) else "null"
     if isinstance(obj, int):
         return str(obj)
     return json.dumps(obj)
 
 
 def dump_report(payload: dict) -> str:
-    """Serialize a report dict; floats are written with 17 significant digits."""
+    """Serialize a report dict; floats are written with 17 significant digits,
+    and an infinite or nan float (xi_max as sigma -> 2+) as null."""
     return _render(_jsonable(payload), 0) + "\n"
 

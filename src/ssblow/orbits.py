@@ -91,7 +91,6 @@ class FateConfig:
     vertex_tol: float = 5e-3
     y_floor: float = -1e3
     x_away_tol: float = 1e-8
-    delta: float = 1e-6
 
 
 @dataclass
@@ -275,10 +274,10 @@ def run_p2_orbit(
     params: Params,
     controls: IntegrationControls | None = None,
     cfg: FateConfig | None = None,
-    delta: float | None = None,
+    delta: float = 1e-6,
 ) -> tuple[Trajectory, OrbitFate]:
     cfg = cfg or FateConfig()
-    start = launch_from_P2(params, delta if delta is not None else cfg.delta)
+    start = launch_from_P2(params, delta)
     traj = integrate(make_rhs(params), start, standard_fate_events(params, cfg), controls)
     return traj, classify_fate(traj, params, cfg)
 
@@ -411,7 +410,6 @@ def sigma_star(
     tol: float,
     controls: IntegrationControls | None = None,
     cfg: FateConfig | None = None,
-    retry_cap: int = 4,
 ) -> ShootResult:
     """Bisect sigma between a parabola-entering and a Q3-escaping fate.
 
@@ -420,7 +418,7 @@ def sigma_star(
 
     Convergence at the vertex is logarithmic, so evaluation points very close
     to the critical sigma may come back Inconclusive at the base time budget.
-    Each bisection step therefore tries up to retry_cap fallbacks: nearby
+    Each bisection step therefore tries up to four fallbacks: nearby
     interior points first, then the midpoint again with an extended budget
     (8x, then 64x max_time).  If every attempt is inconclusive the search
     stops with InconclusiveError rather than inventing an answer.
@@ -463,7 +461,7 @@ def sigma_star(
             (mid - width / 8.0, 1.0),
             (mid, 8.0),
             (mid, 64.0),
-        ][: retry_cap + 1]
+        ]
         placed = False
         for sig, budget in attempts:
             fate = fate_at(sig, budget)

@@ -6,8 +6,14 @@ A phase-space trajectory maps pointwise back to a profile via
     f' = (alpha xi f^{2-m} Y) / m,
 
 and the profile equation (f^m)'' - alpha f + beta xi f' + xi^sigma f^{2-m} = 0
-can be integrated directly as an independent cross-check.  At a vanishing
-point xi0 the pressure slope g' (g = m f^{m-1}/(m-1)) must solve
+can be integrated directly as an independent cross-check.  The direct run
+uses the pressure g = m f^{m-1}/(m-1), which is Lipschitz up to an
+interface, in the form
+
+    (m-1) g g'' = (m-1) alpha g - (g')^2 - beta xi g' - m xi^sigma,
+
+along a variable in which that field stays regular where g vanishes.  At
+a vanishing point xi0 the pressure slope g' must solve
 
     (g')^2 + beta xi0 g' + m xi0^sigma = 0,
 
@@ -31,6 +37,8 @@ from .params import (
 )
 from .field import center_family_P0, p2_unstable_eigenvector
 from .integrate import EventSpec, IntegrationControls, Trajectory, integrate
+
+_RHO_VANISH = 1e-4  # rho = g / hypot(g, xi g') at which a profile run ends as vanishing
 
 __all__ = [
     "ProfileFrame",
@@ -193,7 +201,6 @@ class SsodeResult:
     g_slope: float | None
     report: InterfaceReport | None
     origin: str
-    pressure_leg: bool = False
 
 
 def _asymptotic_start(origin, params, xi_start, a=None, K=None):
@@ -240,49 +247,34 @@ def _asymptotic_start(origin, params, xi_start, a=None, K=None):
     return f0, v0
 
 
-def _ssode_rhs(params: Params):
-    """State (xi, f, v = f'); the profile equation solved for f''."""
-    m = params.m
-    exp = derive_exponents(params)
-    alpha, beta = exp.alpha, exp.beta
-    sigma = params.sigma
-    m1 = m - 1.0
-    tiny = 1e-280
-
-    def rhs(t, u):
-        xi, f, v = u
-        fc = f if f > tiny else tiny
-        num = (
-            alpha * f
-            - beta * xi * v
-            - xi**sigma * fc ** (2.0 - m)
-            - m * m1 * fc ** (m - 2.0) * v * v
-        )
-        return (1.0, v, num / (m * fc**m1))
-
-    return rhs
-
-
 def _pressure_rhs(params: Params):
-    """State (xi, g, w = g'); pressure form of the profile equation."""
+    """The profile equation in the pressure g = m f^{m-1}/(m-1), state
+    (xi, g, w = g'), along the variable s with dxi/ds = rho.
+
+    rho = g / hypot(g, xi w) is dimensionless and at most 1, so the field is
+    regular where g vanishes and its xi-steps shrink toward a vanishing
+    point.  Trial stages may step to xi < 0, where xi^sigma is taken as 0 to
+    keep the field real.
+    """
     m = params.m
     exp = derive_exponents(params)
     alpha, beta = exp.alpha, exp.beta
     sigma = params.sigma
     m1 = m - 1.0
-    tiny = 1e-280
 
-    def rhs(t, u):
+    def rhs(s, u):
         xi, g, w = u
-        gc = g if g > tiny else tiny
-        return (1.0, w, (m1 * alpha * g - w * w - beta * xi * w - m * xi**sigma) / (m1 * gc))
+        r = math.hypot(g, xi * w)
+        rho = g / r
+        num = m1 * alpha * g - w * w - beta * xi * w - m * max(xi, 0.0) ** sigma
+        return (rho, rho * w, num / (m1 * r))
 
     return rhs
 
 
-def _g_of_f(f: float, params: Params) -> float:
-    m = params.m
-    return m / (m - 1.0) * f ** (m - 1.0)
+def _rho(u) -> float:
+    xi, g, w = u
+    return g / math.hypot(g, xi * w)
 
 
 def _classify_vanishing(
@@ -314,19 +306,24 @@ def integrate_ssode(
     K: float | None = None,
     xi_start: float = 1e-4,
     xi_cap: float | None = None,
-    f_floor: float = 1e-10,
-    g_switch: float = 1e-6,
     slope_tol: float = 1e-2,
     disc_tol: float = 1e-6,
 ) -> SsodeResult:
     """Integrate the profile equation from one of the admissible origins.
 
     origin is "p1" (f(0)=a>0, f'(0)=0), "p2" (f ~ C xi^{2/(m-1)}) or
-    "p0" (f ~ K xi^{(sigma+2)/(2(m-1))}).  Integration proceeds until f
-    reaches f_floor (a vanishing: classified interface or sign change from
-    the pressure slope there), until xi exceeds xi_cap (fate "positive"),
-    or until the degenerate-diffusion stiffness forces a switch to the
-    pressure variable g, which is Lipschitz up to the interface.
+    "p0" (f ~ K xi^{(sigma+2)/(2(m-1))}).  One run of the pressure field
+    (_pressure_rhs) goes until rho = g / hypot(g, xi g') falls to 1e-4,
+    which happens only where f vanishes, or until xi reaches xi_cap (fate
+    "positive").  Up to an interface g is affine, so the vanishing point is
+    xi0 = xi + g/|g'| at that event, and the pressure-slope quadratic at
+    xi0 tells an interface from a sign change.  A run that ends any other
+    way (step underflow, step or s budget) raises InconclusiveProfile.
+
+    controls sets the tolerances and the step in s, capped at 0.05; since
+    dxi/ds <= 1 the step also bounds the xi-gap between samples.  Their
+    max_time is not used: rho stays above 1e-4 until the run ends, so an s
+    budget of (xi_cap - xi_start) / 1e-4 always reaches xi_cap.
     """
     m = params.m
     exp = derive_exponents(params)
@@ -338,133 +335,43 @@ def integrate_ssode(
         raise DomainError("xi_cap must exceed xi_start")
 
     f0, v0 = _asymptotic_start(origin, params, xi_start, a=a, K=K)
+    g0 = m / (m - 1.0) * f0 ** (m - 1.0)
+    w0 = m * f0 ** (m - 2.0) * v0
 
-    # The asymptotic origins start with f many orders below any sensible
-    # phase-space abs_tol; error control must resolve f relative to itself
+    # The asymptotic origins start with g many orders below any sensible
+    # phase-space abs_tol; error control must resolve g relative to itself
     # or the early solution is garbage, so the absolute floor is dropped.
     base = controls or IntegrationControls()
-    leg_controls = replace(
+    run_controls = replace(
         base,
-        max_time=xi_cap - xi_start,
+        max_time=(xi_cap - xi_start) / _RHO_VANISH,
         max_step=min(base.max_step, 0.05),
         abs_tol=min(base.abs_tol, 1e-60),
     )
-
-    beta = exp.beta
-    sigma = params.sigma
-    f_signal = 1e4 * f_floor  # "f is already vanishing" threshold for certificates
-    certify_margin = max(10.0 * slope_tol, 0.1)
-
-    def _certify_level(xi):
-        # a pressure slope below this cannot belong to an interface at xi
-        disc = beta * beta * xi * xi - 4.0 * m * xi**sigma
-        return (-beta * xi - math.sqrt(max(disc, 0.0))) / 2.0 - certify_margin
-
-    def steep_guard(u):
-        # fires when f is tiny AND g' is certifiably below the lower root;
-        # at a sign change g' diverges to -inf, so this always catches it
-        # before the (f, f') form of the equation turns singular.
-        xi, f, v = u
-        if f <= 0.0:
-            return -1.0
-        gp = m * f ** (m - 2.0) * v
-        return max(f - f_signal, gp - _certify_level(xi))
-
-    f_floor_ev = EventSpec(id="f_floor", guard=lambda u: u[1] - f_floor)
-    g_switch_ev = EventSpec(
-        id="g_switch", guard=lambda u: _g_of_f(max(u[1], 0.0), params) - g_switch
-    )
-    steep_ev = EventSpec(id="steep_sign_change", guard=steep_guard)
-    traj = integrate(
-        _ssode_rhs(params), (xi_start, f0, v0), [f_floor_ev, g_switch_ev, steep_ev], leg_controls
-    )
-
-    xi1 = traj.points[:, 0]
-    f1 = traj.points[:, 1]
-    v1 = traj.points[:, 2]
-    pressure_leg = False
-    xi2 = f2 = v2 = None
+    events = [
+        EventSpec(id="vanishing", guard=lambda u: _rho(u) - _RHO_VANISH),
+        EventSpec(id="xi_cap", guard=lambda u: xi_cap - u[0]),
+    ]
+    traj = integrate(_pressure_rhs(params), (xi_start, g0, w0), events, run_controls)
 
     hit = traj.event
-    end_state = None  # (xi0, g_slope) at a vanishing
-    forced_sign_change = False
-    fate = None
-    if hit is not None and hit.id in ("f_floor", "steep_sign_change"):
-        xi0 = float(hit.point[0])
-        fval = max(float(hit.point[1]), f_floor * 1e-3)
-        end_state = (xi0, m * fval ** (m - 2.0) * float(hit.point[2]))
-        forced_sign_change = hit.id == "steep_sign_change"
-    elif (hit is not None and hit.id == "g_switch") or traj.termination == "step_underflow":
-        # continue in the pressure variable down to the g-equivalent of f_floor
-        pressure_leg = True
-        src = hit.point if hit is not None else traj.final_point
-        xi_s, f_s, v_s = (float(v) for v in src)
-        if f_s <= f_floor:
-            end_state = (xi_s, m * max(f_s, f_floor * 1e-3) ** (m - 2.0) * v_s)
-        else:
-            g_s = _g_of_f(f_s, params)
-            w_s = m * f_s ** (m - 2.0) * v_s
-            g_floor = _g_of_f(f_floor, params)
-            g_signal = _g_of_f(f_signal, params)
-
-            def steep_guard_g(u):
-                xi, g, w = u
-                return max(g - g_signal, w - _certify_level(xi))
-
-            leg2_events = [
-                EventSpec(id="g_floor", guard=lambda u: u[1] - g_floor),
-                EventSpec(id="steep_sign_change", guard=steep_guard_g),
-            ]
-            leg2_controls = replace(leg_controls, max_time=xi_cap - xi_s)
-            traj2 = integrate(_pressure_rhs(params), (xi_s, g_s, w_s), leg2_events, leg2_controls)
-            hit2 = traj2.event
-            xi2 = traj2.points[:, 0]
-            g2 = np.maximum(traj2.points[:, 1], 0.0)
-            f2 = ((m - 1.0) * g2 / m) ** (1.0 / (m - 1.0))
-            v2 = traj2.points[:, 2] * f2 ** (2.0 - m) / m
-            if hit2 is not None:
-                end_state = (float(hit2.point[0]), float(hit2.point[2]))
-                forced_sign_change = hit2.id == "steep_sign_change"
-            elif traj2.termination == "max_time":
-                fate = "positive"
-            else:
-                raise InconclusiveProfile(
-                    "pressure-variable continuation failed: %s" % traj2.termination
-                )
-    elif traj.termination == "max_time":
+    if hit is None:
+        raise InconclusiveProfile("profile integration failed: %s" % traj.termination)
+    xi0 = g_slope = report = None
+    if hit.id == "xi_cap":
         fate = "positive"
     else:
-        raise InconclusiveProfile("profile integration failed: %s" % traj.termination)
-
-    xi0 = g_slope = None
-    report = None
-    if end_state is not None:
-        xi0, g_slope = end_state
+        xi_h, g_h, g_slope = (float(v) for v in hit.point)
+        xi0 = xi_h + g_h / abs(g_slope)
         fate, report = _classify_vanishing(xi0, g_slope, params, slope_tol, disc_tol)
-        if forced_sign_change:
-            fate = "sign_change"
-            report.matched_slope = None
 
-    # assemble the frame: strictly positive f, strictly increasing xi
-    if xi2 is not None:
-        xi_all = np.concatenate([xi1, xi2])
-        f_all = np.concatenate([f1, f2])
-        v_all = np.concatenate([v1, v2])
-    else:
-        xi_all, f_all, v_all = xi1, f1, v1
-    rows = _physical_rows(f_all > 0.0, xi_all)
-    xi_all, f_all, v_all = xi_all[rows], f_all[rows], v_all[rows]
-    g_all = m * f_all ** (m - 2.0) * v_all
-    frame = ProfileFrame(xi=xi_all, f=f_all, df=v_all, g_slope=g_all)
-
+    pts = traj.points
+    rows = _physical_rows(pts[:, 1] > 0.0, pts[:, 0])
+    xi, g, w = pts[rows, 0], pts[rows, 1], pts[rows, 2]
+    f = ((m - 1.0) * g / m) ** (1.0 / (m - 1.0))
+    frame = ProfileFrame(xi=xi, f=f, df=w * f ** (2.0 - m) / m, g_slope=w)
     return SsodeResult(
-        frame=frame,
-        fate=fate,
-        xi0=xi0,
-        g_slope=g_slope,
-        report=report,
-        origin=origin,
-        pressure_leg=pressure_leg,
+        frame=frame, fate=fate, xi0=xi0, g_slope=g_slope, report=report, origin=origin
     )
 
 

@@ -26,6 +26,24 @@ def test_params_text(capsys):
     assert "xi_max: 0.66666" in out
 
 
+def test_params_json_writes_infinite_xi_max_as_null(capsys):
+    code, out, _ = run_cli(capsys, "params", "--m", "1.5", "--sigma", "2.001", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"]["xi_max"] is None
+
+
+def test_params_and_verify_take_no_integration_controls(tmp_path, capsys):
+    for cmd in (["params"], ["verify", "--all", "--n", "10"]):
+        for flag in ("--rel-tol", "--abs-tol", "--max-step", "--max-time"):
+            code, _, _ = run_cli(capsys, *cmd, "--m", "1.5", "--sigma", "3", flag, "7")
+            assert code == 2, (cmd, flag)
+        cfg = tmp_path / "cap.cfg"
+        cfg.write_text("max_step=7\n")
+        code, _, err = run_cli(capsys, *cmd, "--m", "1.5", "--sigma", "3", "--config", str(cfg))
+        assert code == 2
+        assert "unknown config key" in err
+
+
 def test_params_json_full_precision(capsys):
     code, out, _ = run_cli(capsys, "params", "--m", "1.5", "--sigma", "3", "--format", "json")
     assert code == 0

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -105,10 +106,31 @@ def test_event_idempotence_on_relaunch(params15_3):
         make_rhs(params15_3), (0.005, 0.02, 0.002), [ev], IntegrationControls(max_time=1e3)
     ).event
     ev2 = EventSpec(id="y0", guard=lambda p: p[1])
-    hit2 = integrate(
+    traj2 = integrate(
         make_rhs(params15_3), tuple(hit.point), [ev2], IntegrationControls(max_time=5.0)
-    ).event
-    assert hit2 is None or hit2.eta > 1e-10
+    )
+    assert traj2.event is None
+    assert traj2.termination == "max_time"
+
+
+def test_a_long_run_keeps_every_2k_th_step(monkeypatch):
+    """Past _MAX_SAMPLES stored samples a run keeps every 2nd, then 4th, ...
+    accepted step, whatever its max_time, so its samples stay evenly spaced
+    and bounded in number; the start and the end are always kept."""
+    monkeypatch.setattr(sys.modules["ssblow.integrate"], "_MAX_SAMPLES", 100)
+    short = integrate(
+        lambda t, y: (1.0, 0.0, 0.0), (0.0, 0.0, 0.0), [],
+        IntegrationControls(max_step=0.01, max_time=0.5),
+    )
+    assert len(short.eta) == short.n_steps + 1  # below the cap every step is kept
+    traj = integrate(
+        lambda t, y: (1.0, 0.0, 0.0), (0.0, 0.0, 0.0), [],
+        IntegrationControls(max_step=0.01, max_time=10.0),
+    )
+    assert traj.n_steps > 1000 and 50 < len(traj.eta) <= 101
+    assert traj.eta[0] == 0.0 and traj.eta[-1] == 10.0
+    gaps = np.diff(traj.eta)[1:-1]
+    assert np.allclose(gaps, 16 * 0.01)
 
 
 @settings(max_examples=50, deadline=None)

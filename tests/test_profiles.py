@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ssblow.params import (
@@ -11,7 +13,9 @@ from ssblow.params import (
     xi_of_z,
 )
 from ssblow.integrate import IntegrationControls, Trajectory
+from ssblow.orbits import run_p2_orbit
 from ssblow.profiles import (
+    InconclusiveProfile,
     ProfileBracketError,
     evaluate_solution,
     find_good_profile_P1,
@@ -207,20 +211,58 @@ def test_ssode_p1_dichotomy(params15_3):
 
 
 def test_pressure_variable_continuation_at_larger_m():
-    """For m closer to 2 the pressure threshold is met before the f floor,
-    so the degenerate tail is finished in the g variable (Lipschitz up to
-    the interface)."""
+    """For m closer to 2, f^{m-1} is far from affine in f near the
+    interface; the pressure g (Lipschitz up to the interface) still finds
+    it, and the frame keeps xi increasing and f positive."""
     pr = validate_params(1.8, 3.0)
     exp = derive_exponents(pr)
     res = integrate_ssode("p2", pr)
-    assert res.pressure_leg
     assert res.fate == "interface"
     assert res.xi0 <= exp.xi_max + 1e-4
     q = res.g_slope**2 + exp.beta * res.xi0 * res.g_slope + pr.m * res.xi0**pr.sigma
     assert abs(q) < 1e-3
-    # the assembled frame stitches both legs monotonically
     assert np.all(np.diff(res.frame.xi) > 0.0)
     assert np.all(res.frame.f > 0.0)
+
+
+@pytest.mark.parametrize("m", [1.2, 1.5, 1.8])
+def test_ssode_p2_interface_matches_phase_space(m):
+    """The p2 profile vanishes where the P2 orbit's parabola point puts the
+    interface, to 1e-6; at m = 1.2 a sign change was reported before, and at
+    m = 1.5 an xi0 2.2e-4 short."""
+    pr = validate_params(m, 3.0)
+    _, fate = run_p2_orbit(pr, IntegrationControls(max_step=math.inf, max_time=3e4))
+    res = integrate_ssode("p2", pr)
+    assert res.fate == "interface"
+    assert abs(res.xi0 - interface_xi_of_lambda(fate.lambda_hat, pr)) < 1e-6
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    m=st.floats(min_value=1.1, max_value=1.9),
+    sigma=st.floats(min_value=2.2, max_value=4.0),
+    a=st.floats(min_value=1e-13, max_value=1.0),
+    K=st.floats(min_value=0.05, max_value=3.0),
+)
+@example(m=1.8, sigma=2.5, a=1e-13, K=0.05)  # p0: trial stages step to xi < 0
+@pytest.mark.parametrize("origin", ["p2", "p0", "p1"])
+def test_ssode_outcome_is_a_fate_or_a_surfaced_failure(origin, m, sigma, a, K):
+    """Over the (m, sigma) box each origin ends in a fate, a DomainError or
+    InconclusiveProfile, and never in another exception; an interface lies
+    within xi_max with its slope at a root of the quadratic.  K stays at or
+    above the CLI default 0.05: near the origin the p0 start is stiff, with
+    a step count growing like 1/(K^(m-1) xi_start), and far smaller K takes
+    millions of steps."""
+    pr = validate_params(m, sigma)
+    try:
+        res = integrate_ssode(origin, pr, a=a, K=K)
+    except (DomainError, InconclusiveProfile):
+        return
+    assert res.fate in ("interface", "sign_change", "positive")
+    assert (res.xi0 is None) == (res.fate == "positive")
+    if res.fate == "interface":
+        assert res.xi0 <= derive_exponents(pr).xi_max + 1e-4
+        assert abs(res.g_slope - res.report.matched_slope) <= 1e-2
 
 
 def test_find_good_profile_P1_boundary_interface(params15_3):
