@@ -59,7 +59,9 @@ def main(argv=None) -> int:
         applicable = gate["exit_vector_above_plane"] and gate["x_star3_below_x_p2"]
         if not applicable:
             continue
-        _, fate = run_p2_orbit(pr, IntegrationControls(max_step=math.inf, max_time=2e3))
+        _, fate = run_p2_orbit(
+            pr, IntegrationControls(max_step=math.inf, sample_step=math.inf, max_time=2e3)
+        )
         print("  sigma=%-5g certificate=on fate=%s" % (sigma, fate.kind))
         if fate.kind == FateKind.ENTERS_Q3 and sigma1 is None:
             sigma1 = sigma

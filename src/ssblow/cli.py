@@ -95,11 +95,12 @@ def _set_config_defaults(parser: argparse.ArgumentParser, args: argparse.Namespa
     sub.set_defaults(**defaults)
 
 
-def _controls_from(args) -> IntegrationControls:
+def _controls_from(args, sample_step=IntegrationControls.sample_step) -> IntegrationControls:
     return IntegrationControls(
         rel_tol=args.rel_tol,
         abs_tol=args.abs_tol,
         max_step=args.max_step,
+        sample_step=sample_step,
         max_time=args.max_time,
     )
 
@@ -146,7 +147,7 @@ def _add_common(p: argparse.ArgumentParser, sigma=True):
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
-def _add_controls(p: argparse.ArgumentParser, max_step=0.1):
+def _add_controls(p: argparse.ArgumentParser, max_step=IntegrationControls.max_step):
     """Integration controls, for the commands that integrate."""
     p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-10)
     p.add_argument("--abs-tol", dest="abs_tol", type=float, default=1e-12)
@@ -174,7 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z0", type=float, default=1e-5, help="launch height z0 (p0) or chart z (q1)")
     p.add_argument("--out", type=str, default=None, help="trajectory CSV path")
 
-    # sigma-star and sweep keep only fates, so their steps are left to error control
+    # sigma-star and sweep keep only fates, so their steps are left to error
+    # control and their runs store step ends only
     p = sub.add_parser("sigma-star", help="bisect the critical sigma of the P2 orbit")
     _add_common(p, sigma=False)
     _add_controls(p, max_step=math.inf)
@@ -292,7 +294,7 @@ def _cmd_sigma_star(args) -> tuple[int, dict]:
         raise ParameterError(
             "sigma must exceed 2: bracket must stay above %.3f" % _SIGMA_FLOOR
         )
-    controls = _controls_from(args)
+    controls = _controls_from(args, sample_step=math.inf)
     config = {"m": args.m, "lo": args.lo, "hi": args.hi, "tol": args.tol}
     report = _report_skeleton("sigma-star", config)
     res = sigma_star(args.m, (args.lo, args.hi), args.tol, controls)
@@ -415,7 +417,7 @@ def _cmd_sweep(args) -> tuple[int, dict]:
             "sigma must exceed 2: grid must stay above %.3f" % _SIGMA_FLOOR
         )
     validate_params(args.m, sigmas[0])
-    controls = _controls_from(args)
+    controls = _controls_from(args, sample_step=math.inf)
     config = {"m": args.m, "sigmas": sigmas, "jobs": args.jobs}
     report = _report_skeleton("sweep", config)
     tasks = [(args.m, s, controls) for s in sigmas]

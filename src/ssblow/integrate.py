@@ -7,8 +7,11 @@ one event contract: an event fires when its guard falls from positive to
 zero or below, and that ends the run.  A guard arms only once it has been
 above _ARM_TOL, so restarting from a located event point does not re-fire
 it.  Steps longer than _PROBE_STEP are also searched for a guard that dips
-through zero and back inside the step, so a run with max_step = inf can
-leave the step to error control.
+through zero and back inside the step, so a run can leave the step to
+error control.  The same extension supplies the stored samples: a step
+longer than the sample grid's spacing stores the extension's values at
+the grid points it spans, not its end, so the step is set by error
+control and the output grid by what the output needs.
 The right-hand side receives and returns plain float triples; keeping the
 hot loop free of array allocation is what makes long runs affordable.
 
@@ -77,20 +80,25 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class IntegrationControls:
-    """Step-size and budget controls for one integration run.
+    """Step-size, sampling and budget controls for one integration run.
 
-    max_step is the longest step, and so also the largest gap between
-    stored samples; math.inf leaves the step to error control alone, with a
-    sample at every accepted step.  max_time bounds the autonomous variable.
-    A run stores every accepted step until it holds 200k samples; then it
-    drops every other one and from there on keeps every 2nd step, then
-    every 4th, and so on, so it never stores more than 200k samples (events
-    and the final point are always recorded).
+    max_step caps the step; math.inf leaves it to error control alone.
+    sample_step is the spacing of the output grid, the multiples of
+    sample_step in eta: an accepted step longer than sample_step stores the
+    continuous extension's values at the grid points it spans, and a
+    shorter step stores its end, so no two samples are more than
+    sample_step apart.  math.inf stores every step end and nothing else.
+    max_time bounds the autonomous variable.  A run stores every sample
+    until it holds 200k; then it drops every other one and from there on
+    keeps every 2nd sample, then every 4th, and so on, so it never stores
+    more than 200k samples (events and the final point are always
+    recorded).
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = 0.1
+    max_step: float = 5.0
+    sample_step: float = 0.1
     max_time: float = 1e4
     max_steps: int = 10_000_000
 
@@ -99,6 +107,7 @@ class IntegrationControls:
             self.rel_tol > 0
             and self.abs_tol > 0
             and self.max_step > 0
+            and self.sample_step > 0
             and self.max_time > 0
             and self.max_steps > 0
         ):
@@ -123,11 +132,11 @@ class EventSpec:
     0.1 an armed guard whose end values are both positive, but smaller
     than their difference, is also probed at interior points of the step,
     so a dip through zero and back inside one long step still fires.  Steps
-    of at most 0.1 are not probed, so a dip narrower than one step can pass
-    unseen at max_step = 0.1: under a unit field the guard
-    (x - 5)^2 - 1e-6, below zero for 2e-3 in eta, fires no event there.
-    Nor is a dip probed whose end values are farther from zero than their
-    difference.
+    of at most 0.1 are not probed, so under an explicit cap of 0.1 or less
+    a dip narrower than one step can pass unseen: under a unit field and
+    max_step = 0.1 the guard (x - 5)^2 - 1e-6, below zero for 2e-3 in eta,
+    fires no event.  Nor is a dip probed whose end values are farther from
+    zero than their difference.
     """
 
     id: str
@@ -179,23 +188,43 @@ def _dense(theta, h, y0, q):
     )
 
 
+def _grid(t0, t1, ds):
+    """The multiples of ds in [t0, t1), in increasing order."""
+    k = math.floor(t0 / ds)
+    while k * ds < t0:
+        k += 1
+    while k * ds < t1:
+        yield k * ds
+        k += 1
+
+
+def _rms(v, sc):
+    """Root mean square of v / sc; inf, not OverflowError, when it overflows."""
+    r0, r1, r2 = (v[i] / sc[i] for i in range(3))
+    return math.sqrt((r0 * r0 + r1 * r1 + r2 * r2) / 3.0)
+
+
 def _initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, max_step):
     """Hairer's starting-step estimate, raised to _MIN_STEP: a state near
     zero under a fast field can give a guess below it, and only error
-    control may judge a step too short."""
+    control may judge a step too short.  So does a state or field that
+    overflows, whose first step error control then rejects."""
     sc = [abs_tol + rel_tol * abs(y0[i]) for i in range(3)]
-    d0 = math.sqrt(sum((y0[i] / sc[i]) ** 2 for i in range(3)) / 3.0)
-    d1 = math.sqrt(sum((f0[i] / sc[i]) ** 2 for i in range(3)) / 3.0)
+    d0 = _rms(y0, sc)
+    d1 = _rms(f0, sc)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, max_step)
+    if not h0 > 0.0:
+        return _MIN_STEP
     y1 = tuple(y0[i] + h0 * f0[i] for i in range(3))
     f1 = rhs(t0 + h0, y1)
-    d2 = math.sqrt(sum(((f1[i] - f0[i]) / sc[i]) ** 2 for i in range(3)) / 3.0) / h0
+    d2 = _rms([f1[i] - f0[i] for i in range(3)], sc) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return max(min(100.0 * h0, h1, max_step), _MIN_STEP)
+    h = min(100.0 * h0, h1, max_step)
+    return h if h > _MIN_STEP else _MIN_STEP
 
 
 class _EventState:
@@ -316,6 +345,7 @@ def integrate(
     t = 0.0
     rel, ab = controls.rel_tol, controls.abs_tol
     t_end = controls.max_time
+    ds = controls.sample_step
     stride = 1
 
     f = tuple(float(v) for v in rhs(t, y))
@@ -452,6 +482,15 @@ def integrate(
                 first = located + (st.spec,)
             st.g = g_new
             st.update_arming(g_new)
+        # samples: the grid points a long step spans up to its end or its
+        # event, or else the end of a short step
+        t_last = t_new if first is None else first[0]
+        if h > ds:
+            q = q or _dense_coeffs(k1, k3, k4, k5, k6, k7)
+            for e in _grid(t, t_last, ds):
+                record(e, _dense((e - t) / h, h, y, q))
+        elif first is None:
+            record(t_new, y_new)
         if first is not None:
             t_star, y_star, spec = first
             hit = EventHit(id=spec.id, eta=t_star, point=np.array(y_star))
@@ -459,7 +498,6 @@ def integrate(
             termination = "event"
             break
 
-        record(t_new, y_new)
         y = y_new
         f = k7
         t = t_new

@@ -35,31 +35,48 @@ def _write_rows(path, header, rows):
             fh.write(",".join(row) + "\n")
 
 
+def _write_columns(path, header, columns):
+    """One row per index of the float columns, each written with %.17g."""
+    rows = np.column_stack(columns).tolist()
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n" + "".join(line % tuple(r) for r in rows))
+
+
+def _read_columns(path, header, kind):
+    """The float columns under header, as one (rows, len(header)) array."""
+    with open(path) as fh:
+        found = fh.readline().rstrip("\n")
+        if found != ",".join(header):
+            raise ValueError("%s: not a %s CSV (header %r)" % (path, kind, found))
+        body = fh.tell()
+        if not fh.read(1):
+            return np.empty((0, len(header)))
+        fh.seek(body)
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if data.shape[1] != len(header):
+        raise ValueError(
+            "%s: rows of %d values under %d header columns" % (path, data.shape[1], len(header))
+        )
+    return data
+
+
 def write_trajectory_csv(path, traj) -> None:
-    rows = (
-        [fmt(e), fmt(p[0]), fmt(p[1]), fmt(p[2])] for e, p in zip(traj.eta, traj.points)
-    )
-    _write_rows(path, ["eta", "X", "Y", "Z"], rows)
+    _write_columns(path, ("eta", "X", "Y", "Z"), (traj.eta, traj.points))
 
 
 def read_trajectory_csv(path):
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    data = np.atleast_1d(data)
-    eta = data["eta"].astype(float)
-    pts = np.column_stack([data["X"], data["Y"], data["Z"]]).astype(float)
-    return eta, pts
+    data = _read_columns(path, ("eta", "X", "Y", "Z"), "trajectory")
+    return data[:, 0], data[:, 1:]
 
 
 def write_profile_csv(path, frame) -> None:
-    rows = (
-        [fmt(x), fmt(f), fmt(d)] for x, f, d in zip(frame.xi, frame.f, frame.df)
-    )
-    _write_rows(path, ["xi", "f", "df"], rows)
+    _write_columns(path, ("xi", "f", "df"), (frame.xi, frame.f, frame.df))
 
 
 def read_profile_csv(path):
-    data = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
-    return data["xi"].astype(float), data["f"].astype(float), data["df"].astype(float)
+    data = _read_columns(path, ("xi", "f", "df"), "profile")
+    return data[:, 0], data[:, 1], data[:, 2]
 
 
 def write_sweep_csv(path, rows) -> None:

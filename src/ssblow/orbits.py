@@ -414,7 +414,8 @@ def sigma_star(
     """Bisect sigma between a parabola-entering and a Q3-escaping fate.
 
     Only the fates are kept, so without controls the orbits run with
-    max_step = inf: error control alone sets the step.
+    max_step = sample_step = inf: error control alone sets the step, and
+    only step ends are stored.
 
     Convergence at the vertex is logarithmic, so evaluation points very close
     to the critical sigma may come back Inconclusive at the base time budget.
@@ -428,7 +429,7 @@ def sigma_star(
         raise BracketError("bracket must satisfy lo < hi")
     if tol <= 0:
         raise BracketError("tol must be positive")
-    base = controls or IntegrationControls(max_step=math.inf)
+    base = controls or IntegrationControls(max_step=math.inf, sample_step=math.inf)
     cfg = cfg or FateConfig()
 
     evaluations = []

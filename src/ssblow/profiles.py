@@ -320,10 +320,11 @@ def integrate_ssode(
     xi0 tells an interface from a sign change.  A run that ends any other
     way (step underflow, step or s budget) raises InconclusiveProfile.
 
-    controls sets the tolerances and the step in s, capped at 0.05; since
-    dxi/ds <= 1 the step also bounds the xi-gap between samples.  Their
-    max_time is not used: rho stays above 1e-4 until the run ends, so an s
-    budget of (xi_cap - xi_start) / 1e-4 always reaches xi_cap.
+    controls sets the tolerances and the step in s, capped at 0.05; the
+    frame holds the step ends, and since dxi/ds <= 1 the step also bounds
+    the xi-gap between samples.  Their max_time and sample_step are not
+    used: rho stays above 1e-4 until the run ends, so an s budget of
+    (xi_cap - xi_start) / 1e-4 always reaches xi_cap.
     """
     m = params.m
     exp = derive_exponents(params)
@@ -346,6 +347,7 @@ def integrate_ssode(
         base,
         max_time=(xi_cap - xi_start) / _RHO_VANISH,
         max_step=min(base.max_step, 0.05),
+        sample_step=math.inf,
         abs_tol=min(base.abs_tol, 1e-60),
     )
     events = [

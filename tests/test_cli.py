@@ -4,9 +4,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import ssblow
 from ssblow.cli import main
@@ -380,8 +383,8 @@ def test_config_list_and_choice_values(tmp_path, capsys):
 
 
 def test_max_step_defaults_and_overrides(tmp_path):
-    """Fate-only commands leave the step to error control; a flag or a
-    config value still sets the cap."""
+    """Fate-only commands leave the step to error control, the others cap
+    it at 5; a flag or a config value still sets the cap."""
     from ssblow.cli import _set_config_defaults, build_parser
 
     sweep = ["sweep", "--m", "1.5", "--sigmas", "3"]
@@ -389,7 +392,7 @@ def test_max_step_defaults_and_overrides(tmp_path):
     classify = ["classify", "--m", "1.5", "--sigma", "3"]
     parse = lambda argv: build_parser().parse_args(argv)
     assert parse(sweep).max_step == parse(star).max_step == math.inf
-    assert parse(classify).max_step == 0.1
+    assert parse(classify).max_step == 5.0
     assert parse(sweep + ["--max-step", "0.1"]).max_step == 0.1
     cfg = tmp_path / "cap.cfg"
     cfg.write_text("max_step=0.1\n")
@@ -445,6 +448,38 @@ def test_read_sweep_csv_rejects_wrong_header(tmp_path):
         io_mod.read_sweep_csv(bad)
 
 
+@pytest.mark.parametrize("reader", [io_mod.read_trajectory_csv, io_mod.read_profile_csv])
+def test_trajectory_and_profile_readers_reject_a_wrong_header(reader, tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("sigma,fate,lambda_hat,xi0\n3,enters_q3,,\n")
+    with pytest.raises(ValueError, match="not a (trajectory|profile) CSV"):
+        reader(bad)
+
+
+def test_one_row_csvs_round_trip(tmp_path):
+    traj = SimpleNamespace(eta=np.array([0.5]), points=np.array([[1.0, -2.0, 3.0]]))
+    frame = SimpleNamespace(xi=np.array([0.25]), f=np.array([1e-3]), df=np.array([-4.0]))
+    io_mod.write_trajectory_csv(tmp_path / "t.csv", traj)
+    io_mod.write_profile_csv(tmp_path / "p.csv", frame)
+    eta, pts = io_mod.read_trajectory_csv(tmp_path / "t.csv")
+    assert np.array_equal(eta, traj.eta) and np.array_equal(pts, traj.points)
+    back = io_mod.read_profile_csv(tmp_path / "p.csv")
+    assert all(np.array_equal(a, b) for a, b in zip(back, (frame.xi, frame.f, frame.df)))
+
+
+def test_csv_rows_are_fmt_joined(tmp_path):
+    """Rows are the %.17g text of every value, extremes and -0.0 included."""
+    values = np.array([[-0.0, 5e-324, 1e308, -1e308], [0.1, 2.0 / 3.0, -5e-324, 1.0]])
+    traj = SimpleNamespace(eta=values[:, 0], points=values[:, 1:])
+    io_mod.write_trajectory_csv(tmp_path / "t.csv", traj)
+    rows = "".join(",".join(io_mod.fmt(v) for v in row) + "\n" for row in values)
+    expected = "eta,X,Y,Z\n" + rows
+    assert (tmp_path / "t.csv").read_text() == expected
+    eta, pts = io_mod.read_trajectory_csv(tmp_path / "t.csv")
+    assert np.array_equal(np.column_stack((eta, pts)), values)
+    assert math.copysign(1.0, eta[0]) == -1.0
+
+
 def test_cli_runs_without_scipy(tmp_path):
     code = (
         "import sys, ssblow.cli\n"
@@ -460,3 +495,86 @@ def test_cli_runs_without_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def _mostly(good, bad):
+    """One of the good values, and one time in eight a bad one."""
+    return st.integers(0, 7).flatmap(lambda k: st.sampled_from(bad if k == 0 else good))
+
+
+_FORMAT = _mostly(["text", "json"], ["xml"])
+# per command: its flags, each with good and now and then bad values
+_FLAGS = {
+    "params": {"--format": _FORMAT},
+    "classify": {
+        "--format": _FORMAT,
+        "--source": _mostly(["p2", "p0", "q1"], ["p9"]),
+        "--K": _mostly(["0.1", "0.3", "1"], ["0", "-1", "1e300", "nan", "x"]),
+        "--z0": _mostly(["1e-5", "1e-7", "1e-15"], ["0", "-1", "1e300", "x"]),
+        "--delta": _mostly(["1e-6", "1e-5"], ["1", "-1e-6", "nan"]),
+        "--max-step": _mostly(["0.05", "1", "5", "inf"], ["0", "-1", "nan", "x"]),
+        "--rel-tol": _mostly(["1e-8", "1e-10"], ["1e-14", "0", "inf"]),
+    },
+    "verify": {
+        "--format": _FORMAT,
+        "--seed": _mostly(["0", "7", "42"], ["-1", "x"]),
+        "--barrier": _mostly(["midplane", "cylinder"], ["nope", ""]),
+    },
+}
+# per command: config keys and good values; _BAD_LINES are bad in every command
+_KEYS = {
+    "params": {"format": ["json", "text"]},
+    "classify": {"format": ["json"], "source": ["p0", "q1"], "K": ["0.3"], "delta": ["1e-5"]},
+    "verify": {
+        "format": ["json"], "seed": ["3"], "all": ["yes", "no"], "barrier": ["midplane cylinder"]
+    },
+}
+_BAD_LINES = ["no_such_key=1", "format=xml", "m=x", "no equals sign"]
+
+
+@st.composite
+def _cli_case(draw):
+    """argv and config lines for params, verify (n <= 200) or classify
+    (max-time <= 50); no config key sets a budget, so every run stays short."""
+    cmd = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [
+        cmd,
+        "--m", draw(_mostly(["1.5", "1.2", "1.8"], ["1", "2", "nan", "x", ""])),
+        "--sigma", draw(_mostly(["3", "3.4", "2.5", "6"], ["2", "2.0001", "-1", "inf", "x"])),
+    ]
+    if cmd == "classify":
+        argv += ["--max-time", draw(_mostly(["50", "20", "1"], ["0", "-3", "nan"]))]
+    elif cmd == "verify":
+        argv += ["--n", str(draw(_mostly(range(100, 201), range(-5, 100))))]
+        if draw(st.booleans()):
+            argv.append("--all")
+    for flag in draw(st.lists(st.sampled_from(sorted(_FLAGS[cmd])), max_size=3, unique=True)):
+        argv += [flag, draw(_FLAGS[cmd][flag])]
+    good = [k + "=" + v for k, vals in sorted(_KEYS[cmd].items()) for v in vals] + ["# note", ""]
+    config = draw(st.none() | st.lists(_mostly(good, _BAD_LINES), max_size=3))
+    return argv, config
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(case=_cli_case())
+@example(case=(["classify", "--m", "1.5", "--sigma", "3", "--max-time", "50",
+                "--source", "p0", "--K", "1e300"], None))
+@example(case=(["classify", "--m", "1.5", "--sigma", "3", "--max-time", "50",
+                "--source", "q1", "--z0", "1e300"], None))
+def test_cli_exit_code_contract(case, tmp_path_factory, capsys):
+    """Any such argv and config file ends in exit 0, 2, 3 or 4, and never in
+    a traceback.  The pinned starts are so large that the first step's
+    field overflows, which once raised OverflowError; they end in exit 3."""
+    argv, config = case
+    if config is not None:
+        path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+        path.write_text("\n".join(config) + "\n")
+        argv = argv + ["--config", str(path)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4), (argv, config, err)
+    assert "Traceback" not in err

@@ -158,12 +158,12 @@ def test_falling_guard_fires_at_its_root_and_not_again(v, c, max_step):
 @pytest.mark.parametrize("w", [1e-2, 1e-6])
 def test_long_step_sees_a_dip_inside_one_step(w):
     """Under a constant field the steps grow fivefold; one step spans eta
-    1.95..9.77 and the guard is positive at both of its ends."""
+    1.95..9.77 and the guard is positive at both of its ends.  Only step
+    ends are stored, so the last sample before the event is a step end."""
     rhs = lambda t, y: (1.0, 0.0, 0.0)
     ev = EventSpec(id="dip", guard=lambda p: (p[0] - 5.0) ** 2 - w)
-    traj = integrate(
-        rhs, (0.0, 0.0, 0.0), [ev], IntegrationControls(max_time=50.0, max_step=math.inf)
-    )
+    controls = IntegrationControls(max_time=50.0, max_step=math.inf, sample_step=math.inf)
+    traj = integrate(rhs, (0.0, 0.0, 0.0), [ev], controls)
     hit = traj.event
     assert hit is not None and hit.id == "dip" and traj.termination == "event"
     assert hit.eta == pytest.approx(5.0 - math.sqrt(w), abs=1e-9)
@@ -253,3 +253,42 @@ def test_controls_validation():
 def test_eta_strictly_increasing(p2_orbit_15_3):
     traj, _ = p2_orbit_15_3
     assert np.all(np.diff(traj.eta) > 0.0)
+
+
+# guards that never fire, or fire at x = 5.05, under the unit field (1, 0, 0)
+_ENDS = {"max_time": (lambda p: 1.0, 10.05), "event": (lambda p: 5.05 - p[0], 5.05)}
+
+
+@pytest.mark.parametrize("end", sorted(_ENDS))
+def test_long_steps_store_the_sample_grid(end):
+    """Under a unit field the steps grow fivefold up to the cap of 5: the
+    steps shorter than 0.1 store their ends, the longer ones the multiples
+    of 0.1 they span, and the run's end (max_time or an event) comes last."""
+    guard, last = _ENDS[end]
+    rhs = lambda t, y: (1.0, 0.0, 0.0)
+    controls = IntegrationControls(max_time=10.05)
+    traj = integrate(rhs, (0.0, 0.0, 0.0), [EventSpec(id="end", guard=guard)], controls)
+    assert traj.termination == end
+    assert traj.final_eta == pytest.approx(last, abs=1e-12)
+    grid = traj.eta[1:-1][traj.eta[1:-1] >= 0.1]
+    assert np.array_equal(grid, np.arange(1, len(grid) + 1) * 0.1)
+    assert grid[-1] == pytest.approx(math.floor(last * 10.0) / 10.0, abs=1e-12)
+    assert len(traj.eta) - len(grid) == traj.eta.searchsorted(0.1) + 1  # short ends + last
+    assert np.max(np.abs(traj.points[:, 0] - traj.eta)) < 1e-12
+    assert np.max(np.diff(traj.eta)) <= 0.1 + 1e-12
+
+
+@pytest.mark.parametrize("end", sorted(_ENDS))
+def test_infinite_sample_step_stores_step_ends_only(end):
+    guard, _ = _ENDS[end]
+    rhs = lambda t, y: (1.0, 0.0, 0.0)
+    controls = IntegrationControls(max_time=10.05, sample_step=math.inf)
+    traj = integrate(rhs, (0.0, 0.0, 0.0), [EventSpec(id="end", guard=guard)], controls)
+    assert traj.termination == end
+    assert len(traj.eta) == traj.n_steps + 1
+
+
+@pytest.mark.parametrize("sample_step", [0.0, -0.1, math.nan])
+def test_sample_step_must_be_positive(sample_step):
+    with pytest.raises(ValueError):
+        IntegrationControls(sample_step=sample_step)

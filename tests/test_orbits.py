@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from ssblow.params import (
     DomainError,
@@ -13,6 +14,7 @@ from ssblow.params import (
 )
 from ssblow.field import make_rhs, p2_unstable_eigenvector, p2_chart_coordinates, phase_from_chart
 from ssblow.integrate import EventSpec, IntegrationControls, integrate
+import ssblow.orbits
 from ssblow.orbits import (
     BracketError,
     FateConfig,
@@ -121,23 +123,26 @@ def test_lambda_near_2_is_closer_to_zero():
 
 
 @pytest.mark.parametrize(
-    "sigma, capped",
+    "sigma, default_run",
     [(3.0, "p2_orbit_15_3"), (3.285, "p2_orbit_15_3285"), (3.4, "p2_orbit_15_34")],
 )
-def test_uncapped_p2_orbit_keeps_the_capped_fate(sigma, capped, request):
-    """Error control alone (max_step = inf) gives the fate, lambda_hat and
-    terminal event point of the run capped at max_step = 0.1."""
-    traj_c, fate_c = request.getfixturevalue(capped)
+def test_uncapped_p2_orbit_keeps_the_capped_fate(sigma, default_run, request):
+    """Error control alone (max_step = inf), and the default cap of 5, give
+    the fate, lambda_hat and terminal event point of the run capped at
+    max_step = 0.1."""
+    traj_c, fate_c = run_p2_orbit(
+        validate_params(1.5, sigma), IntegrationControls(max_step=0.1)
+    )
     traj_u, fate_u = run_p2_orbit(
         validate_params(1.5, sigma), IntegrationControls(max_step=math.inf)
     )
-    assert fate_u.kind == fate_c.kind
     assert fate_c.decisive
-    if fate_c.lambda_hat is not None:
-        assert fate_u.lambda_hat == pytest.approx(fate_c.lambda_hat, abs=1e-9)
-    hit_c, hit_u = traj_c.event, traj_u.event
-    assert hit_u.id == hit_c.id
-    assert np.max(np.abs(hit_u.point - hit_c.point)) < 1e-9
+    for traj, fate in ((traj_u, fate_u), request.getfixturevalue(default_run)):
+        assert fate.kind == fate_c.kind
+        if fate_c.lambda_hat is not None:
+            assert fate.lambda_hat == pytest.approx(fate_c.lambda_hat, abs=1e-9)
+        assert traj.event.id == traj_c.event.id
+        assert np.max(np.abs(traj.event.point - traj_c.event.point)) < 1e-9
     assert traj_u.n_steps < traj_c.n_steps / 10
 
 
@@ -159,6 +164,49 @@ def test_sigma_star_single_bisection_step():
     assert res.bracket == (3.2, 3.4)
     assert res.fate_at_ends[0].parabola_side
     assert res.fate_at_ends[1].kind == FateKind.ENTERS_Q3
+
+
+def test_sigma_star_stores_step_ends_only(monkeypatch):
+    """Without controls the search steps by error control and stores no
+    sample-grid points: the same evaluations as explicit infinite
+    max_step and sample_step, and n_steps + 1 samples in every run."""
+    explicit = IntegrationControls(max_step=math.inf, sample_step=math.inf)
+    runs = []
+
+    def counted(*args, **kwargs):
+        traj = integrate(*args, **kwargs)
+        runs.append((len(traj.eta), traj.n_steps))
+        return traj
+
+    monkeypatch.setattr(ssblow.orbits, "integrate", counted)
+    res = sigma_star(1.5, (3.0, 3.4), 1e-3)
+    assert runs and all(n_samples == n_steps + 1 for n_samples, n_steps in runs)
+    assert res.evaluations == sigma_star(1.5, (3.0, 3.4), 1e-3, explicit).evaluations
+
+
+@pytest.mark.parametrize("sigma, default_run", [(3.0, "p2_orbit_15_3"), (3.4, "p2_orbit_15_34")])
+def test_default_p2_orbit_samples_the_extension(sigma, default_run, request):
+    """The default controls step by error control under a cap of 5 and
+    store the continuous extension on the multiples of 0.1: every sample
+    matches an independent DOP853 run, and the run takes under a tenth of
+    the steps of one capped at 0.1."""
+    params = validate_params(1.5, sigma)
+    traj, _ = request.getfixturevalue(default_run)
+    sol = solve_ivp(
+        make_rhs(params),
+        (0.0, traj.final_eta),
+        launch_from_P2(params, 1e-6),
+        method="DOP853",
+        rtol=1e-13,
+        atol=1e-15,
+        t_eval=traj.eta,
+    )
+    assert np.max(np.abs(sol.y.T - traj.points)) < 1e-9
+    interior = traj.eta[1:-1][traj.eta[1:-1] >= 0.1]
+    assert np.max(np.abs(interior / 0.1 - np.round(interior / 0.1))) < 1e-9
+    assert np.max(np.diff(traj.eta)) <= 0.1 + 1e-9
+    capped, _ = run_p2_orbit(params, IntegrationControls(max_step=0.1))
+    assert traj.n_steps < capped.n_steps / 10
 
 
 def test_sigma_star_bracket_errors():
