@@ -11,7 +11,10 @@ through zero and back inside the step, so a run can leave the step to
 error control.  The same extension supplies the stored samples: a step
 longer than the sample grid's spacing stores the extension's values at
 the grid points it spans, not its end, so the step is set by error
-control and the output grid by what the output needs.
+control and the output grid by what the output needs.  The extension is
+evaluated only at the grid points a run keeps: once a long run thins its
+samples, the grid points it would drop are skipped, so sampling costs in
+proportion to the samples stored, not to the grid points spanned.
 The right-hand side receives and returns plain float triples; keeping the
 hot loop free of array allocation is what makes long runs affordable.
 
@@ -172,30 +175,42 @@ class Trajectory:
 
 
 def _dense_coeffs(k1, k3, k4, k5, k6, k7):
-    """Q = K^T P of the continuous extension, one row of 4 per component."""
-    ks = (k1, k3, k4, k5, k6, k7)
-    return tuple(
-        (k1[i],) + tuple(sum(k[i] * row[j] for k, row in zip(ks, _PD)) for j in range(3))
-        for i in range(3)
+    """Q = K^T P of the continuous extension: 4 coefficients per component,
+    flattened to 12.  Each sum runs from 0.0 over k1, k3, ..., k7 in turn."""
+    (p10, p11, p12), (p30, p31, p32), (p40, p41, p42), (p50, p51, p52), (p60, p61, p62), (
+        p70, p71, p72,
+    ) = _PD
+    a1, b1, c1 = k1
+    a3, b3, c3 = k3
+    a4, b4, c4 = k4
+    a5, b5, c5 = k5
+    a6, b6, c6 = k6
+    a7, b7, c7 = k7
+    return (
+        a1,
+        0.0 + a1 * p10 + a3 * p30 + a4 * p40 + a5 * p50 + a6 * p60 + a7 * p70,
+        0.0 + a1 * p11 + a3 * p31 + a4 * p41 + a5 * p51 + a6 * p61 + a7 * p71,
+        0.0 + a1 * p12 + a3 * p32 + a4 * p42 + a5 * p52 + a6 * p62 + a7 * p72,
+        b1,
+        0.0 + b1 * p10 + b3 * p30 + b4 * p40 + b5 * p50 + b6 * p60 + b7 * p70,
+        0.0 + b1 * p11 + b3 * p31 + b4 * p41 + b5 * p51 + b6 * p61 + b7 * p71,
+        0.0 + b1 * p12 + b3 * p32 + b4 * p42 + b5 * p52 + b6 * p62 + b7 * p72,
+        c1,
+        0.0 + c1 * p10 + c3 * p30 + c4 * p40 + c5 * p50 + c6 * p60 + c7 * p70,
+        0.0 + c1 * p11 + c3 * p31 + c4 * p41 + c5 * p51 + c6 * p61 + c7 * p71,
+        0.0 + c1 * p12 + c3 * p32 + c4 * p42 + c5 * p52 + c6 * p62 + c7 * p72,
     )
 
 
 def _dense(theta, h, y0, q):
     """The 4th-order continuous extension at theta in [0, 1] of one step."""
-    return tuple(
-        y0[i] + h * theta * (q[i][0] + theta * (q[i][1] + theta * (q[i][2] + theta * q[i][3])))
-        for i in range(3)
+    a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3 = q
+    ht = h * theta
+    return (
+        y0[0] + ht * (a0 + theta * (a1 + theta * (a2 + theta * a3))),
+        y0[1] + ht * (b0 + theta * (b1 + theta * (b2 + theta * b3))),
+        y0[2] + ht * (c0 + theta * (c1 + theta * (c2 + theta * c3))),
     )
-
-
-def _grid(t0, t1, ds):
-    """The multiples of ds in [t0, t1), in increasing order."""
-    k = math.floor(t0 / ds)
-    while k * ds < t0:
-        k += 1
-    while k * ds < t1:
-        yield k * ds
-        k += 1
 
 
 def _rms(v, sc):
@@ -487,8 +502,25 @@ def integrate(
         t_last = t_new if first is None else first[0]
         if h > ds:
             q = q or _dense_coeffs(k1, k3, k4, k5, k6, k7)
-            for e in _grid(t, t_last, ds):
+            # grid indices k to k_end - 1 are the multiples k * ds in
+            # [t, t_last); a thinned run evaluates only those it keeps
+            k = math.floor(t / ds)
+            while k * ds < t:
+                k += 1
+            k_end = max(k, math.floor(t_last / ds))
+            while k_end * ds < t_last:
+                k_end += 1
+            while k < k_end:
+                skip = stride - 1 - since_record
+                if skip > 0:
+                    if k + skip >= k_end:
+                        since_record += k_end - k
+                        break
+                    k += skip
+                    since_record += skip
+                e = k * ds
                 record(e, _dense((e - t) / h, h, y, q))
+                k += 1
         elif first is None:
             record(t_new, y_new)
         if first is not None:

@@ -342,12 +342,18 @@ def run_q1_orbit(
     standard fate events.  With z0 = 0 the orbit stays in the invariant plane
     and converges to P2 instead of producing a profile fate; the chart leg's
     arrival is then reported through the diagnostics.
+
+    The chart leg always runs under its own controls (max_step 0.01,
+    max_time 100): it ends where Z is about 1e-7, so the caller's abs_tol
+    would be a large relative error there, and the handoff point, hence
+    lambda_hat, would move with the caller's step cap.  controls sets the
+    phase leg only.
     """
     cfg = cfg or FateConfig()
     if handoff_w < 1e-2:
         raise DomainError("handoff threshold must be at least 1e-2")
     start = launch_from_Q1_chart("tangent_v1", delta, params) + np.array([0.0, 0.0, z0])
-    chart_controls = controls or IntegrationControls(max_time=100.0, max_step=0.01)
+    chart_controls = IntegrationControls(max_time=100.0, max_step=0.01)
     handoff = EventSpec(id="handoff", guard=lambda p: handoff_w - p[0])
     chart_traj = integrate(make_chart_rhs(params), start, [handoff], chart_controls)
     hit = chart_traj.event
@@ -360,9 +366,8 @@ def run_q1_orbit(
         )
         return chart_traj, None, fate
     phase_start = phase_from_chart(hit.point)
-    phase_controls = IntegrationControls() if controls is None else controls
     phase_traj = integrate(
-        make_rhs(params), phase_start, standard_fate_events(params, cfg), phase_controls
+        make_rhs(params), phase_start, standard_fate_events(params, cfg), controls
     )
     fate = classify_fate(phase_traj, params, cfg)
     fate.diagnostics["chart_leg_eta"] = hit.eta

@@ -14,6 +14,10 @@ from hypothesis import strategies as st
 import ssblow
 from ssblow.cli import main
 from ssblow import io as io_mod
+from ssblow.field import make_chart_rhs, make_rhs, phase_from_chart
+from ssblow.integrate import EventSpec, IntegrationControls, integrate
+from ssblow.orbits import classify_fate, launch_from_Q1_chart, standard_fate_events
+from ssblow.params import validate_params
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +107,34 @@ def test_classify_p0(capsys):
     rep = json.loads(out)
     assert rep["results"]["fate"] == "enters_parabola"
     assert -0.05 < rep["results"]["lambda_hat"] < 0.0
+
+
+def test_classify_q1_chart_leg_keeps_its_own_controls(capsys):
+    """The chart leg ends where Z is about 1e-7, so it runs under its own
+    controls whatever the CLI's: lambda_hat at z0 = 1e-15 is within 1e-9 of
+    both legs run at rel_tol 1e-13, abs_tol 1e-15, and the phase leg's cap
+    moves it by less than 1e-11."""
+    pr = validate_params(1.5, 3.0)
+    start = launch_from_Q1_chart("tangent_v1", 1e-6, pr) + np.array([0.0, 0.0, 1e-15])
+    handoff = EventSpec(id="handoff", guard=lambda p: 1e-2 - p[0])
+    tight = IntegrationControls(rel_tol=1e-13, abs_tol=1e-15, max_step=0.01, max_time=100.0)
+    hit = integrate(make_chart_rhs(pr), start, [handoff], tight).event
+    phase = integrate(
+        make_rhs(pr), phase_from_chart(hit.point), standard_fate_events(pr),
+        IntegrationControls(rel_tol=1e-13, abs_tol=1e-15),
+    )
+    lam_tight = classify_fate(phase, pr).lambda_hat
+
+    lams = []
+    for cap in ([], ["--max-step", "0.1"], ["--max-step", "5"]):
+        code, out, _ = run_cli(
+            capsys, "classify", "--m", "1.5", "--sigma", "3", "--source", "q1",
+            "--z0", "1e-15", "--format", "json", *cap,
+        )
+        assert code == 0
+        lams.append(json.loads(out)["results"]["lambda_hat"])
+    assert abs(lams[0] - lam_tight) < 1e-9
+    assert abs(lams[1] - lams[2]) < 1e-11
 
 
 def test_classify_trajectory_csv_round_trip(tmp_path, capsys):
@@ -503,7 +535,9 @@ def _mostly(good, bad):
 
 
 _FORMAT = _mostly(["text", "json"], ["xml"])
-# per command: its flags, each with good and now and then bad values
+_MAX_STEP = _mostly(["0.05", "1", "5", "inf"], ["0", "-1", "nan", "x"])
+# per command: its flags, each with good and now and then bad values; every
+# good combination runs in well under 1 s (measured: at most 0.3 s)
 _FLAGS = {
     "params": {"--format": _FORMAT},
     "classify": {
@@ -512,13 +546,33 @@ _FLAGS = {
         "--K": _mostly(["0.1", "0.3", "1"], ["0", "-1", "1e300", "nan", "x"]),
         "--z0": _mostly(["1e-5", "1e-7", "1e-15"], ["0", "-1", "1e300", "x"]),
         "--delta": _mostly(["1e-6", "1e-5"], ["1", "-1e-6", "nan"]),
-        "--max-step": _mostly(["0.05", "1", "5", "inf"], ["0", "-1", "nan", "x"]),
+        "--max-step": _MAX_STEP,
         "--rel-tol": _mostly(["1e-8", "1e-10"], ["1e-14", "0", "inf"]),
     },
     "verify": {
         "--format": _FORMAT,
         "--seed": _mostly(["0", "7", "42"], ["-1", "x"]),
         "--barrier": _mostly(["midplane", "cylinder"], ["nope", ""]),
+    },
+    # p0 keeps K >= 0.05 (and sigma <= 4 below): its start is stiff at
+    # small K and large sigma
+    "profile": {
+        "--format": _FORMAT,
+        "--origin": _mostly(["p2", "p0", "p1"], ["p9"]),
+        "--via": _mostly(["ode", "phase"], ["fd"]),
+        "--a": _mostly(["0.5", "1e-8"], ["-1", "0", "nan", "x"]),
+        "--K": _mostly(["0.05", "0.3", "1"], ["0", "-1", "x"]),
+        "--max-step": _MAX_STEP,
+        "--rel-tol": _mostly(["1e-8", "1e-10"], ["1e-14", "0"]),
+    },
+    "sigma-star": {
+        "--format": _FORMAT,
+        "--tol": _mostly(["1e-2", "1e-3"], ["0", "-1", "nan", "x"]),
+        "--max-step": _mostly(["5", "inf"], ["0", "nan"]),
+    },
+    "sweep": {
+        "--format": _FORMAT,
+        "--max-step": _mostly(["5", "inf"], ["0", "nan"]),
     },
 }
 # per command: config keys and good values; _BAD_LINES are bad in every command
@@ -528,21 +582,35 @@ _KEYS = {
     "verify": {
         "format": ["json"], "seed": ["3"], "all": ["yes", "no"], "barrier": ["midplane cylinder"]
     },
+    "profile": {"format": ["json"], "origin": ["p0", "p1"], "a": ["0.5"], "via": ["phase"]},
+    "sigma-star": {"format": ["json"], "tol": ["1e-2"]},
+    "sweep": {"format": ["json"], "sigmas": ["3,3.4"]},
 }
 _BAD_LINES = ["no_such_key=1", "format=xml", "m=x", "no equals sign"]
 
 
 @st.composite
 def _cli_case(draw):
-    """argv and config lines for params, verify (n <= 200) or classify
-    (max-time <= 50); no config key sets a budget, so every run stays short."""
+    """argv and config lines for params, verify (n <= 200), classify and
+    profile (max-time <= 50), sigma-star on brackets near sigma* and sweep
+    over at most three sigmas with --jobs 1; no config key sets a budget,
+    so every run stays short."""
     cmd = draw(st.sampled_from(sorted(_FLAGS)))
-    argv = [
-        cmd,
-        "--m", draw(_mostly(["1.5", "1.2", "1.8"], ["1", "2", "nan", "x", ""])),
-        "--sigma", draw(_mostly(["3", "3.4", "2.5", "6"], ["2", "2.0001", "-1", "inf", "x"])),
-    ]
-    if cmd == "classify":
+    argv = [cmd, "--m", draw(_mostly(["1.5", "1.2", "1.8"], ["1", "2", "nan", "x", ""]))]
+    if cmd == "sigma-star":
+        argv += [
+            "--lo", draw(_mostly(["3", "3.2"], ["1.9", "3.6", "x"])),
+            "--hi", draw(_mostly(["3.4", "3.6"], ["3", "nan"])),
+        ]
+    elif cmd == "sweep":
+        argv += [
+            "--sigmas", draw(_mostly(["3", "2.6,3.0,3.4", "3.4,3"], ["3,x", "", "1.9,3", "nan"])),
+            "--jobs", "1",
+        ]
+    else:
+        good = ["3", "3.4", "2.5"] if cmd == "profile" else ["3", "3.4", "2.5", "6"]
+        argv += ["--sigma", draw(_mostly(good, ["2", "2.0001", "-1", "inf", "x"]))]
+    if cmd in ("classify", "profile"):
         argv += ["--max-time", draw(_mostly(["50", "20", "1"], ["0", "-3", "nan"]))]
     elif cmd == "verify":
         argv += ["--n", str(draw(_mostly(range(100, 201), range(-5, 100))))]

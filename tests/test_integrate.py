@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 
-from ssblow.params import derive_exponents, beta_over_alpha
+from ssblow.params import beta_over_alpha, derive_exponents, validate_params
 from ssblow.field import make_rhs, vector_field, p2_coordinates
-from ssblow.integrate import EventSpec, IntegrationControls, integrate
+from ssblow.integrate import _PD, EventSpec, IntegrationControls, _dense_coeffs, integrate
+from ssblow.orbits import launch_from_P2, standard_fate_events
 
 
 def test_linear_field_against_closed_form():
@@ -292,3 +293,75 @@ def test_infinite_sample_step_stores_step_ends_only(end):
 def test_sample_step_must_be_positive(sample_step):
     with pytest.raises(ValueError):
         IntegrationControls(sample_step=sample_step)
+
+
+def test_extension_table_is_scipys_rk45_p():
+    """_PD holds the k1, k3..k7 rows of scipy's RK45.P past its first
+    column; the k2 row and the rest of the first column are zero."""
+    P = RK45.P
+    assert P.shape == (7, 4)
+    assert np.array_equal(P[:, 0], [1.0, 0, 0, 0, 0, 0, 0])
+    assert np.array_equal(P[1], np.zeros(4))
+    assert np.array_equal(np.array(_PD), P[[0, 2, 3, 4, 5, 6], 1:])
+
+
+def test_extension_coefficients_are_k_transpose_p():
+    """On random stages, _dense_coeffs is K^T P to 4 ulp of the terms' size."""
+    P = RK45.P
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        K = rng.standard_normal((7, 3)) * 10.0 ** rng.integers(-8, 9, size=(7, 1))
+        q = np.array(_dense_coeffs(*(tuple(K[j]) for j in (0, 2, 3, 4, 5, 6)))).reshape(3, 4)
+        ref = K.T @ P
+        assert np.all(np.abs(q - ref) <= 4.0 * np.spacing(np.abs(K).T @ np.abs(P)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from([(1.5, 3.0), (1.5, 3.4), (1.2, 2.5), (1.8, 3.0)]),
+    st.sampled_from([5.0, math.inf]),
+    st.sampled_from([0.05, 0.1, 0.37, math.inf]),
+)
+def test_sampling_does_not_change_the_steps(ms, max_step, sample_step):
+    """Whatever the sample grid, a P2 run takes the same steps, rejections
+    and field calls, and ends alike, to the bit, as the run that stores
+    step ends only."""
+    pr = validate_params(*ms)
+    runs = [
+        integrate(
+            make_rhs(pr), launch_from_P2(pr), standard_fate_events(pr),
+            IntegrationControls(max_step=max_step, sample_step=ds),
+        )
+        for ds in (sample_step, math.inf)
+    ]
+    sampled, ends = runs
+    assert (sampled.n_steps, sampled.n_rejected, sampled.n_rhs, sampled.termination) == (
+        ends.n_steps, ends.n_rejected, ends.n_rhs, ends.termination
+    )
+    assert (sampled.event is None) == (ends.event is None)
+    if ends.event is not None:
+        assert sampled.event.id == ends.event.id and sampled.event.eta == ends.event.eta
+        assert np.array_equal(sampled.event.point, ends.event.point)
+    assert np.array_equal(sampled.final_point, ends.final_point)
+
+
+def test_a_thinned_long_step_run_keeps_a_subset_of_the_grid(monkeypatch):
+    """Steps of up to 5 store the 0.1 grid; past _MAX_SAMPLES the kept
+    interior samples are grid samples of the unthinned run, bit for bit,
+    evenly spaced by 0.1 * 2^k."""
+    rhs = lambda t, y: (1.0, 0.01 * (1.0 - y[1]), 0.0)
+    controls = IntegrationControls(max_step=5.0, max_time=1e3)
+    full = integrate(rhs, (0.0, 0.0, 0.0), [], controls)
+    monkeypatch.setattr(sys.modules["ssblow.integrate"], "_MAX_SAMPLES", 100)
+    thin = integrate(rhs, (0.0, 0.0, 0.0), [], controls)
+    assert len(full.eta) > 10_000 and 50 < len(thin.eta) <= 101
+    assert (thin.n_steps, thin.n_rhs) == (full.n_steps, full.n_rhs)
+    assert thin.eta[0] == 0.0 and thin.eta[-1] == full.eta[-1] == 1e3
+    assert np.array_equal(thin.points[[0, -1]], full.points[[0, -1]])
+    inner = slice(1, -1)
+    at = full.eta.searchsorted(thin.eta[inner])
+    assert np.array_equal(full.eta[at], thin.eta[inner])
+    assert np.array_equal(full.points[at], thin.points[inner])
+    gaps = np.diff(thin.eta[inner])
+    k = round(math.log2(gaps[0] / 0.1))
+    assert k > 0 and np.allclose(gaps, 0.1 * 2**k)
