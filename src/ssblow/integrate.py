@@ -12,9 +12,9 @@ error control.  The same extension supplies the stored samples: a step
 longer than the sample grid's spacing stores the extension's values at
 the grid points it spans, not its end, so the step is set by error
 control and the output grid by what the output needs.  The extension is
-evaluated only at the grid points a run keeps: once a long run thins its
-samples, the grid points it would drop are skipped, so sampling costs in
-proportion to the samples stored, not to the grid points spanned.
+evaluated by explicit scalar expressions, once per grid point a step
+spans, and until a run reaches its sample cap every such point is
+stored, so sampling costs in proportion to the samples stored.
 The right-hand side receives and returns plain float triples; keeping the
 hot loop free of array allocation is what makes long runs affordable.
 
@@ -91,6 +91,8 @@ class IntegrationControls:
     continuous extension's values at the grid points it spans, and a
     shorter step stores its end, so no two samples are more than
     sample_step apart.  math.inf stores every step end and nothing else.
+    A finite sample_step needs a finite number of grid points up to the
+    farthest eta a run can reach, min(max_time, max_steps * max_step).
     max_time bounds the autonomous variable.  A run stores every sample
     until it holds 200k; then it drops every other one and from there on
     keeps every 2nd sample, then every 4th, and so on, so it never stores
@@ -115,6 +117,14 @@ class IntegrationControls:
             and self.max_steps > 0
         ):
             raise ValueError("all integration controls must be positive")
+        # a run reaches eta at most min(max_time, max_steps * max_step); the
+        # grid index of every sample below that must be a finite number
+        reach = min(self.max_time, self.max_steps * self.max_step)
+        if reach / self.sample_step == math.inf:
+            raise ValueError(
+                "sample_step leaves an unbounded sample grid: "
+                "min(max_time, max_steps * max_step) / sample_step overflows"
+            )
         if self.rel_tol < 1e-13:
             raise ValueError("rel_tol below 1e-13 is not supported")
 
@@ -502,22 +512,11 @@ def integrate(
         t_last = t_new if first is None else first[0]
         if h > ds:
             q = q or _dense_coeffs(k1, k3, k4, k5, k6, k7)
-            # grid indices k to k_end - 1 are the multiples k * ds in
-            # [t, t_last); a thinned run evaluates only those it keeps
+            # the multiples k * ds in [t, t_last)
             k = math.floor(t / ds)
             while k * ds < t:
                 k += 1
-            k_end = max(k, math.floor(t_last / ds))
-            while k_end * ds < t_last:
-                k_end += 1
-            while k < k_end:
-                skip = stride - 1 - since_record
-                if skip > 0:
-                    if k + skip >= k_end:
-                        since_record += k_end - k
-                        break
-                    k += skip
-                    since_record += skip
+            while k * ds < t_last:
                 e = k * ds
                 record(e, _dense((e - t) / h, h, y, q))
                 k += 1

@@ -37,10 +37,10 @@ def _write_rows(path, header, rows):
 
 def _write_columns(path, header, columns):
     """One row per index of the float columns, each written with %.17g."""
-    cols = np.column_stack(columns).T.tolist()
+    rows = np.column_stack(columns).tolist()
     line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n" + "".join(map(line.__mod__, zip(*cols))))
+        fh.write(",".join(header) + "\n" + "".join(line % tuple(r) for r in rows))
 
 
 def _read_columns(path, header, kind):

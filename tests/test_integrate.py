@@ -289,10 +289,22 @@ def test_infinite_sample_step_stores_step_ends_only(end):
     assert len(traj.eta) == traj.n_steps + 1
 
 
-@pytest.mark.parametrize("sample_step", [0.0, -0.1, math.nan])
+@pytest.mark.parametrize("sample_step", [0.0, -0.1, math.nan, 1e-320])
 def test_sample_step_must_be_positive(sample_step):
+    """1e-320 is positive, but 1e4 / 1e-320 grid points overflow."""
     with pytest.raises(ValueError):
         IntegrationControls(sample_step=sample_step)
+
+
+def test_sample_grid_must_be_finite_up_to_the_reachable_eta():
+    # max_step bounds the reach when max_time does not
+    IntegrationControls(max_time=math.inf)
+    IntegrationControls(max_time=math.inf, max_step=math.inf, sample_step=math.inf)
+    with pytest.raises(ValueError):
+        IntegrationControls(max_time=math.inf, max_step=math.inf)
+    with pytest.raises(ValueError):
+        IntegrationControls(max_time=1.0, sample_step=5e-309)
+    assert IntegrationControls(max_time=1.0, sample_step=1e-300).sample_step == 1e-300
 
 
 def test_extension_table_is_scipys_rk45_p():
