@@ -12,11 +12,19 @@ error control.  The same extension supplies the stored samples: a step
 longer than the sample grid's spacing stores the extension's values at
 the grid points it spans, not its end, so the step is set by error
 control and the output grid by what the output needs.  The extension is
-evaluated by explicit scalar expressions, once per grid point a step
-spans, and until a run reaches its sample cap every such point is
-stored, so sampling costs in proportion to the samples stored.
+evaluated by explicit scalar expressions, once per grid point that is
+stored; past the sample cap the points a thinned run drops are skipped
+unevaluated, so sampling costs in proportion to the samples stored.
+
 The right-hand side receives and returns plain float triples; keeping the
-hot loop free of array allocation is what makes long runs affordable.
+hot loop free of array allocation is what makes long runs affordable.  The
+step loop also keeps interpreter work per step low: the state and every
+stage are unpacked into scalar locals once, the tableau and the controls
+are bound to locals before the loop, and the error norm, the guards'
+crossing, probe and arming tests and the per-sample bookkeeping are
+written out inline.  It performs the floating-point operations of the
+indexed textbook form in the same order, so a trajectory does not depend
+on how the loop is written.
 
 scipy.integrate.solve_ivp is deliberately not used here; it remains the
 independent oracle in the test suite.
@@ -25,6 +33,7 @@ independent oracle in the test suite.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -74,6 +83,7 @@ _PD = (
 )
 
 _MIN_STEP = 1e-14  # absolute step underflow threshold
+_MAX_ETA = sys.float_info.max  # a run ends here whatever its max_time
 _ARM_TOL = 1e-10  # a guard arms once it has been above this
 _PROBE_STEP = 0.1  # accepted steps longer than this are probed for hidden guard dips
 _MAX_SAMPLES = 200_000  # a run stores at most this many samples besides its last
@@ -93,7 +103,10 @@ class IntegrationControls:
     sample_step apart.  math.inf stores every step end and nothing else.
     A finite sample_step needs a finite number of grid points up to the
     farthest eta a run can reach, min(max_time, max_steps * max_step).
-    max_time bounds the autonomous variable.  A run stores every sample
+    max_time bounds the autonomous variable.  math.inf lets a run end only
+    at an event, at max_steps or at step underflow; when max_step is
+    math.inf as well, eta can grow to the largest float, and the run ends
+    there with termination "max_time".  A run stores every sample
     until it holds 200k; then it drops every other one and from there on
     keeps every 2nd sample, then every 4th, and so on, so it never stores
     more than 200k samples (events and the final point are always
@@ -253,10 +266,11 @@ def _initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, max_step):
 
 
 class _EventState:
-    """Tracks one guard's previous value and arming across accepted steps.
+    """One guard's value at the last accepted step end, and its arming.
 
     The guard arms above _ARM_TOL and disarms below -_ARM_TOL, so
-    restarting exactly at a located root cannot re-fire.
+    restarting exactly at a located root cannot re-fire.  The crossing,
+    probe and arming tests run inline in the step loop of integrate.
     """
 
     __slots__ = ("spec", "g", "armed")
@@ -264,22 +278,7 @@ class _EventState:
     def __init__(self, spec: EventSpec, g0: float):
         self.spec = spec
         self.g = g0
-        self.armed = False
-        self.update_arming(g0)
-
-    def update_arming(self, g: float):
-        if g > _ARM_TOL:
-            self.armed = True
-        elif g < -_ARM_TOL:
-            self.armed = False
-
-    def crossed(self, g_new: float) -> bool:
-        return self.armed and self.g > 0.0 >= g_new
-
-    def should_probe(self, g_new: float) -> bool:
-        """Both end values of the step are positive but smaller than their
-        difference."""
-        return self.armed and 0.0 < min(self.g, g_new) < abs(g_new - self.g)
+        self.armed = g0 > _ARM_TOL
 
 
 def _refine(guard, t0, h, y0, q, ga, tb, yb, gb):
@@ -369,121 +368,136 @@ def integrate(
         raise ValueError("the engine integrates 3-D states")
     t = 0.0
     rel, ab = controls.rel_tol, controls.abs_tol
-    t_end = controls.max_time
+    max_step, max_steps = controls.max_step, controls.max_steps
     ds = controls.sample_step
-    stride = 1
+    cap = _MAX_SAMPLES
+    # eta cannot pass the largest float: an infinite max_time ends the run
+    # there at the latest, and only a step cap of inf as well can reach it
+    t_end = min(controls.max_time, _MAX_ETA)
+    slack = max(_MIN_STEP, 1e-15 * t_end)
+    c2, c3, c4, c5 = _C2, _C3, _C4, _C5
+    a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
+    a51, a52, a53, a54 = _A51, _A52, _A53, _A54
+    a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
+    b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
+    e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
 
     f = tuple(float(v) for v in rhs(t, y))
-    h = _initial_step(rhs, t, y, f, rel, ab, controls.max_step)
+    h = _initial_step(rhs, t, y, f, rel, ab, max_step)
 
     states = [_EventState(ev, float(ev.guard(y))) for ev in events]
 
     etas = [t]
     pts = [y]
+    add_eta, add_pt = etas.append, pts.append
+    t_rec = t  # eta of the last stored sample
     hit: EventHit | None = None
     termination = "max_time"
     n_steps = n_rejected = 0
-    n_rhs = 2
+    stride = 1  # store every stride-th sample
     since_record = 0
 
-    def record(tt, yy, force=False):
-        nonlocal since_record, stride
-        since_record += 1
-        if force or since_record >= stride:
-            if tt > etas[-1]:
-                etas.append(tt)
-                pts.append(yy)
-                if len(etas) > _MAX_SAMPLES:
-                    # keep every other sample, the start among them, and
-                    # every other one from here on
-                    del etas[1::2], pts[1::2]
-                    stride *= 2
-            since_record = 0
+    def record(tt, yy):
+        # a sample stored whatever the stride: an event's, and the run's last
+        if tt > etas[-1]:
+            etas.append(tt)
+            pts.append(yy)
+            if len(etas) > cap:
+                del etas[1::2], pts[1::2]
 
+    y0, y1, y2 = y
+    u0, u1, u2 = abs(y0), abs(y1), abs(y2)
+    k1 = f
+    p1, q1, r1 = k1
     while True:
-        if t_end - t <= max(_MIN_STEP, 1e-15 * t_end):
+        if t_end - t <= slack:
             termination = "max_time"
             break
-        if n_steps >= controls.max_steps:
+        if n_steps >= max_steps:
             termination = "max_steps"
             break
-        h = min(h, controls.max_step, t_end - t)
+        if max_step < h:
+            h = max_step
+        if t_end - t < h:
+            h = t_end - t
         # one attempted Dormand-Prince step with error control
         accepted = False
         while True:
             if h < _MIN_STEP:
                 termination = "step_underflow"
                 break
-            k1 = f
-            k2 = rhs(
-                t + _C2 * h,
-                (y[0] + h * _A21 * k1[0], y[1] + h * _A21 * k1[1], y[2] + h * _A21 * k1[2]),
-            )
+            t_new = t + h
+            ha = h * a21
+            k2 = rhs(t + c2 * h, (y0 + ha * p1, y1 + ha * q1, y2 + ha * r1))
+            p2, q2, r2 = k2
             k3 = rhs(
-                t + _C3 * h,
+                t + c3 * h,
                 (
-                    y[0] + h * (_A31 * k1[0] + _A32 * k2[0]),
-                    y[1] + h * (_A31 * k1[1] + _A32 * k2[1]),
-                    y[2] + h * (_A31 * k1[2] + _A32 * k2[2]),
+                    y0 + h * (a31 * p1 + a32 * p2),
+                    y1 + h * (a31 * q1 + a32 * q2),
+                    y2 + h * (a31 * r1 + a32 * r2),
                 ),
             )
+            p3, q3, r3 = k3
             k4 = rhs(
-                t + _C4 * h,
+                t + c4 * h,
                 (
-                    y[0] + h * (_A41 * k1[0] + _A42 * k2[0] + _A43 * k3[0]),
-                    y[1] + h * (_A41 * k1[1] + _A42 * k2[1] + _A43 * k3[1]),
-                    y[2] + h * (_A41 * k1[2] + _A42 * k2[2] + _A43 * k3[2]),
+                    y0 + h * (a41 * p1 + a42 * p2 + a43 * p3),
+                    y1 + h * (a41 * q1 + a42 * q2 + a43 * q3),
+                    y2 + h * (a41 * r1 + a42 * r2 + a43 * r3),
                 ),
             )
+            p4, q4, r4 = k4
             k5 = rhs(
-                t + _C5 * h,
+                t + c5 * h,
                 (
-                    y[0] + h * (_A51 * k1[0] + _A52 * k2[0] + _A53 * k3[0] + _A54 * k4[0]),
-                    y[1] + h * (_A51 * k1[1] + _A52 * k2[1] + _A53 * k3[1] + _A54 * k4[1]),
-                    y[2] + h * (_A51 * k1[2] + _A52 * k2[2] + _A53 * k3[2] + _A54 * k4[2]),
+                    y0 + h * (a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4),
+                    y1 + h * (a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4),
+                    y2 + h * (a51 * r1 + a52 * r2 + a53 * r3 + a54 * r4),
                 ),
             )
+            p5, q5, r5 = k5
             k6 = rhs(
-                t + h,
+                t_new,
                 (
-                    y[0]
-                    + h * (_A61 * k1[0] + _A62 * k2[0] + _A63 * k3[0] + _A64 * k4[0] + _A65 * k5[0]),
-                    y[1]
-                    + h * (_A61 * k1[1] + _A62 * k2[1] + _A63 * k3[1] + _A64 * k4[1] + _A65 * k5[1]),
-                    y[2]
-                    + h * (_A61 * k1[2] + _A62 * k2[2] + _A63 * k3[2] + _A64 * k4[2] + _A65 * k5[2]),
+                    y0 + h * (a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4 + a65 * p5),
+                    y1 + h * (a61 * q1 + a62 * q2 + a63 * q3 + a64 * q4 + a65 * q5),
+                    y2 + h * (a61 * r1 + a62 * r2 + a63 * r3 + a64 * r4 + a65 * r5),
                 ),
             )
-            y_new = (
-                y[0] + h * (_B1 * k1[0] + _B3 * k3[0] + _B4 * k4[0] + _B5 * k5[0] + _B6 * k6[0]),
-                y[1] + h * (_B1 * k1[1] + _B3 * k3[1] + _B4 * k4[1] + _B5 * k5[1] + _B6 * k6[1]),
-                y[2] + h * (_B1 * k1[2] + _B3 * k3[2] + _B4 * k4[2] + _B5 * k5[2] + _B6 * k6[2]),
+            p6, q6, r6 = k6
+            n0 = y0 + h * (b1 * p1 + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6)
+            n1 = y1 + h * (b1 * q1 + b3 * q3 + b4 * q4 + b5 * q5 + b6 * q6)
+            n2 = y2 + h * (b1 * r1 + b3 * r3 + b4 * r4 + b5 * r5 + b6 * r6)
+            y_new = (n0, n1, n2)
+            k7 = rhs(t_new, y_new)
+            p7, q7, r7 = k7
+            # RMS of the error estimate over the scale ab + rel * max(|y|, |y_new|)
+            v0, v1, v2 = abs(n0), abs(n1), abs(n2)
+            s0 = h * (e1 * p1 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * p7) / (
+                ab + rel * (v0 if v0 > u0 else u0)
             )
-            k7 = rhs(t + h, y_new)
-            n_rhs += 6
-            err = 0.0
-            bad = False
-            for i in range(3):
-                e = h * (
-                    _E1 * k1[i] + _E3 * k3[i] + _E4 * k4[i] + _E5 * k5[i] + _E6 * k6[i] + _E7 * k7[i]
-                )
-                sc = ab + rel * max(abs(y[i]), abs(y_new[i]))
-                r = e / sc
-                if not math.isfinite(r):
-                    bad = True
-                    break
-                err += r * r
-            err = math.sqrt(err / 3.0) if not bad else math.inf
+            s1 = h * (e1 * q1 + e3 * q3 + e4 * q4 + e5 * q5 + e6 * q6 + e7 * q7) / (
+                ab + rel * (v1 if v1 > u1 else u1)
+            )
+            s2 = h * (e1 * r1 + e3 * r3 + e4 * r4 + e5 * r5 + e6 * r6 + e7 * r7) / (
+                ab + rel * (v2 if v2 > u2 else u2)
+            )
+            # inf or nan when a stage or the estimate is not finite; such a
+            # step is rejected with factor 0.2
+            err = math.sqrt((s0 * s0 + s1 * s1 + s2 * s2) / 3.0)
             if err <= 1.0:
                 accepted = True
                 break
             n_rejected += 1
-            factor = 0.2 if not math.isfinite(err) else max(0.2, 0.9 * err**-0.2)
-            h *= factor
+            if err < math.inf:
+                w = 0.9 * err**-0.2
+                h *= w if w > 0.2 else 0.2
+            else:
+                h *= 0.2
         if not accepted:
             break  # step underflow
         n_steps += 1
-        t_new = t + h
 
         # event detection on the accepted step; the extension is built lazily
         first = None  # (eta, point, spec) of the earliest located root
@@ -491,53 +505,90 @@ def integrate(
         for st in states:
             guard = st.spec.guard
             g_new = float(guard(y_new))
-            located = None
-            if st.crossed(g_new):
-                q = q or _dense_coeffs(k1, k3, k4, k5, k6, k7)
-                located = _refine(guard, t, h, y, q, st.g, t_new, y_new, g_new)
-            elif h > _PROBE_STEP and st.should_probe(g_new):
-                q = q or _dense_coeffs(k1, k3, k4, k5, k6, k7)
-                dip = _hidden_dip(guard, st.g, g_new, h, y, q)
-                if dip is not None:
-                    theta, g_dip = dip
-                    located = _refine(
-                        guard, t, h, y, q, st.g, t + theta * h, _dense(theta, h, y, q), g_dip
-                    )
-            if located is not None and (first is None or located[0] < first[0]):
-                first = located + (st.spec,)
+            g = st.g
+            if st.armed:
+                located = None
+                if g > 0.0 >= g_new:
+                    if q is None:
+                        q = _dense_coeffs(k1, k3, k4, k5, k6, k7)
+                    located = _refine(guard, t, h, y, q, g, t_new, y_new, g_new)
+                elif h > _PROBE_STEP and 0.0 < (g_new if g_new < g else g) < abs(g_new - g):
+                    # both end values positive but smaller than their difference
+                    if q is None:
+                        q = _dense_coeffs(k1, k3, k4, k5, k6, k7)
+                    dip = _hidden_dip(guard, g, g_new, h, y, q)
+                    if dip is not None:
+                        theta, g_dip = dip
+                        located = _refine(
+                            guard, t, h, y, q, g, t + theta * h, _dense(theta, h, y, q), g_dip
+                        )
+                if located is not None and (first is None or located[0] < first[0]):
+                    first = located + (st.spec,)
             st.g = g_new
-            st.update_arming(g_new)
+            if g_new > _ARM_TOL:
+                st.armed = True
+            elif g_new < -_ARM_TOL:
+                st.armed = False
         # samples: the grid points a long step spans up to its end or its
-        # event, or else the end of a short step
-        t_last = t_new if first is None else first[0]
+        # event, or else the end of a short step; every stride-th is stored,
+        # and only a stored grid point is evaluated
         if h > ds:
-            q = q or _dense_coeffs(k1, k3, k4, k5, k6, k7)
+            if q is None:
+                q = _dense_coeffs(k1, k3, k4, k5, k6, k7)
+            t_last = t_new if first is None else first[0]
             # the multiples k * ds in [t, t_last)
             k = math.floor(t / ds)
             while k * ds < t:
                 k += 1
-            while k * ds < t_last:
-                e = k * ds
-                record(e, _dense((e - t) / h, h, y, q))
+            e = k * ds
+            while e < t_last:
+                since_record += 1
+                if since_record >= stride:
+                    if e > t_rec:
+                        add_eta(e)
+                        add_pt(_dense((e - t) / h, h, y, q))
+                        t_rec = e
+                        if len(etas) > cap:
+                            # keep every other sample, the start among them,
+                            # and every other one from here on
+                            del etas[1::2], pts[1::2]
+                            stride *= 2
+                            t_rec = etas[-1]
+                    since_record = 0
                 k += 1
+                e = k * ds
         elif first is None:
-            record(t_new, y_new)
+            since_record += 1
+            if since_record >= stride:
+                if t_new > t_rec:
+                    add_eta(t_new)
+                    add_pt(y_new)
+                    t_rec = t_new
+                    if len(etas) > cap:
+                        del etas[1::2], pts[1::2]
+                        stride *= 2
+                        t_rec = etas[-1]
+                since_record = 0
         if first is not None:
             t_star, y_star, spec = first
             hit = EventHit(id=spec.id, eta=t_star, point=np.array(y_star))
-            record(t_star, y_star, force=True)
+            record(t_star, y_star)
             termination = "event"
             break
 
         y = y_new
-        f = k7
+        y0, y1, y2 = n0, n1, n2
+        u0, u1, u2 = v0, v1, v2
+        k1 = k7
+        p1, q1, r1 = p7, q7, r7
         t = t_new
         if err == 0.0:
-            h = min(h * 5.0, controls.max_step)
+            h *= 5.0
         else:
-            h = min(h * min(5.0, max(0.2, 0.9 * err**-0.2)), controls.max_step)
+            w = 0.9 * err**-0.2  # at least 0.9, as err <= 1
+            h *= w if w < 5.0 else 5.0
 
-    record(t, y, force=True)
+    record(t, y)
     return Trajectory(
         eta=np.array(etas),
         points=np.array(pts),
@@ -545,5 +596,5 @@ def integrate(
         termination=termination,
         n_steps=n_steps,
         n_rejected=n_rejected,
-        n_rhs=n_rhs,
+        n_rhs=2 + 6 * (n_steps + n_rejected),
     )

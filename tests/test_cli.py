@@ -443,6 +443,22 @@ def test_classify_json_carries_step_counters(capsys):
     assert diag["n_rhs"] == 6 * (diag["n_steps"] + diag["n_rejected"]) + 2
 
 
+def test_classify_with_infinite_max_time_runs_to_its_event(capsys):
+    """--max-time inf takes the steps of the default budget: the P2 orbit at
+    (1.5, 3) enters the parabola at eta about 2.2e3, well inside 1e4."""
+    reports = []
+    for budget in ("inf", "1e4"):
+        code, out, _ = run_cli(
+            capsys, "classify", "--m", "1.5", "--sigma", "3", "--source", "p2",
+            "--max-time", budget, "--format", "json",
+        )
+        assert code == 0
+        reports.append(json.loads(out)["results"])
+    assert reports[0]["fate"] == "enters_parabola"
+    assert reports[0]["diagnostics"]["n_steps"] > 0
+    assert reports[0] == reports[1]
+
+
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("does_not_exist=1\n")
@@ -524,6 +540,22 @@ def test_cli_runs_without_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    """Only sweep --jobs > 1 pays for concurrent.futures and multiprocessing."""
+    code = (
+        "import sys, ssblow.cli\n"
+        "print(sorted(name for name in sys.modules"
+        " if name.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+    )
+    src = str(Path(ssblow.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"

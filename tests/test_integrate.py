@@ -289,6 +289,52 @@ def test_infinite_sample_step_stores_step_ends_only(end):
     assert len(traj.eta) == traj.n_steps + 1
 
 
+def test_infinite_max_time_ends_at_the_event():
+    """max_time = inf takes steps: the run ends at its event, at the event's
+    eta, and bit for bit as under a max_time far beyond it."""
+    rhs = lambda t, y: (1.0, 0.0, 0.0)
+    events = [EventSpec(id="x", guard=lambda p: 7.25 - p[0])]
+    traj = integrate(rhs, (0.0, 0.0, 0.0), events, IntegrationControls(max_time=math.inf))
+    assert traj.termination == "event" and traj.n_steps > 0
+    assert traj.event.eta == pytest.approx(7.25, abs=1e-12)
+    assert traj.final_eta == traj.event.eta
+    finite = integrate(rhs, (0.0, 0.0, 0.0), events, IntegrationControls(max_time=1e4))
+    assert np.array_equal(traj.eta, finite.eta)
+    assert np.array_equal(traj.points, finite.points)
+    assert (traj.n_steps, traj.n_rejected, traj.n_rhs) == (finite.n_steps, finite.n_rejected, finite.n_rhs)
+
+
+def test_infinite_max_time_and_max_step_end_at_the_largest_eta():
+    """With no cap on eta or on the step, the unit field's steps grow
+    fivefold until eta reaches the largest float, where the run ends."""
+    rhs = lambda t, y: (1.0, 0.0, 0.0)
+    controls = IntegrationControls(max_time=math.inf, max_step=math.inf, sample_step=math.inf)
+    traj = integrate(rhs, (0.0, 0.0, 0.0), controls=controls)
+    assert traj.termination == "max_time"
+    assert traj.final_eta == sys.float_info.max
+    assert traj.n_steps < 500
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_error_rejects_with_factor_one_fifth(bad):
+    """A step whose stages reach x > 4, where the field is not finite, is
+    rejected and retried at 0.2 of its length.  Under the unit field the
+    steps grow fivefold, 1e-4 to 1.5625; the 8th attempt, 7.8125 long, is
+    rejected once, and its retry of 1.5625 stays below x = 4."""
+    unit = lambda t, y: (1.0, 0.0, 0.0)
+    field = lambda t, y: (1.0, 0.0, 0.0) if y[0] <= 4.0 else (bad, 0.0, 0.0)
+    controls = IntegrationControls(max_time=10.0, max_step=math.inf, sample_step=math.inf, max_steps=8)
+    clean = integrate(unit, (0.0, 0.0, 0.0), controls=controls)
+    traj = integrate(field, (0.0, 0.0, 0.0), controls=controls)
+    assert clean.n_rejected == 0 and traj.n_rejected == 1
+    assert traj.n_steps == clean.n_steps == 8
+    assert traj.n_rhs == 6 * (traj.n_steps + traj.n_rejected) + 2
+    attempted, retried = np.diff(clean.eta)[-1], np.diff(traj.eta)[-1]
+    assert np.array_equal(traj.eta[:-1], clean.eta[:-1])
+    assert clean.eta[-1] > 4.0 > traj.eta[-1]
+    assert retried == pytest.approx(0.2 * attempted, rel=1e-12)
+
+
 @pytest.mark.parametrize("sample_step", [0.0, -0.1, math.nan, 1e-320])
 def test_sample_step_must_be_positive(sample_step):
     """1e-320 is positive, but 1e4 / 1e-320 grid points overflow."""
