@@ -421,8 +421,8 @@ def _cmd_sweep(args) -> tuple[int, dict]:
     report = _report_skeleton("sweep", config)
     tasks = [(args.m, s, controls) for s in sigmas]
     if args.jobs > 1:
-        # imported here: concurrent.futures and multiprocessing cost every
-        # other command about 17 ms at start-up
+        # imported here: concurrent.futures and multiprocessing would add
+        # 15 to 25 ms to the start-up of every other command
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
