@@ -13,14 +13,19 @@ Three quantities are reported:
 """
 
 import argparse
-import math
 import sys
 
 import numpy as np
 
 from ssblow.params import validate_params
-from ssblow.orbits import FateKind, run_p2_orbit, sigma_star
-from ssblow.integrate import IntegrationControls
+from ssblow.orbits import (
+    FATE_ONLY_CONTROLS,
+    BracketError,
+    FateKind,
+    InconclusiveError,
+    run_p2_orbit,
+    sigma_star,
+)
 from ssblow.barriers import dregion_gates, empirical_sigma0, plane3_gate
 
 
@@ -48,7 +53,7 @@ def main(argv=None) -> int:
         res = sigma_star(m, (lo, hi), args.tol)
         print("sigma_* = %.6f (bracket %.6f..%.6f, %d bisections)" % (
             res.sigma_star, res.bracket[0], res.bracket[1], res.iterations))
-    except Exception as exc:
+    except (InconclusiveError, BracketError) as exc:
         print("sigma_* bisection failed on (%.3f, %.3f): %s" % (lo, hi, exc))
 
     print("sigma_1 scan (floor-plane certificate + Q3 escape):")
@@ -59,9 +64,7 @@ def main(argv=None) -> int:
         applicable = gate["exit_vector_above_plane"] and gate["x_star3_below_x_p2"]
         if not applicable:
             continue
-        _, fate = run_p2_orbit(
-            pr, IntegrationControls(max_step=math.inf, sample_step=math.inf, max_time=2e3)
-        )
+        _, fate = run_p2_orbit(pr, FATE_ONLY_CONTROLS)
         print("  sigma=%-5g certificate=on fate=%s" % (sigma, fate.kind))
         if fate.kind == FateKind.ENTERS_Q3 and sigma1 is None:
             sigma1 = sigma

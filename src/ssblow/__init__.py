@@ -1,7 +1,7 @@
 """Phase-space toolkit for the localized self-similar blow-up profiles of
 u_t = (u^m)_xx + |x|^sigma u^p in the critical regime m + p = 2, sigma > 2."""
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .params import (
     Params,

@@ -10,9 +10,9 @@ file is byte-stable given the same configuration and seed.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .params import (
 )
 from .integrate import IntegrationControls
 from .orbits import (
+    FATE_ONLY_CONTROLS,
     BracketError,
     FateKind,
     InconclusiveError,
@@ -94,14 +95,20 @@ def _set_config_defaults(parser: argparse.ArgumentParser, args: argparse.Namespa
     sub.set_defaults(**defaults)
 
 
-def _controls_from(args, sample_step=IntegrationControls.sample_step) -> IntegrationControls:
-    return IntegrationControls(
+def _controls_from(args, base: IntegrationControls = IntegrationControls()) -> IntegrationControls:
+    """base with the tolerances, step cap and time budget of the flags."""
+    return replace(
+        base,
         rel_tol=args.rel_tol,
         abs_tol=args.abs_tol,
         max_step=args.max_step,
-        sample_step=sample_step,
         max_time=args.max_time,
     )
+
+
+def _controls_config(c: IntegrationControls) -> dict:
+    """The controls a flag sets, for a report's config block."""
+    return {"rel_tol": c.rel_tol, "abs_tol": c.abs_tol, "max_step": c.max_step, "max_time": c.max_time}
 
 
 def _validated(args):
@@ -146,12 +153,13 @@ def _add_common(p: argparse.ArgumentParser, sigma=True):
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
-def _add_controls(p: argparse.ArgumentParser, max_step=IntegrationControls.max_step):
-    """Integration controls, for the commands that integrate."""
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-10)
-    p.add_argument("--abs-tol", dest="abs_tol", type=float, default=1e-12)
-    p.add_argument("--max-step", dest="max_step", type=float, default=max_step)
-    p.add_argument("--max-time", dest="max_time", type=float, default=1e4)
+def _add_controls(p: argparse.ArgumentParser, base: IntegrationControls = IntegrationControls()):
+    """Integration controls, for the commands that integrate, with the
+    defaults of base."""
+    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=base.rel_tol)
+    p.add_argument("--abs-tol", dest="abs_tol", type=float, default=base.abs_tol)
+    p.add_argument("--max-step", dest="max_step", type=float, default=base.max_step)
+    p.add_argument("--max-time", dest="max_time", type=float, default=base.max_time)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,11 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z0", type=float, default=1e-5, help="launch height z0 (p0) or chart z (q1)")
     p.add_argument("--out", type=str, default=None, help="trajectory CSV path")
 
-    # sigma-star and sweep keep only fates, so their steps are left to error
-    # control and their runs store step ends only
+    # sigma-star and sweep keep only fates, so they run under the fate-only
+    # controls: no step cap, step ends only, a budget of 1e6
     p = sub.add_parser("sigma-star", help="bisect the critical sigma of the P2 orbit")
     _add_common(p, sigma=False)
-    _add_controls(p, max_step=math.inf)
+    _add_controls(p, FATE_ONLY_CONTROLS)
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-3)
@@ -209,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="classify the P2 orbit across a sigma grid")
     _add_common(p, sigma=False)
-    _add_controls(p, max_step=math.inf)
+    _add_controls(p, FATE_ONLY_CONTROLS)
     p.add_argument("--sigmas", type=str, required=True, help="comma-separated sigma grid")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", type=str, default=None, help="sweep CSV path")
@@ -263,7 +271,7 @@ def _cmd_classify(args) -> tuple[int, dict]:
     controls = _controls_from(args)
     config = {
         "m": pr.m, "sigma": pr.sigma, "source": args.source,
-        "delta": args.delta, "K": args.K, "z0": args.z0,
+        "delta": args.delta, "K": args.K, "z0": args.z0, **_controls_config(controls),
     }
     report = _report_skeleton("classify", config)
     if args.source == "p2":
@@ -293,8 +301,11 @@ def _cmd_sigma_star(args) -> tuple[int, dict]:
         raise ParameterError(
             "sigma must exceed 2: bracket must stay above %.3f" % _SIGMA_FLOOR
         )
-    controls = _controls_from(args, sample_step=math.inf)
-    config = {"m": args.m, "lo": args.lo, "hi": args.hi, "tol": args.tol}
+    controls = _controls_from(args, FATE_ONLY_CONTROLS)
+    config = {
+        "m": args.m, "lo": args.lo, "hi": args.hi, "tol": args.tol,
+        **_controls_config(controls),
+    }
     report = _report_skeleton("sigma-star", config)
     res = sigma_star(args.m, (args.lo, args.hi), args.tol, controls)
     report["results"] = {
@@ -304,8 +315,8 @@ def _cmd_sigma_star(args) -> tuple[int, dict]:
         "fate_lo": res.fate_at_ends[0].kind,
         "fate_hi": res.fate_at_ends[1].kind,
         "evaluations": [
-            {"sigma": s, "budget": b, "fate": k, "lambda_hat": lam}
-            for (s, b, k, lam) in res.evaluations
+            {"sigma": s, "n_steps": n, "fate": k, "lambda_hat": lam}
+            for (s, n, k, lam) in res.evaluations
         ],
     }
     return EXIT_OK, report
@@ -317,6 +328,7 @@ def _cmd_profile(args) -> tuple[int, dict]:
     config = {
         "m": pr.m, "sigma": pr.sigma, "origin": args.origin, "via": args.via,
         "a": args.a, "a_bracket": args.a_bracket, "K": args.K, "xi_start": args.xi_start,
+        **_controls_config(controls),
     }
     report = _report_skeleton("profile", config)
     warnings = report["warnings"]
@@ -416,8 +428,8 @@ def _cmd_sweep(args) -> tuple[int, dict]:
             "sigma must exceed 2: grid must stay above %.3f" % _SIGMA_FLOOR
         )
     validate_params(args.m, sigmas[0])
-    controls = _controls_from(args, sample_step=math.inf)
-    config = {"m": args.m, "sigmas": sigmas, "jobs": args.jobs}
+    controls = _controls_from(args, FATE_ONLY_CONTROLS)
+    config = {"m": args.m, "sigmas": sigmas, "jobs": args.jobs, **_controls_config(controls)}
     report = _report_skeleton("sweep", config)
     tasks = [(args.m, s, controls) for s in sigmas]
     if args.jobs > 1:

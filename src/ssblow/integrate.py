@@ -403,7 +403,8 @@ def integrate(
             etas.append(tt)
             pts.append(yy)
             if len(etas) > cap:
-                del etas[1::2], pts[1::2]
+                # the sample just stored stays, whatever the count's parity
+                del etas[1:-1:2], pts[1:-1:2]
 
     y0, y1, y2 = y
     u0, u1, u2 = abs(y0), abs(y1), abs(y2)

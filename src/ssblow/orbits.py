@@ -13,14 +13,16 @@ set of terminal events operationalizes the two possible fates of an orbit:
   parabola), or by Y falling below a floor with X bounded away from zero.
 
 Everything else (out of time, out of steps) is Inconclusive and surfaced,
-never coerced; near the critical sigma the vertex approach is logarithmic
-and Inconclusive outcomes are expected.
+never coerced.  Runs that keep only the fate (the sigma* search, the CLI's
+sigma-star and sweep) use FATE_ONLY_CONTROLS: no step cap, step ends only,
+and a time budget of 1e6, so that near the critical sigma the slow,
+logarithmic vertex approach still reaches a fate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
 import numpy as np
@@ -52,6 +54,7 @@ __all__ = [
     "ShootResult",
     "InconclusiveError",
     "BracketError",
+    "FATE_ONLY_CONTROLS",
     "launch_from_P2",
     "launch_from_P0",
     "launch_from_Q1_chart",
@@ -91,6 +94,11 @@ class FateConfig:
     vertex_tol: float = 5e-3
     y_floor: float = -1e3
     x_away_tol: float = 1e-8
+
+
+# fate-only runs: error control alone sets the step, only step ends are
+# stored, and the budget lets orbits near the critical sigma resolve
+FATE_ONLY_CONTROLS = IntegrationControls(max_step=math.inf, sample_step=math.inf, max_time=1e6)
 
 
 @dataclass
@@ -401,14 +409,6 @@ def lambda_of_sigma(
     )
 
 
-def _scaled_controls(base: IntegrationControls, factor: float) -> IntegrationControls:
-    return replace(
-        base,
-        max_time=base.max_time * factor,
-        max_steps=int(base.max_steps * factor),
-    )
-
-
 def sigma_star(
     m: float,
     bracket: tuple[float, float],
@@ -418,77 +418,56 @@ def sigma_star(
 ) -> ShootResult:
     """Bisect sigma between a parabola-entering and a Q3-escaping fate.
 
-    Only the fates are kept, so without controls the orbits run with
-    max_step = sample_step = inf: error control alone sets the step, and
-    only step ends are stored.
-
-    Convergence at the vertex is logarithmic, so evaluation points very close
-    to the critical sigma may come back Inconclusive at the base time budget.
-    Each bisection step therefore tries up to four fallbacks: nearby
-    interior points first, then the midpoint again with an extended budget
-    (8x, then 64x max_time).  If every attempt is inconclusive the search
-    stops with InconclusiveError rather than inventing an answer.
+    Each bracket end and each midpoint is one P2 orbit under controls,
+    FATE_ONLY_CONTROLS by default; a midpoint replaces the bracket end
+    whose fate it shares.  The first inconclusive orbit ends the search
+    with InconclusiveError naming its sigma and termination, rather than
+    an invented answer.  evaluations holds (sigma, n_steps, fate kind,
+    lambda_hat) for every orbit run, in order.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise BracketError("bracket must satisfy lo < hi")
     if tol <= 0:
         raise BracketError("tol must be positive")
-    base = controls or IntegrationControls(max_step=math.inf, sample_step=math.inf)
+    controls = controls or FATE_ONLY_CONTROLS
     cfg = cfg or FateConfig()
 
     evaluations = []
 
-    def fate_at(sig: float, budget: float = 1.0) -> OrbitFate:
-        params = validate_params(m, sig)
-        _, fate = run_p2_orbit(params, _scaled_controls(base, budget), cfg)
-        evaluations.append((sig, budget, fate.kind, fate.lambda_hat))
+    def fate_at(sig: float) -> OrbitFate:
+        _, fate = run_p2_orbit(validate_params(m, sig), controls, cfg)
+        diag = fate.diagnostics
+        evaluations.append((sig, diag["n_steps"], fate.kind, fate.lambda_hat))
+        if not fate.decisive:
+            raise InconclusiveError(
+                "P2 orbit at m=%.17g sigma=%.17g is inconclusive (termination %s%s)"
+                % (m, sig, diag["termination"], ": " + diag["reason"] if "reason" in diag else "")
+            )
         return fate
 
     fate_lo = fate_at(lo)
     fate_hi = fate_at(hi)
-    if not (fate_lo.decisive and fate_hi.decisive):
-        raise InconclusiveError("bracket endpoint fate is inconclusive")
     if fate_lo.parabola_side == fate_hi.parabola_side:
         raise BracketError(
             "fates agree at both bracket ends (%s at %.17g, %s at %.17g); "
             "widen the bracket" % (fate_lo.kind, lo, fate_hi.kind, hi)
         )
-    ends = (fate_lo, fate_hi)
-    lo_parabola = fate_lo.parabola_side
 
     iterations = 0
     while hi - lo > tol:
-        width = hi - lo
         mid = 0.5 * (lo + hi)
-        attempts = [
-            (mid, 1.0),
-            (mid + width / 8.0, 1.0),
-            (mid - width / 8.0, 1.0),
-            (mid, 8.0),
-            (mid, 64.0),
-        ]
-        placed = False
-        for sig, budget in attempts:
-            fate = fate_at(sig, budget)
-            if fate.decisive:
-                if fate.parabola_side == lo_parabola:
-                    lo = sig
-                else:
-                    hi = sig
-                placed = True
-                break
-        if not placed:
-            raise InconclusiveError(
-                "all interior evaluations inconclusive near sigma=%.17g "
-                "(bracket width %.3g); the vertex approach is logarithmic there"
-                % (mid, width)
-            )
+        if not lo < mid < hi:
+            raise BracketError("tol %.3g is below the float spacing of sigma near %.17g" % (tol, mid))
+        if fate_at(mid).parabola_side == fate_lo.parabola_side:
+            lo = mid
+        else:
+            hi = mid
         iterations += 1
     return ShootResult(
         sigma_star=0.5 * (lo + hi),
         bracket=(lo, hi),
         iterations=iterations,
-        fate_at_ends=ends,
+        fate_at_ends=(fate_lo, fate_hi),
         evaluations=evaluations,
     )

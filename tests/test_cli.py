@@ -16,7 +16,14 @@ from ssblow.cli import main
 from ssblow import io as io_mod
 from ssblow.field import make_chart_rhs, make_rhs, phase_from_chart
 from ssblow.integrate import EventSpec, IntegrationControls, integrate
-from ssblow.orbits import classify_fate, launch_from_Q1_chart, standard_fate_events
+import ssblow.orbits
+from ssblow.orbits import (
+    FATE_ONLY_CONTROLS,
+    classify_fate,
+    launch_from_Q1_chart,
+    sigma_star,
+    standard_fate_events,
+)
 from ssblow.params import validate_params
 
 
@@ -432,6 +439,53 @@ def test_max_step_defaults_and_overrides(tmp_path):
     argv = star + ["--config", str(cfg)]
     _set_config_defaults(parser, parser.parse_args(argv))
     assert parser.parse_args(argv).max_step == 0.1
+
+
+def test_control_flag_defaults_are_the_library_controls(monkeypatch, capsys):
+    """At its flags' defaults each integrating command runs its orbits
+    under the controls of its library path: IntegrationControls() for
+    classify and profile, the controls of sigma_star for sigma-star, and
+    FATE_ONLY_CONTROLS for sweep."""
+    seen = []
+
+    def spy(field, start, events, controls=None):
+        seen.append(controls or IntegrationControls())
+        return integrate(field, start, events, controls)
+
+    monkeypatch.setattr(ssblow.orbits, "integrate", spy)
+    sigma_star(1.5, (3.0, 3.4), 0.2)
+    library = {
+        "classify": IntegrationControls(),
+        "profile": IntegrationControls(),
+        "sigma-star": seen[0],
+        "sweep": FATE_ONLY_CONTROLS,
+    }
+    argvs = {
+        "classify": ["--sigma", "3"],
+        "profile": ["--sigma", "3", "--via", "phase"],
+        "sigma-star": ["--lo", "3", "--hi", "3.4", "--tol", "0.2"],
+        "sweep": ["--sigmas", "3"],
+    }
+    for cmd, expected in library.items():
+        seen.clear()
+        code, out, _ = run_cli(capsys, cmd, "--m", "1.5", *argvs[cmd], "--format", "json")
+        assert code == 0, cmd
+        assert seen and all(c == expected for c in seen), cmd
+        config = json.loads(out)["config"]
+        for key in ("rel_tol", "abs_tol", "max_time"):
+            assert config[key] == getattr(expected, key), (cmd, key)
+        # an infinite step cap is written to JSON as null
+        assert config["max_step"] == (None if expected.max_step == math.inf else expected.max_step)
+
+
+def test_config_block_names_the_controls(capsys):
+    args = ("classify", "--m", "1.5", "--sigma", "3", "--source", "p2", "--format", "json")
+    _, out, _ = run_cli(capsys, *args)
+    code, short, _ = run_cli(capsys, *args, "--max-time", "10")
+    assert code == 3
+    default, short = json.loads(out)["config"], json.loads(short)["config"]
+    assert default != short
+    assert (default["max_time"], short["max_time"]) == (1e4, 10.0)
 
 
 def test_classify_json_carries_step_counters(capsys):

@@ -134,6 +134,21 @@ def test_a_long_run_keeps_every_2k_th_step(monkeypatch):
     assert np.allclose(gaps, 16 * 0.01)
 
 
+@pytest.mark.parametrize("cap, n_samples", [(7, 5), (8, 8)])
+def test_thinning_keeps_the_event_sample(monkeypatch, cap, n_samples):
+    """The event's sample can be the one that takes a run over its cap; the
+    thinning then keeps it, whether the stored count is odd or even."""
+    monkeypatch.setattr(sys.modules["ssblow.integrate"], "_MAX_SAMPLES", cap)
+    traj = integrate(
+        lambda t, y: (1.0, 0.0, 0.0), (0.0, 0.0, 0.0),
+        [EventSpec(id="wall", guard=lambda p: 5.05 - p[0])],
+    )
+    assert traj.event.id == "wall"
+    assert traj.final_eta == traj.event.eta == pytest.approx(5.05, abs=1e-12)
+    assert np.array_equal(traj.final_point, traj.event.point)
+    assert len(traj.eta) == n_samples
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.floats(min_value=0.1, max_value=10.0),

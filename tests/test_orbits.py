@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,10 +17,12 @@ from ssblow.field import make_rhs, p2_unstable_eigenvector, p2_chart_coordinates
 from ssblow.integrate import EventSpec, IntegrationControls, integrate
 import ssblow.orbits
 from ssblow.orbits import (
+    FATE_ONLY_CONTROLS,
     BracketError,
     FateConfig,
     FateKind,
     InconclusiveError,
+    OrbitFate,
     classify_fate,
     lambda_of_sigma,
     launch_from_P0,
@@ -167,10 +170,12 @@ def test_sigma_star_single_bisection_step():
 
 
 def test_sigma_star_stores_step_ends_only(monkeypatch):
-    """Without controls the search steps by error control and stores no
-    sample-grid points: the same evaluations as explicit infinite
-    max_step and sample_step, and n_steps + 1 samples in every run."""
-    explicit = IntegrationControls(max_step=math.inf, sample_step=math.inf)
+    """Without controls the search runs under FATE_ONLY_CONTROLS: it steps
+    by error control and stores no sample-grid points, so every run holds
+    n_steps + 1 samples.  It runs one orbit per bracket end and per
+    bisection step, and each evaluation carries that run's n_steps."""
+    explicit = FATE_ONLY_CONTROLS
+    assert explicit.max_step == explicit.sample_step == math.inf
     runs = []
 
     def counted(*args, **kwargs):
@@ -181,7 +186,43 @@ def test_sigma_star_stores_step_ends_only(monkeypatch):
     monkeypatch.setattr(ssblow.orbits, "integrate", counted)
     res = sigma_star(1.5, (3.0, 3.4), 1e-3)
     assert runs and all(n_samples == n_steps + 1 for n_samples, n_steps in runs)
+    assert len(runs) == len(res.evaluations) == res.iterations + 2
+    assert [e[1] for e in res.evaluations] == [n_steps for _, n_steps in runs]
+    assert all(kind != FateKind.INCONCLUSIVE for _, _, kind, _ in res.evaluations)
     assert res.evaluations == sigma_star(1.5, (3.0, 3.4), 1e-3, explicit).evaluations
+
+
+def test_sigma_star_stops_at_the_first_inconclusive_midpoint():
+    """Under a budget of 1e4 the orbit at sigma 3.28828125, next to
+    sigma*(1.5), is still on its slow vertex approach; the search ends
+    there, naming the sigma and the termination, and tries no other point."""
+    short = IntegrationControls(max_step=math.inf, sample_step=math.inf, max_time=1e4)
+    with pytest.raises(InconclusiveError) as err:
+        sigma_star(1.5, (3.0, 3.4), 1e-3, short)
+    message = str(err.value)
+    assert "termination max_time" in message
+    sigma = float(re.search(r"sigma=(\S+) is inconclusive", message).group(1))
+    assert sigma == pytest.approx(3.28828125, abs=1e-12)
+
+
+def test_sigma_star_stops_where_no_float_lies_between_the_ends(monkeypatch):
+    """A tol below the float spacing of sigma would bisect forever."""
+
+    def step_at_3_3(params, controls=None, cfg=None):
+        kind = FateKind.ENTERS_PARABOLA if params.sigma < 3.3 else FateKind.ENTERS_Q3
+        return None, OrbitFate(kind, None, None, {"n_steps": 0, "termination": "event"})
+
+    monkeypatch.setattr(ssblow.orbits, "run_p2_orbit", step_at_3_3)
+    with pytest.raises(BracketError, match="float spacing"):
+        sigma_star(1.5, (3.0, 3.4), tol=1e-17)
+
+
+def test_sigma_star_resolves_every_midpoint_at_m_1_2():
+    res = sigma_star(1.2, (3.0, 3.6), 1e-3)
+    assert res.bracket[1] - res.bracket[0] <= 1e-3
+    assert all(kind != FateKind.INCONCLUSIVE for _, _, kind, _ in res.evaluations)
+    assert res.fate_at_ends[0].parabola_side
+    assert res.fate_at_ends[1].kind == FateKind.ENTERS_Q3
 
 
 @pytest.mark.parametrize("sigma, default_run", [(3.0, "p2_orbit_15_3"), (3.4, "p2_orbit_15_34")])
