@@ -1,7 +1,7 @@
 """Phase-space toolkit for the localized self-similar blow-up profiles of
 u_t = (u^m)_xx + |x|^sigma u^p in the critical regime m + p = 2, sigma > 2."""
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .params import (
     Params,
@@ -26,7 +26,6 @@ from .field import (
 )
 from .integrate import IntegrationControls, EventSpec, Trajectory, integrate
 from .orbits import (
-    FateConfig,
     FateKind,
     OrbitFate,
     ShootResult,

@@ -155,12 +155,12 @@ def _r2_points(n: int, seed: int) -> np.ndarray:
     return (shift + np.arange(1, n + 1)[:, None] * _R2_STEP) % 1.0
 
 
-def barrier_catalog(params: Params, c4: float | None = None) -> list[BarrierSpec]:
+def barrier_catalog(params: Params) -> list[BarrierSpec]:
     """Construct every verifiable barrier with closed-form coefficients.
 
-    c4 is the free level of the plane a X + Z = c4 confining the orbits out
-    of the origin; any positive value works at leading order and the default
-    keeps its validity slab well inside the origin's neighborhood.
+    The plane a X + Z = c4 confining the orbits out of the origin takes
+    c4 = a X(P2) / 5: any positive level works at leading order, and this
+    one keeps its validity slab well inside the origin's neighborhood.
     """
     m, sigma = params.m, params.sigma
     exp = derive_exponents(params)
@@ -175,10 +175,8 @@ def barrier_catalog(params: Params, c4: float | None = None) -> list[BarrierSpec
     yp2_chart = p2_chart_coordinates(params)[1]
     x_hi = 10.0 * xp2
     z_hi = 10.0 * z_max
-    if c4 is None:
-        a4 = 3.0 / ((m - 1.0) * alpha)
-        c4 = a4 * xp2 / 5.0
     a4 = 3.0 / ((m - 1.0) * alpha)
+    c4 = a4 * xp2 / 5.0
     k_ykz = 2.0 * (m + 1.0) * alpha / ((m - 1.0) * (sigma - 1.0))
 
     specs: list[BarrierSpec] = []

@@ -198,13 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=None, help="f(0) for origin p1")
     p.add_argument(
         "--a-bracket", dest="a_bracket", type=float, nargs=2, default=None,
-        help="bisect f(0) between differing fates",
+        help="bisect f(0) between differing fates (origin p1)",
     )
     p.add_argument("--a-tol", dest="a_tol", type=float, default=None)
     p.add_argument("--K", type=float, default=0.05, help="tail coefficient for origin p0")
     p.add_argument("--xi-start", dest="xi_start", type=float, default=1e-4)
     p.add_argument("--via", choices=("ode", "phase"), default="ode",
-                   help="direct profile-equation integration or phase-space reconstruction")
+                   help="direct profile-equation integration, or phase-space reconstruction"
+                   " (origin p2 only)")
     p.add_argument("--out", type=str, default=None, help="profile CSV path")
 
     p = sub.add_parser("verify", help="verify barrier sign claims by seeded sampling")
@@ -324,6 +325,10 @@ def _cmd_sigma_star(args) -> tuple[int, dict]:
 
 def _cmd_profile(args) -> tuple[int, dict]:
     pr = _validated(args)
+    if args.via == "phase" and args.origin != "p2":
+        raise ParameterError("--via phase needs --origin p2")
+    if args.a_bracket is not None and args.origin != "p1":
+        raise ParameterError("--a-bracket needs --origin p1")
     controls = _controls_from(args)
     config = {
         "m": pr.m, "sigma": pr.sigma, "origin": args.origin, "via": args.via,
@@ -333,7 +338,7 @@ def _cmd_profile(args) -> tuple[int, dict]:
     report = _report_skeleton("profile", config)
     warnings = report["warnings"]
 
-    if args.origin == "p2" and args.via == "phase":
+    if args.via == "phase":
         traj, fate = run_p2_orbit(pr, controls)
         frame = reconstruct_profile(traj, pr)
         results = {"fate": fate.kind, "lambda_hat": fate.lambda_hat, "n_samples": len(frame)}
@@ -343,7 +348,7 @@ def _cmd_profile(args) -> tuple[int, dict]:
             warnings.append("phase orbit inconclusive")
             report["results"] = results
             return EXIT_INCONCLUSIVE, report
-    elif args.origin == "p1" and args.a_bracket is not None:
+    elif args.a_bracket is not None:
         tol = args.a_tol if args.a_tol is not None else 1e-3 * (args.a_bracket[1] - args.a_bracket[0])
         a_star, res = find_good_profile_P1(pr, tuple(args.a_bracket), tol, controls, xi_start=args.xi_start)
         frame = res.frame
@@ -441,7 +446,6 @@ def _cmd_sweep(args) -> tuple[int, dict]:
             rows = list(pool.map(_sweep_one, tasks))
     else:
         rows = [_sweep_one(t) for t in tasks]
-    rows.sort(key=lambda r: sigmas.index(r[0]))
     report["results"] = {
         "rows": [
             {"sigma": s, "fate": k, "lambda_hat": lam, "xi0": xi0} for (s, k, lam, xi0) in rows

@@ -112,15 +112,18 @@ class EigenData:
         return out
 
 
-def eigen_data(jac: np.ndarray, zero_tol: float = 1e-12) -> EigenData:
+_ZERO_TOL = 1e-12  # eigenvalues with |Re| at most this count as center
+
+
+def eigen_data(jac: np.ndarray) -> EigenData:
     values, vectors = np.linalg.eig(jac)
     re = values.real
     return EigenData(
         values=values,
         vectors=vectors,
-        stable_dim=int(np.sum(re < -zero_tol)),
-        unstable_dim=int(np.sum(re > zero_tol)),
-        center_dim=int(np.sum(np.abs(re) <= zero_tol)),
+        stable_dim=int(np.sum(re < -_ZERO_TOL)),
+        unstable_dim=int(np.sum(re > _ZERO_TOL)),
+        center_dim=int(np.sum(np.abs(re) <= _ZERO_TOL)),
     )
 
 

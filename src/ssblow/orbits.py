@@ -48,7 +48,6 @@ from .field import (
 from .integrate import EventSpec, IntegrationControls, Trajectory, integrate
 
 __all__ = [
-    "FateConfig",
     "FateKind",
     "OrbitFate",
     "ShootResult",
@@ -85,16 +84,18 @@ class FateKind:
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class FateConfig:
-    """Thresholds used by the standard fate event set."""
+# fate thresholds: stagnation is a field norm below _STAGNATION_FIELD_TOL
+# within _PARABOLA_DIST_TOL of the parabola; an entry within _VERTEX_TOL of
+# the vertex's lambda is a vertex entry; a Y-floor hit certifies Q3 only
+# with X at least _X_AWAY_TOL
+_STAGNATION_FIELD_TOL = 1e-11
+_PARABOLA_DIST_TOL = 1e-4
+_VERTEX_TOL = 5e-3
+_Y_FLOOR = -1e3
+_X_AWAY_TOL = 1e-8
 
-    stagnation_field_tol: float = 1e-11
-    parabola_dist_tol: float = 1e-4
-    vertex_tol: float = 5e-3
-    y_floor: float = -1e3
-    x_away_tol: float = 1e-8
-
+# the controls of every chart run out of Q1 (see run_q1_orbit)
+_CHART_CONTROLS = IntegrationControls(max_time=100.0, max_step=0.01)
 
 # fate-only runs: error control alone sets the step, only step ends are
 # stored, and the budget lets orbits near the critical sigma resolve
@@ -195,7 +196,7 @@ def parabola_entry_distance(pt, params: Params) -> float:
     return math.sqrt(x * x + dy * dy + dz * dz)
 
 
-def standard_fate_events(params: Params, cfg: FateConfig | None = None) -> list[EventSpec]:
+def standard_fate_events(params: Params) -> list[EventSpec]:
     """The event set used for all fate classifications.
 
     Order matters for tie-breaking: stagnation, midplane, Y-floor.
@@ -206,12 +207,11 @@ def standard_fate_events(params: Params, cfg: FateConfig | None = None) -> list[
     under a change that moves the state by 1e-16.  Only the event's state,
     and hence lambda_hat, is accurate.
     """
-    cfg = cfg or FateConfig()
     rhs = make_rhs(params)
     boa = beta_over_alpha(params)
     lo, hi = lambda_range(params)
-    ftol = cfg.stagnation_field_tol
-    dtol = cfg.parabola_dist_tol
+    ftol = _STAGNATION_FIELD_TOL
+    dtol = _PARABOLA_DIST_TOL
 
     def stagnation_guard(p):
         # the sign is that of max(fnorm - ftol, dist - dtol); away from the
@@ -230,13 +230,12 @@ def standard_fate_events(params: Params, cfg: FateConfig | None = None) -> list[
     return [
         EventSpec(id="stagnation", guard=stagnation_guard),
         EventSpec(id="midplane", guard=lambda p: p[1] + boa / 2.0),
-        EventSpec(id="y_floor", guard=lambda p: p[1] - cfg.y_floor),
+        EventSpec(id="y_floor", guard=lambda p: p[1] - _Y_FLOOR),
     ]
 
 
-def classify_fate(traj: Trajectory, params: Params, cfg: FateConfig | None = None) -> OrbitFate:
+def classify_fate(traj: Trajectory, params: Params) -> OrbitFate:
     """Deterministic fate from a trajectory run with the standard event set."""
-    cfg = cfg or FateConfig()
     exp = derive_exponents(params)
     boa = beta_over_alpha(params)
     hit = traj.event
@@ -255,12 +254,12 @@ def classify_fate(traj: Trajectory, params: Params, cfg: FateConfig | None = Non
     if hit.id == "stagnation":
         lam_hat = float(pt[1])
         dist = parabola_entry_distance(pt, params)
-        if dist > 2.0 * cfg.parabola_dist_tol or pt[0] >= cfg.parabola_dist_tol:
+        if dist > 2.0 * _PARABOLA_DIST_TOL or pt[0] >= _PARABOLA_DIST_TOL:
             diagnostics["reason"] = "stagnation fired away from the parabola"
             return OrbitFate(FateKind.INCONCLUSIVE, None, pt, diagnostics)
         kind = (
             FateKind.ENTERS_VERTEX
-            if abs(lam_hat + boa / 2.0) < cfg.vertex_tol
+            if abs(lam_hat + boa / 2.0) < _VERTEX_TOL
             else FateKind.ENTERS_PARABOLA
         )
         return OrbitFate(kind, lam_hat, pt, diagnostics)
@@ -270,7 +269,7 @@ def classify_fate(traj: Trajectory, params: Params, cfg: FateConfig | None = Non
         diagnostics["reason"] = "midplane crossed below the vertex height"
         return OrbitFate(FateKind.INCONCLUSIVE, None, pt, diagnostics)
     if hit.id == "y_floor":
-        if pt[0] >= cfg.x_away_tol:
+        if pt[0] >= _X_AWAY_TOL:
             return OrbitFate(FateKind.ENTERS_Q3, None, pt, diagnostics)
         diagnostics["reason"] = "Y floor reached with X not bounded away from 0"
         return OrbitFate(FateKind.INCONCLUSIVE, None, pt, diagnostics)
@@ -281,13 +280,11 @@ def classify_fate(traj: Trajectory, params: Params, cfg: FateConfig | None = Non
 def run_p2_orbit(
     params: Params,
     controls: IntegrationControls | None = None,
-    cfg: FateConfig | None = None,
     delta: float = 1e-6,
 ) -> tuple[Trajectory, OrbitFate]:
-    cfg = cfg or FateConfig()
     start = launch_from_P2(params, delta)
-    traj = integrate(make_rhs(params), start, standard_fate_events(params, cfg), controls)
-    return traj, classify_fate(traj, params, cfg)
+    traj = integrate(make_rhs(params), start, standard_fate_events(params), controls)
+    return traj, classify_fate(traj, params)
 
 
 def run_p0_orbit(
@@ -295,12 +292,10 @@ def run_p0_orbit(
     z0: float,
     params: Params,
     controls: IntegrationControls | None = None,
-    cfg: FateConfig | None = None,
 ) -> tuple[Trajectory, OrbitFate]:
-    cfg = cfg or FateConfig()
     start = launch_from_P0(K, z0, params)
-    traj = integrate(make_rhs(params), start, standard_fate_events(params, cfg), controls)
-    return traj, classify_fate(traj, params, cfg)
+    traj = integrate(make_rhs(params), start, standard_fate_events(params), controls)
+    return traj, classify_fate(traj, params)
 
 
 # ---------------------------------------------------------------------------
@@ -308,30 +303,25 @@ def run_p0_orbit(
 # ---------------------------------------------------------------------------
 
 
-def q1_to_p2_connection(
-    params: Params,
-    delta: float = 1e-5,
-    rel_target: float = 1e-3,
-    controls: IntegrationControls | None = None,
-):
-    """Integrate the chart orbit out of Q1 tangent to (1,1,0) inside {z = 0}.
+def q1_to_p2_connection(params: Params):
+    """Integrate the chart orbit out of Q1, launched at 1e-5 (1,1,0) inside
+    {z = 0}, under the chart controls (max_step 0.01, max_time 100).
 
     Returns (trajectory, hit) where the terminal hit certifies arrival within
-    rel_target relative distance of the chart image of P2.
+    1e-3 relative distance of the chart image of P2.
     """
-    start = launch_from_Q1_chart("tangent_v1", delta, params)
+    start = launch_from_Q1_chart("tangent_v1", 1e-5, params)
     target = p2_chart_coordinates(params)
     scale = math.hypot(target[0], target[1])
 
     def proximity(p):
-        return math.hypot(p[0] - target[0], p[1] - target[1]) / scale - rel_target
+        return math.hypot(p[0] - target[0], p[1] - target[1]) / scale - 1e-3
 
     events = [
         EventSpec(id="p2_arrival", guard=proximity),
         EventSpec(id="w_overflow", guard=lambda p: 4.0 * target[0] - p[0]),
     ]
-    controls = controls or IntegrationControls(max_time=100.0, max_step=0.01)
-    traj = integrate(make_chart_rhs(params), start, events, controls)
+    traj = integrate(make_chart_rhs(params), start, events, _CHART_CONTROLS)
     return traj, traj.event
 
 
@@ -339,16 +329,14 @@ def run_q1_orbit(
     params: Params,
     delta: float = 1e-6,
     z0: float = 0.0,
-    handoff_w: float = 1e-2,
     controls: IntegrationControls | None = None,
-    cfg: FateConfig | None = None,
 ):
     """Two-leg run: chart integration out of Q1, handoff to phase coordinates.
 
     The chart leg starts at delta*(1,1,0) + (0,0,z0) and ends when w exceeds
-    handoff_w (X = 1/w at most 1/handoff_w); the phase leg then runs the
-    standard fate events.  With z0 = 0 the orbit stays in the invariant plane
-    and converges to P2 instead of producing a profile fate; the chart leg's
+    1e-2 (X = 1/w at most 100); the phase leg then runs the standard fate
+    events.  With z0 = 0 the orbit stays in the invariant plane and
+    converges to P2 instead of producing a profile fate; the chart leg's
     arrival is then reported through the diagnostics.
 
     The chart leg always runs under its own controls (max_step 0.01,
@@ -357,13 +345,9 @@ def run_q1_orbit(
     lambda_hat, would move with the caller's step cap.  controls sets the
     phase leg only.
     """
-    cfg = cfg or FateConfig()
-    if handoff_w < 1e-2:
-        raise DomainError("handoff threshold must be at least 1e-2")
     start = launch_from_Q1_chart("tangent_v1", delta, params) + np.array([0.0, 0.0, z0])
-    chart_controls = IntegrationControls(max_time=100.0, max_step=0.01)
-    handoff = EventSpec(id="handoff", guard=lambda p: handoff_w - p[0])
-    chart_traj = integrate(make_chart_rhs(params), start, [handoff], chart_controls)
+    handoff = EventSpec(id="handoff", guard=lambda p: 1e-2 - p[0])
+    chart_traj = integrate(make_chart_rhs(params), start, [handoff], _CHART_CONTROLS)
     hit = chart_traj.event
     if hit is None:
         fate = OrbitFate(
@@ -374,10 +358,8 @@ def run_q1_orbit(
         )
         return chart_traj, None, fate
     phase_start = phase_from_chart(hit.point)
-    phase_traj = integrate(
-        make_rhs(params), phase_start, standard_fate_events(params, cfg), controls
-    )
-    fate = classify_fate(phase_traj, params, cfg)
+    phase_traj = integrate(make_rhs(params), phase_start, standard_fate_events(params), controls)
+    fate = classify_fate(phase_traj, params)
     fate.diagnostics["chart_leg_eta"] = hit.eta
     fate.diagnostics["handoff_point"] = phase_start
     return chart_traj, phase_traj, fate
@@ -392,7 +374,6 @@ def lambda_of_sigma(
     m: float,
     sigma: float,
     controls: IntegrationControls | None = None,
-    cfg: FateConfig | None = None,
 ):
     """Y-coordinate of the parabola point the P2 orbit enters, or None for an
     escape to Q3 (the convention of OrbitFate.lambda_hat).
@@ -401,7 +382,7 @@ def lambda_of_sigma(
     expected to surface that, not swallow it.
     """
     params = validate_params(m, sigma)
-    _, fate = run_p2_orbit(params, controls, cfg)
+    _, fate = run_p2_orbit(params, controls)
     if fate.decisive:
         return fate.lambda_hat
     raise InconclusiveError(
@@ -414,7 +395,6 @@ def sigma_star(
     bracket: tuple[float, float],
     tol: float,
     controls: IntegrationControls | None = None,
-    cfg: FateConfig | None = None,
 ) -> ShootResult:
     """Bisect sigma between a parabola-entering and a Q3-escaping fate.
 
@@ -431,12 +411,11 @@ def sigma_star(
     if tol <= 0:
         raise BracketError("tol must be positive")
     controls = controls or FATE_ONLY_CONTROLS
-    cfg = cfg or FateConfig()
 
     evaluations = []
 
     def fate_at(sig: float) -> OrbitFate:
-        _, fate = run_p2_orbit(validate_params(m, sig), controls, cfg)
+        _, fate = run_p2_orbit(validate_params(m, sig), controls)
         diag = fate.diagnostics
         evaluations.append((sig, diag["n_steps"], fate.kind, fate.lambda_hat))
         if not fate.decisive:

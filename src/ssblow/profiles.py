@@ -39,6 +39,8 @@ from .field import center_family_P0, p2_unstable_eigenvector
 from .integrate import EventSpec, IntegrationControls, Trajectory, integrate
 
 _RHO_VANISH = 1e-4  # rho = g / hypot(g, xi g') at which a profile run ends as vanishing
+_SLOPE_TOL = 1e-2  # largest |g' - root| at the vanishing event that is an interface
+_DISC_TOL = 1e-6  # discriminants in [-_DISC_TOL, 0) count as a double root
 
 __all__ = [
     "ProfileFrame",
@@ -65,7 +67,6 @@ class ProfileFrame:
     xi: np.ndarray
     f: np.ndarray
     df: np.ndarray
-    g_slope: np.ndarray
     n_dropped: int = 0
 
     def __len__(self):
@@ -76,7 +77,6 @@ class ProfileFrame:
             xi=self.xi[::step],
             f=self.f[::step],
             df=self.df[::step],
-            g_slope=self.g_slope[::step],
             n_dropped=self.n_dropped,
         )
 
@@ -132,8 +132,7 @@ def reconstruct_profile(traj: Trajectory, params: Params) -> ProfileFrame:
     xi = (exp.alpha**2 * z / m) ** (1.0 / (params.sigma - 2.0))
     f = (exp.alpha * xi**2 * x / m) ** (1.0 / (m - 1.0))
     df = exp.alpha * xi * f ** (2.0 - m) * y / m
-    g_slope = m * f ** (m - 2.0) * df
-    return ProfileFrame(xi=xi, f=f, df=df, g_slope=g_slope, n_dropped=n_dropped)
+    return ProfileFrame(xi=xi, f=f, df=df, n_dropped=n_dropped)
 
 
 def ssode_residual(frame: ProfileFrame, params: Params) -> float:
@@ -277,12 +276,10 @@ def _rho(u) -> float:
     return g / math.hypot(g, xi * w)
 
 
-def _classify_vanishing(
-    xi0: float, g_slope: float, params: Params, slope_tol: float, disc_tol: float
-):
+def _classify_vanishing(xi0: float, g_slope: float, params: Params):
     report = interface_slopes(xi0, params)
     report.matched_slope = None
-    if report.discriminant < -disc_tol:
+    if report.discriminant < -_DISC_TOL:
         return "sign_change", report
     if report.slope_minus is None:
         # small negative discriminant within tolerance: treat as double root
@@ -292,7 +289,7 @@ def _classify_vanishing(
     candidates = [report.slope_minus, report.slope_plus]
     dists = [abs(g_slope - c) for c in candidates]
     best = int(np.argmin(dists))
-    if dists[best] <= slope_tol:
+    if dists[best] <= _SLOPE_TOL:
         report.matched_slope = candidates[best]
         return "interface", report
     return "sign_change", report
@@ -305,9 +302,6 @@ def integrate_ssode(
     a: float | None = None,
     K: float | None = None,
     xi_start: float = 1e-4,
-    xi_cap: float | None = None,
-    slope_tol: float = 1e-2,
-    disc_tol: float = 1e-6,
 ) -> SsodeResult:
     """Integrate the profile equation from one of the admissible origins.
 
@@ -315,10 +309,12 @@ def integrate_ssode(
     "p0" (f ~ K xi^{(sigma+2)/(2(m-1))}).  One run of the pressure field
     (_pressure_rhs) goes until rho = g / hypot(g, xi g') falls to 1e-4,
     which happens only where f vanishes, or until xi reaches xi_cap (fate
-    "positive").  Up to an interface g is affine, so the vanishing point is
-    xi0 = xi + g/|g'| at that event, and the pressure-slope quadratic at
-    xi0 tells an interface from a sign change.  A run that ends any other
-    way (step underflow, step or s budget) raises InconclusiveProfile.
+    "positive"), which is 8 xi_max, or 10 when xi_max overflows.  Up to an
+    interface g is affine, so the vanishing point is xi0 = xi + g/|g'| at
+    that event, and the pressure-slope quadratic at xi0 tells an interface
+    from a sign change: g' must lie within 1e-2 of one of its roots.  A run
+    that ends any other way (step underflow, step or s budget) raises
+    InconclusiveProfile.
 
     controls sets the tolerances and the step in s, capped at 0.05; the
     frame holds the step ends, and since dxi/ds <= 1 the step also bounds
@@ -330,10 +326,9 @@ def integrate_ssode(
     exp = derive_exponents(params)
     if xi_start <= 0.0:
         raise DomainError("xi_start must be positive")
-    if xi_cap is None:
-        xi_cap = 8.0 * exp.xi_max if math.isfinite(exp.xi_max) else 10.0
+    xi_cap = 8.0 * exp.xi_max if math.isfinite(exp.xi_max) else 10.0
     if xi_cap <= xi_start:
-        raise DomainError("xi_cap must exceed xi_start")
+        raise DomainError("xi_start must lie below xi_cap = %.6g" % xi_cap)
 
     f0, v0 = _asymptotic_start(origin, params, xi_start, a=a, K=K)
     g0 = m / (m - 1.0) * f0 ** (m - 1.0)
@@ -365,13 +360,13 @@ def integrate_ssode(
     else:
         xi_h, g_h, g_slope = (float(v) for v in hit.point)
         xi0 = xi_h + g_h / abs(g_slope)
-        fate, report = _classify_vanishing(xi0, g_slope, params, slope_tol, disc_tol)
+        fate, report = _classify_vanishing(xi0, g_slope, params)
 
     pts = traj.points
     rows = _physical_rows(pts[:, 1] > 0.0, pts[:, 0])
     xi, g, w = pts[rows, 0], pts[rows, 1], pts[rows, 2]
     f = ((m - 1.0) * g / m) ** (1.0 / (m - 1.0))
-    frame = ProfileFrame(xi=xi, f=f, df=w * f ** (2.0 - m) / m, g_slope=w)
+    frame = ProfileFrame(xi=xi, f=f, df=w * f ** (2.0 - m) / m)
     return SsodeResult(
         frame=frame, fate=fate, xi0=xi0, g_slope=g_slope, report=report, origin=origin
     )
@@ -382,7 +377,7 @@ def find_good_profile_P1(
     a_bracket: tuple[float, float],
     tol: float,
     controls: IntegrationControls | None = None,
-    **ssode_kwargs,
+    xi_start: float = 1e-4,
 ):
     """Bisect the initial height a = f(0) between sign-change and positive fates.
 
@@ -397,7 +392,7 @@ def find_good_profile_P1(
         raise DomainError("tol must be positive")
 
     def run_at(a):
-        return integrate_ssode("p1", params, controls, a=a, **ssode_kwargs)
+        return integrate_ssode("p1", params, controls, a=a, xi_start=xi_start)
 
     r_lo, r_hi = run_at(a_lo), run_at(a_hi)
     if r_lo.fate == r_hi.fate:

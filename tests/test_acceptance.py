@@ -25,7 +25,6 @@ from ssblow.field import (
 )
 from ssblow.integrate import IntegrationControls, integrate
 from ssblow.orbits import (
-    FateConfig,
     FateKind,
     launch_from_P2,
     q1_to_p2_connection,
@@ -166,7 +165,7 @@ def test_criterion_05_critical_sigma_bisection():
 def test_criterion_06_q1_to_p2_connection():
     with _Timer("6 chart connection from Q1 to P2", 10.0):
         pr = validate_params(1.5, 3.0)
-        traj, hit = q1_to_p2_connection(pr, delta=1e-5, rel_target=1e-3)
+        traj, hit = q1_to_p2_connection(pr)
         assert hit is not None and hit.id == "p2_arrival"
         target = np.array([100.0, 4.0])
         rel = np.linalg.norm(hit.point[:2] - target) / np.linalg.norm(target)

@@ -246,6 +246,27 @@ def test_profile_p0(capsys):
     assert abs(rep["results"]["g_slope"]) < 0.05
 
 
+@pytest.mark.parametrize(
+    "origin, flags, named",
+    [
+        ("p1", ["--a", "1e-13", "--via", "phase"], "--via"),
+        ("p0", ["--via", "phase"], "--via"),
+        ("p2", ["--a-bracket", "1e-13", "1e-10"], "--a-bracket"),
+        ("p0", ["--a-bracket", "1e-13", "1e-10"], "--a-bracket"),
+    ],
+    ids=["p1-via", "p0-via", "p2-a-bracket", "p0-a-bracket"],
+)
+def test_profile_rejects_a_flag_its_origin_would_ignore(origin, flags, named, capsys):
+    """--via phase is for origin p2 and --a-bracket for origin p1 only."""
+    code, out, err = run_cli(
+        capsys, "profile", "--m", "1.5", "--sigma", "3", "--origin", origin, *flags,
+        "--format", "json",
+    )
+    assert code == 2
+    assert named in err
+    assert out == ""
+
+
 def test_profile_p1_bisection(capsys):
     code, out, _ = run_cli(
         capsys, "profile", "--m", "1.5", "--sigma", "3", "--origin", "p1",
@@ -310,6 +331,16 @@ def test_sweep_fates_and_csv(tmp_path, capsys):
     assert [r[1] for r in rows] == ["enters_parabola", "enters_parabola", "enters_q3"]
     assert rows[0][2] is not None and rows[2][2] is None
     assert rows[0][0] == 2.6
+    # rows follow the grid as given, in both the serial and the pool path
+    for jobs in ("1", "2"):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--m", "1.5", "--sigmas", "3.4,3", "--jobs", jobs, "--format", "json"
+        )
+        assert code == 0
+        rows = json.loads(out)["results"]["rows"]
+        assert [(r["sigma"], r["fate"]) for r in rows] == [
+            (3.4, "enters_q3"), (3.0, "enters_parabola")
+        ]
 
 
 def test_sweep_paper_grid(tmp_path, capsys):
@@ -597,6 +628,23 @@ def test_cli_runs_without_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_public_surface_is_pinned():
+    """Names leave or join the package namespace only on purpose."""
+    assert sorted(ssblow.__all__) == [
+        "DomainError", "EventSpec", "Exponents", "FateKind", "IntegrationControls",
+        "InterfaceReport", "OrbitFate", "ParameterError", "Params", "ProfileFrame",
+        "ShootResult", "Trajectory", "barrier_catalog", "barriers", "beta_over_alpha",
+        "center_family_P0", "classify_critical_points", "classify_fate", "derive_exponents",
+        "evaluate_solution", "field", "find_good_profile_P1", "infinity_chart_field",
+        "integrate", "integrate_ssode", "interface_slopes", "interface_xi_of_lambda",
+        "jacobian", "lambda_of_sigma", "launch_from_P0", "launch_from_P2",
+        "launch_from_Q1_chart", "orbits", "p2_coordinates", "parabola_point", "params",
+        "profiles", "reconstruct_profile", "region_membership", "sigma_star",
+        "ssode_residual", "stable_family_P0lambda", "validate_params", "vector_field",
+        "verify_barrier", "vertex_normal_form",
+    ]
 
 
 def test_cli_import_leaves_out_the_process_pool():

@@ -204,6 +204,10 @@ def test_ssode_p1_dichotomy(params15_3):
     assert mid.report.discriminant < 0.0
     big = integrate_ssode("p1", params15_3, a=5.0)
     assert big.fate == "positive"
+    # at sigma 2.005 xi_max overflows to inf, and the run stops at xi = 10
+    capped = integrate_ssode("p1", validate_params(1.5, 2.005), a=1.0)
+    assert capped.fate == "positive"
+    assert capped.frame.xi[-1] == pytest.approx(10.0, rel=1e-12)
     with pytest.raises(DomainError):
         integrate_ssode("p1", params15_3)  # a missing
     with pytest.raises(DomainError):
