@@ -107,10 +107,10 @@ def dregion_gates(params: Params) -> dict:
     """Hypothesis inequalities of the small-sigma argument, each computed."""
     m, sigma = params.m, params.sigma
     cst = dregion_constants(params)
-    p2 = p2_coordinates(params)
+    x_p2, y_p2, _ = p2_coordinates(params).tolist()
     return {
-        "x_p2_below_x_star": p2[0] < cst["x_star"],
-        "y_p2_below_half": p2[1] < 0.5,
+        "x_p2_below_x_star": x_p2 < cst["x_star"],
+        "y_p2_below_half": y_p2 < 0.5,
         "r2_right_of_r1": (sigma - 2.0) / (m - 1.0) < cst["f"],
     }
 
@@ -134,12 +134,12 @@ def plane3_gate(params: Params) -> dict:
     """Large-sigma hypotheses: P2's exit vector points above the plane and
     the validity slab X in (X*, X(P2)) is nonempty."""
     cst = plane3_constants(params)
-    p2 = p2_coordinates(params)
+    x_p2 = float(p2_coordinates(params)[0])
     e3 = p2_unstable_eigenvector(params)
-    n_dot_e3 = cst["A"] * e3[0] + cst["B"] * e3[1] + e3[2]
+    n_dot_e3 = float(cst["A"] * e3[0] + cst["B"] * e3[1] + e3[2])
     return {
         "exit_vector_above_plane": n_dot_e3 > 0.0,
-        "x_star3_below_x_p2": cst["x_star3"] < p2[0],
+        "x_star3_below_x_p2": cst["x_star3"] < x_p2,
         "n_dot_e3": n_dot_e3,
     }
 

@@ -14,8 +14,6 @@ import sys
 import time
 from dataclasses import replace
 
-import numpy as np
-
 from . import __version__
 from .params import (
     ParameterError,
@@ -329,6 +327,12 @@ def _cmd_profile(args) -> tuple[int, dict]:
         raise ParameterError("--via phase needs --origin p2")
     if args.a_bracket is not None and args.origin != "p1":
         raise ParameterError("--a-bracket needs --origin p1")
+    if args.a is not None and args.origin != "p1":
+        raise ParameterError("--a needs --origin p1")
+    if args.a is not None and args.a_bracket is not None:
+        raise ParameterError("--a and --a-bracket exclude each other")
+    if args.a_tol is not None and args.a_bracket is None:
+        raise ParameterError("--a-tol needs --a-bracket")
     controls = _controls_from(args)
     config = {
         "m": pr.m, "sigma": pr.sigma, "origin": args.origin, "via": args.via,
@@ -402,7 +406,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
                 "barrier": bid,
                 "expected": rep.expected,
                 "applicable": rep.applicable,
-                "gate": {k: bool(v) if isinstance(v, (bool, np.bool_)) else v for k, v in rep.gate_info.items()},
+                "gate": rep.gate_info,
                 "samples_tested": rep.samples_tested,
                 "n_violations": rep.n_violations,
                 "worst_margin": rep.worst_margin,

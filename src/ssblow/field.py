@@ -44,7 +44,6 @@ __all__ = [
     "infinity_chart_field",
     "make_chart_rhs",
     "infinity_chart_jacobian",
-    "chart_from_phase",
     "phase_from_chart",
     "p2_chart_coordinates",
     "center_family_P0",
@@ -288,13 +287,6 @@ def infinity_chart_jacobian(cp, params: Params) -> np.ndarray:
             [0.0, -m1 * z, params.sigma - m1 * y],
         ]
     )
-
-
-def chart_from_phase(pt) -> np.ndarray:
-    x, y, z = (float(v) for v in pt)
-    if x <= 0.0:
-        raise DomainError("chart requires X > 0")
-    return np.array([1.0 / x, y / x, z / x])
 
 
 def phase_from_chart(cp) -> np.ndarray:

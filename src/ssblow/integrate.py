@@ -6,12 +6,12 @@ Dormand-Prince 5(4) embedded pair with PI-free step control, the pair's own
 one event contract: an event fires when its guard falls from positive to
 zero or below, and that ends the run.  A guard arms only once it has been
 above _ARM_TOL, so restarting from a located event point does not re-fire
-it.  Steps longer than _PROBE_STEP are also searched for a guard that dips
-through zero and back inside the step, so a run can leave the step to
-error control.  The same extension supplies the stored samples: a step
-longer than the sample grid's spacing stores the extension's values at
-the grid points it spans, not its end, so the step is set by error
-control and the output grid by what the output needs.  The extension is
+it.  Every accepted step is also searched for a guard that dips through
+zero and back inside it, so a run can leave the step to error control.
+The same extension supplies the stored samples: a step longer than the
+sample grid's spacing stores the extension's values at the grid points it
+spans, not its end, so the step is set by error control and the output
+grid by what the output needs.  The extension is
 evaluated by explicit scalar expressions, once per grid point that is
 stored; past the sample cap the points a thinned run drops are skipped
 unevaluated, so sampling costs in proportion to the samples stored.
@@ -85,7 +85,6 @@ _PD = (
 _MIN_STEP = 1e-14  # absolute step underflow threshold
 _MAX_ETA = sys.float_info.max  # a run ends here whatever its max_time
 _ARM_TOL = 1e-10  # a guard arms once it has been above this
-_PROBE_STEP = 0.1  # accepted steps longer than this are probed for hidden guard dips
 _MAX_SAMPLES = 200_000  # a run stores at most this many samples besides its last
 _PROBE_NODES = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -154,15 +153,12 @@ class EventSpec:
     starts at or below zero fires nothing until it has risen above 1e-10.
 
     A crossing is seen when the guard is positive at the start of an
-    accepted step and at or below zero at its end.  On steps longer than
-    0.1 an armed guard whose end values are both positive, but smaller
-    than their difference, is also probed at interior points of the step,
-    so a dip through zero and back inside one long step still fires.  Steps
-    of at most 0.1 are not probed, so under an explicit cap of 0.1 or less
-    a dip narrower than one step can pass unseen: under a unit field and
-    max_step = 0.1 the guard (x - 5)^2 - 1e-6, below zero for 2e-3 in eta,
-    fires no event.  Nor is a dip probed whose end values are farther from
-    zero than their difference.
+    accepted step and at or below zero at its end.  On every accepted step
+    an armed guard whose end values are both positive, but smaller than
+    their difference, is also probed at interior points of the step, so a
+    dip through zero and back inside one step still fires, however long
+    or short the step.  A dip whose end values are farther from zero than
+    their difference is not probed.
     """
 
     id: str
@@ -513,7 +509,7 @@ def integrate(
                     if q is None:
                         q = _dense_coeffs(k1, k3, k4, k5, k6, k7)
                     located = _refine(guard, t, h, y, q, g, t_new, y_new, g_new)
-                elif h > _PROBE_STEP and 0.0 < (g_new if g_new < g else g) < abs(g_new - g):
+                elif 0.0 < (g_new if g_new < g else g) < abs(g_new - g):
                     # both end values positive but smaller than their difference
                     if q is None:
                         q = _dense_coeffs(k1, k3, k4, k5, k6, k7)

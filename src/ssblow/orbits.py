@@ -161,20 +161,12 @@ def launch_from_P0(K: float, z0: float, params: Params) -> np.ndarray:
     return np.array([x0, y0, z0])
 
 
-def launch_from_Q1_chart(
-    slope_mode: str, delta: float, params: Params, sign: int = 1
-) -> np.ndarray:
-    """Chart start near Q1: delta*(1,1,0) for tangent_v1 (profiles with
-    f'(0) = 0), delta*(0, +-1, 0) for tangent_v2 (f'(0) != 0)."""
+def launch_from_Q1_chart(delta: float, params: Params) -> np.ndarray:
+    """Chart start delta*(1,1,0) near Q1, along the direction of the profiles
+    with f'(0) = 0."""
     if not 0.0 < delta <= 1e-4:
         raise DomainError("delta must lie in (0, 1e-4]")
-    if slope_mode == "tangent_v1":
-        return np.array([delta, delta, 0.0])
-    if slope_mode == "tangent_v2":
-        if sign not in (1, -1):
-            raise DomainError("sign must be +1 or -1")
-        return np.array([0.0, sign * delta, 0.0])
-    raise DomainError("slope_mode must be tangent_v1 or tangent_v2")
+    return np.array([delta, delta, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +302,7 @@ def q1_to_p2_connection(params: Params):
     Returns (trajectory, hit) where the terminal hit certifies arrival within
     1e-3 relative distance of the chart image of P2.
     """
-    start = launch_from_Q1_chart("tangent_v1", 1e-5, params)
+    start = launch_from_Q1_chart(1e-5, params)
     target = p2_chart_coordinates(params)
     scale = math.hypot(target[0], target[1])
 
@@ -345,7 +337,7 @@ def run_q1_orbit(
     lambda_hat, would move with the caller's step cap.  controls sets the
     phase leg only.
     """
-    start = launch_from_Q1_chart("tangent_v1", delta, params) + np.array([0.0, 0.0, z0])
+    start = launch_from_Q1_chart(delta, params) + np.array([0.0, 0.0, z0])
     handoff = EventSpec(id="handoff", guard=lambda p: 1e-2 - p[0])
     chart_traj = integrate(make_chart_rhs(params), start, [handoff], _CHART_CONTROLS)
     hit = chart_traj.event

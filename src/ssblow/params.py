@@ -27,7 +27,6 @@ __all__ = [
     "parabola_point",
     "lambda_range",
     "interface_xi_of_lambda",
-    "xi_of_z",
 ]
 
 
@@ -122,17 +121,6 @@ def parabola_point(lam: float, params: Params) -> np.ndarray:
     return np.array([0.0, lam, parabola_z(lam, params)])
 
 
-def xi_of_z(z: float, params: Params) -> float:
-    """Self-similar coordinate xi corresponding to phase height Z (Z >= 0)."""
-    if z < 0.0:
-        raise DomainError("Z must be nonnegative, got %.17g" % z)
-    if z == 0.0:
-        return 0.0
-    exp = derive_exponents(params)
-    t = math.log(exp.alpha * exp.alpha * z / params.m) / (params.sigma - 2.0)
-    return math.exp(t) if t < 709.0 else math.inf
-
-
 def interface_xi_of_lambda(lam: float, params: Params) -> float:
     """Interface location xi0 of the profile entering P0^lambda.
 
@@ -144,4 +132,9 @@ def interface_xi_of_lambda(lam: float, params: Params) -> float:
         raise DomainError(
             "lambda must lie in (%.17g, 0) for an interface, got %.17g" % (lo, lam)
         )
-    return xi_of_z(parabola_z(lam, params), params)
+    z = parabola_z(lam, params)
+    if z == 0.0:
+        return 0.0  # Z underflows for the tiniest subnormal lambda
+    alpha = derive_exponents(params).alpha
+    t = math.log(alpha * alpha * z / params.m) / (params.sigma - 2.0)
+    return math.exp(t) if t < 709.0 else math.inf

@@ -45,7 +45,6 @@ _DISC_TOL = 1e-6  # discriminants in [-_DISC_TOL, 0) count as a double root
 __all__ = [
     "ProfileFrame",
     "InterfaceReport",
-    "SelfSimilarEval",
     "SsodeResult",
     "InconclusiveProfile",
     "ProfileBracketError",
@@ -54,7 +53,6 @@ __all__ = [
     "interface_slopes",
     "integrate_ssode",
     "find_good_profile_P1",
-    "evaluate_solution",
     "p2_behavior_prefactor",
     "p0_behavior_exponent",
 ]
@@ -88,14 +86,6 @@ class InterfaceReport:
     slope_plus: float | None
     discriminant: float
     matched_slope: float | None = None
-
-
-@dataclass(frozen=True)
-class SelfSimilarEval:
-    T: float
-    t: float
-    x: float
-    u: float
 
 
 class InconclusiveProfile(RuntimeError):
@@ -199,7 +189,6 @@ class SsodeResult:
     xi0: float | None
     g_slope: float | None
     report: InterfaceReport | None
-    origin: str
 
 
 def _asymptotic_start(origin, params, xi_start, a=None, K=None):
@@ -367,9 +356,7 @@ def integrate_ssode(
     xi, g, w = pts[rows, 0], pts[rows, 1], pts[rows, 2]
     f = ((m - 1.0) * g / m) ** (1.0 / (m - 1.0))
     frame = ProfileFrame(xi=xi, f=f, df=w * f ** (2.0 - m) / m)
-    return SsodeResult(
-        frame=frame, fate=fate, xi0=xi0, g_slope=g_slope, report=report, origin=origin
-    )
+    return SsodeResult(frame=frame, fate=fate, xi0=xi0, g_slope=g_slope, report=report)
 
 
 def find_good_profile_P1(
@@ -416,19 +403,3 @@ def find_good_profile_P1(
         result = best
     return a_star, result
 
-
-def evaluate_solution(
-    frame: ProfileFrame, T: float, x: float, t: float, params: Params
-) -> SelfSimilarEval:
-    """Evaluate u(x, t) = (T-t)^{-alpha} f(|x| (T-t)^{beta}) by linear interpolation.
-
-    f is zero beyond the sampled support; below the first sample the first
-    value is used (the admissible origins are flat or vanishing there).
-    """
-    if not 0.0 <= t < T:
-        raise DomainError("need 0 <= t < T")
-    exp = derive_exponents(params)
-    s = (T - t) ** exp.beta
-    xi = abs(x) * s
-    fval = float(np.interp(xi, frame.xi, frame.f, left=float(frame.f[0]), right=0.0))
-    return SelfSimilarEval(T=T, t=t, x=x, u=(T - t) ** (-exp.alpha) * fval)

@@ -1,10 +1,11 @@
+import importlib
 import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -122,7 +123,7 @@ def test_classify_q1_chart_leg_keeps_its_own_controls(capsys):
     both legs run at rel_tol 1e-13, abs_tol 1e-15, and the phase leg's cap
     moves it by less than 1e-11."""
     pr = validate_params(1.5, 3.0)
-    start = launch_from_Q1_chart("tangent_v1", 1e-6, pr) + np.array([0.0, 0.0, 1e-15])
+    start = launch_from_Q1_chart(1e-6, pr) + np.array([0.0, 0.0, 1e-15])
     handoff = EventSpec(id="handoff", guard=lambda p: 1e-2 - p[0])
     tight = IntegrationControls(rel_tol=1e-13, abs_tol=1e-15, max_step=0.01, max_time=100.0)
     hit = integrate(make_chart_rhs(pr), start, [handoff], tight).event
@@ -253,11 +254,19 @@ def test_profile_p0(capsys):
         ("p0", ["--via", "phase"], "--via"),
         ("p2", ["--a-bracket", "1e-13", "1e-10"], "--a-bracket"),
         ("p0", ["--a-bracket", "1e-13", "1e-10"], "--a-bracket"),
+        ("p2", ["--a", "0.5"], "--a needs"),
+        ("p0", ["--a", "0.5"], "--a needs"),
+        ("p1", ["--a", "0.5", "--a-bracket", "1e-13", "1e-10"], "--a and --a-bracket"),
+        ("p1", ["--a", "0.5", "--a-tol", "1e-3"], "--a-tol"),
     ],
-    ids=["p1-via", "p0-via", "p2-a-bracket", "p0-a-bracket"],
+    ids=[
+        "p1-via", "p0-via", "p2-a-bracket", "p0-a-bracket",
+        "p2-a", "p0-a", "p1-a-with-a-bracket", "p1-a-tol-without-a-bracket",
+    ],
 )
 def test_profile_rejects_a_flag_its_origin_would_ignore(origin, flags, named, capsys):
-    """--via phase is for origin p2 and --a-bracket for origin p1 only."""
+    """--via phase is for origin p2, --a and --a-bracket for origin p1 only,
+    --a and --a-bracket exclude each other, and --a-tol needs --a-bracket."""
     code, out, err = run_cli(
         capsys, "profile", "--m", "1.5", "--sigma", "3", "--origin", origin, *flags,
         "--format", "json",
@@ -289,6 +298,17 @@ def test_verify_all(capsys, tmp_path):
     assert rep["results"]["all_passed"] is True
     on_disk = json.loads(out_json.read_text())
     assert on_disk["results"]["all_passed"] is True
+
+
+def test_verify_text_shows_plain_python_values(capsys):
+    """The text channel prints gate values as plain floats and bools, never
+    numpy reprs such as np.float64(...)."""
+    code, out, _ = run_cli(
+        capsys, "verify", "--all", "--m", "1.5", "--sigma", "3", "--n", "200"
+    )
+    assert code == 0
+    assert "'n_dot_e3': -0.25" in out
+    assert "np." not in out
 
 
 def test_verify_single_barrier_strict_margin(capsys):
@@ -630,21 +650,60 @@ def test_cli_runs_without_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+_PUBLIC_SURFACE = {
+    "params": [
+        "DomainError", "Exponents", "ParameterError", "Params", "beta_over_alpha",
+        "derive_exponents", "interface_xi_of_lambda", "lambda_range", "p2_coordinates",
+        "parabola_point", "parabola_z", "validate_params",
+    ],
+    "field": [
+        "CriticalPoint", "EigenData", "VertexNormalForm", "center_family_P0",
+        "classify_critical_points", "eigen_data", "infinity_chart_field",
+        "infinity_chart_jacobian", "jacobian", "make_chart_rhs", "make_rhs",
+        "p2_chart_coordinates", "p2_unstable_eigenvalue", "p2_unstable_eigenvector",
+        "phase_from_chart", "stable_family_P0lambda", "stable_family_exponent", "vector_field",
+        "vertex_center_slope", "vertex_normal_form", "vertex_normal_form_coeffs",
+    ],
+    "integrate": ["EventHit", "EventSpec", "IntegrationControls", "Trajectory", "integrate"],
+    "orbits": [
+        "BracketError", "FATE_ONLY_CONTROLS", "FateKind", "InconclusiveError", "OrbitFate",
+        "ShootResult", "classify_fate", "lambda_of_sigma", "launch_from_P0", "launch_from_P2",
+        "launch_from_Q1_chart", "parabola_entry_distance", "q1_to_p2_connection",
+        "run_p0_orbit", "run_p2_orbit", "run_q1_orbit", "sigma_star", "standard_fate_events",
+    ],
+    "profiles": [
+        "InconclusiveProfile", "InterfaceReport", "ProfileBracketError", "ProfileFrame",
+        "SsodeResult", "find_good_profile_P1", "integrate_ssode", "interface_slopes",
+        "p0_behavior_exponent", "p2_behavior_prefactor", "reconstruct_profile", "ssode_residual",
+    ],
+    "barriers": [
+        "BarrierSpec", "ConfigurationError", "VerificationReport", "barrier_catalog",
+        "dregion_constants", "dregion_gates", "empirical_sigma0", "plane3_constants",
+        "plane3_gate", "region_membership", "verify_barrier",
+    ],
+    "io": [
+        "dump_report", "fmt", "read_profile_csv", "read_sweep_csv", "read_trajectory_csv",
+        "write_profile_csv", "write_sweep_csv", "write_trajectory_csv",
+    ],
+}
+
+
 def test_public_surface_is_pinned():
-    """Names leave or join the package namespace only on purpose."""
-    assert sorted(ssblow.__all__) == [
-        "DomainError", "EventSpec", "Exponents", "FateKind", "IntegrationControls",
-        "InterfaceReport", "OrbitFate", "ParameterError", "Params", "ProfileFrame",
-        "ShootResult", "Trajectory", "barrier_catalog", "barriers", "beta_over_alpha",
-        "center_family_P0", "classify_critical_points", "classify_fate", "derive_exponents",
-        "evaluate_solution", "field", "find_good_profile_P1", "infinity_chart_field",
-        "integrate", "integrate_ssode", "interface_slopes", "interface_xi_of_lambda",
-        "jacobian", "lambda_of_sigma", "launch_from_P0", "launch_from_P2",
-        "launch_from_Q1_chart", "orbits", "p2_coordinates", "parabola_point", "params",
-        "profiles", "reconstruct_profile", "region_membership", "sigma_star",
-        "ssode_residual", "stable_family_P0lambda", "validate_params", "vector_field",
-        "verify_barrier", "vertex_normal_form",
+    """Names leave or join a module's __all__ only on purpose, each resolves
+    in its module, and the package re-exports IntegrationControls alone, so
+    that every other name has one import path."""
+    for name, pinned in _PUBLIC_SURFACE.items():
+        module = importlib.import_module("ssblow." + name)
+        assert sorted(module.__all__) == pinned, name
+        assert all(hasattr(module, attr) for attr in pinned), name
+    reexported = [
+        n for n, v in vars(ssblow).items() if not n.startswith("_") and not isinstance(v, ModuleType)
     ]
+    assert reexported == ["IntegrationControls"]
+    import ssblow.integrate as integrate_module
+
+    assert isinstance(integrate_module, ModuleType)
+    assert integrate_module.__name__ == "ssblow.integrate"
 
 
 def test_cli_import_leaves_out_the_process_pool():

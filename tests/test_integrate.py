@@ -9,6 +9,7 @@ from scipy.integrate import RK45, solve_ivp
 
 from ssblow.params import beta_over_alpha, derive_exponents, validate_params
 from ssblow.field import make_rhs, vector_field, p2_coordinates
+import ssblow.integrate as integrate_module
 from ssblow.integrate import _PD, EventSpec, IntegrationControls, _dense_coeffs, integrate
 from ssblow.orbits import launch_from_P2, standard_fate_events
 
@@ -118,7 +119,7 @@ def test_a_long_run_keeps_every_2k_th_step(monkeypatch):
     """Past _MAX_SAMPLES stored samples a run keeps every 2nd, then 4th, ...
     accepted step, whatever its max_time, so its samples stay evenly spaced
     and bounded in number; the start and the end are always kept."""
-    monkeypatch.setattr(sys.modules["ssblow.integrate"], "_MAX_SAMPLES", 100)
+    monkeypatch.setattr(integrate_module, "_MAX_SAMPLES", 100)
     short = integrate(
         lambda t, y: (1.0, 0.0, 0.0), (0.0, 0.0, 0.0), [],
         IntegrationControls(max_step=0.01, max_time=0.5),
@@ -138,7 +139,7 @@ def test_a_long_run_keeps_every_2k_th_step(monkeypatch):
 def test_thinning_keeps_the_event_sample(monkeypatch, cap, n_samples):
     """The event's sample can be the one that takes a run over its cap; the
     thinning then keeps it, whether the stored count is odd or even."""
-    monkeypatch.setattr(sys.modules["ssblow.integrate"], "_MAX_SAMPLES", cap)
+    monkeypatch.setattr(integrate_module, "_MAX_SAMPLES", cap)
     traj = integrate(
         lambda t, y: (1.0, 0.0, 0.0), (0.0, 0.0, 0.0),
         [EventSpec(id="wall", guard=lambda p: 5.05 - p[0])],
@@ -171,20 +172,36 @@ def test_falling_guard_fires_at_its_root_and_not_again(v, c, max_step):
     assert again.event is None and again.termination == "max_time"
 
 
-@pytest.mark.parametrize("w", [1e-2, 1e-6])
-def test_long_step_sees_a_dip_inside_one_step(w):
-    """Under a constant field the steps grow fivefold; one step spans eta
-    1.95..9.77 and the guard is positive at both of its ends.  Only step
-    ends are stored, so the last sample before the event is a step end."""
+@pytest.mark.parametrize(
+    "w, max_step",
+    [
+        pytest.param(1e-2, math.inf, id="0.01"),
+        pytest.param(1e-6, math.inf, id="1e-06"),
+        pytest.param(1e-6, 0.1, id="1e-06-cap0.1"),
+        pytest.param(1e-6, 0.05, id="1e-06-cap0.05"),
+        pytest.param(1e-6, 0.01, id="1e-06-cap0.01"),
+    ],
+)
+def test_long_step_sees_a_dip_inside_one_step(w, max_step):
+    """Under a constant field the guard (x - 5)^2 - w is positive at every
+    step end, so only probing inside a step can see its dip.  Uncapped, the
+    steps grow fivefold and one step spans eta 1.95..9.77; under a cap of
+    0.1 or less the dip, 2e-3 wide, still falls between two step ends.
+    Only step ends are stored, so the last sample before the event is a
+    step end."""
     rhs = lambda t, y: (1.0, 0.0, 0.0)
-    ev = EventSpec(id="dip", guard=lambda p: (p[0] - 5.0) ** 2 - w)
-    controls = IntegrationControls(max_time=50.0, max_step=math.inf, sample_step=math.inf)
-    traj = integrate(rhs, (0.0, 0.0, 0.0), [ev], controls)
+    guard = lambda p: (p[0] - 5.0) ** 2 - w
+    controls = IntegrationControls(max_time=50.0, max_step=max_step, sample_step=math.inf)
+    free = integrate(rhs, (0.0, 0.0, 0.0), [], controls)
+    assert all(guard(p) > 0.0 for p in free.points)
+    traj = integrate(rhs, (0.0, 0.0, 0.0), [EventSpec(id="dip", guard=guard)], controls)
     hit = traj.event
     assert hit is not None and hit.id == "dip" and traj.termination == "event"
     assert hit.eta == pytest.approx(5.0 - math.sqrt(w), abs=1e-9)
     assert hit.point[0] == pytest.approx(5.0 - math.sqrt(w), abs=1e-9)
-    assert traj.eta[-2] < 2.0  # the dip lies inside the last step
+    assert np.array_equal(traj.eta[:-1], free.eta[: len(traj.eta) - 1])
+    if max_step == math.inf:
+        assert traj.eta[-2] < 2.0  # the dip lies inside the last step
 
 
 def test_counters_repeat_and_count_every_rhs_call():
@@ -425,7 +442,7 @@ def test_a_thinned_long_step_run_keeps_a_subset_of_the_grid(monkeypatch):
     rhs = lambda t, y: (1.0, 0.01 * (1.0 - y[1]), 0.0)
     controls = IntegrationControls(max_step=5.0, max_time=1e3)
     full = integrate(rhs, (0.0, 0.0, 0.0), [], controls)
-    monkeypatch.setattr(sys.modules["ssblow.integrate"], "_MAX_SAMPLES", 100)
+    monkeypatch.setattr(integrate_module, "_MAX_SAMPLES", 100)
     thin = integrate(rhs, (0.0, 0.0, 0.0), [], controls)
     assert len(full.eta) > 10_000 and 50 < len(thin.eta) <= 101
     assert (thin.n_steps, thin.n_rhs) == (full.n_steps, full.n_rhs)

@@ -281,18 +281,9 @@ def test_p0_orbit_enters_parabola_near_origin(params15_3):
 
 
 def test_launch_from_q1_chart_directions(params15_3):
-    assert launch_from_Q1_chart("tangent_v1", 1e-5, params15_3) == pytest.approx(
-        [1e-5, 1e-5, 0.0]
-    )
-    assert launch_from_Q1_chart("tangent_v2", 1e-5, params15_3, sign=-1) == pytest.approx(
-        [0.0, -1e-5, 0.0]
-    )
+    assert launch_from_Q1_chart(1e-5, params15_3) == pytest.approx([1e-5, 1e-5, 0.0])
     with pytest.raises(DomainError):
-        launch_from_Q1_chart("tangent_v1", 1.0, params15_3)
-    with pytest.raises(DomainError):
-        launch_from_Q1_chart("tangent_v3", 1e-5, params15_3)
-    with pytest.raises(DomainError):
-        launch_from_Q1_chart("tangent_v2", 1e-5, params15_3, sign=2)
+        launch_from_Q1_chart(1.0, params15_3)
 
 
 def test_q1_to_p2_chart_connection(params15_3):

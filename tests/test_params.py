@@ -125,6 +125,8 @@ def test_interface_xi_examples():
     assert interface_xi_of_lambda(-0.1, pr) == pytest.approx(exp.xi_max, rel=1e-12)
     assert interface_xi_of_lambda(-0.05, pr) == pytest.approx(0.5, rel=1e-12)
     assert interface_xi_of_lambda(-1e-8, pr) < 1e-6
+    # Z = -lambda (lambda + beta/alpha) underflows to 0 here: xi0 is 0, not a log error
+    assert interface_xi_of_lambda(-5e-324, pr) == 0.0
 
 
 def test_interface_xi_domain():

@@ -7,17 +7,17 @@ from hypothesis import strategies as st
 
 from ssblow.params import (
     DomainError,
+    beta_over_alpha,
     derive_exponents,
     interface_xi_of_lambda,
+    parabola_z,
     validate_params,
-    xi_of_z,
 )
 from ssblow.integrate import IntegrationControls, Trajectory
 from ssblow.orbits import run_p2_orbit
 from ssblow.profiles import (
     InconclusiveProfile,
     ProfileBracketError,
-    evaluate_solution,
     find_good_profile_P1,
     integrate_ssode,
     interface_slopes,
@@ -53,8 +53,11 @@ def test_reconstruct_round_trip(p2_orbit_15_3, params15_3):
 
 
 def test_reconstruct_z_max_maps_to_xi_max(params15_3):
+    """The vertex, at height z_max, maps to the localization bound xi_max."""
     exp = derive_exponents(params15_3)
-    assert xi_of_z(exp.z_max, params15_3) == pytest.approx(exp.xi_max, rel=1e-12)
+    vertex = -beta_over_alpha(params15_3) / 2.0
+    assert parabola_z(vertex, params15_3) == pytest.approx(exp.z_max, rel=1e-14)
+    assert interface_xi_of_lambda(vertex, params15_3) == pytest.approx(exp.xi_max, rel=1e-12)
 
 
 def test_reconstruct_explicit_point_mapping(params15_3):
@@ -328,34 +331,22 @@ def test_near_interface_pressure_scaling(p2_orbit_15_3, params15_3):
     assert coef[0] > 0.0
 
 
-def test_evaluate_solution_center_value(params15_3):
-    res = integrate_ssode("p1", params15_3, a=0.5)
-    exp = derive_exponents(params15_3)
-    for t in (0.0, 0.5, 0.9):
-        ev = evaluate_solution(res.frame, T=1.0, x=0.0, t=t, params=params15_3)
-        assert ev.u == pytest.approx(0.5 * (1.0 - t) ** -exp.alpha, rel=1e-6)
-    with pytest.raises(DomainError):
-        evaluate_solution(res.frame, T=1.0, x=0.0, t=1.0, params=params15_3)
-
-
-def test_evaluate_solution_zero_beyond_support(params15_3):
-    res = integrate_ssode("p2", params15_3)
-    ev = evaluate_solution(res.frame, T=1.0, x=100.0, t=0.0, params=params15_3)
-    assert ev.u == 0.0
-
-
-def test_evaluate_solution_tail_blowup_behavior(params15_3):
+def test_tail_blowup_behavior(params15_3):
     """A tail-type profile blows up only at space infinity: at fixed x the
-    value u(x, t) approaches K |x|^{(sigma+2)/(m-p)} as t -> T (sampled while
-    the rescaled coordinate stays inside the computed profile)."""
+    value u(x, t) = (T-t)^{-alpha} f(|x| (T-t)^{beta}) approaches
+    K |x|^{(sigma+2)/(m-p)} as t -> T (sampled while the rescaled coordinate
+    stays inside the computed profile; f is interpolated linearly)."""
     K = 0.05
     res = integrate_ssode("p0", params15_3, K=K)
+    exp = derive_exponents(params15_3)
     q = p0_behavior_exponent(params15_3)
-    x = 1.0
+    x, T = 1.0, 1.0
     target = K * x**q
     errs = []
     for t in (0.9, 0.97, 0.99):
-        u = evaluate_solution(res.frame, T=1.0, x=x, t=t, params=params15_3).u
+        xi = abs(x) * (T - t) ** exp.beta
+        assert res.frame.xi[0] < xi < res.frame.xi[-1]
+        u = (T - t) ** (-exp.alpha) * float(np.interp(xi, res.frame.xi, res.frame.f))
         errs.append(abs(u - target) / target)
     assert errs[0] > errs[1] > errs[2]
     assert errs[-1] < 0.1
