@@ -87,9 +87,11 @@ def main(argv=None) -> int:
     ppath = outdir / "profile_sigma3.csv"
     io_mod.write_profile_csv(ppath, frame)
     exp = derive_exponents(pr)
+    # the orbit ends where its entry is certified, just short of the
+    # interface, which lambda_hat locates
     print(
-        "profile: %d samples, interface at %.6f (bound %.6f) -> %s"
-        % (len(frame), frame.xi[-1], exp.xi_max, ppath)
+        "profile: %d samples up to xi = %.6f, interface at %.6f (bound %.6f) -> %s"
+        % (len(frame), frame.xi[-1], interface_xi_of_lambda(fate.lambda_hat, pr), exp.xi_max, ppath)
     )
     return 0
 

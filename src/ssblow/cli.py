@@ -175,9 +175,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_controls(p)
     p.add_argument("--source", choices=("p2", "p0", "q1"), default="p2")
-    p.add_argument("--delta", type=float, default=1e-6, help="launch offset")
-    p.add_argument("--K", type=float, default=0.1, help="center-family parameter (p0)")
-    p.add_argument("--z0", type=float, default=1e-5, help="launch height z0 (p0) or chart z (q1)")
+    # the launch flags default to None, so that a flag the source does not
+    # use can be refused; _cmd_classify resolves the defaults
+    p.add_argument("--delta", type=float, default=None, help="launch offset (p2, q1; default 1e-6)")
+    p.add_argument("--K", type=float, default=None, help="center-family parameter (p0; default 0.1)")
+    p.add_argument(
+        "--z0", type=float, default=None,
+        help="launch height z0 (p0) or chart z (q1); default 1e-5",
+    )
     p.add_argument("--out", type=str, default=None, help="trajectory CSV path")
 
     # sigma-star and sweep keep only fates, so they run under the fate-only
@@ -199,8 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="bisect f(0) between differing fates (origin p1)",
     )
     p.add_argument("--a-tol", dest="a_tol", type=float, default=None)
-    p.add_argument("--K", type=float, default=0.05, help="tail coefficient for origin p0")
-    p.add_argument("--xi-start", dest="xi_start", type=float, default=1e-4)
+    p.add_argument("--K", type=float, default=None, help="tail coefficient for origin p0 (default 0.05)")
+    p.add_argument(
+        "--xi-start", dest="xi_start", type=float, default=None,
+        help="start of the direct integration (default 1e-4; not with --via phase)",
+    )
     p.add_argument("--via", choices=("ode", "phase"), default="ode",
                    help="direct profile-equation integration, or phase-space reconstruction"
                    " (origin p2 only)")
@@ -265,21 +273,34 @@ def _fate_payload(fate) -> dict:
     }
 
 
+# the launch flags each classify source uses, and their defaults
+_LAUNCH_FLAGS = {"p2": ("delta",), "p0": ("K", "z0"), "q1": ("delta", "z0")}
+_LAUNCH_DEFAULTS = {"delta": 1e-6, "K": 0.1, "z0": 1e-5}
+
+
 def _cmd_classify(args) -> tuple[int, dict]:
     pr = _validated(args)
+    used = _LAUNCH_FLAGS[args.source]
+    launch = {}
+    for name, default in _LAUNCH_DEFAULTS.items():
+        value = getattr(args, name)
+        if name in used:
+            launch[name] = default if value is None else value
+        elif value is not None:
+            sources = [s for s, names in _LAUNCH_FLAGS.items() if name in names]
+            raise ParameterError("--%s needs --source %s" % (name, " or ".join(sources)))
     controls = _controls_from(args)
     config = {
-        "m": pr.m, "sigma": pr.sigma, "source": args.source,
-        "delta": args.delta, "K": args.K, "z0": args.z0, **_controls_config(controls),
+        "m": pr.m, "sigma": pr.sigma, "source": args.source, **launch, **_controls_config(controls),
     }
     report = _report_skeleton("classify", config)
     if args.source == "p2":
-        traj, fate = run_p2_orbit(pr, controls, delta=args.delta)
+        traj, fate = run_p2_orbit(pr, controls, delta=launch["delta"])
     elif args.source == "p0":
-        traj, fate = run_p0_orbit(args.K, args.z0, pr, controls)
+        traj, fate = run_p0_orbit(launch["K"], launch["z0"], pr, controls)
     else:
         chart_traj, traj, fate = run_q1_orbit(
-            pr, delta=args.delta, z0=args.z0, controls=controls
+            pr, delta=launch["delta"], z0=launch["z0"], controls=controls
         )
         if traj is None:
             traj = chart_traj
@@ -333,12 +354,22 @@ def _cmd_profile(args) -> tuple[int, dict]:
         raise ParameterError("--a and --a-bracket exclude each other")
     if args.a_tol is not None and args.a_bracket is None:
         raise ParameterError("--a-tol needs --a-bracket")
+    if args.K is not None and args.origin != "p0":
+        raise ParameterError("--K needs --origin p0")
+    if args.xi_start is not None and args.via == "phase":
+        raise ParameterError("--xi-start needs --via ode")
     controls = _controls_from(args)
-    config = {
-        "m": pr.m, "sigma": pr.sigma, "origin": args.origin, "via": args.via,
-        "a": args.a, "a_bracket": args.a_bracket, "K": args.K, "xi_start": args.xi_start,
-        **_controls_config(controls),
-    }
+    config = {"m": pr.m, "sigma": pr.sigma, "origin": args.origin, "via": args.via}
+    if args.a_bracket is not None:
+        a_tol = args.a_tol if args.a_tol is not None else 1e-3 * (args.a_bracket[1] - args.a_bracket[0])
+        config.update(a_bracket=args.a_bracket, a_tol=a_tol)
+    elif args.origin == "p1":
+        config["a"] = args.a
+    if args.origin == "p0":
+        config["K"] = 0.05 if args.K is None else args.K
+    if args.via == "ode":
+        config["xi_start"] = 1e-4 if args.xi_start is None else args.xi_start
+    config.update(_controls_config(controls))
     report = _report_skeleton("profile", config)
     warnings = report["warnings"]
 
@@ -353,8 +384,9 @@ def _cmd_profile(args) -> tuple[int, dict]:
             report["results"] = results
             return EXIT_INCONCLUSIVE, report
     elif args.a_bracket is not None:
-        tol = args.a_tol if args.a_tol is not None else 1e-3 * (args.a_bracket[1] - args.a_bracket[0])
-        a_star, res = find_good_profile_P1(pr, tuple(args.a_bracket), tol, controls, xi_start=args.xi_start)
+        a_star, res = find_good_profile_P1(
+            pr, tuple(args.a_bracket), config["a_tol"], controls, xi_start=config["xi_start"]
+        )
         frame = res.frame
         results = {
             "a_star": a_star, "fate": res.fate, "xi0": res.xi0, "g_slope": res.g_slope,
@@ -362,7 +394,7 @@ def _cmd_profile(args) -> tuple[int, dict]:
         }
     else:
         res = integrate_ssode(
-            args.origin, pr, controls, a=args.a, K=args.K, xi_start=args.xi_start
+            args.origin, pr, controls, a=args.a, K=config.get("K"), xi_start=config["xi_start"]
         )
         frame = res.frame
         results = {"fate": res.fate, "xi0": res.xi0, "g_slope": res.g_slope, "n_samples": len(frame)}

@@ -10,8 +10,8 @@ Z = (m/alpha^2) xi^{sigma-2}.  The system is
 with a full parabola of equilibria {X=0, Z=-Y^2-(beta/alpha)Y} plus the
 isolated point P2, and five directions at infinity Q1..Q5.  This module
 provides the field, its Jacobian, the critical-point catalog with
-eigenstructure, the chart at Q1, and the explicit local manifold families
-used to launch and classify orbits.
+eigenstructure, the chart at Q1, the center-manifold family along which
+orbits are launched out of P0, and the normal form at the parabola vertex.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ __all__ = [
     "phase_from_chart",
     "p2_chart_coordinates",
     "center_family_P0",
-    "stable_family_exponent",
-    "stable_family_P0lambda",
     "VertexNormalForm",
     "vertex_normal_form_coeffs",
     "vertex_normal_form",
@@ -319,35 +317,6 @@ def center_family_P0(K: float, z: float, params: Params) -> float:
         raise DomainError("K must be nonnegative")
     alpha = derive_exponents(params).alpha
     return K * math.sqrt(z) - (params.m - 1.0) * alpha * z
-
-
-def stable_family_exponent(lam: float, params: Params) -> float:
-    """Exponent -2/(m-1) - 2/((sigma+2) lambda) of the incoming family at P0^lambda."""
-    return -2.0 / (params.m - 1.0) - 2.0 / ((params.sigma + 2.0) * lam)
-
-
-def stable_family_P0lambda(K1: float, x: float, lam: float, params: Params) -> float:
-    """Y1 value of the one-parameter family of orbits entering P0^lambda.
-
-    Y1 = K1 x^q - c x in translated coordinates, with q > 0 exactly on the
-    upper parabola half lambda in (-beta/(2 alpha), 0); outside that range the
-    family degenerates and a DomainError is raised.  The linear coefficient c
-    has a pole where (sigma+2)(m+1) lambda + 2(m-1) = 0, also rejected.
-    """
-    m, sigma = params.m, params.sigma
-    boa = beta_over_alpha(params)
-    if not -boa / 2.0 < lam < 0.0:
-        raise DomainError("lambda must lie in (-beta/(2 alpha), 0)")
-    if x <= 0.0:
-        raise DomainError("x must be positive")
-    q = stable_family_exponent(lam, params)
-    if q <= 0.0:
-        raise DomainError("family exponent is nonpositive at lambda=%.17g" % lam)
-    den = (m - 1.0) * ((sigma + 2.0) * (m + 1.0) * lam + 2.0 * (m - 1.0))
-    if den == 0.0:
-        raise DomainError("linear coefficient denominator vanishes at lambda=%.17g" % lam)
-    num = (sigma + 2.0) * (m - sigma + 1.0) * lam - (3.0 * sigma - 2.0) * (m - 1.0)
-    return K1 * x**q - (num / den) * x
 
 
 # ---------------------------------------------------------------------------

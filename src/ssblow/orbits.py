@@ -4,9 +4,15 @@ Launches come out of P2 (along its unstable eigenvector), out of P0 (on the
 center-manifold family), and out of Q1 in the chart at infinity.  A standard
 set of terminal events operationalizes the two possible fates of an orbit:
 
-* entry into a parabola point P0^lambda, detected by a stagnation event
-  (field norm below 1e-11 within 1e-4 of the critical parabola) -- entry is
-  an infinite-time limit, so stagnation is the practical certificate;
+* entry into a parabola point P0^lambda, an infinite-time limit.  On the
+  upper half of the parabola, outside a band round the vertex, both normal
+  directions attract, and the run ends where the orbit enters a computed
+  trapping tube round the parabola (see _tube_at): from there on it is
+  certified to converge, and lambda_hat is the projection of that state
+  along the stable fibres, to within 1e-10.  On the lower half, in the
+  vertex band and wherever the tube does not apply, the certificate is
+  still stagnation: a field norm below 1e-11 within 1e-4 of the parabola,
+  with lambda_hat the state's Y;
 * escape to the sign-change attractor Q3 at infinity, certified either by a
   downward crossing of the midplane {Y = -beta/(2 alpha)} with Z above the
   vertex height (Z is non-decreasing, so the orbit can never return to the
@@ -93,6 +99,8 @@ _PARABOLA_DIST_TOL = 1e-4
 _VERTEX_TOL = 5e-3
 _Y_FLOOR = -1e3
 _X_AWAY_TOL = 1e-8
+# the trapping tube bounds the truncation error of its lambda_hat by this
+_PROJECTION_TOL = 1e-10
 
 # the controls of every chart run out of Q1 (see run_q1_orbit)
 _CHART_CONTROLS = IntegrationControls(max_time=100.0, max_step=0.01)
@@ -188,26 +196,127 @@ def parabola_entry_distance(pt, params: Params) -> float:
     return math.sqrt(x * x + dy * dy + dz * dz)
 
 
+def _tube_at(lam: float, m1: float, s2: float, boa: float):
+    """The trapping tube round the upper-half parabola point P0^lam.
+
+    Coordinates: X, W = Y - lam and s = 2 lam + beta/alpha, where lam is
+    the upper root of Z = -lam (lam + beta/alpha).  In them the field is
+
+        X' = X (m1 (lam + W) - 2 X)
+        W' = -s W - W^2 + X (kap - W)
+        s' = -sig X,   sig = 2 (sigma - 2) Z / s,   kap = 1 - lam + sig / 2,
+
+    with m1 = m - 1.  In {X = 0}, Z is constant and W falls to 0 (from
+    W > -s), so the limit lambda of an orbit is a first integral that
+    equals lam there.  Its expansion lam + c10 X + c11 X W + c20 X^2 solves
+    the invariance equation to second order (c10 X is the projection along
+    the eigenvectors of the Jacobian, whose normal eigenvalues are m1 lam
+    and -s), and the rate of change of the truncated sum along the flow is
+    exactly X (r20 X^2 + r11 X W + r02 W^2).  The truncated sum equals the
+    limit lambda at the limit point, so its error at a state is the
+    integral of that rate over the rest of the orbit.
+
+    The tube is |X| <= rho, |W| <= a rho with a = 2 kap / s, and rho is the
+    largest radius that meets three bounds:
+      * trapping: on |W| = a rho the field points inward when
+        rho (kap + a rho) <= a rho (s - a rho), i.e. rho <= kap / (a (1 + a));
+      * decay: |X| falls at a rate of at least k = m1 |lam| / 2 when
+        (m1 a + 2) rho <= k;
+      * accuracy: the error integral is at most
+        rho^3 (|r20| / 3 + |r11| a / 2 + |r02| a^2) / k <= _PROJECTION_TOL.
+    Along the rest of the orbit s falls by at most sig rho / k, so lam
+    falls by half that while sig stays below twice its value here; the
+    returned drift = sig rho / k allows for that.
+
+    Returns (rho, a, drift, c10, c11, c20).
+    """
+    s = 2.0 * lam + boa
+    mu = m1 * lam
+    sig = s2 * (boa * boa - s * s) / (2.0 * s)
+    kap = 1.0 - lam + 0.5 * sig
+    # d/ds of sig and kap, and of the coefficients below (d lam / ds = 1/2)
+    dsig = -0.5 * s2 * (boa * boa / (s * s) + 1.0)
+    dkap = 0.5 * (dsig - 1.0)
+    c10 = -s2 * (lam + boa) / (m1 * s)
+    dc10 = 0.5 * s2 * boa / (m1 * s * s)
+    ddc10 = -s2 * boa / (m1 * s * s * s)
+    den = s - mu
+    c11 = m1 * c10 / den
+    dc11 = m1 * (dc10 * den - c10 * (1.0 - 0.5 * m1)) / (den * den)
+    num = 2.0 * c10 - kap * c11 + sig * dc10
+    dnum = 2.0 * dc10 - dkap * c11 - kap * dc11 + dsig * dc10 + sig * ddc10
+    c20 = num / (2.0 * mu)
+    dc20 = (dnum - m1 * c20) / (2.0 * mu)
+    r20 = -4.0 * c20 - sig * dc20
+    r11 = 2.0 * m1 * c20 - 3.0 * c11 - sig * dc11
+    r02 = (m1 - 1.0) * c11
+    a = 2.0 * kap / s
+    k = -0.5 * mu
+    err = abs(r20) / 3.0 + abs(r11) * a / 2.0 + abs(r02) * a * a
+    rho = min(kap / (a * (1.0 + a)), k / (m1 * a + 2.0), (_PROJECTION_TOL * k / err) ** (1.0 / 3.0))
+    return rho, a, sig * rho / k, c10, c11, c20
+
+
+def _entry_tube(params: Params):
+    """tube(x, y, z) -> (max(|X| / rho, |W| / (a rho)) - 1, lambda_hat), or
+    None where the tube does not apply: Y or the upper root lam of Z in the
+    vertex band or below, or Z outside (0, z_max).
+
+    The value is at most 0 exactly inside the tube.  rho is the smaller of
+    the radii at lam and at the lowest lambda the orbit can drift to, which
+    bounds it over that short interval where the coefficients change
+    monotonically, and the tube does not apply when the drift could reach
+    the vertex.
+    """
+    m1 = params.m - 1.0
+    s2 = params.sigma - 2.0
+    boa = beta_over_alpha(params)
+    edge = -0.5 * boa + _VERTEX_TOL
+    z_max = 0.25 * boa * boa
+
+    def tube(x, y, z):
+        if not (edge < y and 0.0 < z < z_max):
+            return None
+        lam = 0.5 * (math.sqrt(boa * boa - 4.0 * z) - boa)
+        if not edge < lam:
+            return None
+        rho, a, drift, c10, c11, c20 = _tube_at(lam, m1, s2, boa)
+        low = lam - drift
+        if not 2.0 * low + boa > 0.0:
+            return None
+        rho = min(rho, _tube_at(low, m1, s2, boa)[0])
+        w = y - lam
+        return max(abs(x), abs(w) / a) / rho - 1.0, lam + x * (c10 + c11 * w + c20 * x)
+
+    return tube
+
+
 def standard_fate_events(params: Params) -> list[EventSpec]:
     """The event set used for all fate classifications.
 
-    Order matters for tie-breaking: stagnation, midplane, Y-floor.
+    Order matters for tie-breaking: parabola entry, midplane, Y-floor.
 
-    The eta of a stagnation event (the fate's final_eta, the last row of a
-    classify CSV) is ill-conditioned: near the parabola the guard falls by
-    only about 2e-14 per unit eta, so the located eta can move by 1e-5
-    under a change that moves the state by 1e-16.  Only the event's state,
-    and hence lambda_hat, is accurate.
+    The parabola-entry guard is one guard for both certificates.  Away from
+    the parabola (distance above 1e-4) it is that distance less 1e-4 and
+    costs no field call.  Nearer, on the upper half outside the vertex band,
+    it is the tube value of _entry_tube, which falls through zero at the
+    rate the orbit approaches the parabola, so the event's eta is
+    well-conditioned: it moves by about as much as the state does, divided
+    by that rate.  Elsewhere it is the stagnation test, max(field norm
+    less 1e-11, distance less 1e-4).  The eta of a stagnation event is
+    ill-conditioned: near the parabola that guard falls by only about
+    2e-14 per unit eta, so the located eta can move by 1e-5 under a change
+    that moves the state by 1e-16.  Only the state of such an event, and
+    hence lambda_hat, is accurate.
     """
     rhs = make_rhs(params)
     boa = beta_over_alpha(params)
     lo, hi = lambda_range(params)
     ftol = _STAGNATION_FIELD_TOL
     dtol = _PARABOLA_DIST_TOL
+    tube = _entry_tube(params)
 
-    def stagnation_guard(p):
-        # the sign is that of max(fnorm - ftol, dist - dtol); away from the
-        # parabola the distance alone decides it and the field is not needed
+    def entry_guard(p):
         x, y, z = p
         lam = min(max(y, lo), hi)
         dz = z + lam * (lam + boa)
@@ -215,19 +324,26 @@ def standard_fate_events(params: Params) -> list[EventSpec]:
         dist = math.sqrt(x * x + dy * dy + dz * dz)
         if dist - dtol > 0.0:
             return dist - dtol
+        inside = tube(x, y, z)
+        if inside is not None:
+            return inside[0]
         f = rhs(0.0, p)
         fnorm = math.sqrt(f[0] * f[0] + f[1] * f[1] + f[2] * f[2])
         return max(fnorm - ftol, dist - dtol)
 
     return [
-        EventSpec(id="stagnation", guard=stagnation_guard),
+        EventSpec(id="parabola_entry", guard=entry_guard),
         EventSpec(id="midplane", guard=lambda p: p[1] + boa / 2.0),
         EventSpec(id="y_floor", guard=lambda p: p[1] - _Y_FLOOR),
     ]
 
 
 def classify_fate(traj: Trajectory, params: Params) -> OrbitFate:
-    """Deterministic fate from a trajectory run with the standard event set."""
+    """Deterministic fate from a trajectory run with the standard event set.
+
+    diagnostics["events"] names the event that ended the run, and for a
+    parabola entry the certificate that fired: "tube" or "stagnation".
+    """
     exp = derive_exponents(params)
     boa = beta_over_alpha(params)
     hit = traj.event
@@ -243,12 +359,23 @@ def classify_fate(traj: Trajectory, params: Params) -> OrbitFate:
         diagnostics["final_point"] = traj.final_point
         return OrbitFate(FateKind.INCONCLUSIVE, None, None, diagnostics)
     pt = hit.point
-    if hit.id == "stagnation":
-        lam_hat = float(pt[1])
-        dist = parabola_entry_distance(pt, params)
-        if dist > 2.0 * _PARABOLA_DIST_TOL or pt[0] >= _PARABOLA_DIST_TOL:
-            diagnostics["reason"] = "stagnation fired away from the parabola"
-            return OrbitFate(FateKind.INCONCLUSIVE, None, pt, diagnostics)
+    if hit.id == "parabola_entry":
+        inside = _entry_tube(params)(*pt)
+        if inside is not None:
+            diagnostics["events"] = [("tube", hit.eta)]
+            # the event is located to 1e-12 in eta, where the value falls
+            # at the approach rate, which is below 1
+            if inside[0] > 1e-9:
+                diagnostics["reason"] = "tube event fired outside the tube"
+                return OrbitFate(FateKind.INCONCLUSIVE, None, pt, diagnostics)
+            lam_hat = float(inside[1])
+        else:
+            diagnostics["events"] = [("stagnation", hit.eta)]
+            lam_hat = float(pt[1])
+            dist = parabola_entry_distance(pt, params)
+            if dist > 2.0 * _PARABOLA_DIST_TOL or pt[0] >= _PARABOLA_DIST_TOL:
+                diagnostics["reason"] = "stagnation fired away from the parabola"
+                return OrbitFate(FateKind.INCONCLUSIVE, None, pt, diagnostics)
         kind = (
             FateKind.ENTERS_VERTEX
             if abs(lam_hat + boa / 2.0) < _VERTEX_TOL

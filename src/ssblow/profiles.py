@@ -128,8 +128,11 @@ def reconstruct_profile(traj: Trajectory, params: Params) -> ProfileFrame:
 def ssode_residual(frame: ProfileFrame, params: Params) -> float:
     """Max normalized residual of the profile equation on the sample grid.
 
-    (f^m)'' is approximated by second-order finite differences on the
-    nonuniform grid; f' uses the sampled derivative.  Normalization is
+    (f^m)'' is the derivative of the sampled flux (f^m)' = m f^(m-1) f',
+    taken by the three-point formula, which is second order on any grid:
+    the three-point second difference of f^m is only first order where
+    neighbouring spacings differ, as at an event sample off the sample
+    grid.  f' is the sampled derivative.  Normalization is
     max(1, max |alpha f|).
     """
     if len(frame) < 5:
@@ -139,13 +142,15 @@ def ssode_residual(frame: ProfileFrame, params: Params) -> float:
     m = params.m
     exp = derive_exponents(params)
     xi, f, df = frame.xi, frame.f, frame.df
-    u = f**m
+    flux = m * f ** (m - 1.0) * df
     h1 = xi[1:-1] - xi[:-2]
     h2 = xi[2:] - xi[1:-1]
-    d2u = 2.0 * (h1 * u[2:] - (h1 + h2) * u[1:-1] + h2 * u[:-2]) / (h1 * h2 * (h1 + h2))
+    dflux = (
+        h1 * h1 * flux[2:] + (h2 * h2 - h1 * h1) * flux[1:-1] - h2 * h2 * flux[:-2]
+    ) / (h1 * h2 * (h1 + h2))
     mid = slice(1, -1)
     res = (
-        d2u
+        dflux
         - exp.alpha * f[mid]
         + exp.beta * xi[mid] * df[mid]
         + xi[mid] ** params.sigma * f[mid] ** (2.0 - m)

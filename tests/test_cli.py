@@ -258,15 +258,20 @@ def test_profile_p0(capsys):
         ("p0", ["--a", "0.5"], "--a needs"),
         ("p1", ["--a", "0.5", "--a-bracket", "1e-13", "1e-10"], "--a and --a-bracket"),
         ("p1", ["--a", "0.5", "--a-tol", "1e-3"], "--a-tol"),
+        ("p2", ["--K", "3"], "--K needs"),
+        ("p1", ["--a", "1e-13", "--K", "3"], "--K needs"),
+        ("p2", ["--via", "phase", "--xi-start", "0.01"], "--xi-start"),
     ],
     ids=[
         "p1-via", "p0-via", "p2-a-bracket", "p0-a-bracket",
         "p2-a", "p0-a", "p1-a-with-a-bracket", "p1-a-tol-without-a-bracket",
+        "p2-K", "p1-K", "phase-xi-start",
     ],
 )
 def test_profile_rejects_a_flag_its_origin_would_ignore(origin, flags, named, capsys):
     """--via phase is for origin p2, --a and --a-bracket for origin p1 only,
-    --a and --a-bracket exclude each other, and --a-tol needs --a-bracket."""
+    --a and --a-bracket exclude each other, --a-tol needs --a-bracket, --K
+    is for origin p0 only and --xi-start for the direct integration only."""
     code, out, err = run_cli(
         capsys, "profile", "--m", "1.5", "--sigma", "3", "--origin", origin, *flags,
         "--format", "json",
@@ -274,6 +279,68 @@ def test_profile_rejects_a_flag_its_origin_would_ignore(origin, flags, named, ca
     assert code == 2
     assert named in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "source, flag, named",
+    [
+        ("p2", ["--K", "3"], "--K needs --source p0"),
+        ("p2", ["--z0", "1e-7"], "--z0 needs --source p0 or q1"),
+        ("p0", ["--delta", "1e-6"], "--delta needs --source p2 or q1"),
+        ("q1", ["--K", "0.3"], "--K needs --source p0"),
+    ],
+    ids=["p2-K", "p2-z0", "p0-delta", "q1-K"],
+)
+def test_classify_rejects_a_launch_flag_its_source_would_ignore(source, flag, named, capsys):
+    """p2 launches with --delta, p0 with --K and --z0, q1 with --delta and
+    --z0; any other launch flag ends in exit 2, even at its default value."""
+    code, out, err = run_cli(
+        capsys, "classify", "--m", "1.5", "--sigma", "3", "--source", source, *flag,
+        "--format", "json",
+    )
+    assert code == 2
+    assert named in err
+    assert out == ""
+
+
+def test_config_block_holds_only_the_values_used(tmp_path, capsys):
+    """The config block of classify and profile names the launch and start
+    values the run used, defaults included, and no others; a config-file
+    value that the run would ignore is refused like the flag."""
+    expected = {
+        ("classify", "p2"): {"delta": 1e-6},
+        ("classify", "p0"): {"K": 0.1, "z0": 1e-5},
+        ("classify", "q1"): {"delta": 1e-6, "z0": 1e-5},
+    }
+    for (cmd, source), used in expected.items():
+        code, out, _ = run_cli(
+            capsys, cmd, "--m", "1.5", "--sigma", "3", "--source", source,
+            "--max-time", "1", "--format", "json",
+        )
+        assert code in (0, 3)
+        config = json.loads(out)["config"]
+        assert {k: config[k] for k in ("delta", "K", "z0") if k in config} == used, source
+    profiles = {
+        ("p2", "ode"): {"xi_start": 1e-4},
+        ("p2", "phase"): {},
+        ("p0", "ode"): {"K": 0.05, "xi_start": 1e-4},
+        ("p1", "ode"): {"a": 1e-13, "xi_start": 1e-4},
+    }
+    for (origin, via), used in profiles.items():
+        extra = ["--a", "1e-13"] if origin == "p1" else []
+        code, out, _ = run_cli(
+            capsys, "profile", "--m", "1.5", "--sigma", "3", "--origin", origin, "--via", via,
+            *extra, "--format", "json",
+        )
+        assert code == 0, origin
+        config = json.loads(out)["config"]
+        keys = ("a", "a_bracket", "a_tol", "K", "xi_start")
+        assert {k: config[k] for k in keys if k in config} == used, (origin, via)
+    cfg = tmp_path / "k.cfg"
+    cfg.write_text("K=0.1\n")
+    code, _, err = run_cli(capsys, "classify", "--m", "1.5", "--sigma", "3", "--config", str(cfg))
+    assert code == 2
+    assert "--K needs" in err
 
 
 def test_profile_p1_bisection(capsys):
@@ -661,7 +728,7 @@ _PUBLIC_SURFACE = {
         "classify_critical_points", "eigen_data", "infinity_chart_field",
         "infinity_chart_jacobian", "jacobian", "make_chart_rhs", "make_rhs",
         "p2_chart_coordinates", "p2_unstable_eigenvalue", "p2_unstable_eigenvector",
-        "phase_from_chart", "stable_family_P0lambda", "stable_family_exponent", "vector_field",
+        "phase_from_chart", "vector_field",
         "vertex_center_slope", "vertex_normal_form", "vertex_normal_form_coeffs",
     ],
     "integrate": ["EventHit", "EventSpec", "IntegrationControls", "Trajectory", "integrate"],

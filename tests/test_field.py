@@ -23,8 +23,6 @@ from ssblow.field import (
     p2_unstable_eigenvalue,
     p2_unstable_eigenvector,
     phase_from_chart,
-    stable_family_P0lambda,
-    stable_family_exponent,
     vector_field,
     vertex_center_slope,
     vertex_normal_form,
@@ -225,34 +223,6 @@ def test_center_family_values(params15_3):
     assert errs[2] < 1e-5
     with pytest.raises(DomainError):
         center_family_P0(-1.0, 1e-6, params15_3)
-
-
-def test_stable_family_exponent_and_boundary(params15_3):
-    assert stable_family_exponent(-0.05, params15_3) == pytest.approx(4.0, rel=1e-13)
-    lo, _ = lambda_range(params15_3)
-    assert stable_family_exponent(lo / 2.0, params15_3) == pytest.approx(0.0, abs=1e-13)
-    with pytest.raises(DomainError):
-        stable_family_P0lambda(1.0, 0.01, lo / 2.0, params15_3)
-
-
-def test_stable_family_linear_branch(params15_3):
-    lam = -0.05
-    # K1 = 0 leaves the closed-form linear slope
-    slope = stable_family_P0lambda(0.0, 1.0, lam, params15_3)
-    half = stable_family_P0lambda(0.0, 0.5, lam, params15_3)
-    assert half == pytest.approx(slope * 0.5, rel=1e-12)
-    assert slope == pytest.approx(18.0, rel=1e-12)
-    # pole of the linear coefficient is rejected
-    m, sigma = params15_3.m, params15_3.sigma
-    lam_pole = -2.0 * (m - 1.0) / ((sigma + 2.0) * (m + 1.0))
-    with pytest.raises(DomainError):
-        stable_family_P0lambda(1.0, 0.01, lam_pole, params15_3)
-
-
-def test_stable_family_combines_power_and_linear_terms(params15_3):
-    lam = -0.05
-    y1 = stable_family_P0lambda(2.0, 0.1, lam, params15_3)
-    assert y1 == pytest.approx(2.0 * 0.1**4.0 + 18.0 * 0.1, rel=1e-12)
 
 
 def test_vertex_normal_form_coefficients(params15_3):

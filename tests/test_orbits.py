@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from ssblow.params import (
@@ -11,6 +13,7 @@ from ssblow.params import (
     derive_exponents,
     interface_xi_of_lambda,
     p2_coordinates,
+    parabola_point,
     validate_params,
 )
 from ssblow.field import make_rhs, p2_unstable_eigenvector, p2_chart_coordinates, phase_from_chart
@@ -368,3 +371,141 @@ def test_y_floor_fate(params15_3):
     # the event is located in eta, where Y moves fast: 3.5e-8 off the floor
     assert fate.entry_point[1] == pytest.approx(ssblow.orbits._Y_FLOOR, rel=1e-10)
     assert fate.entry_point[0] >= ssblow.orbits._X_AWAY_TOL
+
+
+def _tube_radius(point, params):
+    """lambda, rho and the W-scale a of the tube at a state, as the entry
+    guard computes them: rho is the smaller radius at lambda and at the
+    lowest lambda the orbit can drift to."""
+    boa = beta_over_alpha(params)
+    m1, s2 = params.m - 1.0, params.sigma - 2.0
+    lam = 0.5 * (math.sqrt(boa * boa - 4.0 * point[2]) - boa)
+    rho, a, drift, *_ = ssblow.orbits._tube_at(lam, m1, s2, boa)
+    return lam, min(rho, ssblow.orbits._tube_at(lam - drift, m1, s2, boa)[0]), a
+
+
+def test_p2_entry_ends_on_the_tube_boundary(p2_orbit_15_3, params15_3):
+    """The P2 orbit at (1.5, 3) ends where it enters the tube, on its
+    boundary max(|X| / rho, |W| / (a rho)) = 1, long before it stagnates."""
+    traj, fate = p2_orbit_15_3
+    assert traj.event.id == "parabola_entry"
+    assert fate.diagnostics["events"] == [("tube", traj.event.eta)]
+    x, y, z = traj.event.point
+    lam, rho, a = _tube_radius(traj.event.point, params15_3)
+    assert max(abs(x) / rho, abs(y - lam) / (a * rho)) == pytest.approx(1.0, abs=1e-9)
+    assert traj.event.eta < 1600.0
+
+
+@pytest.mark.parametrize("face", ["X", "W"])
+def test_state_just_outside_the_tube_is_not_certified(face, p2_orbit_15_3, params15_3):
+    """On each face of the tube at the P2 entry's lambda, a state 1e-6 of the
+    radius outside is not certified and one 1e-6 inside is."""
+    traj, _ = p2_orbit_15_3
+    z = traj.event.point[2]
+    lam, rho, a = _tube_radius(traj.event.point, params15_3)
+    guard = standard_fate_events(params15_3)[0].guard
+    for scale, certified in ((1.0 + 1e-6, False), (1.0 - 1e-6, True)):
+        x, w = (scale * rho, 0.0) if face == "X" else (0.5 * rho, scale * a * rho)
+        p = (x, lam + w, z)
+        assert parabola_entry_distance(p, params15_3) < 1e-4
+        assert (guard(p) <= 0.0) == certified
+
+
+def test_tube_event_eta_is_well_conditioned(params15_3):
+    """The tube event's eta is as well-conditioned as the orbit's own timing.
+    At rel_tol 1e-12 the P2 runs at (1.5, 3) capped at 0.1 and uncapped
+    place it within 1e-6 of each other (the stagnation event they used to
+    end at was 0.31 apart at the default tolerances).  At the default
+    tolerances the two runs already cross X = 5e-3, far from the parabola,
+    about 1.5e-6 apart in eta; the tube event adds less than 1e-6 to that."""
+    x_level = [EventSpec(id="x_level", guard=lambda p: p[0] - 5e-3)]
+
+    def etas(**tols):
+        out = []
+        for cap in (0.1, math.inf):
+            controls = IntegrationControls(max_step=cap, **tols)
+            traj, fate = run_p2_orbit(params15_3, controls)
+            assert fate.diagnostics["events"][0][0] == "tube"
+            crossing = integrate(make_rhs(params15_3), launch_from_P2(params15_3), x_level, controls)
+            out.append((traj.event.eta, crossing.event.eta))
+        return out
+
+    (tube_c, x_c), (tube_u, x_u) = etas(rel_tol=1e-12, abs_tol=1e-14)
+    assert abs(tube_c - tube_u) < 1e-6
+    (tube_c, x_c), (tube_u, x_u) = etas()
+    assert abs((tube_c - tube_u) - (x_c - x_u)) < 1e-6
+
+
+def test_p0_launch_is_not_certified_at_eta_0(params15_3):
+    """Next to the P0 end of the parabola the normal rates vanish with
+    lambda, and so does the tube: a P0 launch within 1e-4 of the parabola
+    is far outside it and fires nothing in its first 100 units of eta, and
+    the K = 0.3 orbit is certified only at the end of its approach."""
+    start = launch_from_P0(0.01, 1e-7, params15_3)
+    assert parabola_entry_distance(start, params15_3) < 1e-4
+    assert standard_fate_events(params15_3)[0].guard(start) > 1.0
+    traj = integrate(
+        make_rhs(params15_3), start, standard_fate_events(params15_3),
+        IntegrationControls(max_time=100.0),
+    )
+    assert traj.event is None and traj.termination == "max_time"
+    traj, fate = run_p0_orbit(0.3, 1e-5, params15_3)
+    assert fate.diagnostics["events"] == [("tube", traj.event.eta)]
+    assert traj.event.eta > 1000.0
+
+
+@pytest.mark.parametrize("where", ["lower_half", "vertex_band"])
+def test_entry_off_the_tube_ends_at_stagnation(where, params15_3):
+    """On the lower half and within the vertex band the entry guard is still
+    the stagnation test: a flow carrying the state straight onto such a
+    parabola point ends at a stagnation event, with lambda_hat its Y."""
+    boa = beta_over_alpha(params15_3)
+    lam, kind = {
+        "lower_half": (-0.75 * boa, FateKind.ENTERS_PARABOLA),
+        "vertex_band": (-0.5 * boa + 0.5 * ssblow.orbits._VERTEX_TOL, FateKind.ENTERS_VERTEX),
+    }[where]
+    target = parabola_point(lam, params15_3)
+    onto_target = lambda t, p: tuple(target[i] - p[i] for i in range(3))
+    traj = integrate(
+        onto_target, target + 1e-3, standard_fate_events(params15_3),
+        IntegrationControls(max_time=100.0),
+    )
+    fate = classify_fate(traj, params15_3)
+    assert fate.diagnostics["events"] == [("stagnation", traj.event.eta)]
+    assert fate.kind == kind
+    assert fate.lambda_hat == pytest.approx(lam, abs=1e-9)
+
+
+def test_p2_vertex_entry_ends_at_stagnation():
+    """Next to sigma*(1.5) the P2 orbit enters the vertex band, where the
+    certificate is still stagnation."""
+    _, fate = run_p2_orbit(validate_params(1.5, 3.2875), FATE_ONLY_CONTROLS)
+    assert fate.kind == FateKind.ENTERS_VERTEX
+    assert fate.diagnostics["events"][0][0] == "stagnation"
+
+
+@settings(max_examples=10, deadline=None)
+@given(m=st.floats(min_value=1.2, max_value=1.9), sigma=st.floats(min_value=2.5, max_value=3.2))
+def test_tube_lambda_hat_matches_a_dop853_oracle(m, sigma):
+    """Every upper-half P2 entry's lambda_hat is within 1e-9 of a DOP853 run
+    at rtol 1e-13 carried on until the field norm is below 1e-12, whose
+    limit is read off Z alone: in {X = 0}, Z is constant and the orbit
+    enters the parabola point at the upper root of Z = -lam (lam + beta/alpha)."""
+    pr = validate_params(m, sigma)
+    traj, fate = run_p2_orbit(pr, FATE_ONLY_CONTROLS)
+    if fate.diagnostics["events"] != [("tube", traj.event.eta)]:
+        return
+    rhs = make_rhs(pr)
+
+    def slow(t, p):
+        f = rhs(t, p)
+        return math.sqrt(f[0] * f[0] + f[1] * f[1] + f[2] * f[2]) - 1e-12
+
+    slow.terminal = True
+    sol = solve_ivp(
+        rhs, (0.0, 1e7), launch_from_P2(pr), method="DOP853", rtol=1e-13, atol=1e-15, events=slow
+    )
+    assert sol.status == 1
+    boa = beta_over_alpha(pr)
+    lam = 0.5 * (math.sqrt(boa * boa - 4.0 * sol.y[2, -1]) - boa)
+    assert fate.lambda_hat == pytest.approx(lam, abs=1e-9)
