@@ -99,8 +99,11 @@ _PARABOLA_DIST_TOL = 1e-4
 _VERTEX_TOL = 5e-3
 _Y_FLOOR = -1e3
 _X_AWAY_TOL = 1e-8
-# the trapping tube bounds the truncation error of its lambda_hat by this
+# the trapping tube bounds the truncation error of its lambda_hat by this;
+# its coefficients grow like 1/lambda^2 next to lambda = 0, so above
+# _TUBE_LAMBDA_TOP they could overflow, and there the stagnation test applies
 _PROJECTION_TOL = 1e-10
+_TUBE_LAMBDA_TOP = -1e-100
 
 # the controls of every chart run out of Q1 (see run_q1_orbit)
 _CHART_CONTROLS = IntegrationControls(max_time=100.0, max_step=0.01)
@@ -260,7 +263,8 @@ def _tube_at(lam: float, m1: float, s2: float, boa: float):
 def _entry_tube(params: Params):
     """tube(x, y, z) -> (max(|X| / rho, |W| / (a rho)) - 1, lambda_hat), or
     None where the tube does not apply: Y or the upper root lam of Z in the
-    vertex band or below, or Z outside (0, z_max).
+    vertex band or below, lam above _TUBE_LAMBDA_TOP, or Z outside
+    (0, z_max).
 
     The value is at most 0 exactly inside the tube.  rho is the smaller of
     the radii at lam and at the lowest lambda the orbit can drift to, which
@@ -277,8 +281,9 @@ def _entry_tube(params: Params):
     def tube(x, y, z):
         if not (edge < y and 0.0 < z < z_max):
             return None
-        lam = 0.5 * (math.sqrt(boa * boa - 4.0 * z) - boa)
-        if not edge < lam:
+        # the upper root, in the form that keeps its digits as Z -> 0
+        lam = -2.0 * z / (boa + math.sqrt(boa * boa - 4.0 * z))
+        if not edge < lam < _TUBE_LAMBDA_TOP:
             return None
         rho, a, drift, c10, c11, c20 = _tube_at(lam, m1, s2, boa)
         low = lam - drift

@@ -379,7 +379,7 @@ def _tube_radius(point, params):
     lowest lambda the orbit can drift to."""
     boa = beta_over_alpha(params)
     m1, s2 = params.m - 1.0, params.sigma - 2.0
-    lam = 0.5 * (math.sqrt(boa * boa - 4.0 * point[2]) - boa)
+    lam = -2.0 * point[2] / (boa + math.sqrt(boa * boa - 4.0 * point[2]))
     rho, a, drift, *_ = ssblow.orbits._tube_at(lam, m1, s2, boa)
     return lam, min(rho, ssblow.orbits._tube_at(lam - drift, m1, s2, boa)[0]), a
 
@@ -452,6 +452,11 @@ def test_p0_launch_is_not_certified_at_eta_0(params15_3):
     traj, fate = run_p0_orbit(0.3, 1e-5, params15_3)
     assert fate.diagnostics["events"] == [("tube", traj.event.eta)]
     assert traj.event.eta > 1000.0
+    # launches so near P0 that lambda is 1e-30 or underflows the tube's
+    # arithmetic are classified without an arithmetic error
+    for z0 in (1e-30, 1e-300):
+        _, fate = run_p0_orbit(1.0, z0, params15_3, IntegrationControls(max_time=10.0))
+        assert fate.kind == FateKind.INCONCLUSIVE
 
 
 @pytest.mark.parametrize("where", ["lower_half", "vertex_band"])
