@@ -188,7 +188,7 @@ def launch_from_Q1_chart(delta: float, params: Params) -> np.ndarray:
 def parabola_entry_distance(pt, params: Params) -> float:
     """Distance from pt to the parabola point with the same Y (clamped).
 
-    This is exactly the quantity the parabola-entry certificate bounds:
+    This is exactly the quantity the stagnation certificate bounds:
     || pt - (0, lambda_hat, Z(lambda_hat)) || with lambda_hat = clamp(Y).
     """
     x, y, z = (float(v) for v in pt)
