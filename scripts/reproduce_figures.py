@@ -24,14 +24,8 @@ import pathlib
 import sys
 
 from ssblow.params import validate_params, derive_exponents, interface_xi_of_lambda
-from ssblow.field import make_rhs
-from ssblow.integrate import IntegrationControls, integrate
-from ssblow.orbits import (
-    launch_from_P0,
-    run_p2_orbit,
-    run_q1_orbit,
-    standard_fate_events,
-)
+from ssblow.integrate import IntegrationControls
+from ssblow.orbits import run_p0_orbit, run_p2_orbit, run_q1_orbit
 from ssblow.profiles import reconstruct_profile
 from ssblow import io as io_mod
 
@@ -48,6 +42,8 @@ def main(argv=None) -> int:
     for sigma, tag in ((3.0, "3"), (3.285, "3285"), (3.4, "34")):
         pr = validate_params(args.m, sigma)
         traj, fate = run_p2_orbit(pr)
+        if tag == "3":
+            connection = traj, fate, pr  # its profile is written below
         path = outdir / ("orbit_sigma%s.csv" % tag)
         io_mod.write_trajectory_csv(path, traj)
         lam = fate.lambda_hat
@@ -60,13 +56,7 @@ def main(argv=None) -> int:
         # companion orbits below (out of P0) and above (out of Q1) the P2 orbit
         companions = []
         try:
-            start = launch_from_P0(0.3, 1e-5, pr)
-            companions.append(
-                integrate(
-                    make_rhs(pr), start, standard_fate_events(pr),
-                    IntegrationControls(max_time=3e4),
-                )
-            )
+            companions.append(run_p0_orbit(0.3, 1e-5, pr, IntegrationControls(max_time=3e4))[0])
         except Exception as exc:  # pragma: no cover - depends on parameters
             print("  P0 companion skipped: %s" % exc)
         try:
@@ -81,8 +71,7 @@ def main(argv=None) -> int:
             print("  companion %d -> %s" % (i, cpath))
 
     # physical profile of the sigma=3 connection
-    pr = validate_params(args.m, 3.0)
-    traj, fate = run_p2_orbit(pr)
+    traj, fate, pr = connection
     frame = reconstruct_profile(traj, pr)
     ppath = outdir / "profile_sigma3.csv"
     io_mod.write_profile_csv(ppath, frame)

@@ -7,6 +7,6 @@ ssblow.io, ssblow.cli); the package itself re-exports only
 IntegrationControls, which callers read as ssblow.IntegrationControls.
 """
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .integrate import IntegrationControls

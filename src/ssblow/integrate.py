@@ -11,10 +11,14 @@ zero and back inside it, so a run can leave the step to error control.
 The same extension supplies the stored samples: a step longer than the
 sample grid's spacing stores the extension's values at the grid points it
 spans, not its end, so the step is set by error control and the output
-grid by what the output needs.  The extension is
-evaluated by explicit scalar expressions, once per grid point that is
-stored; past the sample cap the points a thinned run drops are skipped
-unevaluated, so sampling costs in proportion to the samples stored.
+grid by what the output needs.  The step loop does not evaluate them: such
+a step keeps its start, length, state and extension coefficients once, its
+grid points are stored as placeholders, and after the loop (or when the
+sample cap thins the run) every placeholder still stored is evaluated in
+one numpy pass, with the scalar evaluator's operations in the same order,
+so the values are bit-identical to it.  Past the sample cap the points a
+thinned run drops are skipped unevaluated.  Runs that store step ends only
+never defer a sample and do no work for it.
 
 The right-hand side receives and returns plain float triples; keeping the
 hot loop free of array allocation is what makes long runs affordable.  The
@@ -32,6 +36,7 @@ independent oracle in the test suite.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -232,6 +237,45 @@ def _dense(theta, h, y0, q):
     )
 
 
+def _dense_rows(theta, j, rows):
+    """_dense at theta[i] on the step in row j[i] of rows, for every i in one
+    numpy pass.  A row holds one step's (t, h, y0, y1, y2) and its 12
+    _dense_coeffs.  Each column is gathered where it is used, and every
+    operation is _dense's in the same order, so the values are bit-identical
+    to it."""
+    ht = rows[j, 1] * theta
+    out = np.empty((len(j), 3))
+    for c in range(3):
+        a0, a1, a2, a3 = (rows[j, 5 + 4 * c + i] for i in range(4))
+        out[:, c] = rows[j, 2 + c] + ht * (a0 + theta * (a1 + theta * (a2 + theta * a3)))
+    return out
+
+
+_PENDING = (math.nan, math.nan, math.nan)  # a stored sample not yet evaluated
+_STEP_ROW = 17  # floats per deferred step: t, h, the state, 12 coefficients
+
+
+def _pending_values(eta, pts, steps):
+    """The positions in pts of the samples stored as _PENDING, and their
+    values.  steps holds _STEP_ROW floats per deferred step, in eta order;
+    a pending sample at eta e lies on the last step that starts at or
+    before e."""
+    idx = np.array([i for i, p in enumerate(pts) if p is _PENDING], dtype=np.intp)
+    rows = np.array(steps).reshape(-1, _STEP_ROW)
+    e = eta[idx]
+    j = np.searchsorted(rows[:, 0], e, side="right") - 1
+    return idx, _dense_rows((e - rows[j, 0]) / rows[j, 1], j, rows)
+
+
+def _resolve_pending(etas, pts, steps):
+    """Evaluate every pending sample in place and forget the deferred steps,
+    so that a thinned run keeps only the steps its stored samples need."""
+    idx, vals = _pending_values(np.array(etas), pts, steps)
+    for i, v in zip(idx.tolist(), vals.tolist()):
+        pts[i] = v
+    steps.clear()
+
+
 def _rms(v, sc):
     """Root mean square of v / sc; inf, not OverflowError, when it overflows."""
     r0, r1, r2 = (v[i] / sc[i] for i in range(3))
@@ -386,6 +430,9 @@ def integrate(
     etas = [t]
     pts = [y]
     add_eta, add_pt = etas.append, pts.append
+    steps = []  # the deferred steps whose grid points pts holds as _PENDING
+    add_step = steps.extend
+    pending = _PENDING
     t_rec = t  # eta of the last stored sample
     hit: EventHit | None = None
     termination = "max_time"
@@ -527,12 +574,14 @@ def integrate(
             elif g_new < -_ARM_TOL:
                 st.armed = False
         # samples: the grid points a long step spans up to its end or its
-        # event, or else the end of a short step; every stride-th is stored,
-        # and only a stored grid point is evaluated
+        # event, or else the end of a short step; every stride-th is stored.
+        # A stored grid point is a placeholder, evaluated from the step's
+        # record (kept once per step) after the loop or at a thinning
         if h > ds:
             if q is None:
                 q = _dense_coeffs(k1, k3, k4, k5, k6, k7)
             t_last = t_new if first is None else first[0]
+            kept = False
             # the multiples k * ds in [t, t_last)
             k = math.floor(t / ds)
             while k * ds < t:
@@ -542,8 +591,12 @@ def integrate(
                 since_record += 1
                 if since_record >= stride:
                     if e > t_rec:
+                        if not kept:
+                            add_step((t, h, y0, y1, y2))
+                            add_step(q)
+                            kept = True
                         add_eta(e)
-                        add_pt(_dense((e - t) / h, h, y, q))
+                        add_pt(pending)
                         t_rec = e
                         if len(etas) > cap:
                             # keep every other sample, the start among them,
@@ -551,6 +604,8 @@ def integrate(
                             del etas[1::2], pts[1::2]
                             stride *= 2
                             t_rec = etas[-1]
+                            _resolve_pending(etas, pts, steps)
+                            kept = False
                     since_record = 0
                 k += 1
                 e = k * ds
@@ -565,6 +620,8 @@ def integrate(
                         del etas[1::2], pts[1::2]
                         stride *= 2
                         t_rec = etas[-1]
+                        if steps:
+                            _resolve_pending(etas, pts, steps)
                 since_record = 0
         if first is not None:
             t_star, y_star, spec = first
@@ -586,9 +643,14 @@ def integrate(
             h *= w if w < 5.0 else 5.0
 
     record(t, y)
+    eta = np.array(etas)
+    points = np.fromiter(itertools.chain.from_iterable(pts), float, 3 * len(pts)).reshape(-1, 3)
+    if steps:
+        idx, vals = _pending_values(eta, pts, steps)
+        points[idx] = vals
     return Trajectory(
-        eta=np.array(etas),
-        points=np.array(pts),
+        eta=eta,
+        points=points,
         event=hit,
         termination=termination,
         n_steps=n_steps,

@@ -36,11 +36,12 @@ def _write_rows(path, header, rows):
 
 
 def _write_columns(path, header, columns):
-    """One row per index of the float columns, each written with %.17g."""
-    rows = np.column_stack(columns).tolist()
+    """One row per index of the float columns, each written with %.17g.
+    The whole block is rendered by one % operation on the repeated row."""
+    values = np.column_stack(columns)
     line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n" + "".join(line % tuple(r) for r in rows))
+        fh.write(",".join(header) + "\n" + (line * len(values)) % tuple(values.ravel().tolist()))
 
 
 def _read_columns(path, header, kind):

@@ -10,7 +10,15 @@ from scipy.integrate import RK45, solve_ivp
 from ssblow.params import beta_over_alpha, derive_exponents, validate_params
 from ssblow.field import make_rhs, vector_field, p2_coordinates
 import ssblow.integrate as integrate_module
-from ssblow.integrate import _PD, EventSpec, IntegrationControls, _dense_coeffs, integrate
+from ssblow.integrate import (
+    _PD,
+    EventSpec,
+    IntegrationControls,
+    _dense,
+    _dense_coeffs,
+    _dense_rows,
+    integrate,
+)
 from ssblow.orbits import launch_from_P2, standard_fate_events
 
 
@@ -455,3 +463,108 @@ def test_a_thinned_long_step_run_keeps_a_subset_of_the_grid(monkeypatch):
     gaps = np.diff(thin.eta[inner])
     k = round(math.log2(gaps[0] / 0.1))
     assert k > 0 and np.allclose(gaps, 0.1 * 2**k)
+
+
+_steps = st.lists(
+    st.tuples(
+        st.floats(min_value=1e-14, max_value=1e6),
+        st.lists(st.floats(min_value=-1e100, max_value=1e100), min_size=15, max_size=15),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_steps, st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.0), st.integers(0, 5)), min_size=1))
+def test_deferred_samples_are_the_scalar_extension_bit_for_bit(steps, samples):
+    """_dense_rows, which evaluates a run's stored grid points after its step
+    loop, gives _dense's values to the bit at any theta, h, y and q."""
+    rows = np.array([[0.0, h] + yq for h, yq in steps])
+    theta = np.array([th for th, _ in samples])
+    j = np.array([k % len(steps) for _, k in samples])
+    out = _dense_rows(theta, j, rows)
+    for i, (th, k) in enumerate(zip(theta.tolist(), j.tolist())):
+        h, yq = steps[k]
+        assert out[i].tolist() == list(_dense(th, h, yq[:3], yq[3:]))
+
+
+def _rotation_run(controls, events=(), w=1.0):
+    """X = eta, (Y, Z) = (cos w eta, sin w eta), sampled on a grid finer
+    than the steps, so that the stored grid points are deferred ones."""
+    rhs = lambda t, y: (1.0, -w * y[2], w * y[1])
+    traj = integrate(rhs, (0.0, 1.0, 0.0), events, controls)
+    assert not np.isnan(traj.points).any()  # no placeholder survives
+    assert np.max(np.abs(traj.points[:, 0] - traj.eta)) < 1e-12
+    assert np.max(np.abs(traj.points[:, 1] - np.cos(w * traj.eta))) < 1e-8
+    assert np.max(np.abs(traj.points[:, 2] - np.sin(w * traj.eta))) < 1e-8
+    return traj
+
+
+def test_a_run_ending_inside_a_long_step_evaluates_every_deferred_sample():
+    """Steps of about 0.03 against a grid of 0.005; the event's step stores
+    its grid points up to the event."""
+    traj = _rotation_run(
+        IntegrationControls(sample_step=0.005, max_time=50.0),
+        [EventSpec(id="wall", guard=lambda p: 5.0525 - p[0])],
+    )
+    assert traj.termination == "event" and traj.final_eta == pytest.approx(5.0525, abs=1e-12)
+    assert traj.n_steps < len(traj.eta) / 4  # most samples came from long steps
+    grid = traj.eta[1:-1][traj.eta[1:-1] >= 0.005]
+    assert np.array_equal(grid, np.arange(1, len(grid) + 1) * 0.005)
+    assert grid[-1] == pytest.approx(5.05, abs=1e-12)  # the event step's last grid point
+
+
+@pytest.mark.parametrize("max_time", [10.5, 1e3])
+def test_a_thinned_run_evaluates_every_deferred_sample(monkeypatch, max_time):
+    """Steps of up to 5 against a grid of 0.1.  Thinning evaluates the
+    deferred samples it keeps and forgets their steps, also in the middle
+    of a step that goes on storing (max_time 10.5 ends the run soon after
+    the first thinning); the samples kept are the unthinned run's, bit for
+    bit."""
+    controls = IntegrationControls(max_time=max_time)
+    full = _rotation_run(controls, w=0.01)
+    monkeypatch.setattr(integrate_module, "_MAX_SAMPLES", 100)
+    thin = _rotation_run(controls, w=0.01)
+    assert len(full.eta) > 100 and 50 < len(thin.eta) <= 101
+    at = full.eta.searchsorted(thin.eta)
+    assert np.array_equal(full.eta[at], thin.eta)
+    assert np.array_equal(full.points[at], thin.points)
+
+
+def test_a_pending_sample_at_a_step_start_is_that_steps_start_state():
+    """A grid point that falls on a step's start is evaluated at theta = 0
+    on that step, not at theta = 1 on the step before."""
+    p = integrate_module._PENDING
+    rows = [[0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0] + [0.0] * 8,
+            [1.0, 1.0, 5.0, 6.0, 7.0] + [1.0] * 12]
+    eta = np.array([0.0, 0.5, 1.0, 1.5])
+    pts = [(9.0, 9.0, 9.0), p, p, (8.0, 8.0, 8.0)]
+    idx, vals = integrate_module._pending_values(eta, pts, [v for r in rows for v in r])
+    assert idx.tolist() == [1, 2]
+    assert vals.tolist() == [[0.5, 0.0, 0.0], [5.0, 6.0, 7.0]]
+
+
+def test_a_thinning_among_short_steps_evaluates_the_deferred_samples(monkeypatch):
+    """Long steps defer their grid samples up to eta 50, then the field
+    turns fast and short steps store their ends; the thinnings there also
+    evaluate the deferred samples they keep and forget their steps, so a
+    thinned run holds the steps of its stored samples only."""
+    rhs = lambda t, y: (1.0, 0.0, 0.0) if t < 50.0 else (1.0, -20.0 * y[2], 20.0 * y[1])
+    controls = IntegrationControls(max_time=60.0)
+    full = integrate(rhs, (0.0, 1.0, 0.0), [], controls)
+    monkeypatch.setattr(integrate_module, "_MAX_SAMPLES", 100)
+    resolved = []
+    resolve = integrate_module._resolve_pending
+
+    def spy(etas, pts, steps):
+        resolved.append((etas[-1], len(steps)))
+        resolve(etas, pts, steps)
+
+    monkeypatch.setattr(integrate_module, "_resolve_pending", spy)
+    thin = integrate(rhs, (0.0, 1.0, 0.0), [], controls)
+    assert any(eta > 50.0 and n > 0 for eta, n in resolved)
+    assert not np.isnan(thin.points).any()
+    at = full.eta.searchsorted(thin.eta)
+    assert np.array_equal(full.eta[at], thin.eta)
+    assert np.array_equal(full.points[at], thin.points)
