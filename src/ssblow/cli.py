@@ -10,6 +10,7 @@ file is byte-stable given the same configuration and seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import replace
@@ -294,6 +295,9 @@ def _cmd_classify(args) -> tuple[int, dict]:
         "m": pr.m, "sigma": pr.sigma, "source": args.source, **launch, **_controls_config(controls),
     }
     report = _report_skeleton("classify", config)
+    if not args.out:
+        # the report reads no sample, so the run stores its step ends only
+        controls = replace(controls, sample_step=math.inf)
     if args.source == "p2":
         traj, fate = run_p2_orbit(pr, controls, delta=launch["delta"])
     elif args.source == "p0":

@@ -14,10 +14,13 @@ spans, not its end, so the step is set by error control and the output
 grid by what the output needs.  The step loop does not evaluate them: such
 a step keeps its start, length, state and extension coefficients once, its
 grid points are stored as placeholders, and after the loop (or when the
-sample cap thins the run) every placeholder still stored is evaluated in
-one numpy pass, with the scalar evaluator's operations in the same order,
-so the values are bit-identical to it.  Past the sample cap the points a
-thinned run drops are skipped unevaluated.  Runs that store step ends only
+sample cap thins the run) every placeholder still stored is evaluated by
+numpy, with the scalar evaluator's operations in the same order, so the
+values are bit-identical to it.  The placeholders are found and evaluated
+a fixed-size block of stored samples at a time, and each block's values
+are written in place, so the evaluation holds no array as long as the run.
+Past the sample cap the points a thinned run drops are skipped
+unevaluated.  Runs that store step ends only
 never defer a sample and do no work for it.
 
 The right-hand side receives and returns plain float triples; keeping the
@@ -253,6 +256,7 @@ def _dense_rows(theta, j, rows):
 
 _PENDING = (math.nan, math.nan, math.nan)  # a stored sample not yet evaluated
 _STEP_ROW = 17  # floats per deferred step: t, h, the state, 12 coefficients
+_PENDING_BLOCK = 4096  # stored samples searched and evaluated at a time
 
 
 def _pending_values(eta, pts, steps):
@@ -260,19 +264,30 @@ def _pending_values(eta, pts, steps):
     values.  steps holds _STEP_ROW floats per deferred step, in eta order;
     a pending sample at eta e lies on the last step that starts at or
     before e."""
-    idx = np.array([i for i, p in enumerate(pts) if p is _PENDING], dtype=np.intp)
-    rows = np.array(steps).reshape(-1, _STEP_ROW)
+    idx = np.flatnonzero(np.fromiter((p is _PENDING for p in pts), bool, len(pts)))
+    rows = np.asarray(steps).reshape(-1, _STEP_ROW)
     e = eta[idx]
     j = np.searchsorted(rows[:, 0], e, side="right") - 1
     return idx, _dense_rows((e - rows[j, 0]) / rows[j, 1], j, rows)
 
 
+def _pending_blocks(eta, pts, steps):
+    """_pending_values over pts _PENDING_BLOCK samples at a time: yields the
+    positions in pts and the values of each block's pending samples, so
+    that no evaluation holds arrays longer than a block."""
+    rows = np.array(steps).reshape(-1, _STEP_ROW)
+    for s in range(0, len(pts), _PENDING_BLOCK):
+        block = slice(s, s + _PENDING_BLOCK)
+        idx, vals = _pending_values(np.asarray(eta[block], dtype=float), pts[block], rows)
+        yield s + idx, vals
+
+
 def _resolve_pending(etas, pts, steps):
     """Evaluate every pending sample in place and forget the deferred steps,
     so that a thinned run keeps only the steps its stored samples need."""
-    idx, vals = _pending_values(np.array(etas), pts, steps)
-    for i, v in zip(idx.tolist(), vals.tolist()):
-        pts[i] = v
+    for idx, vals in _pending_blocks(etas, pts, steps):
+        for i, v in zip(idx.tolist(), vals.tolist()):
+            pts[i] = v
     steps.clear()
 
 
@@ -646,8 +661,8 @@ def integrate(
     eta = np.array(etas)
     points = np.fromiter(itertools.chain.from_iterable(pts), float, 3 * len(pts)).reshape(-1, 3)
     if steps:
-        idx, vals = _pending_values(eta, pts, steps)
-        points[idx] = vals
+        for idx, vals in _pending_blocks(eta, pts, steps):
+            points[idx] = vals
     return Trajectory(
         eta=eta,
         points=points,

@@ -2,7 +2,9 @@
 
 Floats are written with %.17g, which round-trips every finite double; every
 CSV the command-line tool emits is re-readable here with zero loss.  Rows
-are comma-separated, LF-terminated, with a header row.
+are comma-separated, LF-terminated, with a header row.  A CSV of float
+columns is rendered and written in blocks of a fixed number of rows, so
+writing it holds no whole-file copy of its text or values.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ __all__ = [
     "dump_report",
 ]
 
+_WRITE_BLOCK = 4096  # CSV rows rendered and written at a time
+
 
 def fmt(x) -> str:
     return "%.17g" % float(x)
@@ -37,11 +41,15 @@ def _write_rows(path, header, rows):
 
 def _write_columns(path, header, columns):
     """One row per index of the float columns, each written with %.17g.
-    The whole block is rendered by one % operation on the repeated row."""
-    values = np.column_stack(columns)
+    Rows are written _WRITE_BLOCK at a time, each block rendered by one %
+    operation on the repeated row, so a file's text, and a copy of its
+    values, is never held whole."""
     line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n" + (line * len(values)) % tuple(values.ravel().tolist()))
+        fh.write(",".join(header) + "\n")
+        for s in range(0, len(columns[0]), _WRITE_BLOCK):
+            values = np.column_stack([c[s : s + _WRITE_BLOCK] for c in columns])
+            fh.write((line * len(values)) % tuple(values.ravel().tolist()))
 
 
 def _read_columns(path, header, kind):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import ModuleType, SimpleNamespace
 
@@ -559,11 +560,12 @@ def test_max_step_defaults_and_overrides(tmp_path):
     assert parser.parse_args(argv).max_step == 0.1
 
 
-def test_control_flag_defaults_are_the_library_controls(monkeypatch, capsys):
+def test_control_flag_defaults_are_the_library_controls(monkeypatch, capsys, tmp_path):
     """At its flags' defaults each integrating command runs its orbits
     under the controls of its library path: IntegrationControls() for
-    classify and profile, the controls of sigma_star for sigma-star, and
-    FATE_ONLY_CONTROLS for sweep."""
+    classify with --out and for profile, the controls of sigma_star for
+    sigma-star, and FATE_ONLY_CONTROLS for sweep.  classify without --out
+    reads no sample, so it runs IntegrationControls() on step ends only."""
     seen = []
 
     def spy(field, start, events, controls=None):
@@ -572,28 +574,40 @@ def test_control_flag_defaults_are_the_library_controls(monkeypatch, capsys):
 
     monkeypatch.setattr(ssblow.orbits, "integrate", spy)
     sigma_star(1.5, (3.0, 3.4), 0.2)
-    library = {
-        "classify": IntegrationControls(),
-        "profile": IntegrationControls(),
-        "sigma-star": seen[0],
-        "sweep": FATE_ONLY_CONTROLS,
-    }
-    argvs = {
-        "classify": ["--sigma", "3"],
-        "profile": ["--sigma", "3", "--via", "phase"],
-        "sigma-star": ["--lo", "3", "--hi", "3.4", "--tol", "0.2"],
-        "sweep": ["--sigmas", "3"],
-    }
-    for cmd, expected in library.items():
+    cases = [
+        ("classify", ["--sigma", "3"], replace(IntegrationControls(), sample_step=math.inf)),
+        ("classify", ["--sigma", "3", "--out", str(tmp_path / "t.csv")], IntegrationControls()),
+        ("profile", ["--sigma", "3", "--via", "phase"], IntegrationControls()),
+        ("sigma-star", ["--lo", "3", "--hi", "3.4", "--tol", "0.2"], seen[0]),
+        ("sweep", ["--sigmas", "3"], FATE_ONLY_CONTROLS),
+    ]
+    for cmd, argv, expected in cases:
         seen.clear()
-        code, out, _ = run_cli(capsys, cmd, "--m", "1.5", *argvs[cmd], "--format", "json")
-        assert code == 0, cmd
-        assert seen and all(c == expected for c in seen), cmd
+        code, out, _ = run_cli(capsys, cmd, "--m", "1.5", *argv, "--format", "json")
+        assert code == 0, argv
+        assert seen and all(c == expected for c in seen), argv
         config = json.loads(out)["config"]
         for key in ("rel_tol", "abs_tol", "max_time"):
-            assert config[key] == getattr(expected, key), (cmd, key)
+            assert config[key] == getattr(expected, key), (argv, key)
         # an infinite step cap is written to JSON as null
         assert config["max_step"] == (None if expected.max_step == math.inf else expected.max_step)
+
+
+@pytest.mark.parametrize(
+    "launch",
+    [["--source", "p2"], ["--source", "p0", "--K", "0.3"], ["--source", "q1", "--z0", "1e-15"]],
+    ids=["p2", "p0", "q1"],
+)
+def test_classify_reports_the_same_without_out(launch, tmp_path, capsys):
+    """classify without --out stores step ends only; its JSON is the one
+    with --out apart from trajectory_csv."""
+    args = ("classify", "--m", "1.5", "--sigma", "3", *launch, "--format", "json")
+    code, out, _ = run_cli(capsys, *args)
+    code_out, with_out, _ = run_cli(capsys, *args, "--out", str(tmp_path / "t.csv"))
+    assert code == code_out == 0
+    report = json.loads(with_out)
+    assert report["results"].pop("trajectory_csv") == str(tmp_path / "t.csv")
+    assert json.loads(out) == report
 
 
 def test_config_block_names_the_controls(capsys):
