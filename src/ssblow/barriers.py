@@ -15,7 +15,6 @@ reported as inapplicable rather than silently passed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
@@ -35,7 +34,6 @@ __all__ = [
     "ConfigurationError",
     "barrier_catalog",
     "verify_barrier",
-    "region_membership",
     "dregion_constants",
     "dregion_gates",
     "plane3_constants",
@@ -597,70 +595,6 @@ def verify_barrier(
     report.violations = [(pts[i].copy(), float(values[i])) for i in idx[:10]]
     report.worst_margin = worst
     return report
-
-
-# ---------------------------------------------------------------------------
-# region membership
-# ---------------------------------------------------------------------------
-
-
-def region_membership(region: str, pt, params: Params) -> bool:
-    """Exact inequality test for the named confinement region.
-
-    Regions D0..D4 and R are in phase coordinates; S is in the chart at Q1
-    (pt = (w, y) or (w, y, z) with z ignored).  D0's roof (the invariant
-    manifold of the target parabola point) has no closed form; membership
-    implements the computable walls {X >= 0}, {Y <= 0} and {Y' <= 0}.
-    """
-    m, sigma = params.m, params.sigma
-    exp = derive_exponents(params)
-    boa = beta_over_alpha(params)
-    p2 = p2_coordinates(params)
-    cst = dregion_constants(params)
-    if region == "S":
-        w, y = float(pt[0]), float(pt[1])
-        wp2, yp2c, _ = p2_chart_coordinates(params)
-        alpha = exp.alpha
-        above_line = y >= w / (alpha * (m + 1.0))
-        below_curve = y + w - m * y * y - boa * y * w >= 0.0
-        return bool(w >= 0.0 and w <= wp2 and y <= yp2c and above_line and below_curve)
-
-    x, y, z = (float(v) for v in pt)
-    if region == "D0":
-        ydot = -y * y - boa * y + x - x * y - z
-        return bool(x >= 0.0 and y <= 0.0 and ydot <= 0.0)
-    if region == "D1":
-        return bool(
-            0.0 <= x <= cst["x_star"]
-            and 0.0 <= y <= 0.5
-            and 0.0 <= z <= cst["d"] - cst["c"] * y
-        )
-    if region == "D2":
-        return bool(
-            0.0 <= x <= cst["x_star"]
-            and cst["e"] * x - cst["f"] <= y <= 0.0
-            and -y * y - boa * y <= z <= cst["d"] - cst["c"] * y
-        )
-    if region == "D3":
-        disc = boa * boa - 4.0 * (cst["b"] - cst["a"] * x)
-        if disc < 0.0:
-            return False
-        y_lower = (-boa + math.sqrt(disc)) / 2.0
-        return bool(
-            0.0 <= x <= cst["x_star"]
-            and y_lower <= y <= cst["e"] * x - cst["f"]
-            and -y * y - boa * y <= z <= cst["b"] - cst["a"] * x
-        )
-    if region == "D4":
-        return bool(0.0 <= x <= p2[0] and 0.0 <= y <= p2[1] and z >= 0.0)
-    if region == "R":
-        p3 = plane3_constants(params)
-        return bool(
-            p3["x_star3"] <= x <= p2[0]
-            and 0.0 <= y <= p2[1]
-            and z >= p3["C"] - p3["A"] * x - p3["B"] * y
-        )
-    raise ValueError("unknown region %r" % region)
 
 
 def empirical_sigma0(m: float, sigma_grid) -> float | None:

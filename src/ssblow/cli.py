@@ -18,7 +18,6 @@ from dataclasses import replace
 from . import __version__
 from .params import (
     ParameterError,
-    DomainError,
     derive_exponents,
     interface_xi_of_lambda,
     lambda_range,
@@ -28,7 +27,6 @@ from .params import (
 from .integrate import IntegrationControls
 from .orbits import (
     FATE_ONLY_CONTROLS,
-    BracketError,
     FateKind,
     InconclusiveError,
     run_p0_orbit,
@@ -38,7 +36,6 @@ from .orbits import (
 )
 from .profiles import (
     InconclusiveProfile,
-    ProfileBracketError,
     find_good_profile_P1,
     integrate_ssode,
     reconstruct_profile,
@@ -526,8 +523,7 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         code, report = _COMMANDS[args.cmd](args)
-    except (ParameterError, DomainError, BracketError, ProfileBracketError,
-            ConfigurationError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except (InconclusiveError, InconclusiveProfile) as exc:

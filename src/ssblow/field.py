@@ -311,10 +311,10 @@ def center_family_P0(K: float, z: float, params: Params) -> float:
     A nonpositive return means the family has left the physical region
     {X > 0} for this (K, z); callers decide whether that is an error.
     """
-    if z < 0.0:
-        raise DomainError("z must be nonnegative")
-    if K < 0.0:
-        raise DomainError("K must be nonnegative")
+    if not 0.0 <= z < math.inf:
+        raise DomainError("z must be finite and nonnegative")
+    if not 0.0 <= K < math.inf:
+        raise DomainError("K must be finite and nonnegative")
     alpha = derive_exponents(params).alpha
     return K * math.sqrt(z) - (params.m - 1.0) * alpha * z
 

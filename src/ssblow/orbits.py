@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Sequence
 
 import numpy as np
 
@@ -70,7 +69,6 @@ __all__ = [
     "run_p0_orbit",
     "run_q1_orbit",
     "q1_to_p2_connection",
-    "lambda_of_sigma",
     "sigma_star",
 ]
 
@@ -158,8 +156,8 @@ def launch_from_P0(K: float, z0: float, params: Params) -> np.ndarray:
     X comes from the explicit family X = K sqrt(Z) - (m-1) alpha Z and Y from
     the tangent-plane relation (beta/alpha) Y = X - Z of the center manifold.
     """
-    if K <= 0.0:
-        raise DomainError("K must be positive")
+    if not 0.0 < K < math.inf:
+        raise DomainError("K must be finite and positive")
     if not 0.0 < z0 <= 1e-5:
         raise DomainError("z0 must lie in (0, 1e-5]")
     x0 = center_family_P0(K, z0, params)
@@ -469,6 +467,8 @@ def run_q1_orbit(
     lambda_hat, would move with the caller's step cap.  controls sets the
     phase leg only.
     """
+    if not 0.0 <= z0 < math.inf:
+        raise DomainError("z0 must be finite and nonnegative")
     start = launch_from_Q1_chart(delta, params) + np.array([0.0, 0.0, z0])
     handoff = EventSpec(id="handoff", guard=lambda p: 1e-2 - p[0])
     chart_traj = integrate(make_chart_rhs(params), start, [handoff], _CHART_CONTROLS)
@@ -494,26 +494,6 @@ def run_q1_orbit(
 # ---------------------------------------------------------------------------
 
 
-def lambda_of_sigma(
-    m: float,
-    sigma: float,
-    controls: IntegrationControls | None = None,
-):
-    """Y-coordinate of the parabola point the P2 orbit enters, or None for an
-    escape to Q3 (the convention of OrbitFate.lambda_hat).
-
-    Raises InconclusiveError when the orbit resolves neither way; callers are
-    expected to surface that, not swallow it.
-    """
-    params = validate_params(m, sigma)
-    _, fate = run_p2_orbit(params, controls)
-    if fate.decisive:
-        return fate.lambda_hat
-    raise InconclusiveError(
-        "P2 orbit at m=%.17g sigma=%.17g is inconclusive: %s" % (m, sigma, fate.diagnostics)
-    )
-
-
 def sigma_star(
     m: float,
     bracket: tuple[float, float],
@@ -532,8 +512,8 @@ def sigma_star(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise BracketError("bracket must satisfy lo < hi")
-    if tol <= 0:
-        raise BracketError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise BracketError("tol must be finite and positive")
     controls = controls or FATE_ONLY_CONTROLS
 
     evaluations = []

@@ -210,8 +210,8 @@ def _asymptotic_start(origin, params, xi_start, a=None, K=None):
     exp = derive_exponents(params)
     alpha = exp.alpha
     if origin == "p1":
-        if a is None or a <= 0.0:
-            raise DomainError("origin p1 requires a > 0")
+        if a is None or not 0.0 < a < math.inf:
+            raise DomainError("origin p1 requires a finite a > 0")
         f0 = (a ** (m - 1.0) + alpha * (m - 1.0) * xi_start**2 / (2.0 * m)) ** (
             1.0 / (m - 1.0)
         )
@@ -224,8 +224,8 @@ def _asymptotic_start(origin, params, xi_start, a=None, K=None):
         x_s = p2[0] + z_s * e3[0] / e3[2]
         y_s = p2[1] + z_s * e3[1] / e3[2]
     elif origin == "p0":
-        if K is None or K <= 0.0:
-            raise DomainError("origin p0 requires K > 0")
+        if K is None or not 0.0 < K < math.inf:
+            raise DomainError("origin p0 requires a finite K > 0")
         # K is the coefficient of xi^{(sigma+2)/(2(m-1))}; the matching
         # center-family parameter is sqrt(m) K^{m-1}.
         k_fam = math.sqrt(m) * K ** (m - 1.0)
@@ -318,7 +318,7 @@ def integrate_ssode(
     """
     m = params.m
     exp = derive_exponents(params)
-    if xi_start <= 0.0:
+    if not xi_start > 0.0:
         raise DomainError("xi_start must be positive")
     xi_cap = 8.0 * exp.xi_max if math.isfinite(exp.xi_max) else 10.0
     if xi_cap <= xi_start:
@@ -380,8 +380,8 @@ def find_good_profile_P1(
     a_lo, a_hi = float(a_bracket[0]), float(a_bracket[1])
     if not 0.0 < a_lo < a_hi:
         raise DomainError("need 0 < a_lo < a_hi")
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise DomainError("tol must be finite and positive")
 
     def run_at(a):
         return integrate_ssode("p1", params, controls, a=a, xi_start=xi_start)

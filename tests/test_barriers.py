@@ -13,7 +13,6 @@ from ssblow.barriers import (
     dregion_gates,
     empirical_sigma0,
     plane3_constants,
-    region_membership,
     verify_barrier,
 )
 
@@ -205,42 +204,18 @@ def test_verify_reports_are_seed_deterministic(params15_3):
     assert c.worst_margin != a.worst_margin
 
 
-def test_region_membership_examples(params15_3):
-    assert not region_membership("D1", [0.01, 0.04, 0.0], params15_3)  # P2 outside at sigma=3
-    assert region_membership("D1", [0.0, 0.0, 0.0], params15_3)
-    assert region_membership("S", [1.0, 1.0], params15_3)
-    assert not region_membership("S", [1.0, 0.01], params15_3)  # below the line
-    assert region_membership("D4", [0.005, 0.02, 1.0], params15_3)
-    assert not region_membership("D4", [0.02, 0.02, 1.0], params15_3)
-    assert region_membership("D0", [0.01, -0.1, 0.05], params15_3)
-    assert not region_membership("D0", [0.01, 0.1, 0.05], params15_3)
-    with pytest.raises(ValueError):
-        region_membership("D9", [0, 0, 0], params15_3)
-
-
-def test_region_membership_R(params15_3):
-    cst = plane3_constants(params15_3)
-    p2 = [0.01, 0.04, 0.0]
-    # P2 itself sits on the plane's boundary but outside the X-slab at sigma=3
-    x = 0.5 * (cst["x_star3"] + 0.01)
-    assert not region_membership("R", [x, 0.02, 0.0], params15_3) or cst["x_star3"] < 0.01
-    big_sigma = validate_params(1.5, 10.0)
-    cst10 = plane3_constants(big_sigma)
-    from ssblow.params import p2_coordinates
-
-    p210 = p2_coordinates(big_sigma)
-    x = 0.5 * (cst10["x_star3"] + p210[0])
-    y = 0.5 * p210[1]
-    z_on = cst10["C"] - cst10["A"] * x - cst10["B"] * y
-    assert region_membership("R", [x, y, z_on + 1e-6], big_sigma)
-    assert not region_membership("R", [x, y, z_on - 1e-6], big_sigma)
-
-
-def test_d_regions_nonempty_when_gated(params15_3):
+def test_d_regions_nonempty_when_gated():
+    """Where the small-sigma gates hold, the boxes D1 and D2 of the
+    construction, written as their inequalities, each contain a point."""
     pr = validate_params(1.5, 2.003)
+    assert all(dregion_gates(pr).values())
     cst = dregion_constants(pr)
-    assert region_membership("D1", [cst["x_star"] / 2, 0.1, cst["d"] / 2], pr)
-    assert region_membership("D2", [cst["x_star"] / 2, -cst["f"] / 2, cst["d"]], pr)
+    boa = beta_over_alpha(pr)
+    x, y, z = cst["x_star"] / 2, 0.1, cst["d"] / 2  # in D1
+    assert 0.0 <= x <= cst["x_star"] and 0.0 <= y <= 0.5 and 0.0 <= z <= cst["d"] - cst["c"] * y
+    x, y, z = cst["x_star"] / 2, -cst["f"] / 2, cst["d"]  # in D2
+    assert 0.0 <= x <= cst["x_star"] and cst["e"] * x - cst["f"] <= y <= 0.0
+    assert -y * y - boa * y <= z <= cst["d"] - cst["c"] * y
 
 
 def test_empirical_sigma0_matches_gate_analysis():

@@ -14,25 +14,40 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ssblow
-from ssblow.cli import main
+from ssblow.barriers import ConfigurationError
+from ssblow.cli import _COMMANDS, build_parser, main
 from ssblow import io as io_mod
 from ssblow.field import make_chart_rhs, make_rhs, phase_from_chart
 from ssblow.integrate import EventSpec, IntegrationControls, integrate
 import ssblow.orbits
 from ssblow.orbits import (
     FATE_ONLY_CONTROLS,
+    BracketError,
     classify_fate,
     launch_from_Q1_chart,
     sigma_star,
     standard_fate_events,
 )
-from ssblow.params import validate_params
+from ssblow.params import DomainError, ParameterError, validate_params
+from ssblow.profiles import ProfileBracketError
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def usage_error(capsys, error, *argv):
+    """argv's command raises exactly error, and main maps that to exit 2
+    with 'error: ' on stderr; returns stderr."""
+    args = build_parser().parse_args(list(argv))
+    with pytest.raises(error) as raised:
+        _COMMANDS[args.cmd](args)
+    assert raised.type is error
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and err.startswith("error: "), (code, err)
+    return err
 
 
 def test_params_text(capsys):
@@ -73,8 +88,7 @@ def test_params_json_full_precision(capsys):
 
 
 def test_params_rejects_sigma_2(capsys):
-    code, _, err = run_cli(capsys, "params", "--m", "1.5", "--sigma", "2")
-    assert code == 2
+    err = usage_error(capsys, ParameterError, "params", "--m", "1.5", "--sigma", "2")
     assert "sigma must exceed 2" in err
 
 
@@ -194,11 +208,12 @@ def test_sigma_star_deterministic_reports(capsys):
 
 
 def test_sigma_star_bracket_error(capsys):
-    code, _, err = run_cli(
-        capsys, "sigma-star", "--m", "1.5", "--lo", "3.3", "--hi", "3.4", "--tol", "0.05"
-    )
-    assert code == 2
-    assert "fates agree" in err and "widen the bracket" in err
+    # both ends escape to Q3, then both enter the parabola
+    for lo, hi in (("3.3", "3.4"), ("3.0", "3.1")):
+        err = usage_error(
+            capsys, BracketError, "sigma-star", "--m", "1.5", "--lo", lo, "--hi", hi, "--tol", "0.05"
+        )
+        assert "fates agree" in err and "widen the bracket" in err
 
 
 def test_profile_p2(tmp_path, capsys):
@@ -344,6 +359,42 @@ def test_config_block_holds_only_the_values_used(tmp_path, capsys):
     assert "--K needs" in err
 
 
+@pytest.mark.parametrize(
+    "error, flags, named",
+    [
+        (DomainError, ["--origin", "p0", "--K", "1e-12"], "K too small"),
+        (ProfileBracketError, ["--origin", "p1", "--a-bracket", "1e-10", "2e-10"], "same fate"),
+    ],
+)
+def test_profile_start_and_bracket_errors_exit_2(error, flags, named, capsys):
+    err = usage_error(capsys, error, "profile", "--m", "1.5", "--sigma", "3", *flags)
+    assert named in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sigma-star", "--lo", "3", "--hi", "3.4", "--tol", "nan"],
+        ["sigma-star", "--lo", "3", "--hi", "3.4", "--tol", "inf"],
+        ["profile", "--sigma", "3", "--origin", "p1", "--a-bracket", "1e-13", "1e-10",
+         "--a-tol", "nan"],
+        ["classify", "--sigma", "3", "--source", "p0", "--K", "nan"],
+        ["classify", "--sigma", "3", "--source", "p0", "--K", "inf"],
+        ["profile", "--sigma", "3", "--origin", "p0", "--K", "nan"],
+        ["profile", "--sigma", "3", "--origin", "p1", "--a", "nan"],
+        ["profile", "--sigma", "3", "--origin", "p1", "--a", "inf"],
+        ["classify", "--sigma", "3", "--source", "q1", "--z0", "nan"],
+        ["classify", "--sigma", "3", "--source", "q1", "--z0", "-1"],
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+)
+def test_non_finite_launch_shot_and_search_values_exit_2(argv, capsys):
+    """Bad input, not an inconclusive run: a finite start whose field
+    overflows is exit 3 (test_cli_exit_code_contract), these are exit 2."""
+    code, _, err = run_cli(capsys, *argv[:1], "--m", "1.5", *argv[1:])
+    assert code == 2 and err.startswith("error: "), (code, err)
+
+
 def test_profile_p1_bisection(capsys):
     code, out, _ = run_cli(
         capsys, "profile", "--m", "1.5", "--sigma", "3", "--origin", "p1",
@@ -391,10 +442,9 @@ def test_verify_single_barrier_strict_margin(capsys):
 
 
 def test_verify_unknown_barrier(capsys):
-    code, _, err = run_cli(
-        capsys, "verify", "--barrier", "nonexistent", "--m", "1.5", "--sigma", "3"
+    err = usage_error(
+        capsys, ConfigurationError, "verify", "--barrier", "nonexistent", "--m", "1.5", "--sigma", "3"
     )
-    assert code == 2
     assert "unknown barrier" in err
     assert "cylinder" in err  # the catalog is listed
 
@@ -748,7 +798,7 @@ _PUBLIC_SURFACE = {
     "integrate": ["EventHit", "EventSpec", "IntegrationControls", "Trajectory", "integrate"],
     "orbits": [
         "BracketError", "FATE_ONLY_CONTROLS", "FateKind", "InconclusiveError", "OrbitFate",
-        "ShootResult", "classify_fate", "lambda_of_sigma", "launch_from_P0", "launch_from_P2",
+        "ShootResult", "classify_fate", "launch_from_P0", "launch_from_P2",
         "launch_from_Q1_chart", "parabola_entry_distance", "q1_to_p2_connection",
         "run_p0_orbit", "run_p2_orbit", "run_q1_orbit", "sigma_star", "standard_fate_events",
     ],
@@ -760,7 +810,7 @@ _PUBLIC_SURFACE = {
     "barriers": [
         "BarrierSpec", "ConfigurationError", "VerificationReport", "barrier_catalog",
         "dregion_constants", "dregion_gates", "empirical_sigma0", "plane3_constants",
-        "plane3_gate", "region_membership", "verify_barrier",
+        "plane3_gate", "verify_barrier",
     ],
     "io": [
         "dump_report", "fmt", "read_profile_csv", "read_sweep_csv", "read_trajectory_csv",

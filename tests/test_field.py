@@ -225,6 +225,14 @@ def test_center_family_values(params15_3):
         center_family_P0(-1.0, 1e-6, params15_3)
 
 
+@pytest.mark.parametrize(
+    "K, z", [(np.nan, 1e-6), (np.inf, 1e-6), (0.1, np.nan), (0.1, np.inf)]
+)
+def test_center_family_refuses_non_finite_values(K, z, params15_3):
+    with pytest.raises(DomainError, match="finite"):
+        center_family_P0(K, z, params15_3)
+
+
 def test_vertex_normal_form_coefficients(params15_3):
     nf = vertex_normal_form_coeffs(params15_3)
     assert nf.A == pytest.approx(0.04, rel=1e-13)

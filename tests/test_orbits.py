@@ -26,7 +26,6 @@ from ssblow.orbits import (
     InconclusiveError,
     OrbitFate,
     classify_fate,
-    lambda_of_sigma,
     launch_from_P0,
     launch_from_P2,
     launch_from_Q1_chart,
@@ -100,10 +99,16 @@ def test_classification_requires_standard_events(params15_3):
     assert fate.diagnostics["termination"] == "max_time"
 
 
+def _decisive_lambda_hat(m, sigma, controls=None):
+    _, fate = run_p2_orbit(validate_params(m, sigma), controls)
+    assert fate.decisive, fate.diagnostics
+    return fate.lambda_hat
+
+
 def test_lambda_of_sigma_values():
-    lam = lambda_of_sigma(1.5, 3.0)
+    lam = _decisive_lambda_hat(1.5, 3.0)
     assert -0.1 < lam < 0.0
-    assert lambda_of_sigma(1.5, 3.4) is None
+    assert _decisive_lambda_hat(1.5, 3.4) is None
 
 
 def test_lambda_trend_decreases_with_sigma():
@@ -112,18 +117,18 @@ def test_lambda_trend_decreases_with_sigma():
         2.5: IntegrationControls(max_time=3e4, max_step=0.2),
         3.0: IntegrationControls(max_time=1e4, max_step=0.1),
     }
-    lams = [lambda_of_sigma(1.5, s, controls[s]) for s in (2.2, 2.5, 3.0)]
+    lams = [_decisive_lambda_hat(1.5, s, controls[s]) for s in (2.2, 2.5, 3.0)]
     assert all(l < 0 for l in lams)
     assert lams[0] > lams[1] > lams[2]
 
 
 def test_lambda_near_2_is_closer_to_zero():
-    lam_near2 = lambda_of_sigma(
+    lam_near2 = _decisive_lambda_hat(
         1.5,
         2.05,
         IntegrationControls(max_time=2e6, max_step=5.0, rel_tol=1e-9),
     )
-    lam_3 = lambda_of_sigma(1.5, 3.0)
+    lam_3 = _decisive_lambda_hat(1.5, 3.0)
     assert abs(lam_near2) < abs(lam_3)
 
 
@@ -261,6 +266,24 @@ def test_sigma_star_bracket_errors():
         sigma_star(1.5, (3.4, 3.0), tol=0.05)
     with pytest.raises(BracketError):
         sigma_star(1.5, (3.0, 3.4), tol=-1.0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_sigma_star_refuses_a_non_finite_tol(tol):
+    with pytest.raises(BracketError, match="finite"):
+        sigma_star(1.5, (3.0, 3.4), tol)
+
+
+@pytest.mark.parametrize("K", [math.nan, math.inf])
+def test_launch_from_p0_refuses_a_non_finite_K(K, params15_3):
+    with pytest.raises(DomainError, match="finite"):
+        launch_from_P0(K, 1e-6, params15_3)
+
+
+@pytest.mark.parametrize("z0", [math.nan, -1.0, math.inf])
+def test_q1_orbit_refuses_a_z0_that_is_not_finite_and_nonnegative(z0, params15_3):
+    with pytest.raises(DomainError, match="z0"):
+        run_q1_orbit(params15_3, z0=z0)
 
 
 def test_launch_from_p0_examples(params15_3):

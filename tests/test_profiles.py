@@ -307,6 +307,21 @@ def test_find_good_profile_P1_same_fate_error(params15_3):
         find_good_profile_P1(params15_3, (1e-14, 1e-13), tol=1e-15)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_find_good_profile_P1_refuses_a_non_finite_tol(tol, params15_3):
+    with pytest.raises(DomainError, match="finite"):
+        find_good_profile_P1(params15_3, (1e-13, 1e-10), tol)
+
+
+@pytest.mark.parametrize(
+    "origin, start", [("p1", {"a": math.nan}), ("p1", {"a": math.inf}),
+                      ("p0", {"K": math.nan}), ("p0", {"K": math.inf})]
+)
+def test_ssode_refuses_a_non_finite_start(origin, start, params15_3):
+    with pytest.raises(DomainError, match="finite"):
+        integrate_ssode(origin, params15_3, **start)
+
+
 def test_find_good_profile_P1_stable_under_tighter_tolerances(params15_3):
     tol = 1e-12
     a1, _ = find_good_profile_P1(params15_3, (1e-12, 1e-11), tol=tol)
