@@ -409,6 +409,9 @@ def _cmd_profile(args) -> tuple[int, dict]:
         io_mod.write_profile_csv(args.out, frame)
         results["profile_csv"] = args.out
     report["results"] = results
+    if not math.isfinite(results.get("ssode_residual", 0.0)):
+        warnings.append("ssode_residual is not finite: a term of the profile equation overflows")
+        return EXIT_INCONCLUSIVE, report
     return EXIT_OK, report
 
 

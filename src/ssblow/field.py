@@ -32,7 +32,6 @@ from .params import (
 )
 
 __all__ = [
-    "vector_field",
     "make_rhs",
     "jacobian",
     "EigenData",
@@ -41,7 +40,6 @@ __all__ = [
     "p2_unstable_eigenvalue",
     "p2_unstable_eigenvector",
     "classify_critical_points",
-    "infinity_chart_field",
     "make_chart_rhs",
     "infinity_chart_jacobian",
     "phase_from_chart",
@@ -69,11 +67,6 @@ def make_rhs(params: Params):
         )
 
     return rhs
-
-
-def vector_field(pt, params: Params) -> np.ndarray:
-    """Velocity (X', Y', Z') of the phase-space system at pt = (X, Y, Z)."""
-    return np.array(make_rhs(params)(0.0, tuple(float(v) for v in pt)))
 
 
 def jacobian(pt, params: Params) -> np.ndarray:
@@ -268,11 +261,6 @@ def make_chart_rhs(params: Params):
     return rhs
 
 
-def infinity_chart_field(cp, params: Params) -> np.ndarray:
-    """Chart velocity (w', y', z') at cp = (w, y, z); Q1 is the origin."""
-    return np.array(make_chart_rhs(params)(0.0, tuple(float(v) for v in cp)))
-
-
 def infinity_chart_jacobian(cp, params: Params) -> np.ndarray:
     w, y, z = (float(v) for v in cp)
     m = params.m
@@ -305,18 +293,21 @@ def p2_chart_coordinates(params: Params) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def center_family_P0(K: float, z: float, params: Params) -> float:
-    """X value of the center-manifold family X = K sqrt(Z) - (m-1) alpha Z at P0.
+def center_family_P0(K: float, z: float, params: Params) -> tuple[float, float]:
+    """The point (X, Y) at height Z = z of the center-manifold family at P0:
+    X = K sqrt(Z) - (m-1) alpha Z, and Y from the tangent plane
+    (beta/alpha) Y = X - Z of the center manifold.
 
-    A nonpositive return means the family has left the physical region
-    {X > 0} for this (K, z); callers decide whether that is an error.
+    A nonpositive X means the family has left the physical region {X > 0}
+    for this (K, z); callers decide whether that is an error.
     """
     if not 0.0 <= z < math.inf:
         raise DomainError("z must be finite and nonnegative")
     if not 0.0 <= K < math.inf:
         raise DomainError("K must be finite and nonnegative")
-    alpha = derive_exponents(params).alpha
-    return K * math.sqrt(z) - (params.m - 1.0) * alpha * z
+    exp = derive_exponents(params)
+    x = K * math.sqrt(z) - (params.m - 1.0) * exp.alpha * z
+    return x, (x - z) * exp.alpha / exp.beta
 
 
 # ---------------------------------------------------------------------------

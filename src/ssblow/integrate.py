@@ -13,15 +13,17 @@ sample grid's spacing stores the extension's values at the grid points it
 spans, not its end, so the step is set by error control and the output
 grid by what the output needs.  The step loop does not evaluate them: such
 a step keeps its start, length, state and extension coefficients once, its
-grid points are stored as placeholders, and after the loop (or when the
-sample cap thins the run) every placeholder still stored is evaluated by
-numpy, with the scalar evaluator's operations in the same order, so the
-values are bit-identical to it.  The placeholders are found and evaluated
-a fixed-size block of stored samples at a time, and each block's values
-are written in place, so the evaluation holds no array as long as the run.
-Past the sample cap the points a thinned run drops are skipped
-unevaluated.  Runs that store step ends only
-never defer a sample and do no work for it.
+grid points are stored as placeholders, and after the loop every
+placeholder still stored is evaluated by numpy, with the scalar
+evaluator's operations in the same order, so the values are bit-identical
+to it.  The placeholders are found and evaluated a fixed-size block of
+stored samples at a time, and each block's values are written in place,
+so the evaluation holds no array as long as the run.  One helper, _thin,
+holds the sample cap's rule: past the cap it drops every other stored
+sample, evaluates the placeholders kept and forgets the steps, so the
+points a thinned run drops are never evaluated; it also stores the run's
+final sample.  Runs that store step ends only never defer a sample and do
+no work for it.
 
 The right-hand side receives and returns plain float triples; keeping the
 hot loop free of array allocation is what makes long runs affordable.  The
@@ -259,36 +261,47 @@ _STEP_ROW = 17  # floats per deferred step: t, h, the state, 12 coefficients
 _PENDING_BLOCK = 4096  # stored samples searched and evaluated at a time
 
 
-def _pending_values(eta, pts, steps):
-    """The positions in pts of the samples stored as _PENDING, and their
-    values.  steps holds _STEP_ROW floats per deferred step, in eta order;
-    a pending sample at eta e lies on the last step that starts at or
-    before e."""
-    idx = np.flatnonzero(np.fromiter((p is _PENDING for p in pts), bool, len(pts)))
-    rows = np.asarray(steps).reshape(-1, _STEP_ROW)
-    e = eta[idx]
-    j = np.searchsorted(rows[:, 0], e, side="right") - 1
-    return idx, _dense_rows((e - rows[j, 0]) / rows[j, 1], j, rows)
-
-
 def _pending_blocks(eta, pts, steps):
-    """_pending_values over pts _PENDING_BLOCK samples at a time: yields the
-    positions in pts and the values of each block's pending samples, so
-    that no evaluation holds arrays longer than a block."""
+    """The positions in pts of the samples stored as _PENDING, and their
+    values, yielded _PENDING_BLOCK stored samples at a time, so that no
+    evaluation holds arrays longer than a block.  steps holds _STEP_ROW
+    floats per deferred step, in eta order; a pending sample at eta e lies
+    on the last step that starts at or before e."""
     rows = np.array(steps).reshape(-1, _STEP_ROW)
     for s in range(0, len(pts), _PENDING_BLOCK):
-        block = slice(s, s + _PENDING_BLOCK)
-        idx, vals = _pending_values(np.asarray(eta[block], dtype=float), pts[block], rows)
-        yield s + idx, vals
+        block = pts[s : s + _PENDING_BLOCK]
+        idx = np.flatnonzero(np.fromiter((p is _PENDING for p in block), bool, len(block)))
+        e = np.asarray(eta[s : s + _PENDING_BLOCK], dtype=float)[idx]
+        j = np.searchsorted(rows[:, 0], e, side="right") - 1
+        yield s + idx, _dense_rows((e - rows[j, 0]) / rows[j, 1], j, rows)
 
 
-def _resolve_pending(etas, pts, steps):
-    """Evaluate every pending sample in place and forget the deferred steps,
-    so that a thinned run keeps only the steps its stored samples need."""
-    for idx, vals in _pending_blocks(etas, pts, steps):
-        for i, v in zip(idx.tolist(), vals.tolist()):
-            pts[i] = v
-    steps.clear()
+def _thin(etas, pts, steps, last=None):
+    """Drop every other stored sample but the first, evaluate the pending
+    samples kept in place and forget the deferred steps, so that a thinned
+    run keeps only the steps its stored samples need.
+
+    In the step loop (last None) the sample that took the run over
+    _MAX_SAMPLES is among those dropped, [1::2], and the loop stores every
+    other sample it reaches from there on.  last is the run's final
+    (eta, point): it is stored after every earlier sample, and kept,
+    [1:-1:2], when it takes the run over the cap.  The two agree for an
+    even cap."""
+    if last is not None:
+        if not last[0] > etas[-1]:
+            return
+        etas.append(last[0])
+        pts.append(last[1])
+        if len(etas) <= _MAX_SAMPLES:
+            return
+        del etas[1:-1:2], pts[1:-1:2]
+    else:
+        del etas[1::2], pts[1::2]
+    if steps:
+        for idx, vals in _pending_blocks(etas, pts, steps):
+            for i, v in zip(idx.tolist(), vals.tolist()):
+                pts[i] = v
+        steps.clear()
 
 
 def _rms(v, sc):
@@ -455,15 +468,6 @@ def integrate(
     stride = 1  # store every stride-th sample
     since_record = 0
 
-    def record(tt, yy):
-        # a sample stored whatever the stride: an event's, and the run's last
-        if tt > etas[-1]:
-            etas.append(tt)
-            pts.append(yy)
-            if len(etas) > cap:
-                # the sample just stored stays, whatever the count's parity
-                del etas[1:-1:2], pts[1:-1:2]
-
     y0, y1, y2 = y
     u0, u1, u2 = abs(y0), abs(y1), abs(y2)
     k1 = f
@@ -591,7 +595,7 @@ def integrate(
         # samples: the grid points a long step spans up to its end or its
         # event, or else the end of a short step; every stride-th is stored.
         # A stored grid point is a placeholder, evaluated from the step's
-        # record (kept once per step) after the loop or at a thinning
+        # record (kept once per step) after the loop or by _thin
         if h > ds:
             if q is None:
                 q = _dense_coeffs(k1, k3, k4, k5, k6, k7)
@@ -614,12 +618,9 @@ def integrate(
                         add_pt(pending)
                         t_rec = e
                         if len(etas) > cap:
-                            # keep every other sample, the start among them,
-                            # and every other one from here on
-                            del etas[1::2], pts[1::2]
+                            _thin(etas, pts, steps)
                             stride *= 2
                             t_rec = etas[-1]
-                            _resolve_pending(etas, pts, steps)
                             kept = False
                     since_record = 0
                 k += 1
@@ -632,16 +633,13 @@ def integrate(
                     add_pt(y_new)
                     t_rec = t_new
                     if len(etas) > cap:
-                        del etas[1::2], pts[1::2]
+                        _thin(etas, pts, steps)
                         stride *= 2
                         t_rec = etas[-1]
-                        if steps:
-                            _resolve_pending(etas, pts, steps)
                 since_record = 0
         if first is not None:
-            t_star, y_star, spec = first
-            hit = EventHit(id=spec.id, eta=t_star, point=np.array(y_star))
-            record(t_star, y_star)
+            t, y, spec = first
+            hit = EventHit(id=spec.id, eta=t, point=np.array(y))
             termination = "event"
             break
 
@@ -657,7 +655,7 @@ def integrate(
             w = 0.9 * err**-0.2  # at least 0.9, as err <= 1
             h *= w if w < 5.0 else 5.0
 
-    record(t, y)
+    _thin(etas, pts, steps, (t, y))  # the final sample: an event's or the last step end
     eta = np.array(etas)
     points = np.fromiter(itertools.chain.from_iterable(pts), float, 3 * len(pts)).reshape(-1, 3)
     if steps:

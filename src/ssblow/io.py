@@ -32,13 +32,6 @@ def fmt(x) -> str:
     return "%.17g" % float(x)
 
 
-def _write_rows(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
 def _write_columns(path, header, columns):
     """One row per index of the float columns, each written with %.17g.
     Rows are written _WRITE_BLOCK at a time, each block rendered by one %
@@ -90,17 +83,13 @@ def read_profile_csv(path):
 
 def write_sweep_csv(path, rows) -> None:
     """rows: iterables of (sigma, fate, lambda_hat or None, xi0 or None)."""
-    out = []
-    for sigma, fate, lam, xi0 in rows:
-        out.append(
-            [
-                fmt(sigma),
-                str(fate),
-                "" if lam is None else fmt(lam),
-                "" if xi0 is None else fmt(xi0),
-            ]
-        )
-    _write_rows(path, ["sigma", "fate", "lambda_hat", "xi0"], out)
+    with open(path, "w", newline="") as fh:
+        fh.write("sigma,fate,lambda_hat,xi0\n")
+        for sigma, fate, lam, xi0 in rows:
+            fh.write(
+                "%s,%s,%s,%s\n"
+                % (fmt(sigma), fate, "" if lam is None else fmt(lam), "" if xi0 is None else fmt(xi0))
+            )
 
 
 def read_sweep_csv(path):
@@ -122,22 +111,6 @@ def read_sweep_csv(path):
     return rows
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def _render(obj, indent: int) -> str:
     pad = "  " * indent
     pad1 = "  " * (indent + 1)
@@ -148,7 +121,7 @@ def _render(obj, indent: int) -> str:
             '%s"%s": %s' % (pad1, k, _render(v, indent + 1)) for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, list):
+    if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         items = [pad1 + _render(v, indent + 1) for v in obj]
@@ -167,5 +140,5 @@ def _render(obj, indent: int) -> str:
 def dump_report(payload: dict) -> str:
     """Serialize a report dict; floats are written with 17 significant digits,
     and an infinite or nan float (xi_max as sigma -> 2+) as null."""
-    return _render(_jsonable(payload), 0) + "\n"
+    return _render(payload, 0) + "\n"
 

@@ -151,22 +151,17 @@ def launch_from_P2(params: Params, delta: float = 1e-6) -> np.ndarray:
 
 
 def launch_from_P0(K: float, z0: float, params: Params) -> np.ndarray:
-    """Start on the center-manifold family out of the origin.
-
-    X comes from the explicit family X = K sqrt(Z) - (m-1) alpha Z and Y from
-    the tangent-plane relation (beta/alpha) Y = X - Z of the center manifold.
-    """
+    """Start on the center-manifold family out of the origin, at the
+    family point (X, Y) of center_family_P0 with Z = z0."""
     if not 0.0 < K < math.inf:
         raise DomainError("K must be finite and positive")
     if not 0.0 < z0 <= 1e-5:
         raise DomainError("z0 must lie in (0, 1e-5]")
-    x0 = center_family_P0(K, z0, params)
+    x0, y0 = center_family_P0(K, z0, params)
     if x0 <= 0.0:
         raise DomainError(
             "non-physical start: K=%.17g gives X=%.17g <= 0 at z0=%.17g" % (K, x0, z0)
         )
-    exp = derive_exponents(params)
-    y0 = (x0 - z0) * exp.alpha / exp.beta
     return np.array([x0, y0, z0])
 
 
@@ -399,14 +394,21 @@ def classify_fate(traj: Trajectory, params: Params) -> OrbitFate:
     return OrbitFate(FateKind.INCONCLUSIVE, None, pt, diagnostics)
 
 
+def _run(params: Params, start, controls) -> tuple[Trajectory, OrbitFate]:
+    """One phase-space run from start under the standard fate events, and
+    its fate.  integrate, make_rhs and classify_fate are looked up as
+    module globals at each call, so a tracer that rebinds them sees every
+    run."""
+    traj = integrate(make_rhs(params), start, standard_fate_events(params), controls)
+    return traj, classify_fate(traj, params)
+
+
 def run_p2_orbit(
     params: Params,
     controls: IntegrationControls | None = None,
     delta: float = 1e-6,
 ) -> tuple[Trajectory, OrbitFate]:
-    start = launch_from_P2(params, delta)
-    traj = integrate(make_rhs(params), start, standard_fate_events(params), controls)
-    return traj, classify_fate(traj, params)
+    return _run(params, launch_from_P2(params, delta), controls)
 
 
 def run_p0_orbit(
@@ -415,9 +417,7 @@ def run_p0_orbit(
     params: Params,
     controls: IntegrationControls | None = None,
 ) -> tuple[Trajectory, OrbitFate]:
-    start = launch_from_P0(K, z0, params)
-    traj = integrate(make_rhs(params), start, standard_fate_events(params), controls)
-    return traj, classify_fate(traj, params)
+    return _run(params, launch_from_P0(K, z0, params), controls)
 
 
 # ---------------------------------------------------------------------------
@@ -482,15 +482,14 @@ def run_q1_orbit(
         )
         return chart_traj, None, fate
     phase_start = phase_from_chart(hit.point)
-    phase_traj = integrate(make_rhs(params), phase_start, standard_fate_events(params), controls)
-    fate = classify_fate(phase_traj, params)
+    phase_traj, fate = _run(params, phase_start, controls)
     fate.diagnostics["chart_leg_eta"] = hit.eta
     fate.diagnostics["handoff_point"] = phase_start
     return chart_traj, phase_traj, fate
 
 
 # ---------------------------------------------------------------------------
-# lambda(sigma) and the critical sigma
+# the critical sigma
 # ---------------------------------------------------------------------------
 
 

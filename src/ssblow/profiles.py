@@ -133,7 +133,8 @@ def ssode_residual(frame: ProfileFrame, params: Params) -> float:
     the three-point second difference of f^m is only first order where
     neighbouring spacings differ, as at an event sample off the sample
     grid.  f' is the sampled derivative.  Normalization is
-    max(1, max |alpha f|).
+    max(1, max |alpha f|).  A flux that overflows gives nan, without a
+    numpy warning.
     """
     if len(frame) < 5:
         raise DomainError("need at least 5 samples to test the profile equation")
@@ -142,19 +143,20 @@ def ssode_residual(frame: ProfileFrame, params: Params) -> float:
     m = params.m
     exp = derive_exponents(params)
     xi, f, df = frame.xi, frame.f, frame.df
-    flux = m * f ** (m - 1.0) * df
     h1 = xi[1:-1] - xi[:-2]
     h2 = xi[2:] - xi[1:-1]
-    dflux = (
-        h1 * h1 * flux[2:] + (h2 * h2 - h1 * h1) * flux[1:-1] - h2 * h2 * flux[:-2]
-    ) / (h1 * h2 * (h1 + h2))
     mid = slice(1, -1)
-    res = (
-        dflux
-        - exp.alpha * f[mid]
-        + exp.beta * xi[mid] * df[mid]
-        + xi[mid] ** params.sigma * f[mid] ** (2.0 - m)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        flux = m * f ** (m - 1.0) * df
+        dflux = (
+            h1 * h1 * flux[2:] + (h2 * h2 - h1 * h1) * flux[1:-1] - h2 * h2 * flux[:-2]
+        ) / (h1 * h2 * (h1 + h2))
+        res = (
+            dflux
+            - exp.alpha * f[mid]
+            + exp.beta * xi[mid] * df[mid]
+            + xi[mid] ** params.sigma * f[mid] ** (2.0 - m)
+        )
     scale = max(1.0, float(np.max(np.abs(exp.alpha * f))))
     return float(np.max(np.abs(res))) / scale
 
@@ -229,10 +231,9 @@ def _asymptotic_start(origin, params, xi_start, a=None, K=None):
         # K is the coefficient of xi^{(sigma+2)/(2(m-1))}; the matching
         # center-family parameter is sqrt(m) K^{m-1}.
         k_fam = math.sqrt(m) * K ** (m - 1.0)
-        x_s = center_family_P0(k_fam, z_s, params)
+        x_s, y_s = center_family_P0(k_fam, z_s, params)
         if x_s <= 0.0:
             raise DomainError("K too small: family leaves the physical region")
-        y_s = (x_s - z_s) * alpha / exp.beta
     else:
         raise DomainError("origin must be p1, p2 or p0")
     f0 = (alpha * xi_start**2 * x_s / m) ** (1.0 / (m - 1.0))
@@ -378,10 +379,16 @@ def find_good_profile_P1(
     approximation to it).
     """
     a_lo, a_hi = float(a_bracket[0]), float(a_bracket[1])
-    if not 0.0 < a_lo < a_hi:
-        raise DomainError("need 0 < a_lo < a_hi")
+    if not 0.0 < a_lo < a_hi < math.inf:
+        raise DomainError("need 0 < a_lo < a_hi < inf")
     if not 0.0 < tol < math.inf:
         raise DomainError("tol must be finite and positive")
+    # with tol at least the spacing at a_hi every midpoint lies strictly
+    # between the ends, so the bisection ends
+    if tol < math.ulp(a_hi):
+        raise ProfileBracketError(
+            "tol %.3g is below the float spacing of a near %.17g" % (tol, a_hi)
+        )
 
     def run_at(a):
         return integrate_ssode("p1", params, controls, a=a, xi_start=xi_start)

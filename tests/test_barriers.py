@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ssblow.params import beta_over_alpha, derive_exponents, validate_params
-from ssblow.field import vector_field, infinity_chart_field, make_rhs
+from ssblow.field import make_chart_rhs, make_rhs
 from ssblow.integrate import EventSpec, IntegrationControls, integrate
 from ssblow.orbits import launch_from_P2
 from ssblow.barriers import (
@@ -57,7 +57,7 @@ def _surface_normal_dot_field(spec, pts, params):
     """Numerical gradient of the implicit surface dotted with the field."""
     h = 1e-7
     out = np.empty(len(pts))
-    chart = spec.coords == "chart"
+    rhs = (make_chart_rhs if spec.coords == "chart" else make_rhs)(params)
     for i, p in enumerate(pts):
         grad = np.empty(3)
         for j in range(3):
@@ -66,8 +66,7 @@ def _surface_normal_dot_field(spec, pts, params):
             grad[j] = (spec.surface((p + dp)[None, :])[0] - spec.surface((p - dp)[None, :])[0]) / (
                 2.0 * h
             )
-        f = infinity_chart_field(p, params) if chart else vector_field(p, params)
-        out[i] = float(np.dot(grad, f))
+        out[i] = float(np.dot(grad, rhs(0.0, p)))
     return out
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from types import ModuleType, SimpleNamespace
@@ -393,6 +394,22 @@ def test_non_finite_launch_shot_and_search_values_exit_2(argv, capsys):
     overflows is exit 3 (test_cli_exit_code_contract), these are exit 2."""
     code, _, err = run_cli(capsys, *argv[:1], "--m", "1.5", *argv[1:])
     assert code == 2 and err.startswith("error: "), (code, err)
+
+
+def test_a_profile_whose_residual_overflows_exits_3(capsys):
+    """At K = 1e300 the frame is finite (f up to 5.4e283), but the flux
+    m f^(m-1) f' of ssode_residual overflows: exit 3 with the reason named,
+    and no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "profile", "--m", "1.5", "--sigma", "3", "--origin", "p0", "--K", "1e300",
+            "--format", "json",
+        )
+    assert (code, err) == (3, "")
+    rep = json.loads(out)
+    assert rep["results"]["ssode_residual"] is None
+    assert rep["warnings"] == ["ssode_residual is not finite: a term of the profile equation overflows"]
 
 
 def test_profile_p1_bisection(capsys):
@@ -789,11 +806,10 @@ _PUBLIC_SURFACE = {
     ],
     "field": [
         "CriticalPoint", "EigenData", "VertexNormalForm", "center_family_P0",
-        "classify_critical_points", "eigen_data", "infinity_chart_field",
+        "classify_critical_points", "eigen_data",
         "infinity_chart_jacobian", "jacobian", "make_chart_rhs", "make_rhs",
         "p2_chart_coordinates", "p2_unstable_eigenvalue", "p2_unstable_eigenvector",
-        "phase_from_chart", "vector_field",
-        "vertex_center_slope", "vertex_normal_form", "vertex_normal_form_coeffs",
+        "phase_from_chart", "vertex_center_slope", "vertex_normal_form", "vertex_normal_form_coeffs",
     ],
     "integrate": ["EventHit", "EventSpec", "IntegrationControls", "Trajectory", "integrate"],
     "orbits": [

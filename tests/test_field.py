@@ -15,28 +15,28 @@ from ssblow.params import (
 from ssblow.field import (
     center_family_P0,
     classify_critical_points,
-    infinity_chart_field,
     infinity_chart_jacobian,
     jacobian,
+    make_chart_rhs,
     make_rhs,
     p2_chart_coordinates,
     p2_unstable_eigenvalue,
     p2_unstable_eigenvector,
     phase_from_chart,
-    vector_field,
     vertex_center_slope,
     vertex_normal_form,
     vertex_normal_form_coeffs,
 )
+from ssblow.orbits import launch_from_P0
 
 
 def test_vector_field_hand_value(params15_3):
-    v = vector_field((0.01, 0.0, 0.005), params15_3)
+    v = make_rhs(params15_3)(0.0, (0.01, 0.0, 0.005))
     assert v == pytest.approx([-2e-4, 5e-3, 5e-5], rel=1e-12)
 
 
 def test_vector_field_vanishes_at_p2(params15_3):
-    v = vector_field(p2_coordinates(params15_3), params15_3)
+    v = make_rhs(params15_3)(0.0, p2_coordinates(params15_3))
     assert np.max(np.abs(v)) < 1e-12
 
 
@@ -45,7 +45,7 @@ def test_vector_field_vanishes_at_p2(params15_3):
 def test_vector_field_vanishes_on_parabola(t):
     pr = validate_params(1.5, 3.0)
     lo, hi = lambda_range(pr)
-    v = vector_field(parabola_point(lo + t * (hi - lo), pr), pr)
+    v = make_rhs(pr)(0.0, parabola_point(lo + t * (hi - lo), pr))
     assert np.max(np.abs(v)) < 1e-12
 
 
@@ -67,6 +67,7 @@ def test_jacobian_rows_at_parabola_point(params15_3):
 
 def test_jacobian_matches_finite_differences(params15_3):
     rng = np.random.default_rng(11)
+    rhs = make_rhs(params15_3)
     h = 1e-6
     for _ in range(100):
         pt = rng.uniform([0.0, -0.5, 0.0], [0.5, 0.5, 0.05])
@@ -75,9 +76,7 @@ def test_jacobian_matches_finite_differences(params15_3):
         for j in range(3):
             dp = np.zeros(3)
             dp[j] = h
-            fd[:, j] = (
-                vector_field(pt + dp, params15_3) - vector_field(pt - dp, params15_3)
-            ) / (2.0 * h)
+            fd[:, j] = np.subtract(rhs(0.0, pt + dp), rhs(0.0, pt - dp)) / (2.0 * h)
         assert np.max(np.abs(J - fd) / np.maximum(np.abs(J), 1.0)) < 1e-6
 
 
@@ -130,7 +129,7 @@ def test_field_vanishes_at_every_cataloged_finite_point(params15_3):
     for cp in classify_critical_points(params15_3):
         if cp.coords != "phase":
             continue
-        assert np.max(np.abs(vector_field(cp.location, params15_3))) < 1e-12
+        assert np.max(np.abs(make_rhs(params15_3)(0.0, cp.location))) < 1e-12
 
 
 def test_p2_spectrum(params15_3):
@@ -154,10 +153,11 @@ def test_p2_unstable_eigenvector_is_true_eigenvector(params15_3):
 
 
 def test_infinity_chart_fixed_points(params15_3):
-    assert np.max(np.abs(infinity_chart_field((0.0, 0.0, 0.0), params15_3))) == 0.0
+    chart_rhs = make_chart_rhs(params15_3)
+    assert np.max(np.abs(chart_rhs(0.0, (0.0, 0.0, 0.0)))) == 0.0
     p2c = p2_chart_coordinates(params15_3)
     assert p2c == pytest.approx([100.0, 4.0, 0.0], rel=1e-13)
-    assert np.max(np.abs(infinity_chart_field(p2c, params15_3))) < 1e-12
+    assert np.max(np.abs(chart_rhs(0.0, p2c))) < 1e-12
 
 
 def test_infinity_chart_linearization_at_q1(params15_3):
@@ -177,12 +177,13 @@ def test_chart_consistency_with_phase_field(params15_3):
     """Pushing the phase velocity through the chart map must give a positive
     multiple of the chart field wherever X > 0."""
     rng = np.random.default_rng(5)
+    rhs, chart_rhs = make_rhs(params15_3), make_chart_rhs(params15_3)
     for _ in range(1000):
         x = rng.uniform(0.1, 10.0)
         y = rng.uniform(-5.0, 5.0)
         z = rng.uniform(0.0, 5.0)
         pt = np.array([x, y, z])
-        v = vector_field(pt, params15_3)
+        v = rhs(0.0, pt)
         # d/dt of (1/X, Y/X, Z/X)
         push = np.array(
             [
@@ -191,7 +192,7 @@ def test_chart_consistency_with_phase_field(params15_3):
                 v[2] / x - z * v[0] / x**2,
             ]
         )
-        chart_v = infinity_chart_field((1.0 / x, y / x, z / x), params15_3)
+        chart_v = np.array(chart_rhs(0.0, (1.0 / x, y / x, z / x)))
         # chart time runs w times faster; direction must agree
         nv = np.linalg.norm(push)
         nc = np.linalg.norm(chart_v)
@@ -212,17 +213,30 @@ def test_chart_round_trip(params15_3):
 
 
 def test_center_family_values(params15_3):
-    assert center_family_P0(0.1, 1e-4, params15_3) == pytest.approx(5e-4, rel=1e-12)
-    assert center_family_P0(0.0, 1e-4, params15_3) <= 0.0
+    assert center_family_P0(0.1, 1e-4, params15_3)[0] == pytest.approx(5e-4, rel=1e-12)
+    assert center_family_P0(0.0, 1e-4, params15_3)[0] <= 0.0
     # leading-order tangency X / sqrt(z) -> K as z -> 0
     errs = [
-        abs(center_family_P0(0.1, z, params15_3) / np.sqrt(z) - 0.1)
+        abs(center_family_P0(0.1, z, params15_3)[0] / np.sqrt(z) - 0.1)
         for z in (1e-8, 1e-10, 1e-12)
     ]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-5
     with pytest.raises(DomainError):
         center_family_P0(-1.0, 1e-6, params15_3)
+
+
+@settings(max_examples=100)
+@given(st.floats(min_value=1e-3, max_value=10.0), st.floats(min_value=1e-14, max_value=1e-5))
+def test_center_family_point_lies_on_the_tangent_plane(K, z):
+    """Y of the family point solves (beta/alpha) Y = X - Z, and it is the Y
+    that launch_from_P0 starts from, bit for bit."""
+    pr = validate_params(1.5, 3.0)
+    x, y = center_family_P0(K, z, pr)
+    assert beta_over_alpha(pr) * y == pytest.approx(x - z, rel=1e-14, abs=0.0)
+    if x > 0.0:
+        start = launch_from_P0(K, z, pr)
+        assert (start[0], start[1], start[2]) == (x, y, z)
 
 
 @pytest.mark.parametrize(

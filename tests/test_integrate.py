@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import RK45, solve_ivp
 
 from ssblow.params import beta_over_alpha, derive_exponents, validate_params
-from ssblow.field import make_rhs, vector_field, p2_coordinates
+from ssblow.field import make_rhs, p2_coordinates
 import ssblow.integrate as integrate_module
 from ssblow.integrate import (
     _PD,
@@ -275,7 +275,7 @@ def test_against_scipy_oracle(params15_3):
         make_rhs(params15_3), tuple(start), controls=IntegrationControls(max_time=200.0)
     )
     sol = solve_ivp(
-        lambda t, y: vector_field(y, params15_3),
+        make_rhs(params15_3),
         (0.0, 200.0),
         start,
         rtol=1e-10,
@@ -541,7 +541,7 @@ def test_a_pending_sample_at_a_step_start_is_that_steps_start_state():
             [1.0, 1.0, 5.0, 6.0, 7.0] + [1.0] * 12]
     eta = np.array([0.0, 0.5, 1.0, 1.5])
     pts = [(9.0, 9.0, 9.0), p, p, (8.0, 8.0, 8.0)]
-    idx, vals = integrate_module._pending_values(eta, pts, [v for r in rows for v in r])
+    idx, vals = next(integrate_module._pending_blocks(eta, pts, [v for r in rows for v in r]))
     assert idx.tolist() == [1, 2]
     assert vals.tolist() == [[0.5, 0.0, 0.0], [5.0, 6.0, 7.0]]
 
@@ -556,13 +556,14 @@ def test_a_thinning_among_short_steps_evaluates_the_deferred_samples(monkeypatch
     full = integrate(rhs, (0.0, 1.0, 0.0), [], controls)
     monkeypatch.setattr(integrate_module, "_MAX_SAMPLES", 100)
     resolved = []
-    resolve = integrate_module._resolve_pending
+    thin = integrate_module._thin
 
-    def spy(etas, pts, steps):
-        resolved.append((etas[-1], len(steps)))
-        resolve(etas, pts, steps)
+    def spy(etas, pts, steps, last=None):
+        if last is None:  # a thinning in the step loop, not the final store
+            resolved.append((etas[-1], len(steps)))
+        thin(etas, pts, steps, last)
 
-    monkeypatch.setattr(integrate_module, "_resolve_pending", spy)
+    monkeypatch.setattr(integrate_module, "_thin", spy)
     thin = integrate(rhs, (0.0, 1.0, 0.0), [], controls)
     assert any(eta > 50.0 and n > 0 for eta, n in resolved)
     assert not np.isnan(thin.points).any()

@@ -81,3 +81,10 @@ def test_writing_a_csv_holds_no_copy_of_the_whole_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+def test_dump_report_renders_a_tuple_as_the_list_of_its_items():
+    """A tuple, at any depth, is written exactly as the list of its items."""
+    as_tuples = (1, -0.0, 0.1, math.inf, None, True, "x", {"k": (2, 3)}, ((), [4]))
+    as_lists = [1, -0.0, 0.1, math.inf, None, True, "x", {"k": [2, 3]}, [[], [4]]]
+    assert io_mod.dump_report({"v": as_tuples}) == io_mod.dump_report({"v": as_lists})

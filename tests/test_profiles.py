@@ -15,9 +15,11 @@ from ssblow.params import (
 )
 from ssblow.integrate import IntegrationControls, Trajectory
 from ssblow.orbits import run_p2_orbit
+import ssblow.profiles
 from ssblow.profiles import (
     InconclusiveProfile,
     ProfileBracketError,
+    SsodeResult,
     find_good_profile_P1,
     integrate_ssode,
     interface_slopes,
@@ -305,6 +307,27 @@ def test_find_good_profile_P1_midpoint_matches_an_end(params15_3):
 def test_find_good_profile_P1_same_fate_error(params15_3):
     with pytest.raises(ProfileBracketError):
         find_good_profile_P1(params15_3, (1e-14, 1e-13), tol=1e-15)
+
+
+def test_find_good_profile_P1_refuses_a_tol_below_the_float_spacing_of_a(monkeypatch, params15_3):
+    """A tol below the float spacing of a would bisect forever; it is
+    refused before any run.  At the spacing of the upper end every
+    midpoint lies strictly between the ends, and the bisection ends."""
+    calls = []
+
+    def step_at_5e_11(origin, params, controls=None, a=None, K=None, xi_start=1e-4):
+        calls.append(a)
+        if len(calls) > 200:
+            raise RuntimeError("the bisection does not end")
+        fate = "sign_change" if a < 5e-11 else "positive"
+        return SsodeResult(frame=None, fate=fate, xi0=None, g_slope=None, report=None)
+
+    monkeypatch.setattr(ssblow.profiles, "integrate_ssode", step_at_5e_11)
+    with pytest.raises(ProfileBracketError, match="float spacing"):
+        find_good_profile_P1(params15_3, (1e-13, 1e-10), tol=1e-40)
+    assert calls == []
+    a_star, _ = find_good_profile_P1(params15_3, (1e-13, 1e-10), tol=math.ulp(1e-10))
+    assert a_star == pytest.approx(5e-11, rel=1e-15) and len(calls) < 100
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf])
