@@ -7,7 +7,8 @@ Three quantities are reported:
            small-sigma confinement construction holds (the proof shows such
            a threshold exists without giving a value);
   sigma_*  the critical sigma where the orbit out of P2 switches from
-           entering the parabola to escaping to Q3, found by bisection;
+           entering the parabola to escaping to Q3, found by the safeguarded
+           secant of orbits.sigma_star;
   sigma_1  smallest grid sigma at which the large-sigma floor-plane
            certificate applies and the P2 orbit indeed escapes to Q3.
 """
@@ -32,8 +33,8 @@ from ssblow.barriers import dregion_gates, empirical_sigma0, plane3_gate
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--m", type=float, default=1.5)
-    ap.add_argument("--lo", type=float, default=None, help="bisection bracket low end")
-    ap.add_argument("--hi", type=float, default=None, help="bisection bracket high end")
+    ap.add_argument("--lo", type=float, default=None, help="sigma* search bracket low end")
+    ap.add_argument("--hi", type=float, default=None, help="sigma* search bracket high end")
     ap.add_argument("--tol", type=float, default=1e-3)
     args = ap.parse_args(argv)
     m = args.m
@@ -51,10 +52,10 @@ def main(argv=None) -> int:
     hi = args.hi if args.hi is not None else 4.0
     try:
         res = sigma_star(m, (lo, hi), args.tol)
-        print("sigma_* = %.6f (bracket %.6f..%.6f, %d bisections)" % (
+        print("sigma_* = %.6f (bracket %.6f..%.6f, %d runs between the ends)" % (
             res.sigma_star, res.bracket[0], res.bracket[1], res.iterations))
     except (InconclusiveError, BracketError) as exc:
-        print("sigma_* bisection failed on (%.3f, %.3f): %s" % (lo, hi, exc))
+        print("sigma_* search failed on (%.3f, %.3f): %s" % (lo, hi, exc))
 
     print("sigma_1 scan (floor-plane certificate + Q3 escape):")
     sigma1 = None

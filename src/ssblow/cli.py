@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # sigma-star and sweep keep only fates, so they run under the fate-only
     # controls: no step cap, step ends only, a budget of 1e6
-    p = sub.add_parser("sigma-star", help="bisect the critical sigma of the P2 orbit")
+    p = sub.add_parser("sigma-star", help="find the critical sigma of the P2 orbit by a safeguarded secant")
     _add_common(p, sigma=False)
     _add_controls(p, FATE_ONLY_CONTROLS)
     p.add_argument("--lo", type=float, required=True)

@@ -499,13 +499,28 @@ def sigma_star(
     tol: float,
     controls: IntegrationControls | None = None,
 ) -> ShootResult:
-    """Bisect sigma between a parabola-entering and a Q3-escaping fate.
+    """Shrink a sigma bracket between a parabola-entering and a
+    Q3-escaping fate to at most tol, by a safeguarded secant.
 
-    Each bracket end and each midpoint is one P2 orbit under controls,
-    FATE_ONLY_CONTROLS by default; a midpoint replaces the bracket end
-    whose fate it shares.  The first inconclusive orbit ends the search
-    with InconclusiveError naming its sigma and termination, rather than
-    an invented answer.  evaluations holds (sigma, n_steps, fate kind,
+    Below sigma*, the squared vertex distance d2 = (lambda_hat +
+    beta/(2 alpha))^2 of an entry falls linearly to 0 at sigma*.  So each
+    step extrapolates d2 through the two entry runs with the largest sigma,
+    s1 < lo, to its zero est, and aims short of it, at min(est - 0.45 tol,
+    lo + 0.9 (est - lo)), so that the run lands on the entry side and
+    the next secant is better; it steps at least 0.95 tol past lo, so once
+    est is near lo the run closes the bracket.  The step is the midpoint
+    instead when fewer than two entry runs carry a lambda_hat, when d2
+    does not fall toward sigma*, when the proposal is not strictly inside
+    the bracket, when it would not move lo by at most half the step of two
+    runs before (so a secant that stops converging gives way to
+    bisection), when the midpoint alone closes the bracket, or when the
+    entry side is the bracket's upper end.
+
+    Each bracket end and each step is one P2 orbit under controls,
+    FATE_ONLY_CONTROLS by default, and it replaces the bracket end whose
+    fate it shares.  The first inconclusive orbit ends the search with
+    InconclusiveError naming its sigma and termination, rather than an
+    invented answer.  evaluations holds (sigma, n_steps, fate kind,
     lambda_hat) for every orbit run, in order.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
@@ -516,9 +531,12 @@ def sigma_star(
     controls = controls or FATE_ONLY_CONTROLS
 
     evaluations = []
+    # (sigma, d2 or None) of every parabola-side run, in the order run
+    entries = []
 
     def fate_at(sig: float) -> OrbitFate:
-        _, fate = run_p2_orbit(validate_params(m, sig), controls)
+        params = validate_params(m, sig)
+        _, fate = run_p2_orbit(params, controls)
         diag = fate.diagnostics
         evaluations.append((sig, diag["n_steps"], fate.kind, fate.lambda_hat))
         if not fate.decisive:
@@ -526,6 +544,9 @@ def sigma_star(
                 "P2 orbit at m=%.17g sigma=%.17g is inconclusive (termination %s%s)"
                 % (m, sig, diag["termination"], ": " + diag["reason"] if "reason" in diag else "")
             )
+        if fate.parabola_side:
+            lam = fate.lambda_hat
+            entries.append((sig, None if lam is None else (lam + 0.5 * beta_over_alpha(params)) ** 2))
         return fate
 
     fate_lo = fate_at(lo)
@@ -536,16 +557,27 @@ def sigma_star(
             "widen the bracket" % (fate_lo.kind, lo, fate_hi.kind, hi)
         )
 
-    iterations = 0
+    # how far above lo each run inside the bracket lay
+    steps = []
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            raise BracketError("tol %.3g is below the float spacing of sigma near %.17g" % (tol, mid))
-        if fate_at(mid).parabola_side == fate_lo.parabola_side:
-            lo = mid
+        sig = 0.5 * (lo + hi)
+        # with the entry side at lo, every entry run became lo in turn, so
+        # the last two entries are the two with the largest sigma, s1 and lo
+        pair = [e for e in entries[-2:] if e[1] is not None]
+        if fate_lo.parabola_side and hi - lo > 2.0 * tol and len(pair) == 2 and pair[0][1] > pair[1][1]:
+            (s1, d1), (_, d2) = pair
+            est = lo + d2 * (lo - s1) / (d1 - d2)
+            aim = max(lo + 0.95 * tol, min(est - 0.45 * tol, lo + 0.9 * (est - lo)))
+            if lo < aim < hi and (len(steps) < 2 or aim - lo <= 0.5 * steps[-2]):
+                sig = aim
+        if not lo < sig < hi:
+            raise BracketError("tol %.3g is below the float spacing of sigma near %.17g" % (tol, sig))
+        steps.append(sig - lo)
+        if fate_at(sig).parabola_side == fate_lo.parabola_side:
+            lo = sig
         else:
-            hi = mid
-        iterations += 1
+            hi = sig
+    iterations = len(steps)
     return ShootResult(
         sigma_star=0.5 * (lo + hi),
         bracket=(lo, hi),

@@ -18,20 +18,17 @@ from ssblow.params import (
 )
 from ssblow.field import (
     jacobian,
-    make_rhs,
     p2_unstable_eigenvalue,
     p2_unstable_eigenvector,
     classify_critical_points,
 )
-from ssblow.integrate import IntegrationControls, integrate
+from ssblow.integrate import IntegrationControls
 from ssblow.orbits import (
     FateKind,
-    launch_from_P2,
     q1_to_p2_connection,
     run_p0_orbit,
     run_p2_orbit,
     sigma_star,
-    standard_fate_events,
 )
 from ssblow.profiles import (
     integrate_ssode,

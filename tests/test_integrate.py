@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import RK45, solve_ivp
 
-from ssblow.params import beta_over_alpha, derive_exponents, validate_params
+from ssblow.params import beta_over_alpha, validate_params
 from ssblow.field import make_rhs, p2_coordinates
 import ssblow.integrate as integrate_module
 from ssblow.integrate import (

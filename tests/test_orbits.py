@@ -180,7 +180,7 @@ def test_sigma_star_stores_step_ends_only(monkeypatch):
     """Without controls the search runs under FATE_ONLY_CONTROLS: it steps
     by error control and stores no sample-grid points, so every run holds
     n_steps + 1 samples.  It runs one orbit per bracket end and per
-    bisection step, and each evaluation carries that run's n_steps."""
+    step, and each evaluation carries that run's n_steps."""
     explicit = FATE_ONLY_CONTROLS
     assert explicit.max_step == explicit.sample_step == math.inf
     runs = []
@@ -199,29 +199,145 @@ def test_sigma_star_stores_step_ends_only(monkeypatch):
     assert res.evaluations == sigma_star(1.5, (3.0, 3.4), 1e-3, explicit).evaluations
 
 
-def test_sigma_star_stops_at_the_first_inconclusive_midpoint():
-    """Under a budget of 1e4 the orbit at sigma 3.28828125, next to
-    sigma*(1.5), is still on its slow vertex approach; the search ends
-    there, naming the sigma and the termination, and tries no other point."""
+def test_sigma_star_stops_at_the_first_inconclusive_midpoint(monkeypatch):
+    """Under a budget of 1e4 an orbit within about 1e-5 of sigma*(1.5) is
+    still on its slow vertex approach.  At tol 1e-5 the search reaches
+    one, a run strictly between the bracket ends (here a secant step, not
+    the bisection midpoint); it ends there, naming that sigma and the
+    termination, after decisive runs only, and tries no other point."""
+    tried = []
+
+    def recorded(params, controls=None):
+        traj, fate = run_p2_orbit(params, controls)
+        tried.append((params.sigma, fate.decisive))
+        return traj, fate
+
+    monkeypatch.setattr(ssblow.orbits, "run_p2_orbit", recorded)
     short = IntegrationControls(max_step=math.inf, sample_step=math.inf, max_time=1e4)
     with pytest.raises(InconclusiveError) as err:
-        sigma_star(1.5, (3.0, 3.4), 1e-3, short)
+        sigma_star(1.5, (3.0, 3.4), 1e-5, short)
     message = str(err.value)
     assert "termination max_time" in message
     sigma = float(re.search(r"sigma=(\S+) is inconclusive", message).group(1))
-    assert sigma == pytest.approx(3.28828125, abs=1e-12)
+    assert sigma == tried[-1][0]
+    assert [decisive for _, decisive in tried] == [True] * (len(tried) - 1) + [False]
+
+
+def _square_root_law(s_star, c, k, tried=None):
+    """A stand-in for run_p2_orbit: below s_star the orbit enters the
+    parabola with (lambda_hat + beta/(2 alpha))^2 = c d + k d^2, d = s_star
+    - sigma; from s_star on it escapes to Q3.  tried collects each sigma."""
+
+    def run(params, controls=None):
+        if tried is not None:
+            tried.append(params.sigma)
+        d = s_star - params.sigma
+        if d <= 0.0:
+            return None, OrbitFate(FateKind.ENTERS_Q3, None, None, {"n_steps": 0, "termination": "event"})
+        lam = math.sqrt(c * d + k * d * d) - 0.5 * beta_over_alpha(params)
+        return None, OrbitFate(FateKind.ENTERS_PARABOLA, lam, None, {"n_steps": 0, "termination": "event"})
+
+    return run
+
+
+def _bisection(lo, hi, tol, s_star):
+    """The sigma of every run a bisection makes on the law of
+    _square_root_law(s_star, ...), and its final bracket."""
+    sigmas = [lo, hi]
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        sigmas.append(mid)
+        lo, hi = (mid, hi) if mid < s_star else (lo, mid)
+    return sigmas, (lo, hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lo=st.floats(2.5, 4.0),
+    log_width=st.floats(-3.0, 0.5),
+    at=st.floats(1e-6, 1.0 - 1e-6),
+    halvings=st.floats(7.0, 30.0),
+    log_c=st.floats(-3.0, 0.0),
+    bend=st.floats(-0.9, 1.0),
+)
+def test_sigma_star_secant_never_takes_more_runs_than_bisection(lo, log_width, at, halvings, log_c, bend):
+    """On a square-root law whose curvature term k d^2 stays within the
+    linear term c d across the bracket (|k| width <= c), the search returns
+    a bracket of at most tol that holds s*, in no more runs than bisection
+    takes.  The bracket is at least 128 tol wide.  On narrower ones a
+    concave law can carry a secant run past s* and cost a run more than
+    bisection: at 64 tol, with k = -0.5 c / width, it takes 9 runs to
+    bisection's 8."""
+    width = 10.0**log_width
+    hi = lo + width
+    tol = width / 2.0**halvings
+    s_star = lo + at * width
+    c = 10.0**log_c
+    tried = []
+    run = _square_root_law(s_star, c, bend * c / width, tried)
+    original = ssblow.orbits.run_p2_orbit
+    ssblow.orbits.run_p2_orbit = run
+    try:
+        res = sigma_star(1.5, (lo, hi), tol)
+    finally:
+        ssblow.orbits.run_p2_orbit = original
+    a, b = res.bracket
+    assert b - a <= tol and a < s_star <= b
+    assert len(tried) == len(res.evaluations) == res.iterations + 2
+    assert len(tried) <= len(_bisection(lo, hi, tol, s_star)[0])
+
+
+@pytest.mark.parametrize("bracket, tol", [((3.0, 3.4), 1e-3), ((3.0, 4.0), 1e-9), ((2.5, 6.0), 0.3)])
+def test_sigma_star_without_lambda_hat_bisects(monkeypatch, bracket, tol):
+    """Entries that carry no lambda_hat give the secant nothing to work
+    with, and every step is the midpoint: the sigma sequence is exactly
+    the bisection's."""
+    law = _square_root_law(3.2882880592, 0.014641, 0.0)
+
+    def entry_without_lambda(params, controls=None):
+        _, fate = law(params)
+        fate.lambda_hat = None
+        return None, fate
+
+    monkeypatch.setattr(ssblow.orbits, "run_p2_orbit", entry_without_lambda)
+    sigmas, final = _bisection(*bracket, tol, 3.2882880592)
+    res = sigma_star(1.5, bracket, tol)
+    assert [e[0] for e in res.evaluations] == sigmas
+    assert res.bracket == final
 
 
 def test_sigma_star_stops_where_no_float_lies_between_the_ends(monkeypatch):
-    """A tol below the float spacing of sigma would bisect forever."""
+    """A tol below the float spacing of sigma would search forever, by
+    midpoints (entries without a lambda_hat) and by secant proposals
+    alike."""
 
     def step_at_3_3(params, controls=None):
         kind = FateKind.ENTERS_PARABOLA if params.sigma < 3.3 else FateKind.ENTERS_Q3
         return None, OrbitFate(kind, None, None, {"n_steps": 0, "termination": "event"})
 
-    monkeypatch.setattr(ssblow.orbits, "run_p2_orbit", step_at_3_3)
-    with pytest.raises(BracketError, match="float spacing"):
-        sigma_star(1.5, (3.0, 3.4), tol=1e-17)
+    for law in (step_at_3_3, _square_root_law(3.3, 0.014641, 0.0)):
+        monkeypatch.setattr(ssblow.orbits, "run_p2_orbit", law)
+        with pytest.raises(BracketError, match="float spacing"):
+            sigma_star(1.5, (3.0, 3.4), tol=1e-17)
+
+
+# sigma*(m), the midpoint of a bisection on (3, 4) to tol 1e-12 (ssblow 0.16.0)
+_SIGMA_STAR_BY_BISECTION = {1.3: 3.256006397886722, 1.5: 3.288288059383831, 1.8: 3.334341537349701}
+
+
+@pytest.mark.parametrize("m", sorted(_SIGMA_STAR_BY_BISECTION))
+def test_sigma_star_takes_at_most_half_the_runs_of_bisection(m):
+    """Bisection on (3, 4) takes 22 runs at tol 1e-6 and 32 at tol 1e-9.
+    The secant takes at most half as many, and its bracket holds sigma*
+    as a bisection to tol 1e-12 places it."""
+    for tol in (1e-6, 1e-9):
+        res = sigma_star(m, (3.0, 4.0), tol)
+        lo, hi = res.bracket
+        assert hi - lo <= tol
+        assert lo <= _SIGMA_STAR_BY_BISECTION[m] <= hi
+        assert len(res.evaluations) <= (2 + math.ceil(math.log2(1.0 / tol))) / 2
+    if m == 1.5:
+        assert lo <= 3.2882880592 - 1e-10 and 3.2882880592 + 1e-10 <= hi
 
 
 def test_sigma_star_resolves_every_midpoint_at_m_1_2():
