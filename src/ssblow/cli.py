@@ -455,13 +455,19 @@ def _cmd_verify(args) -> tuple[int, dict]:
     return (EXIT_VIOLATION if any_violation else EXIT_OK), report
 
 
+# the run counters of each sweep row, as classify reports them
+_SWEEP_COUNTERS = ("n_steps", "n_rejected", "n_rhs", "termination")
+
+
 def _sweep_one(task):
+    """One sweep row: (sigma, fate, lambda_hat, xi0, counters), the P2 orbit
+    run from the series launch of fate-only runs."""
     m, sigma, controls = task
     pr = validate_params(m, sigma)
-    _, fate = run_p2_orbit(pr, controls)
+    _, fate = run_p2_orbit(pr, controls, delta=None)
     lam = fate.lambda_hat
     xi0 = interface_xi_of_lambda(lam, pr) if lam is not None else None
-    return sigma, fate.kind, lam, xi0
+    return sigma, fate.kind, lam, xi0, {c: fate.diagnostics[c] for c in _SWEEP_COUNTERS}
 
 
 def _cmd_sweep(args) -> tuple[int, dict]:
@@ -488,12 +494,13 @@ def _cmd_sweep(args) -> tuple[int, dict]:
         rows = [_sweep_one(t) for t in tasks]
     report["results"] = {
         "rows": [
-            {"sigma": s, "fate": k, "lambda_hat": lam, "xi0": xi0} for (s, k, lam, xi0) in rows
+            {"sigma": s, "fate": k, "lambda_hat": lam, "xi0": xi0, **counters}
+            for (s, k, lam, xi0, counters) in rows
         ]
     }
-    inconclusive = [s for (s, k, _, _) in rows if k == FateKind.INCONCLUSIVE]
+    inconclusive = [row[0] for row in rows if row[1] == FateKind.INCONCLUSIVE]
     if args.out:
-        io_mod.write_sweep_csv(args.out, rows)
+        io_mod.write_sweep_csv(args.out, [row[:4] for row in rows])
         report["results"]["sweep_csv"] = args.out
     if inconclusive:
         report["warnings"].append("inconclusive fates at sigma = %s" % inconclusive)

@@ -1,8 +1,9 @@
 """Distinguished orbits, fate classification, and the critical-sigma search.
 
-Launches come out of P2 (along its unstable eigenvector), out of P0 (on the
-center-manifold family), and out of Q1 in the chart at infinity.  A standard
-set of terminal events operationalizes the two possible fates of an orbit:
+Launches come out of P2 (along its unstable eigenvector, or on a series of
+its unstable manifold), out of P0 (on the center-manifold family), and out
+of Q1 in the chart at infinity.  A standard set of terminal events
+operationalizes the two possible fates of an orbit:
 
 * entry into a parabola point P0^lambda, an infinite-time limit.  On the
   upper half of the parabola, outside a band round the vertex, both normal
@@ -22,7 +23,12 @@ Everything else (out of time, out of steps) is Inconclusive and surfaced,
 never coerced.  Runs that keep only the fate (the sigma* search, the CLI's
 sigma-star and sweep) use FATE_ONLY_CONTROLS: no step cap, step ends only,
 and a time budget of 1e6, so that near the critical sigma the slow,
-logarithmic vertex approach still reaches a fate.
+logarithmic vertex approach still reaches a fate.  Their P2 orbits start
+on a series of P2's unstable manifold, as far out as it is accurate and no
+fate event can lie between P2 and the start (launch_from_P2 with delta
+None), so they skip the slow escape from P2, which the orbit leaves at the
+rate lambda_u (0.01 at (1.5, 3)).  Runs whose samples are kept start at
+P2 + 1e-6 e3, so that they sample the orbit next to P2.
 """
 
 from __future__ import annotations
@@ -46,6 +52,8 @@ from .field import (
     make_rhs,
     make_chart_rhs,
     center_family_P0,
+    jacobian,
+    p2_unstable_eigenvalue,
     p2_unstable_eigenvector,
     p2_chart_coordinates,
     phase_from_chart,
@@ -103,6 +111,14 @@ _X_AWAY_TOL = 1e-8
 _PROJECTION_TOL = 1e-10
 _TUBE_LAMBDA_TOP = -1e-100
 
+# the series launch out of P2 (see _p2_manifold_launch): the order of the
+# series of P2's unstable manifold, the bound on its last term relative to
+# the launch parameter, and the launch parameter at or below which the
+# linear launch P2 + 1e-6 e3 is kept
+_SERIES_ORDER = 24
+_SERIES_TAIL_TOL = 1e-14
+_SERIES_MIN_THETA = 1e-6
+
 # the controls of every chart run out of Q1 (see run_q1_orbit)
 _CHART_CONTROLS = IntegrationControls(max_time=100.0, max_step=0.01)
 
@@ -143,8 +159,150 @@ class ShootResult:
 # ---------------------------------------------------------------------------
 
 
-def launch_from_P2(params: Params, delta: float = 1e-6) -> np.ndarray:
-    """P2 + delta * e3 with e3 the unit unstable eigenvector oriented into {Z>0}."""
+def _p2_manifold_series(params: Params):
+    """Taylor coefficients of P2's unstable manifold, by the parameterization
+    method (Cabre, Fontich & de la Llave, 2003).
+
+    W(theta) = P2 + sum_{k=1}^{N} a_k theta^k, N = _SERIES_ORDER, solves the
+    invariance equation f(W(theta)) = lambda_u theta W'(theta), with a_1 the
+    unit eigenvector e3 and lambda_u its eigenvalue.  The field is
+    quadratic, f(P2 + u) = J u + B(u, u) with J the Jacobian at P2 and
+
+        B(u, u) = (u_x ((m-1) u_y - 2 u_x), -u_y^2 - u_x u_y, (sigma-2) u_x u_z),
+
+    so order k of that equation reads
+
+        (J - k lambda_u I) a_k = -sum_{i=1}^{k-1} B(a_i, a_{k-i}).
+
+    The other two eigenvalues at P2 are stable, so no order is resonant.
+    J's last row is (0, 0, lambda_u): the Z component solves on its own,
+    and the X and Y components then solve the 2x2 block of the stable
+    eigenvalues.  The convolution is symmetric, sum_i a_i[x] a_{k-i}[y] =
+    sum_i a_i[y] a_{k-i}[x], so each cross sum is taken once and the
+    squares over half the terms.
+
+    Where lambda_u is tiny the coefficients grow like (1/lambda_u)^k, so the
+    series is written in phi = theta / s, s = 1 / max(1, |a_2|): its
+    coefficients b_k = a_k s^k stay of size one or below.  It stops at the
+    last order whose coefficients are finite.  Returns (s, [b_1, .., b_n]),
+    n <= N, each b_k an (x, y, z) tuple.
+    """
+    px, py, _ = (float(v) for v in p2_coordinates(params))
+    lam = p2_unstable_eigenvalue(params)
+    jac = jacobian((px, py, 0.0), params)
+    j00, j01, j10, j11 = float(jac[0, 0]), float(jac[0, 1]), float(jac[1, 0]), float(jac[1, 1])
+    m1 = params.m - 1.0
+    s2 = params.sigma - 2.0
+    e3 = [float(v) for v in p2_unstable_eigenvector(params)]
+
+    def solve(k, xs, ys, zs):
+        """a_k from the coefficients of orders 1 to k-1."""
+        sxx = syy = sxy = sxz = 0.0
+        for i in range(1, (k + 1) // 2):
+            sxx += xs[i] * xs[k - i]
+            syy += ys[i] * ys[k - i]
+        sxx *= 2.0
+        syy *= 2.0
+        if k % 2 == 0:
+            sxx += xs[k // 2] * xs[k // 2]
+            syy += ys[k // 2] * ys[k // 2]
+        for i in range(1, k):
+            sxy += xs[i] * ys[k - i]
+            sxz += xs[i] * zs[k - i]
+        kl = k * lam
+        z = s2 * sxz / (kl - lam)
+        # the right-hand side of the 2x2 block, with J's (Y, Z) entry -1
+        r0 = 2.0 * sxx - m1 * sxy
+        r1 = syy + sxy + z
+        a, d = j00 - kl, j11 - kl
+        det = a * d - j01 * j10
+        return (r0 * d - j01 * r1) / det, (a * r1 - j10 * r0) / det, z
+
+    xs, ys, zs = [0.0, e3[0]], [0.0, e3[1]], [0.0, e3[2]]
+    a2 = solve(2, xs, ys, zs)
+    s = 1.0 / max(1.0, math.sqrt(a2[0] * a2[0] + a2[1] * a2[1] + a2[2] * a2[2]))
+    xs, ys, zs = [0.0, s * e3[0]], [0.0, s * e3[1]], [0.0, s * e3[2]]
+    for k in range(2, _SERIES_ORDER + 1):
+        b = solve(k, xs, ys, zs)
+        if not all(math.isfinite(v) for v in b):
+            break
+        xs.append(b[0])
+        ys.append(b[1])
+        zs.append(b[2])
+    return s, list(zip(xs[1:], ys[1:], zs[1:]))
+
+
+def _p2_manifold_launch(params: Params):
+    """(theta*, W(theta*)) on the series of _p2_manifold_series, with None
+    for the start where theta* is at most _SERIES_MIN_THETA (0 where the
+    ball below is empty).
+
+    theta* is the largest theta that meets two bounds:
+      * tail: the last term is negligible, |a_n| theta^(n-1) <=
+        _SERIES_TAIL_TOL;
+      * ball: the segment W([0, theta]) stays within half of rho =
+        min(hypot(P2_x, P2_y) - _PARABOLA_DIST_TOL, P2_y + beta/(2 alpha))
+        of P2, by the bound sum_k |a_k| theta^k.
+    The parabola lies in {X = 0, -beta/alpha <= Y <= 0}, at least
+    hypot(P2_x, P2_y) from P2, and the midplane P2_y + beta/(2 alpha) from
+    it; the Y floor is farther.  So no standard guard has a zero in that
+    ball, the launch skips no fate event, and every guard starts armed.
+    """
+    px, py = (float(v) for v in p2_coordinates(params)[:2])
+    rho = min(math.hypot(px, py) - _PARABOLA_DIST_TOL, py + 0.5 * beta_over_alpha(params))
+    s, coeffs = _p2_manifold_series(params)
+    n = len(coeffs)
+    if not (rho > 0.0 and n >= 2):
+        return 0.0, None
+    norms = [math.sqrt(x * x + y * y + z * z) for x, y, z in coeffs]
+    # in phi = theta / s the tail bound reads |b_n| phi^(n-1) <= tol * s,
+    # and the segment bound is the same sum in b_k and phi
+    phi = rho / (2.0 * s)
+    if norms[-1] > 0.0:
+        log_tail = (math.log(_SERIES_TAIL_TOL * s) - math.log(norms[-1])) / (n - 1)
+        if log_tail < math.log(phi):
+            phi = math.exp(log_tail)
+
+    def excess(phi):
+        """sum_k |b_k| phi^k - rho / 2 and its derivative, by Horner."""
+        g = dg = 0.0
+        for c in reversed(norms):
+            dg = dg * phi + g
+            g = g * phi + c
+        return g * phi - 0.5 * rho, dg * phi + g
+
+    # the sum is convex and increasing, so Newton's steps from a phi where
+    # it exceeds rho / 2 fall monotonically to its root; a step of at least
+    # 1e-12 phi then ends just below the root
+    for _ in range(100):
+        g, dg = excess(phi)
+        if not g > 0.0:
+            break
+        phi -= max(g / dg, 1e-12 * phi)
+    theta = s * phi
+    if not (excess(phi)[0] <= 0.0 and theta > _SERIES_MIN_THETA):
+        return theta, None
+    point = [0.0, 0.0, 0.0]
+    for c in reversed(coeffs):
+        point = [(p + ci) * phi for p, ci in zip(point, c)]
+    return theta, np.array([px + point[0], py + point[1], point[2]])
+
+
+def launch_from_P2(params: Params, delta: float | None = 1e-6) -> np.ndarray:
+    """P2 + delta * e3 with e3 the unit unstable eigenvector oriented into {Z>0}.
+
+    With delta None the start is on P2's unstable manifold as far out as
+    its series is accurate and no fate event lies between P2 and the
+    start (_p2_manifold_launch), which skips the slow escape from P2;
+    where that is no farther out than 1e-6, it is P2 + 1e-6 e3.  Runs
+    that keep only the fate use it; sampled runs keep an explicit delta,
+    so that they sample the orbit next to P2.
+    """
+    if delta is None:
+        _, start = _p2_manifold_launch(params)
+        if start is not None:
+            return start
+        delta = _SERIES_MIN_THETA
     if not 0.0 < delta <= 1e-4:
         raise DomainError("delta must lie in (0, 1e-4]")
     return p2_coordinates(params) + delta * p2_unstable_eigenvector(params)
@@ -406,8 +564,10 @@ def _run(params: Params, start, controls) -> tuple[Trajectory, OrbitFate]:
 def run_p2_orbit(
     params: Params,
     controls: IntegrationControls | None = None,
-    delta: float = 1e-6,
+    delta: float | None = 1e-6,
 ) -> tuple[Trajectory, OrbitFate]:
+    """The P2 orbit from launch_from_P2(params, delta): with delta None,
+    from the series launch that fate-only runs use."""
     return _run(params, launch_from_P2(params, delta), controls)
 
 
@@ -517,9 +677,10 @@ def sigma_star(
     entry side is the bracket's upper end.
 
     Each bracket end and each step is one P2 orbit under controls,
-    FATE_ONLY_CONTROLS by default, and it replaces the bracket end whose
-    fate it shares.  The first inconclusive orbit ends the search with
-    InconclusiveError naming its sigma and termination, rather than an
+    FATE_ONLY_CONTROLS by default, launched on the series of P2's unstable
+    manifold (launch_from_P2 with delta None), and it replaces the bracket
+    end whose fate it shares.  The first inconclusive orbit ends the search
+    with InconclusiveError naming its sigma and termination, rather than an
     invented answer.  evaluations holds (sigma, n_steps, fate kind,
     lambda_hat) for every orbit run, in order.
     """
@@ -536,7 +697,7 @@ def sigma_star(
 
     def fate_at(sig: float) -> OrbitFate:
         params = validate_params(m, sig)
-        _, fate = run_p2_orbit(params, controls)
+        _, fate = run_p2_orbit(params, controls, delta=None)
         diag = fate.diagnostics
         evaluations.append((sig, diag["n_steps"], fate.kind, fate.lambda_hat))
         if not fate.decisive:

@@ -374,9 +374,10 @@ def find_good_profile_P1(
 ):
     """Bisect the initial height a = f(0) between sign-change and positive fates.
 
-    Returns (a_star, result) where result is the SsodeResult at a_star; the
-    boundary profile carries the interface (or the closest computed
-    approximation to it).
+    Returns (a_star, result) with result the SsodeResult of the run at
+    a_star.  a_star is the midpoint of the final bracket, unless that run
+    is not an interface while an earlier run was: then result is the last
+    interface run and a_star its a, so the two always belong together.
     """
     a_lo, a_hi = float(a_bracket[0]), float(a_bracket[1])
     if not 0.0 < a_lo < a_hi < math.inf:
@@ -399,12 +400,13 @@ def find_good_profile_P1(
             "same fate (%s) at both ends of the a-bracket (%g, %g)" % (r_lo.fate, a_lo, a_hi)
         )
     sign_change_low = r_lo.fate == "sign_change"
-    best = r_lo if r_lo.fate == "interface" else (r_hi if r_hi.fate == "interface" else None)
+    # (a, result) of the last interface run
+    best = (a_lo, r_lo) if r_lo.fate == "interface" else ((a_hi, r_hi) if r_hi.fate == "interface" else None)
     while a_hi - a_lo > tol:
         mid = 0.5 * (a_lo + a_hi)
         r_mid = run_at(mid)
         if r_mid.fate == "interface":
-            best = r_mid
+            best = (mid, r_mid)
         if (r_mid.fate == "sign_change") == sign_change_low:
             a_lo = mid
         else:
@@ -412,6 +414,6 @@ def find_good_profile_P1(
     a_star = 0.5 * (a_lo + a_hi)
     result = run_at(a_star)
     if result.fate != "interface" and best is not None:
-        result = best
+        return best
     return a_star, result
 

@@ -26,6 +26,7 @@ from ssblow.orbits import (
     BracketError,
     classify_fate,
     launch_from_Q1_chart,
+    run_p2_orbit,
     sigma_star,
     standard_fate_events,
 )
@@ -535,6 +536,27 @@ def test_sweep_parallel_determinism(tmp_path, capsys):
     run_cli(capsys, "sweep", "--m", "1.5", "--sigmas", "3.0,3.4", "--jobs", "2",
             "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_rows_carry_the_run_counters(tmp_path, capsys):
+    """Each sweep JSON row carries n_steps, n_rejected, n_rhs and
+    termination as classify reports them, here of the fate-only run from
+    the series launch; two sweeps give the same bytes, and the CSV keeps
+    its four columns."""
+    argv = ["sweep", "--m", "1.5", "--sigmas", "3.0,3.4", "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "sweep.csv"))
+    assert code == 0
+    assert run_cli(capsys, *argv, "--out", str(tmp_path / "sweep.csv"))[1] == out
+    rows = json.loads(out)["results"]["rows"]
+    for row in rows:
+        _, fate = run_p2_orbit(validate_params(1.5, row["sigma"]), FATE_ONLY_CONTROLS, delta=None)
+        assert row["fate"] == fate.kind and row["lambda_hat"] == fate.lambda_hat
+        for key in ("n_steps", "n_rejected", "n_rhs", "termination"):
+            assert row[key] == fate.diagnostics[key], key
+    assert rows[0]["termination"] == "event" and rows[0]["n_steps"] > 0
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines[0] == "sigma,fate,lambda_hat,xi0"
+    assert all(line.count(",") == 3 for line in lines)
 
 
 def test_config_file_precedence(tmp_path, capsys):

@@ -1,9 +1,11 @@
 import math
 import re
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -16,7 +18,13 @@ from ssblow.params import (
     parabola_point,
     validate_params,
 )
-from ssblow.field import make_rhs, p2_unstable_eigenvector, p2_chart_coordinates, phase_from_chart
+from ssblow.field import (
+    make_rhs,
+    p2_unstable_eigenvalue,
+    p2_unstable_eigenvector,
+    p2_chart_coordinates,
+    phase_from_chart,
+)
 from ssblow.integrate import EventSpec, IntegrationControls, integrate
 import ssblow.orbits
 from ssblow.orbits import (
@@ -50,6 +58,120 @@ def test_launch_from_p2_geometry(params15_3):
         launch_from_P2(params15_3, 1e-3)
     with pytest.raises(DomainError):
         launch_from_P2(params15_3, 0.0)
+
+
+def _guard_free_radius(params):
+    """rho of the series launch: the parabola is at least hypot(P2_x, P2_y)
+    from P2, the entry guard fires 1e-4 from it, and the midplane is
+    P2_y + beta/(2 alpha) from P2."""
+    px, py, _ = p2_coordinates(params)
+    return min(math.hypot(px, py) - 1e-4, py + 0.5 * beta_over_alpha(params))
+
+
+@pytest.mark.parametrize("m, sigma", [(1.5, 3.0), (1.05, 2.1), (1.3, 3.256), (1.98, 50.0)])
+def test_p2_manifold_series_solves_the_invariance_equation(m, sigma):
+    """W(theta) = P2 + sum a_k theta^k solves f(W) = lambda_u theta W'
+    along the whole launch segment, to 1e-12 theta, and its launch lies in
+    half the guard-free ball."""
+    pr = validate_params(m, sigma)
+    lam = p2_unstable_eigenvalue(pr)
+    s, coeffs = ssblow.orbits._p2_manifold_series(pr)
+    theta, start = ssblow.orbits._p2_manifold_launch(pr)
+    assert len(coeffs) == 24 and theta > 1e-6
+    b = np.array(coeffs)
+    k = np.arange(1, len(coeffs) + 1)[:, None]
+    rhs = make_rhs(pr)
+    p2 = p2_coordinates(pr)
+    for t in (0.25 * theta, 0.5 * theta, theta):
+        phi = t / s
+        w = p2 + (b * phi**k).sum(axis=0)
+        dw = (k * b * phi ** (k - 1)).sum(axis=0) / s
+        assert np.linalg.norm(np.array(rhs(0.0, w)) - lam * t * dw) <= 1e-12 * t
+    assert np.array_equal(start, launch_from_P2(pr, None))
+    assert np.linalg.norm(start - p2) <= 0.5 * _guard_free_radius(pr)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+    sigma=st.floats(2.001, 50.0),
+)
+@example(m=math.nextafter(1.0, 2.0), sigma=2.001)
+@example(m=1.001, sigma=2.001)
+@example(m=math.nextafter(2.0, 1.0), sigma=2.001)
+@example(m=math.nextafter(2.0, 1.0), sigma=50.0)
+def test_series_launch_is_finite_and_guard_free(m, sigma):
+    """Over the CLI's box the series launch raises no warning and is
+    finite.  Either it lies in half the guard-free ball round P2, farther
+    than 1e-6 from P2, with every standard guard armed, or it is the
+    linear launch P2 + 1e-6 e3, bit for bit."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pr = validate_params(m, sigma)
+        start = launch_from_P2(pr, None)
+        linear = launch_from_P2(pr, 1e-6)
+        assert np.all(np.isfinite(start))
+        if not np.array_equal(start, linear):
+            dist = float(np.linalg.norm(start - p2_coordinates(pr)))
+            assert 1e-6 < dist <= 0.5 * _guard_free_radius(pr)
+            assert start[2] > 0.0
+            assert all(ev.guard(start) > 1e-10 for ev in standard_fate_events(pr))
+
+
+def test_series_launch_keeps_every_explicit_delta():
+    """An explicit delta is the linear launch; where the guard-free ball is
+    empty the series launch is the linear launch at 1e-6."""
+    pr = validate_params(1.001, 2.001)
+    assert _guard_free_radius(pr) < 0.0
+    assert np.array_equal(launch_from_P2(pr, None), launch_from_P2(pr, 1e-6))
+    pr = validate_params(1.5, 3.0)
+    e3 = p2_unstable_eigenvector(pr)
+    assert np.array_equal(launch_from_P2(pr, 5e-7), p2_coordinates(pr) + 5e-7 * e3)
+    assert np.array_equal(run_p2_orbit(pr)[0].points[0], launch_from_P2(pr, 1e-6))
+
+
+def test_series_launch_resolves_the_edge_point_1_1_2_1():
+    """At (1.1, 2.1) the orbit leaves P2 at lambda_u = 5.8e-6, and from
+    P2 + 1e-6 e3 the escape alone uses up the fate-only budget of 1e6.
+    The series launch skips it and enters the parabola within that
+    budget, with the fate, certificate and lambda_hat of the linear launch
+    under a budget of 1e7."""
+    pr = validate_params(1.1, 2.1)
+    _, fate = run_p2_orbit(pr, FATE_ONLY_CONTROLS, delta=None)
+    _, ref = run_p2_orbit(pr, replace(FATE_ONLY_CONTROLS, max_time=1e7))
+    assert fate.kind == ref.kind == FateKind.ENTERS_PARABOLA
+    assert [e[0] for e in fate.diagnostics["events"]] == [e[0] for e in ref.diagnostics["events"]]
+    assert abs(fate.lambda_hat - ref.lambda_hat) <= 1e-11
+    _, short = run_p2_orbit(pr, FATE_ONLY_CONTROLS)
+    assert short.kind == FateKind.INCONCLUSIVE
+
+
+@pytest.mark.parametrize("m, sigma", [(1.2, 3.0), (1.5, 2.5), (1.5, 3.2875), (1.5, 3.4), (1.8, 4.0)])
+def test_series_launch_keeps_the_fate_of_the_linear_launch(m, sigma):
+    """Fate-only runs from the series launch end at the same certificate,
+    with lambda_hat within 1e-10 of the linear launch, in fewer steps."""
+    pr = validate_params(m, sigma)
+    _, fate = run_p2_orbit(pr, FATE_ONLY_CONTROLS, delta=None)
+    _, ref = run_p2_orbit(pr, FATE_ONLY_CONTROLS)
+    assert fate.kind == ref.kind
+    assert fate.diagnostics["events"][0][0] == ref.diagnostics["events"][0][0]
+    assert (fate.lambda_hat is None) == (ref.lambda_hat is None)
+    if ref.lambda_hat is not None:
+        assert abs(fate.lambda_hat - ref.lambda_hat) <= 1e-10
+    assert fate.diagnostics["n_steps"] < ref.diagnostics["n_steps"]
+
+
+def test_sigma_star_runs_from_the_series_launch(monkeypatch):
+    """Every orbit of a search starts on the series launch."""
+    deltas = []
+
+    def recorded(params, controls=None, delta=1e-6):
+        deltas.append(delta)
+        return run_p2_orbit(params, controls, delta)
+
+    monkeypatch.setattr(ssblow.orbits, "run_p2_orbit", recorded)
+    res = sigma_star(1.5, (3.0, 3.4), 0.2)
+    assert deltas == [None] * len(res.evaluations)
 
 
 def test_p2_orbit_enters_parabola_at_sigma_3(p2_orbit_15_3, params15_3):
@@ -207,8 +329,8 @@ def test_sigma_star_stops_at_the_first_inconclusive_midpoint(monkeypatch):
     termination, after decisive runs only, and tries no other point."""
     tried = []
 
-    def recorded(params, controls=None):
-        traj, fate = run_p2_orbit(params, controls)
+    def recorded(params, controls=None, delta=1e-6):
+        traj, fate = run_p2_orbit(params, controls, delta)
         tried.append((params.sigma, fate.decisive))
         return traj, fate
 
@@ -228,7 +350,7 @@ def _square_root_law(s_star, c, k, tried=None):
     parabola with (lambda_hat + beta/(2 alpha))^2 = c d + k d^2, d = s_star
     - sigma; from s_star on it escapes to Q3.  tried collects each sigma."""
 
-    def run(params, controls=None):
+    def run(params, controls=None, delta=None):
         if tried is not None:
             tried.append(params.sigma)
         d = s_star - params.sigma
@@ -294,7 +416,7 @@ def test_sigma_star_without_lambda_hat_bisects(monkeypatch, bracket, tol):
     the bisection's."""
     law = _square_root_law(3.2882880592, 0.014641, 0.0)
 
-    def entry_without_lambda(params, controls=None):
+    def entry_without_lambda(params, controls=None, delta=None):
         _, fate = law(params)
         fate.lambda_hat = None
         return None, fate
@@ -311,7 +433,7 @@ def test_sigma_star_stops_where_no_float_lies_between_the_ends(monkeypatch):
     midpoints (entries without a lambda_hat) and by secant proposals
     alike."""
 
-    def step_at_3_3(params, controls=None):
+    def step_at_3_3(params, controls=None, delta=None):
         kind = FateKind.ENTERS_PARABOLA if params.sigma < 3.3 else FateKind.ENTERS_Q3
         return None, OrbitFate(kind, None, None, {"n_steps": 0, "termination": "event"})
 

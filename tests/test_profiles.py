@@ -284,6 +284,19 @@ def test_find_good_profile_P1_boundary_interface(params15_3):
     assert res.xi0 > 0.9 * exp.xi_max
 
 
+def test_find_good_profile_P1_reports_the_a_of_its_profile(params15_3):
+    """At tol 1e-16 the run at the final midpoint is a sign change, so the
+    search returns its last interface run: the a it reports runs to that
+    same profile.  At the default tol of the CLI it is the midpoint."""
+    a_star, res = find_good_profile_P1(params15_3, (1e-13, 1e-10), tol=1e-16)
+    again = integrate_ssode("p1", params15_3, a=a_star)
+    assert res.fate == again.fate == "interface"
+    assert again.xi0 == res.xi0
+    a_star, res = find_good_profile_P1(params15_3, (1e-13, 1e-10), tol=1e-3 * (1e-10 - 1e-13))
+    assert a_star == 1.417041015625e-12
+    assert integrate_ssode("p1", params15_3, a=a_star).xi0 == res.xi0
+
+
 def test_find_good_profile_P1_midpoint_matches_an_end(params15_3):
     fates = {}
 
