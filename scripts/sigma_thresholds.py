@@ -65,7 +65,7 @@ def main(argv=None) -> int:
         applicable = gate["exit_vector_above_plane"] and gate["x_star3_below_x_p2"]
         if not applicable:
             continue
-        _, fate = run_p2_orbit(pr, FATE_ONLY_CONTROLS)
+        _, fate = run_p2_orbit(pr, FATE_ONLY_CONTROLS, delta=None)
         print("  sigma=%-5g certificate=on fate=%s" % (sigma, fate.kind))
         if fate.kind == FateKind.ENTERS_Q3 and sigma1 is None:
             sigma1 = sigma

@@ -58,7 +58,6 @@ class BarrierSpec:
     """
 
     id: str
-    description: str
     coords: str  # "phase" | "chart" | "center"
     expected: str
     surface: Callable[[np.ndarray], np.ndarray]
@@ -189,7 +188,6 @@ def barrier_catalog(params: Params) -> list[BarrierSpec]:
     specs.append(
         BarrierSpec(
             id="midplane",
-            description="plane Y = -beta/(2 alpha), crossing sign below the vertex height",
             coords="phase",
             expected="nonnegative",
             surface=lambda p: p[:, 1] + boa / 2.0,
@@ -212,7 +210,6 @@ def barrier_catalog(params: Params) -> list[BarrierSpec]:
     specs.append(
         BarrierSpec(
             id="cylinder",
-            description="parabolic cylinder over the upper parabola half",
             coords="phase",
             expected="nonpositive",
             surface=lambda p: -p[:, 1] ** 2 - boa * p[:, 1] - p[:, 2],
@@ -231,7 +228,6 @@ def barrier_catalog(params: Params) -> list[BarrierSpec]:
     specs.append(
         BarrierSpec(
             id="diagonal_xz",
-            description="plane X = Z in the half-space Y < 0",
             coords="phase",
             expected="negative",
             surface=lambda p: p[:, 0] - p[:, 2],
@@ -251,7 +247,6 @@ def barrier_catalog(params: Params) -> list[BarrierSpec]:
     specs.append(
         BarrierSpec(
             id="ydot_surface",
-            description="surface Y' = 0 in {Y < 0}; flow enters the trapped region",
             coords="phase",
             expected="negative",
             surface=lambda p: -p[:, 1] ** 2 - boa * p[:, 1] + p[:, 0] - p[:, 0] * p[:, 1] - p[:, 2],
@@ -275,7 +270,6 @@ def barrier_catalog(params: Params) -> list[BarrierSpec]:
     specs.append(
         BarrierSpec(
             id="box_wall_x",
-            description="plane X = X(P2) for 0 <= Y <= Y(P2)",
             coords="phase",
             expected="nonpositive",
             surface=lambda p: p[:, 0] - xp2,
@@ -293,7 +287,6 @@ def barrier_catalog(params: Params) -> list[BarrierSpec]:
     specs.append(
         BarrierSpec(
             id="box_wall_y",
-            description="plane Y = Y(P2) for 0 <= X < X(P2)",
             coords="phase",
             expected="negative",
             surface=lambda p: p[:, 1] - yp2,
@@ -330,7 +323,6 @@ def barrier_catalog(params: Params) -> list[BarrierSpec]:
     specs.append(
         BarrierSpec(
             id="cap_plane_yz",
-            description="plane cY + Z = d of the small-sigma confinement",
             coords="phase",
             expected="negative",
             surface=lambda p: c1 * p[:, 1] + p[:, 2] - d1,
@@ -362,7 +354,6 @@ def barrier_catalog(params: Params) -> list[BarrierSpec]:
     specs.append(
         BarrierSpec(
             id="cap_plane_xz",
-            description="plane aX + Z = b of the small-sigma confinement, below r2",
             coords="phase",
             expected="negative",
             surface=lambda p: a2 * p[:, 0] + p[:, 2] - b2,
@@ -392,7 +383,6 @@ def barrier_catalog(params: Params) -> list[BarrierSpec]:
     specs.append(
         BarrierSpec(
             id="p2_floor_plane",
-            description="plane AX + BY + Z = C through P2 (large-sigma escape)",
             coords="phase",
             expected="positive",
             surface=lambda p: A3 * p[:, 0] + B3 * p[:, 1] + p[:, 2] - p3["C"],
@@ -416,7 +406,6 @@ def barrier_catalog(params: Params) -> list[BarrierSpec]:
     specs.append(
         BarrierSpec(
             id="ykz_cap",
-            description="plane Y + kZ = 1, k = 2(m+1) alpha / ((m-1)(sigma-1))",
             coords="phase",
             expected="negative",
             surface=lambda p: p[:, 1] + k_ykz * p[:, 2] - 1.0,
@@ -453,7 +442,6 @@ def barrier_catalog(params: Params) -> list[BarrierSpec]:
     specs.append(
         BarrierSpec(
             id="origin_cap_plane",
-            description="plane aX + Z = c confining orbits out of the origin (T = 0 leading order)",
             coords="center",
             expected="negative",
             surface=lambda p: a4 * p[:, 0] + p[:, 2] - c4,
@@ -476,7 +464,6 @@ def barrier_catalog(params: Params) -> list[BarrierSpec]:
     specs.append(
         BarrierSpec(
             id="upper_plane_y",
-            description="plane Y = y0 (y0 > 1); crossing only from right to left",
             coords="phase",
             expected="negative",
             surface=lambda p: p[:, 1] - y0_high,
@@ -502,7 +489,6 @@ def barrier_catalog(params: Params) -> list[BarrierSpec]:
     specs.append(
         BarrierSpec(
             id="chart_line",
-            description="chart line y = w/(alpha(m+1)) from Q1 to P2",
             coords="chart",
             expected="positive",
             # scaled so the gradient is the normal (-1, alpha(m+1)) used in
@@ -523,7 +509,6 @@ def barrier_catalog(params: Params) -> list[BarrierSpec]:
     specs.append(
         BarrierSpec(
             id="chart_curve",
-            description="chart nullcline y + w - m y^2 - (beta/alpha) y w = 0 from Q1 to P2",
             coords="chart",
             expected="positive",
             surface=lambda p: p[:, 1] + p[:, 0] - m * p[:, 1] ** 2 - boa * p[:, 1] * p[:, 0],

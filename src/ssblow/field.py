@@ -10,8 +10,8 @@ Z = (m/alpha^2) xi^{sigma-2}.  The system is
 with a full parabola of equilibria {X=0, Z=-Y^2-(beta/alpha)Y} plus the
 isolated point P2, and five directions at infinity Q1..Q5.  This module
 provides the field, its Jacobian, the critical-point catalog with
-eigenstructure, the chart at Q1, the center-manifold family along which
-orbits are launched out of P0, and the normal form at the parabola vertex.
+eigenstructure, the chart at Q1 and the center-manifold family along which
+orbits are launched out of P0.
 """
 
 from __future__ import annotations
@@ -45,10 +45,6 @@ __all__ = [
     "phase_from_chart",
     "p2_chart_coordinates",
     "center_family_P0",
-    "VertexNormalForm",
-    "vertex_normal_form_coeffs",
-    "vertex_normal_form",
-    "vertex_center_slope",
 ]
 
 
@@ -308,66 +304,3 @@ def center_family_P0(K: float, z: float, params: Params) -> tuple[float, float]:
     exp = derive_exponents(params)
     x = K * math.sqrt(z) - (params.m - 1.0) * exp.alpha * z
     return x, (x - z) * exp.alpha / exp.beta
-
-
-# ---------------------------------------------------------------------------
-# normal form at the parabola vertex
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VertexNormalForm:
-    """Coefficients of the linear change of variables at the vertex.
-
-    X2 = X, Y2 = C X + D (Y + beta/(2 alpha)), Z2 = A X + B (Z - beta^2/(4 alpha^2)).
-    E and F are the quadratic coefficients of the transformed Y2 equation;
-    they only enter remainder estimates and are kept for completeness.
-    """
-
-    A: float
-    B: float
-    C: float
-    D: float
-    E: float
-    F: float
-
-
-def vertex_normal_form_coeffs(params: Params) -> VertexNormalForm:
-    m = params.m
-    exp = derive_exponents(params)
-    alpha, beta = exp.alpha, exp.beta
-    sigma = params.sigma
-    A = (sigma - 2.0) * beta * beta / (alpha * alpha)
-    B = 2.0 * beta * (m - 1.0) / alpha
-    C = (2.0 * alpha * (m - 1.0) + beta * (m + sigma - 3.0)) / (m - 1.0)
-    D = (m - 1.0) * beta
-    E = (2.0 * alpha * m * m + beta * sigma * (m + 1.0) - 2.0 * alpha - 4.0 * beta) / (
-        (m - 1.0) ** 2 * beta
-    )
-    F = (
-        (m * beta * (sigma - 2.0) + (2.0 * m * beta + 2.0 * m * alpha - beta) * (m - 1.0))
-        * ((2.0 * alpha + beta) * (m - 1.0) + beta * (sigma - 2.0))
-        / ((m - 1.0) ** 3 * beta)
-    )
-    return VertexNormalForm(A=A, B=B, C=C, D=D, E=E, F=F)
-
-
-def vertex_normal_form(pt, params: Params) -> np.ndarray:
-    """Map a phase point to the vertex normal-form coordinates (X2, Y2, Z2)."""
-    x, y, z = (float(v) for v in pt)
-    nf = vertex_normal_form_coeffs(params)
-    boa = beta_over_alpha(params)
-    z_max = derive_exponents(params).z_max
-    return np.array(
-        [
-            x,
-            nf.C * x + nf.D * (y + boa / 2.0),
-            nf.A * x + nf.B * (z - z_max),
-        ]
-    )
-
-
-def vertex_center_slope(params: Params) -> float:
-    """Slope of log X2 against 1/Y2 on the exponential center family at the vertex."""
-    exp = derive_exponents(params)
-    return -((params.m - 1.0) ** 2) * exp.beta**2 / (2.0 * exp.alpha)

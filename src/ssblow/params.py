@@ -86,7 +86,9 @@ def derive_exponents(params: Params) -> Exponents:
     beta = 2.0 / (sigma - 2.0)
     # xi_max = (beta^2 / 4m)^{1/(sigma-2)}; computed in log space because the
     # exponent 1/(sigma-2) blows up as sigma -> 2+ (xi_max -> inf there).
-    log_base = math.log(beta * beta / (4.0 * m))
+    # At huge sigma beta^2 underflows to 0, and only there is the log split.
+    base = beta * beta / (4.0 * m)
+    log_base = math.log(base) if base > 0.0 else 2.0 * math.log(beta) - math.log(4.0 * m)
     t = log_base / (sigma - 2.0)
     xi_max = math.exp(t) if t < 709.0 else math.inf
     z_max = (beta_over_alpha(params) / 2.0) ** 2

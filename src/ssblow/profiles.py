@@ -53,8 +53,6 @@ __all__ = [
     "interface_slopes",
     "integrate_ssode",
     "find_good_profile_P1",
-    "p2_behavior_prefactor",
-    "p0_behavior_exponent",
 ]
 
 
@@ -178,17 +176,6 @@ def interface_slopes(xi0: float, params: Params) -> InterfaceReport:
     )
 
 
-def p2_behavior_prefactor(params: Params) -> float:
-    """Coefficient of xi^{2/(m-1)} in the profile leaving the origin through P2."""
-    m = params.m
-    return ((m - 1.0) / (2.0 * m * (m + 1.0))) ** (1.0 / (m - 1.0))
-
-
-def p0_behavior_exponent(params: Params) -> float:
-    """Power (sigma+2)/(m-p) = (sigma+2)/(2(m-1)) of the tail-blow-up behavior."""
-    return (params.sigma + 2.0) / (2.0 * (params.m - 1.0))
-
-
 @dataclass
 class SsodeResult:
     frame: ProfileFrame
@@ -248,7 +235,9 @@ def _pressure_rhs(params: Params):
     rho = g / hypot(g, xi w) is dimensionless and at most 1, so the field is
     regular where g vanishes and its xi-steps shrink toward a vanishing
     point.  Trial stages may step to xi < 0, where xi^sigma is taken as 0 to
-    keep the field real.
+    keep the field real, and at large sigma to an xi > 1 where xi^sigma
+    overflows; it is taken as inf there, and the integrator rejects the
+    non-finite stage.
     """
     m = params.m
     exp = derive_exponents(params)
@@ -260,7 +249,11 @@ def _pressure_rhs(params: Params):
         xi, g, w = u
         r = math.hypot(g, xi * w)
         rho = g / r
-        num = m1 * alpha * g - w * w - beta * xi * w - m * max(xi, 0.0) ** sigma
+        try:
+            reaction = m * max(xi, 0.0) ** sigma
+        except OverflowError:
+            reaction = math.inf
+        num = m1 * alpha * g - w * w - beta * xi * w - reaction
         return (rho, rho * w, num / (m1 * r))
 
     return rhs

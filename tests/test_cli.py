@@ -827,11 +827,10 @@ _PUBLIC_SURFACE = {
         "parabola_point", "parabola_z", "validate_params",
     ],
     "field": [
-        "CriticalPoint", "EigenData", "VertexNormalForm", "center_family_P0",
-        "classify_critical_points", "eigen_data",
-        "infinity_chart_jacobian", "jacobian", "make_chart_rhs", "make_rhs",
+        "CriticalPoint", "EigenData", "center_family_P0", "classify_critical_points",
+        "eigen_data", "infinity_chart_jacobian", "jacobian", "make_chart_rhs", "make_rhs",
         "p2_chart_coordinates", "p2_unstable_eigenvalue", "p2_unstable_eigenvector",
-        "phase_from_chart", "vertex_center_slope", "vertex_normal_form", "vertex_normal_form_coeffs",
+        "phase_from_chart",
     ],
     "integrate": ["EventHit", "EventSpec", "IntegrationControls", "Trajectory", "integrate"],
     "orbits": [
@@ -843,7 +842,7 @@ _PUBLIC_SURFACE = {
     "profiles": [
         "InconclusiveProfile", "InterfaceReport", "ProfileBracketError", "ProfileFrame",
         "SsodeResult", "find_good_profile_P1", "integrate_ssode", "interface_slopes",
-        "p0_behavior_exponent", "p2_behavior_prefactor", "reconstruct_profile", "ssode_residual",
+        "reconstruct_profile", "ssode_residual",
     ],
     "barriers": [
         "BarrierSpec", "ConfigurationError", "VerificationReport", "barrier_catalog",
@@ -995,10 +994,14 @@ def _cli_case(draw):
                 "--source", "p0", "--K", "1e300"], None))
 @example(case=(["classify", "--m", "1.5", "--sigma", "3", "--max-time", "50",
                 "--source", "q1", "--z0", "1e300"], None))
+@example(case=(["profile", "--m", "1.5", "--sigma", "1e6", "--origin", "p1", "--a", "0.5",
+                "--max-time", "50"], None))
 def test_cli_exit_code_contract(case, tmp_path_factory, capsys):
     """Any such argv and config file ends in exit 0, 2, 3 or 4, and never in
-    a traceback.  The pinned starts are so large that the first step's
-    field overflows, which once raised OverflowError; they end in exit 3."""
+    a traceback.  The pinned classify starts are so large that the first
+    step's field overflows, which once raised OverflowError; they end in
+    exit 3.  In the pinned profile run a trial stage past xi = 1 once
+    overflowed xi^sigma the same way."""
     argv, config = case
     if config is not None:
         path = tmp_path_factory.mktemp("cfg") / "run.cfg"

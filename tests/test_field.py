@@ -23,9 +23,6 @@ from ssblow.field import (
     p2_unstable_eigenvalue,
     p2_unstable_eigenvector,
     phase_from_chart,
-    vertex_center_slope,
-    vertex_normal_form,
-    vertex_normal_form_coeffs,
 )
 from ssblow.orbits import launch_from_P0
 
@@ -247,26 +244,12 @@ def test_center_family_refuses_non_finite_values(K, z, params15_3):
         center_family_P0(K, z, params15_3)
 
 
-def test_vertex_normal_form_coefficients(params15_3):
-    nf = vertex_normal_form_coeffs(params15_3)
-    assert nf.A == pytest.approx(0.04, rel=1e-13)
-    assert nf.B == pytest.approx(0.2, rel=1e-13)
-    assert nf.C == pytest.approx(26.0, rel=1e-13)
-    assert nf.D == pytest.approx(1.0, rel=1e-13)
-    assert np.isfinite(nf.E) and np.isfinite(nf.F)
-
-
-def test_vertex_normal_form_maps_vertex_to_origin(params15_3):
-    exp = derive_exponents(params15_3)
-    boa = beta_over_alpha(params15_3)
-    vertex = (0.0, -boa / 2.0, exp.z_max)
-    assert np.max(np.abs(vertex_normal_form(vertex, params15_3))) < 1e-16
-
-
 def test_exponential_center_family_slope_near_critical_sigma():
     """Along an orbit entering the vertex, log X2 is affine in 1/Y2 with the
-    closed-form slope, in the window between the launch transient and the
-    final peel-off to the selected parabola point."""
+    closed-form slope -(m-1)^2 beta^2 / (2 alpha), in the window between the
+    launch transient and the final peel-off to the selected parabola point.
+    X2 = X and Y2 = C X + D (Y + beta/(2 alpha)) are the first two
+    coordinates of the linear normal form at the vertex."""
     from ssblow.orbits import sigma_star, launch_from_P2, standard_fate_events
     from ssblow.integrate import IntegrationControls, integrate
 
@@ -278,8 +261,13 @@ def test_exponential_center_family_slope_near_critical_sigma():
         standard_fate_events(pr),
         IntegrationControls(max_time=3e4),
     )
-    nf = np.array([vertex_normal_form(p, pr) for p in traj.points])
-    x2, y2 = nf[:, 0], nf[:, 1]
+    m = pr.m
+    exp = derive_exponents(pr)
+    alpha, beta = exp.alpha, exp.beta
+    C = (2.0 * alpha * (m - 1.0) + beta * (m + pr.sigma - 3.0)) / (m - 1.0)
+    D = (m - 1.0) * beta
+    x2 = traj.points[:, 0]
+    y2 = C * x2 + D * (traj.points[:, 1] + beta / (2.0 * alpha))
     ok = (y2 > 0) & (x2 > 0)
     inv_y = 1.0 / y2[ok]
     log_x = np.log(x2[ok])
@@ -290,5 +278,5 @@ def test_exponential_center_family_slope_near_critical_sigma():
     ss_res = np.sum((log_x[sel] - pred) ** 2)
     ss_tot = np.sum((log_x[sel] - log_x[sel].mean()) ** 2)
     assert 1.0 - ss_res / ss_tot > 0.999
-    theory = vertex_center_slope(pr)
+    theory = -((m - 1.0) ** 2) * beta**2 / (2.0 * alpha)
     assert coef[0] == pytest.approx(theory, rel=0.15)

@@ -17,6 +17,7 @@ from ssblow.params import (
     parabola_point,
     validate_params,
 )
+from ssblow.cli import main
 
 valid_m = st.floats(min_value=1.01, max_value=1.99)
 valid_sigma = st.floats(min_value=2.1, max_value=10.0)
@@ -52,6 +53,13 @@ def test_derive_exponents_m15_sigma3():
     assert exp.beta == pytest.approx(2.0, rel=1e-14)
     assert exp.xi_max == pytest.approx(2.0 / 3.0, rel=1e-14)
     assert exp.z_max == pytest.approx(0.01, rel=1e-14)
+
+
+def test_xi_max_survives_an_underflowing_beta():
+    """At sigma 1e300, beta^2 / (4m) underflows to 0; xi_max is still the
+    limit 1 of its (1/(sigma-2))-th root, and `params` reports it."""
+    assert derive_exponents(validate_params(1.5, 1e300)).xi_max == 1.0
+    assert main(["params", "--m", "1.5", "--sigma", "1e300"]) == 0
 
 
 def test_derive_exponents_m15_sigma4():

@@ -23,8 +23,6 @@ from ssblow.profiles import (
     find_good_profile_P1,
     integrate_ssode,
     interface_slopes,
-    p0_behavior_exponent,
-    p2_behavior_prefactor,
     reconstruct_profile,
     ssode_residual,
 )
@@ -151,14 +149,6 @@ def test_interface_slopes_satisfy_quadratic(t):
         assert root < 0.0
         q = root**2 + exp.beta * xi0 * root + pr.m * xi0**pr.sigma
         assert abs(q) < 1e-12
-
-
-def test_p2_behavior_prefactor_value(params15_3):
-    assert p2_behavior_prefactor(params15_3) == pytest.approx(1.0 / 225.0, rel=1e-13)
-
-
-def test_p0_behavior_exponent_value(params15_3):
-    assert p0_behavior_exponent(params15_3) == pytest.approx(5.0, rel=1e-14)
 
 
 def test_ssode_p2_origin_interface(params15_3):
@@ -390,7 +380,7 @@ def test_tail_blowup_behavior(params15_3):
     K = 0.05
     res = integrate_ssode("p0", params15_3, K=K)
     exp = derive_exponents(params15_3)
-    q = p0_behavior_exponent(params15_3)
+    q = 5.0  # (sigma+2)/(m-p) = (sigma+2)/(2(m-1)) at (1.5, 3)
     x, T = 1.0, 1.0
     target = K * x**q
     errs = []
