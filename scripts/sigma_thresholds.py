@@ -8,7 +8,9 @@ Three quantities are reported:
            a threshold exists without giving a value);
   sigma_*  the critical sigma where the orbit out of P2 switches from
            entering the parabola to escaping to Q3, found by the safeguarded
-           secant of orbits.sigma_star;
+           two-sided secant of orbits.sigma_star on Z - z_max at each
+           orbit's fate event, with the search's cost: its orbit runs and
+           their accepted steps, summed over its evaluation trace;
   sigma_1  smallest grid sigma at which the large-sigma floor-plane
            certificate applies and the P2 orbit indeed escapes to Q3.
 """
@@ -52,8 +54,9 @@ def main(argv=None) -> int:
     hi = args.hi if args.hi is not None else 4.0
     try:
         res = sigma_star(m, (lo, hi), args.tol)
-        print("sigma_* = %.6f (bracket %.6f..%.6f, %d runs between the ends)" % (
-            res.sigma_star, res.bracket[0], res.bracket[1], res.iterations))
+        print("sigma_* = %.6f (bracket %.6f..%.6f, %d orbit runs, %d accepted steps)" % (
+            res.sigma_star, res.bracket[0], res.bracket[1], len(res.evaluations),
+            sum(n_steps for _, n_steps, _, _ in res.evaluations)))
     except (InconclusiveError, BracketError) as exc:
         print("sigma_* search failed on (%.3f, %.3f): %s" % (lo, hi, exc))
 

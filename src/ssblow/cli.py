@@ -255,6 +255,11 @@ def _cmd_params(args) -> tuple[int, dict]:
     return EXIT_OK, report
 
 
+# the counters of one run, as classify reports them: each sweep row and
+# each profile report carries them
+_RUN_COUNTERS = ("n_steps", "n_rejected", "n_rhs", "termination")
+
+
 def _fate_payload(fate) -> dict:
     return {
         "fate": fate.kind,
@@ -378,6 +383,7 @@ def _cmd_profile(args) -> tuple[int, dict]:
         traj, fate = run_p2_orbit(pr, controls)
         frame = reconstruct_profile(traj, pr)
         results = {"fate": fate.kind, "lambda_hat": fate.lambda_hat, "n_samples": len(frame)}
+        results.update((c, fate.diagnostics[c]) for c in _RUN_COUNTERS)
         if fate.lambda_hat is not None:
             results["xi0"] = interface_xi_of_lambda(fate.lambda_hat, pr)
         if not fate.decisive:
@@ -403,6 +409,8 @@ def _cmd_profile(args) -> tuple[int, dict]:
             results["interface_slopes"] = [res.report.slope_minus, res.report.slope_plus]
             results["discriminant"] = res.report.discriminant
             results["matched_slope"] = res.report.matched_slope
+    if args.via == "ode":
+        results.update((c, getattr(res, c)) for c in _RUN_COUNTERS)
     if len(frame) >= 5:
         results["ssode_residual"] = ssode_residual(frame, pr)
     if args.out:
@@ -455,10 +463,6 @@ def _cmd_verify(args) -> tuple[int, dict]:
     return (EXIT_VIOLATION if any_violation else EXIT_OK), report
 
 
-# the run counters of each sweep row, as classify reports them
-_SWEEP_COUNTERS = ("n_steps", "n_rejected", "n_rhs", "termination")
-
-
 def _sweep_one(task):
     """One sweep row: (sigma, fate, lambda_hat, xi0, counters), the P2 orbit
     run from the series launch of fate-only runs."""
@@ -467,7 +471,7 @@ def _sweep_one(task):
     _, fate = run_p2_orbit(pr, controls, delta=None)
     lam = fate.lambda_hat
     xi0 = interface_xi_of_lambda(lam, pr) if lam is not None else None
-    return sigma, fate.kind, lam, xi0, {c: fate.diagnostics[c] for c in _SWEEP_COUNTERS}
+    return sigma, fate.kind, lam, xi0, {c: fate.diagnostics[c] for c in _RUN_COUNTERS}
 
 
 def _cmd_sweep(args) -> tuple[int, dict]:

@@ -333,22 +333,6 @@ def _initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, max_step):
     return h if h > _MIN_STEP else _MIN_STEP
 
 
-class _EventState:
-    """One guard's value at the last accepted step end, and its arming.
-
-    The guard arms above _ARM_TOL and disarms below -_ARM_TOL, so
-    restarting exactly at a located root cannot re-fire.  The crossing,
-    probe and arming tests run inline in the step loop of integrate.
-    """
-
-    __slots__ = ("spec", "g", "armed")
-
-    def __init__(self, spec: EventSpec, g0: float):
-        self.spec = spec
-        self.g = g0
-        self.armed = g0 > _ARM_TOL
-
-
 def _refine(guard, t0, h, y0, q, ga, tb, yb, gb):
     """Locate a guard root between the step start t0 (guard value ga) and tb
     (state yb, guard value gb of the other sign or zero) by bisection on the
@@ -453,7 +437,12 @@ def integrate(
     f = tuple(float(v) for v in rhs(t, y))
     h = _initial_step(rhs, t, y, f, rel, ab, max_step)
 
-    states = [_EventState(ev, float(ev.guard(y))) for ev in events]
+    # each guard, its value at the last accepted step end, and its arming:
+    # a guard arms above _ARM_TOL and disarms below -_ARM_TOL, so restarting
+    # exactly at a located root cannot re-fire
+    guards = [ev.guard for ev in events]
+    gs = [float(guard(y)) for guard in guards]
+    armed = [g > _ARM_TOL for g in gs]
 
     etas = [t]
     pts = [y]
@@ -563,13 +552,12 @@ def integrate(
         n_steps += 1
 
         # event detection on the accepted step; the extension is built lazily
-        first = None  # (eta, point, spec) of the earliest located root
+        first = None  # (eta, point, index) of the earliest located root
         q = None
-        for st in states:
-            guard = st.spec.guard
+        for i, guard in enumerate(guards):
             g_new = float(guard(y_new))
-            g = st.g
-            if st.armed:
+            g = gs[i]
+            if armed[i]:
                 located = None
                 if g > 0.0 >= g_new:
                     if q is None:
@@ -586,12 +574,12 @@ def integrate(
                             guard, t, h, y, q, g, t + theta * h, _dense(theta, h, y, q), g_dip
                         )
                 if located is not None and (first is None or located[0] < first[0]):
-                    first = located + (st.spec,)
-            st.g = g_new
+                    first = located + (i,)
+            gs[i] = g_new
             if g_new > _ARM_TOL:
-                st.armed = True
+                armed[i] = True
             elif g_new < -_ARM_TOL:
-                st.armed = False
+                armed[i] = False
         # samples: the grid points a long step spans up to its end or its
         # event, or else the end of a short step; every stride-th is stored.
         # A stored grid point is a placeholder, evaluated from the step's
@@ -638,8 +626,8 @@ def integrate(
                         t_rec = etas[-1]
                 since_record = 0
         if first is not None:
-            t, y, spec = first
-            hit = EventHit(id=spec.id, eta=t, point=np.array(y))
+            t, y, i = first
+            hit = EventHit(id=events[i].id, eta=t, point=np.array(y))
             termination = "event"
             break
 

@@ -472,9 +472,11 @@ def standard_fate_events(params: Params) -> list[EventSpec]:
     dtol = _PARABOLA_DIST_TOL
     tube = _entry_tube(params)
 
+    half = boa / 2.0
+
     def entry_guard(p):
         x, y, z = p
-        lam = min(max(y, lo), hi)
+        lam = lo if y < lo else hi if y > hi else y
         dz = z + lam * (lam + boa)
         dy = y - lam
         dist = math.sqrt(x * x + dy * dy + dz * dz)
@@ -489,7 +491,7 @@ def standard_fate_events(params: Params) -> list[EventSpec]:
 
     return [
         EventSpec(id="parabola_entry", guard=entry_guard),
-        EventSpec(id="midplane", guard=lambda p: p[1] + boa / 2.0),
+        EventSpec(id="midplane", guard=lambda p: p[1] + half),
         EventSpec(id="y_floor", guard=lambda p: p[1] - _Y_FLOOR),
     ]
 
@@ -653,6 +655,50 @@ def run_q1_orbit(
 # ---------------------------------------------------------------------------
 
 
+def _fate_gap(fate: OrbitFate, params: Params) -> float | None:
+    """F = Z - z_max at the fate event of a decisive P2 orbit, or None where
+    the run carries none.  For a parabola entry it is Z_limit - z_max =
+    -(lambda_hat + beta/(2 alpha))^2; for an escape to Q3 at the midplane,
+    the event's Z less z_max.  F is one smooth function of sigma through
+    sigma*, negative below it and positive above."""
+    half = 0.5 * beta_over_alpha(params)
+    if fate.parabola_side:
+        lam = fate.lambda_hat
+        return None if lam is None else -((lam + half) ** 2)
+    events = fate.diagnostics.get("events")
+    if fate.kind == FateKind.ENTERS_Q3 and events and events[-1][0] == "midplane":
+        return float(fate.entry_point[2]) - half * half
+    return None
+
+
+def _zero_estimate(points) -> float | None:
+    """The sigma where F = 0, from the (sigma, F) points with the smallest
+    |F|: inverse quadratic interpolation through three of them where their
+    F differ, else the secant through two; None where neither exists or the
+    estimate is not finite.
+
+    It is None as well while every point lies on one side of sigma* (all F
+    of one sign): an estimate from them extrapolates, and the curvature of
+    F can carry it far past sigma*."""
+    if len({f > 0.0 for _, f in points}) < 2:
+        return None
+    best = sorted(points, key=lambda p: abs(p[1]))[:3]
+    est = None
+    if len(best) == 3:
+        (s0, f0), (s1, f1), (s2, f2) = best
+        if f0 != f1 and f0 != f2 and f1 != f2:
+            est = (
+                s0 * f1 * f2 / ((f0 - f1) * (f0 - f2))
+                + s1 * f0 * f2 / ((f1 - f0) * (f1 - f2))
+                + s2 * f0 * f1 / ((f2 - f0) * (f2 - f1))
+            )
+    if est is None:
+        (s0, f0), (s1, f1) = best[:2]
+        if f0 != f1:
+            est = s0 - f0 * (s1 - s0) / (f1 - f0)
+    return est if est is not None and math.isfinite(est) else None
+
+
 def sigma_star(
     m: float,
     bracket: tuple[float, float],
@@ -660,21 +706,25 @@ def sigma_star(
     controls: IntegrationControls | None = None,
 ) -> ShootResult:
     """Shrink a sigma bracket between a parabola-entering and a
-    Q3-escaping fate to at most tol, by a safeguarded secant.
+    Q3-escaping fate to at most tol, by a safeguarded two-sided secant.
 
-    Below sigma*, the squared vertex distance d2 = (lambda_hat +
-    beta/(2 alpha))^2 of an entry falls linearly to 0 at sigma*.  So each
-    step extrapolates d2 through the two entry runs with the largest sigma,
-    s1 < lo, to its zero est, and aims short of it, at min(est - 0.45 tol,
-    lo + 0.9 (est - lo)), so that the run lands on the entry side and
-    the next secant is better; it steps at least 0.95 tol past lo, so once
-    est is near lo the run closes the bracket.  The step is the midpoint
-    instead when fewer than two entry runs carry a lambda_hat, when d2
-    does not fall toward sigma*, when the proposal is not strictly inside
-    the bracket, when it would not move lo by at most half the step of two
-    runs before (so a secant that stops converging gives way to
-    bisection), when the midpoint alone closes the bracket, or when the
-    entry side is the bracket's upper end.
+    Each decisive run carries F = Z - z_max at its fate event (_fate_gap):
+    -(lambda_hat + beta/(2 alpha))^2 for an entry, the event's Z less z_max
+    for a Q3 escape at the midplane.  F is one smooth function of sigma
+    through sigma*, with the same slope on both sides.  So each step
+    estimates the zero est of F from the runs with the smallest |F|, by
+    inverse quadratic interpolation through three of them or the secant
+    through two (_zero_estimate), from either side.  Runs within much less
+    than tol of sigma* are the slowest (their orbits linger at the vertex),
+    so the step does not aim at est: it aims 0.45 tol past est, toward the
+    bracket end farther from it, so that the run cuts the larger part off
+    and the next can close the bracket; once est lies within 0.95 tol of
+    an end, it steps 0.95 tol past that end, so that the run closes the
+    bracket.  The step is the midpoint instead when there is no est (the
+    runs with an F all lie on one side of sigma*), when est is not strictly
+    inside the bracket, when the midpoint alone closes the bracket, or when
+    the bracket has not halved over the two steps before (so a secant that
+    stops converging gives way to bisection).
 
     Each bracket end and each step is one P2 orbit under controls,
     FATE_ONLY_CONTROLS by default, launched on the series of P2's unstable
@@ -692,8 +742,8 @@ def sigma_star(
     controls = controls or FATE_ONLY_CONTROLS
 
     evaluations = []
-    # (sigma, d2 or None) of every parabola-side run, in the order run
-    entries = []
+    # (sigma, F) of every decisive run that carries an F
+    points = []
 
     def fate_at(sig: float) -> OrbitFate:
         params = validate_params(m, sig)
@@ -705,9 +755,9 @@ def sigma_star(
                 "P2 orbit at m=%.17g sigma=%.17g is inconclusive (termination %s%s)"
                 % (m, sig, diag["termination"], ": " + diag["reason"] if "reason" in diag else "")
             )
-        if fate.parabola_side:
-            lam = fate.lambda_hat
-            entries.append((sig, None if lam is None else (lam + 0.5 * beta_over_alpha(params)) ** 2))
+        gap = _fate_gap(fate, params)
+        if gap is not None:
+            points.append((sig, gap))
         return fate
 
     fate_lo = fate_at(lo)
@@ -718,31 +768,35 @@ def sigma_star(
             "widen the bracket" % (fate_lo.kind, lo, fate_hi.kind, hi)
         )
 
-    # how far above lo each run inside the bracket lay
-    steps = []
+    # the bracket's width before each step
+    widths = []
     while hi - lo > tol:
+        width = hi - lo
         sig = 0.5 * (lo + hi)
-        # with the entry side at lo, every entry run became lo in turn, so
-        # the last two entries are the two with the largest sigma, s1 and lo
-        pair = [e for e in entries[-2:] if e[1] is not None]
-        if fate_lo.parabola_side and hi - lo > 2.0 * tol and len(pair) == 2 and pair[0][1] > pair[1][1]:
-            (s1, d1), (_, d2) = pair
-            est = lo + d2 * (lo - s1) / (d1 - d2)
-            aim = max(lo + 0.95 * tol, min(est - 0.45 * tol, lo + 0.9 * (est - lo)))
-            if lo < aim < hi and (len(steps) < 2 or aim - lo <= 0.5 * steps[-2]):
+        est = _zero_estimate(points)
+        halving = len(widths) < 2 or width <= 0.5 * widths[-2]
+        if est is not None and lo < est < hi and width > 2.0 * tol and halving:
+            if est - lo <= 0.95 * tol:
+                aim = lo + 0.95 * tol
+            elif hi - est <= 0.95 * tol:
+                aim = hi - 0.95 * tol
+            elif hi - est > est - lo:
+                aim = est + 0.45 * tol
+            else:
+                aim = est - 0.45 * tol
+            if lo < aim < hi:
                 sig = aim
         if not lo < sig < hi:
             raise BracketError("tol %.3g is below the float spacing of sigma near %.17g" % (tol, sig))
-        steps.append(sig - lo)
+        widths.append(width)
         if fate_at(sig).parabola_side == fate_lo.parabola_side:
             lo = sig
         else:
             hi = sig
-    iterations = len(steps)
     return ShootResult(
         sigma_star=0.5 * (lo + hi),
         bracket=(lo, hi),
-        iterations=iterations,
+        iterations=len(widths),
         fate_at_ends=(fate_lo, fate_hi),
         evaluations=evaluations,
     )

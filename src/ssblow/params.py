@@ -96,10 +96,17 @@ def derive_exponents(params: Params) -> Exponents:
 
 
 def p2_coordinates(params: Params) -> np.ndarray:
-    """Phase-space coordinates (X, Y, 0) of the equilibrium P2."""
+    """Phase-space coordinates (X, Y, 0) of the equilibrium P2.
+
+    sigma - 2 and sigma + 2 enter scaled by 1/8.  A power of two changes no
+    bit of a quotient whose terms stay normal floats, and the scale keeps
+    (m + 1)(sigma + 2) finite up to the largest float sigma, where the
+    coordinates reach their limit ((m-1)^2 / (2(m+1)), (m-1)/(m+1), 0)."""
     m, sigma = params.m, params.sigma
-    x = (m - 1.0) ** 2 * (sigma - 2.0) / (2.0 * (m + 1.0) * (sigma + 2.0))
-    y = (m - 1.0) * (sigma - 2.0) / ((m + 1.0) * (sigma + 2.0))
+    num = 0.125 * (sigma - 2.0)
+    den = 0.125 * (sigma + 2.0)
+    x = (m - 1.0) ** 2 * num / (2.0 * (m + 1.0) * den)
+    y = (m - 1.0) * num / ((m + 1.0) * den)
     return np.array([x, y, 0.0])
 
 

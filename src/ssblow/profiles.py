@@ -183,6 +183,11 @@ class SsodeResult:
     xi0: float | None
     g_slope: float | None
     report: InterfaceReport | None
+    # the run's counters, as Trajectory holds them
+    n_steps: int
+    n_rejected: int
+    n_rhs: int
+    termination: str
 
 
 def _asymptotic_start(origin, params, xi_start, a=None, K=None):
@@ -355,7 +360,10 @@ def integrate_ssode(
     xi, g, w = pts[rows, 0], pts[rows, 1], pts[rows, 2]
     f = ((m - 1.0) * g / m) ** (1.0 / (m - 1.0))
     frame = ProfileFrame(xi=xi, f=f, df=w * f ** (2.0 - m) / m)
-    return SsodeResult(frame=frame, fate=fate, xi0=xi0, g_slope=g_slope, report=report)
+    return SsodeResult(
+        frame=frame, fate=fate, xi0=xi0, g_slope=g_slope, report=report,
+        n_steps=traj.n_steps, n_rejected=traj.n_rejected, n_rhs=traj.n_rhs, termination=traj.termination,
+    )
 
 
 def find_good_profile_P1(

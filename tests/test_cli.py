@@ -559,6 +559,23 @@ def test_sweep_rows_carry_the_run_counters(tmp_path, capsys):
     assert all(line.count(",") == 3 for line in lines)
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [("--origin", "p2"), ("--origin", "p2", "--via", "phase"), ("--origin", "p1", "--a-bracket", "1e-13", "1e-10")],
+)
+def test_profile_reports_carry_the_run_counters(capsys, flags):
+    """Each profile JSON report carries n_steps, n_rejected, n_rhs and
+    termination of the run it reports, as classify and sweep rows do, and
+    two runs give the same bytes."""
+    argv = ["profile", "--m", "1.5", "--sigma", "3", *flags, "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, *argv)[1] == out
+    results = json.loads(out)["results"]
+    assert results["termination"] == "event" and results["n_steps"] > 0
+    assert results["n_rhs"] == 6 * (results["n_steps"] + results["n_rejected"]) + 2
+
+
 def test_config_file_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("sigma=3.4\nmax_time=5000\n# comment line\n")

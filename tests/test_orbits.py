@@ -345,18 +345,27 @@ def test_sigma_star_stops_at_the_first_inconclusive_midpoint(monkeypatch):
     assert [decisive for _, decisive in tried] == [True] * (len(tried) - 1) + [False]
 
 
-def _square_root_law(s_star, c, k, tried=None):
+def _square_root_law(s_star, c, k, tried=None, q3=None):
     """A stand-in for run_p2_orbit: below s_star the orbit enters the
     parabola with (lambda_hat + beta/(2 alpha))^2 = c d + k d^2, d = s_star
-    - sigma; from s_star on it escapes to Q3.  tried collects each sigma."""
+    - sigma; from s_star on it escapes to Q3.  With q3 = (c3, k3) a Q3 run
+    ends at the midplane with Z - z_max = c3 e + k3 e^2, e = sigma - s_star,
+    so both sides carry Z - z_max; without it a Q3 run carries no event
+    point.  tried collects each sigma."""
 
     def run(params, controls=None, delta=None):
         if tried is not None:
             tried.append(params.sigma)
         d = s_star - params.sigma
+        half = 0.5 * beta_over_alpha(params)
         if d <= 0.0:
-            return None, OrbitFate(FateKind.ENTERS_Q3, None, None, {"n_steps": 0, "termination": "event"})
-        lam = math.sqrt(c * d + k * d * d) - 0.5 * beta_over_alpha(params)
+            diag = {"n_steps": 0, "termination": "event"}
+            if q3 is None:
+                return None, OrbitFate(FateKind.ENTERS_Q3, None, None, diag)
+            c3, k3 = q3
+            point = np.array([0.0, -half, half * half - c3 * d + k3 * d * d])
+            return None, OrbitFate(FateKind.ENTERS_Q3, None, point, dict(diag, events=[("midplane", 0.0)]))
+        lam = math.sqrt(c * d + k * d * d) - half
         return None, OrbitFate(FateKind.ENTERS_PARABOLA, lam, None, {"n_steps": 0, "termination": "event"})
 
     return run
@@ -373,30 +382,37 @@ def _bisection(lo, hi, tol, s_star):
     return sigmas, (lo, hi)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(
+    two_sided=st.booleans(),
     lo=st.floats(2.5, 4.0),
     log_width=st.floats(-3.0, 0.5),
     at=st.floats(1e-6, 1.0 - 1e-6),
     halvings=st.floats(7.0, 30.0),
     log_c=st.floats(-3.0, 0.0),
     bend=st.floats(-0.9, 1.0),
+    bend_q3=st.floats(-0.9, 1.0),
 )
-def test_sigma_star_secant_never_takes_more_runs_than_bisection(lo, log_width, at, halvings, log_c, bend):
-    """On a square-root law whose curvature term k d^2 stays within the
-    linear term c d across the bracket (|k| width <= c), the search returns
-    a bracket of at most tol that holds s*, in no more runs than bisection
-    takes.  The bracket is at least 128 tol wide.  On narrower ones a
-    concave law can carry a secant run past s* and cost a run more than
-    bisection: at 64 tol, with k = -0.5 c / width, it takes 9 runs to
-    bisection's 8."""
+def test_sigma_star_secant_never_takes_more_runs_than_bisection(
+    two_sided, lo, log_width, at, halvings, log_c, bend, bend_q3
+):
+    """On a square-root law whose curvature term stays within the linear
+    term across the bracket (|k| width <= c), the search returns a bracket
+    of at most tol that holds s*, in no more runs than bisection takes:
+    with Z - z_max on the entry side only, where the search bisects, and
+    with it on both sides, of the same slope and a curvature of its own.
+    The bracket is at least 128 tol wide.  On narrower ones the search can
+    cost a run more than bisection: at 20 tol, with s* at 0.4 of the width
+    and k = 0.7 c / width on the entry side, -0.85 c / width on the Q3
+    side, it takes 8 runs to bisection's 7."""
     width = 10.0**log_width
     hi = lo + width
     tol = width / 2.0**halvings
     s_star = lo + at * width
     c = 10.0**log_c
     tried = []
-    run = _square_root_law(s_star, c, bend * c / width, tried)
+    q3 = (c, bend_q3 * c / width) if two_sided else None
+    run = _square_root_law(s_star, c, bend * c / width, tried, q3)
     original = ssblow.orbits.run_p2_orbit
     ssblow.orbits.run_p2_orbit = run
     try:
@@ -430,14 +446,19 @@ def test_sigma_star_without_lambda_hat_bisects(monkeypatch, bracket, tol):
 
 def test_sigma_star_stops_where_no_float_lies_between_the_ends(monkeypatch):
     """A tol below the float spacing of sigma would search forever, by
-    midpoints (entries without a lambda_hat) and by secant proposals
+    midpoints (entries without a lambda_hat, or with Z - z_max on the
+    entry side only) and by secant proposals (Z - z_max on both sides)
     alike."""
 
     def step_at_3_3(params, controls=None, delta=None):
         kind = FateKind.ENTERS_PARABOLA if params.sigma < 3.3 else FateKind.ENTERS_Q3
         return None, OrbitFate(kind, None, None, {"n_steps": 0, "termination": "event"})
 
-    for law in (step_at_3_3, _square_root_law(3.3, 0.014641, 0.0)):
+    for law in (
+        step_at_3_3,
+        _square_root_law(3.3, 0.014641, 0.0),
+        _square_root_law(3.3, 0.014641, 0.0, q3=(0.014641, 0.0)),
+    ):
         monkeypatch.setattr(ssblow.orbits, "run_p2_orbit", law)
         with pytest.raises(BracketError, match="float spacing"):
             sigma_star(1.5, (3.0, 3.4), tol=1e-17)
@@ -448,18 +469,42 @@ _SIGMA_STAR_BY_BISECTION = {1.3: 3.256006397886722, 1.5: 3.288288059383831, 1.8:
 
 
 @pytest.mark.parametrize("m", sorted(_SIGMA_STAR_BY_BISECTION))
+def test_z_minus_z_max_has_one_slope_through_sigma_star(m):
+    """F = Z - z_max at the fate event, -(lambda_hat + beta/(2 alpha))^2 for
+    an entry and the midplane event's Z less z_max for an escape to Q3, is
+    one smooth function through sigma*: F / (sigma - sigma*) is the same on
+    both sides within 1 %, at 1e-5 and at 1e-3 from sigma*."""
+    s_star = _SIGMA_STAR_BY_BISECTION[m]
+    for d in (1e-5, 1e-3):
+        slopes = []
+        for sigma in (s_star - d, s_star + d):
+            params = validate_params(m, sigma)
+            _, fate = run_p2_orbit(params, FATE_ONLY_CONTROLS, delta=None)
+            assert fate.parabola_side == (sigma < s_star)
+            if not fate.parabola_side:
+                assert fate.diagnostics["events"][0][0] == "midplane"
+            slopes.append(ssblow.orbits._fate_gap(fate, params) / (sigma - s_star))
+        assert slopes[0] > 0.0
+        assert slopes[1] == pytest.approx(slopes[0], rel=1e-2)
+
+
+@pytest.mark.parametrize("m", sorted(_SIGMA_STAR_BY_BISECTION))
 def test_sigma_star_takes_at_most_half_the_runs_of_bisection(m):
     """Bisection on (3, 4) takes 22 runs at tol 1e-6 and 32 at tol 1e-9.
-    The secant takes at most half as many, and its bracket holds sigma*
-    as a bisection to tol 1e-12 places it."""
+    The secant takes at most half as many, and no more than the one-sided
+    secant of ssblow 0.19.0 took (9 / 10 / 10 and 12 / 13 / 13 at m = 1.3,
+    1.5, 1.8).  Its bracket holds sigma* as a bisection to tol 1e-12 places
+    it, at tol 1e-9 at least 1e-10 inside either end."""
+    runs_at_0_19 = {1e-6: {1.3: 9, 1.5: 10, 1.8: 10}, 1e-9: {1.3: 12, 1.5: 13, 1.8: 13}}
+    s_star = _SIGMA_STAR_BY_BISECTION[m]
     for tol in (1e-6, 1e-9):
         res = sigma_star(m, (3.0, 4.0), tol)
         lo, hi = res.bracket
         assert hi - lo <= tol
-        assert lo <= _SIGMA_STAR_BY_BISECTION[m] <= hi
+        assert lo <= s_star <= hi
         assert len(res.evaluations) <= (2 + math.ceil(math.log2(1.0 / tol))) / 2
-    if m == 1.5:
-        assert lo <= 3.2882880592 - 1e-10 and 3.2882880592 + 1e-10 <= hi
+        assert len(res.evaluations) <= runs_at_0_19[tol][m]
+    assert lo <= s_star - 1e-10 and s_star + 1e-10 <= hi
 
 
 def test_sigma_star_resolves_every_midpoint_at_m_1_2():

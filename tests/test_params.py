@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -96,6 +97,29 @@ def test_p2_coordinates_m15_sigma4():
 def test_p2_ratio_identity(m, sigma):
     p2 = p2_coordinates(validate_params(m, sigma))
     assert p2[0] == pytest.approx((m - 1.0) * p2[1] / 2.0, rel=1e-12)
+
+
+@settings(max_examples=300)
+@given(
+    st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+    st.one_of(valid_sigma, st.floats(2.0, 1e300, exclude_min=True)),
+)
+def test_p2_coordinates_keep_the_bits_of_the_plain_quotient(m, sigma):
+    """Scaling sigma -/+ 2 by 1/8 inside p2_coordinates changes no bit
+    wherever the plain quotient is finite and nonzero."""
+    p2 = p2_coordinates(validate_params(m, sigma))
+    x = (m - 1.0) ** 2 * (sigma - 2.0) / (2.0 * (m + 1.0) * (sigma + 2.0))
+    y = (m - 1.0) * (sigma - 2.0) / ((m + 1.0) * (sigma + 2.0))
+    assert (p2[0], p2[1]) == (x, y)
+
+
+@pytest.mark.parametrize("sigma", [1e300, 1e308, sys.float_info.max])
+def test_p2_coordinates_reach_their_limit_at_huge_sigma(sigma):
+    """(m+1)(sigma+2) overflows above about 6e307; P2 is still the limit
+    ((m-1)^2 / (2(m+1)), (m-1)/(m+1), 0), not the origin."""
+    m = 1.5
+    p2 = p2_coordinates(validate_params(m, sigma))
+    assert p2 == pytest.approx([(m - 1.0) ** 2 / (2.0 * (m + 1.0)), (m - 1.0) / (m + 1.0), 0.0], rel=1e-15)
 
 
 def test_parabola_point_vertex_and_endpoints():

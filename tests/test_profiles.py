@@ -13,7 +13,7 @@ from ssblow.params import (
     parabola_z,
     validate_params,
 )
-from ssblow.integrate import IntegrationControls, Trajectory
+from ssblow.integrate import IntegrationControls, Trajectory, integrate
 from ssblow.orbits import run_p2_orbit
 import ssblow.profiles
 from ssblow.profiles import (
@@ -323,7 +323,10 @@ def test_find_good_profile_P1_refuses_a_tol_below_the_float_spacing_of_a(monkeyp
         if len(calls) > 200:
             raise RuntimeError("the bisection does not end")
         fate = "sign_change" if a < 5e-11 else "positive"
-        return SsodeResult(frame=None, fate=fate, xi0=None, g_slope=None, report=None)
+        return SsodeResult(
+            frame=None, fate=fate, xi0=None, g_slope=None, report=None,
+            n_steps=0, n_rejected=0, n_rhs=2, termination="event",
+        )
 
     monkeypatch.setattr(ssblow.profiles, "integrate_ssode", step_at_5e_11)
     with pytest.raises(ProfileBracketError, match="float spacing"):
@@ -391,3 +394,19 @@ def test_tail_blowup_behavior(params15_3):
         errs.append(abs(u - target) / target)
     assert errs[0] > errs[1] > errs[2]
     assert errs[-1] < 0.1
+
+
+def test_ssode_result_carries_its_run_counters(monkeypatch):
+    """integrate_ssode reports the counters of its one run."""
+    runs = []
+
+    def recorded(*args, **kwargs):
+        runs.append(integrate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(ssblow.profiles, "integrate", recorded)
+    res = integrate_ssode("p2", validate_params(1.5, 3.0))
+    (traj,) = runs
+    assert (res.n_steps, res.n_rejected, res.n_rhs, res.termination) == (
+        traj.n_steps, traj.n_rejected, traj.n_rhs, "event",
+    )
