@@ -9,8 +9,10 @@ Three quantities are reported:
   sigma_*  the critical sigma where the orbit out of P2 switches from
            entering the parabola to escaping to Q3, found by the safeguarded
            two-sided secant of orbits.sigma_star on Z - z_max at each
-           orbit's fate event, with the search's cost: its orbit runs and
-           their accepted steps, summed over its evaluation trace;
+           orbit's fate event, with the search's cost from its evaluation
+           trace: its orbit runs, the reruns among them (a sigma run again
+           under the search's controls after a first pass at looser
+           tolerances) and their accepted steps;
   sigma_1  smallest grid sigma at which the large-sigma floor-plane
            certificate applies and the P2 orbit indeed escapes to Q3.
 """
@@ -54,8 +56,10 @@ def main(argv=None) -> int:
     hi = args.hi if args.hi is not None else 4.0
     try:
         res = sigma_star(m, (lo, hi), args.tol)
-        print("sigma_* = %.6f (bracket %.6f..%.6f, %d orbit runs, %d accepted steps)" % (
-            res.sigma_star, res.bracket[0], res.bracket[1], len(res.evaluations),
+        runs = len(res.evaluations)
+        print("sigma_* = %.6f (bracket %.6f..%.6f, %d orbit runs, %d reruns, %d accepted steps)" % (
+            res.sigma_star, res.bracket[0], res.bracket[1], runs,
+            runs - len({sig for sig, _, _, _ in res.evaluations}),
             sum(n_steps for _, n_steps, _, _ in res.evaluations)))
     except (InconclusiveError, BracketError) as exc:
         print("sigma_* search failed on (%.3f, %.3f): %s" % (lo, hi, exc))

@@ -28,13 +28,16 @@ on a series of P2's unstable manifold, as far out as it is accurate and no
 fate event can lie between P2 and the start (launch_from_P2 with delta
 None), so they skip the slow escape from P2, which the orbit leaves at the
 rate lambda_u (0.01 at (1.5, 3)).  Runs whose samples are kept start at
-P2 + 1e-6 e3, so that they sample the orbit next to P2.
+P2 + 1e-6 e3, so that they sample the orbit next to P2.  The sigma* search
+runs each sigma first at 100 times looser tolerances, and reruns it under
+its controls only where |Z - z_max| at the fate event is too small to
+trust that fate (see sigma_star).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -699,6 +702,18 @@ def _zero_estimate(points) -> float | None:
     return est if est is not None and math.isfinite(est) else None
 
 
+def _coarse_controls(controls: IntegrationControls) -> IntegrationControls | None:
+    """The controls of a search's first pass at a sigma: rel_tol and abs_tol
+    100 times the caller's, but no looser than 1e-8 and 1e-10 unless the
+    caller's already are.  None where they equal the caller's, so that there
+    is no first pass."""
+    rel = max(controls.rel_tol, min(100.0 * controls.rel_tol, 1e-8))
+    tol_abs = max(controls.abs_tol, min(100.0 * controls.abs_tol, 1e-10))
+    if rel == controls.rel_tol and tol_abs == controls.abs_tol:
+        return None
+    return replace(controls, rel_tol=rel, abs_tol=tol_abs)
+
+
 def sigma_star(
     m: float,
     bracket: tuple[float, float],
@@ -726,13 +741,24 @@ def sigma_star(
     the bracket has not halved over the two steps before (so a secant that
     stops converging gives way to bisection).
 
-    Each bracket end and each step is one P2 orbit under controls,
-    FATE_ONLY_CONTROLS by default, launched on the series of P2's unstable
-    manifold (launch_from_P2 with delta None), and it replaces the bracket
-    end whose fate it shares.  The first inconclusive orbit ends the search
-    with InconclusiveError naming its sigma and termination, rather than an
-    invented answer.  evaluations holds (sigma, n_steps, fate kind,
-    lambda_hat) for every orbit run, in order.
+    Each bracket end and each step decides the fate at one sigma, and that
+    fate replaces the bracket end whose fate it shares.  Its P2 orbits are
+    launched on the series of P2's unstable manifold (launch_from_P2 with
+    delta None).  The first runs under coarse controls: rel_tol and abs_tol
+    100 times those of controls (FATE_ONLY_CONTROLS by default), but no
+    looser than 1e-8 and 1e-10 (_coarse_controls), where that is looser
+    than controls at all.  Its fate is kept where it is decisive and either
+    a Y-floor escape or |F| above the margin M = 1e3 (abs_tol + rel_tol
+    z_max) at the coarse tolerances, 1.0e-7 to 4.3e-7 by default: coarse
+    runs there give the fate of runs under controls, with F within M / 100.
+    Otherwise the sigma is rerun under controls, and so is every step whose
+    |F|, predicted from the slope through the two runs with the smallest
+    |F| and its distance to est, is below 10 M, with no coarse run first.
+    An inconclusive run under controls ends the search with
+    InconclusiveError naming its sigma and termination, rather than an
+    invented answer; an inconclusive coarse run is rerun.  evaluations
+    holds (sigma, n_steps, fate kind, lambda_hat) for every orbit run, in
+    order, so a rerun sigma appears twice.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
@@ -740,22 +766,39 @@ def sigma_star(
     if not 0.0 < tol < math.inf:
         raise BracketError("tol must be finite and positive")
     controls = controls or FATE_ONLY_CONTROLS
+    coarse = _coarse_controls(controls)
 
     evaluations = []
-    # (sigma, F) of every decisive run that carries an F
+    # (sigma, F) of every decided sigma whose fate carries an F
     points = []
 
-    def fate_at(sig: float) -> OrbitFate:
+    def run(params: Params, run_controls: IntegrationControls) -> OrbitFate:
+        _, fate = run_p2_orbit(params, run_controls, delta=None)
+        evaluations.append((params.sigma, fate.diagnostics["n_steps"], fate.kind, fate.lambda_hat))
+        return fate
+
+    def fate_at(sig: float, predicted: float | None = None) -> OrbitFate:
         params = validate_params(m, sig)
-        _, fate = run_p2_orbit(params, controls, delta=None)
-        diag = fate.diagnostics
-        evaluations.append((sig, diag["n_steps"], fate.kind, fate.lambda_hat))
-        if not fate.decisive:
-            raise InconclusiveError(
-                "P2 orbit at m=%.17g sigma=%.17g is inconclusive (termination %s%s)"
-                % (m, sig, diag["termination"], ": " + diag["reason"] if "reason" in diag else "")
-            )
-        gap = _fate_gap(fate, params)
+        fate = gap = None
+        if coarse is not None:
+            half = 0.5 * beta_over_alpha(params)
+            margin = 1e3 * (coarse.abs_tol + coarse.rel_tol * half * half)
+            if predicted is None or predicted >= 10.0 * margin:
+                fate = run(params, coarse)
+                gap = _fate_gap(fate, params)
+                events = fate.diagnostics.get("events")
+                floor_escape = fate.kind == FateKind.ENTERS_Q3 and events and events[-1][0] == "y_floor"
+                if not (fate.decisive and (floor_escape or (gap is not None and abs(gap) > margin))):
+                    fate = None
+        if fate is None:
+            fate = run(params, controls)
+            diag = fate.diagnostics
+            if not fate.decisive:
+                raise InconclusiveError(
+                    "P2 orbit at m=%.17g sigma=%.17g is inconclusive (termination %s%s)"
+                    % (m, sig, diag["termination"], ": " + diag["reason"] if "reason" in diag else "")
+                )
+            gap = _fate_gap(fate, params)
         if gap is not None:
             points.append((sig, gap))
         return fate
@@ -789,7 +832,11 @@ def sigma_star(
         if not lo < sig < hi:
             raise BracketError("tol %.3g is below the float spacing of sigma near %.17g" % (tol, sig))
         widths.append(width)
-        if fate_at(sig).parabola_side == fate_lo.parabola_side:
+        predicted = None
+        if est is not None:
+            (s0, f0), (s1, f1) = sorted(points, key=lambda p: abs(p[1]))[:2]
+            predicted = abs((f1 - f0) / (s1 - s0) * (sig - est))
+        if fate_at(sig, predicted).parabola_side == fate_lo.parabola_side:
             lo = sig
         else:
             hi = sig

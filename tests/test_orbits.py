@@ -301,8 +301,9 @@ def test_sigma_star_single_bisection_step():
 def test_sigma_star_stores_step_ends_only(monkeypatch):
     """Without controls the search runs under FATE_ONLY_CONTROLS: it steps
     by error control and stores no sample-grid points, so every run holds
-    n_steps + 1 samples.  It runs one orbit per bracket end and per
-    step, and each evaluation carries that run's n_steps."""
+    n_steps + 1 samples.  Here no first pass is rerun, so it runs one
+    orbit per bracket end and per step, and each evaluation carries that
+    run's n_steps."""
     explicit = FATE_ONLY_CONTROLS
     assert explicit.max_step == explicit.sample_step == math.inf
     runs = []
@@ -421,15 +422,18 @@ def test_sigma_star_secant_never_takes_more_runs_than_bisection(
         ssblow.orbits.run_p2_orbit = original
     a, b = res.bracket
     assert b - a <= tol and a < s_star <= b
-    assert len(tried) == len(res.evaluations) == res.iterations + 2
-    assert len(tried) <= len(_bisection(lo, hi, tol, s_star)[0])
+    # a sigma whose first pass is rerun appears twice; count each sigma once
+    assert [e[0] for e in res.evaluations] == tried
+    assert len(set(tried)) == res.iterations + 2
+    assert len(set(tried)) <= len(_bisection(lo, hi, tol, s_star)[0])
 
 
 @pytest.mark.parametrize("bracket, tol", [((3.0, 3.4), 1e-3), ((3.0, 4.0), 1e-9), ((2.5, 6.0), 0.3)])
 def test_sigma_star_without_lambda_hat_bisects(monkeypatch, bracket, tol):
     """Entries that carry no lambda_hat give the secant nothing to work
-    with, and every step is the midpoint: the sigma sequence is exactly
-    the bisection's."""
+    with, and every step is the midpoint: the sequence of distinct sigmas
+    is exactly the bisection's (a first pass that carries no F is rerun at
+    the same sigma)."""
     law = _square_root_law(3.2882880592, 0.014641, 0.0)
 
     def entry_without_lambda(params, controls=None, delta=None):
@@ -440,7 +444,7 @@ def test_sigma_star_without_lambda_hat_bisects(monkeypatch, bracket, tol):
     monkeypatch.setattr(ssblow.orbits, "run_p2_orbit", entry_without_lambda)
     sigmas, final = _bisection(*bracket, tol, 3.2882880592)
     res = sigma_star(1.5, bracket, tol)
-    assert [e[0] for e in res.evaluations] == sigmas
+    assert list(dict.fromkeys(e[0] for e in res.evaluations)) == sigmas
     assert res.bracket == final
 
 
@@ -462,6 +466,114 @@ def test_sigma_star_stops_where_no_float_lies_between_the_ends(monkeypatch):
         monkeypatch.setattr(ssblow.orbits, "run_p2_orbit", law)
         with pytest.raises(BracketError, match="float spacing"):
             sigma_star(1.5, (3.0, 3.4), tol=1e-17)
+
+
+def test_sigma_star_reruns_an_untrusted_first_pass(monkeypatch):
+    """The first pass at a sigma runs at 100 times the caller's tolerances.
+    Its fate is kept where |F| exceeds M = 1e3 (abs_tol + rel_tol z_max) at
+    those tolerances; a first pass with |F| below M, or an inconclusive one,
+    is rerun once under the caller's controls, and the rerun decides the
+    fate and carries the only InconclusiveError.  Once a secant estimate
+    exists, a step whose predicted |F| is below 10 M runs under the
+    caller's controls alone.  The trace lists every run."""
+    coarse = ssblow.orbits._coarse_controls(FATE_ONLY_CONTROLS)
+    calls = []
+
+    def law(gaps):
+        """A stand-in for run_p2_orbit with F = gaps(sigma, first pass),
+        None for an inconclusive run; n_steps is 1 for a first pass and 2
+        for a run under the caller's controls."""
+
+        def run(params, controls=None, delta=None):
+            first = controls == coarse
+            assert first or controls == FATE_ONLY_CONTROLS
+            calls.append((params.sigma, first))
+            gap = gaps(params.sigma, first)
+            half = 0.5 * beta_over_alpha(params)
+            diag = {"n_steps": 1 if first else 2, "termination": "event"}
+            if gap is None:
+                return None, OrbitFate(FateKind.INCONCLUSIVE, None, None, dict(diag, termination="max_time"))
+            if gap < 0.0:
+                return None, OrbitFate(FateKind.ENTERS_PARABOLA, math.sqrt(-gap) - half, None, diag)
+            point = np.array([0.0, -half, half * half + gap])
+            return None, OrbitFate(FateKind.ENTERS_Q3, None, point, dict(diag, events=[("midplane", 0.0)]))
+
+        return run
+
+    # |F| = 1e-2 at both ends, far above M (about 1.9e-7 here): kept
+    monkeypatch.setattr(ssblow.orbits, "run_p2_orbit", law(lambda sig, first: 0.05 * (sig - 3.2)))
+    res = sigma_star(1.5, (3.0, 3.4), 0.5)
+    assert calls == [(3.0, True), (3.4, True)]
+    assert [e[1] for e in res.evaluations] == [1, 1]
+
+    # at 3.0 the first pass has |F| = 1e-9 < M, at 3.4 it is inconclusive
+    def untrusted(sig, first):
+        if sig == 3.0:
+            return -1e-9 if first else -1e-2
+        return None if first else 1e-2
+
+    calls.clear()
+    monkeypatch.setattr(ssblow.orbits, "run_p2_orbit", law(untrusted))
+    res = sigma_star(1.5, (3.0, 3.4), 0.5)
+    assert calls == [(3.0, True), (3.0, False), (3.4, True), (3.4, False)]
+    assert [e[:3] for e in res.evaluations] == [
+        (3.0, 1, FateKind.ENTERS_PARABOLA),
+        (3.0, 2, FateKind.ENTERS_PARABOLA),
+        (3.4, 1, FateKind.INCONCLUSIVE),
+        (3.4, 2, FateKind.ENTERS_Q3),
+    ]
+    half = 0.5 * beta_over_alpha(validate_params(1.5, 3.0))
+    assert res.fate_at_ends[0].lambda_hat == pytest.approx(0.1 - half)
+    assert res.fate_at_ends[1].kind == FateKind.ENTERS_Q3
+
+    # a rerun that is inconclusive too ends the search
+    calls.clear()
+    monkeypatch.setattr(ssblow.orbits, "run_p2_orbit", law(lambda sig, first: None if sig == 3.4 else -1e-2))
+    with pytest.raises(InconclusiveError, match="sigma=3.3999999999999999 is inconclusive"):
+        sigma_star(1.5, (3.0, 3.4), 0.5)
+    assert calls == [(3.0, True), (3.4, True), (3.4, False)]
+
+    # a linear F: the first secant estimate is exact, so every step lies
+    # within tol of sigma*, where the predicted |F| is below 10 M
+    calls.clear()
+    monkeypatch.setattr(ssblow.orbits, "run_p2_orbit", law(lambda sig, first: 0.0146 * (sig - 3.2882880594)))
+    res = sigma_star(1.5, (3.0, 3.4), 1e-6)
+    assert res.bracket[0] < 3.2882880594 <= res.bracket[1]
+    assert calls[:2] == [(3.0, True), (3.4, True)]
+    assert len(calls) > 2 and all(not first for _, first in calls[2:])
+    assert [(e[0], e[1] == 1) for e in res.evaluations] == calls
+
+
+# sigma*(m) to 10 digits from sigma_star at tol 1e-9, on (2.5, 6) and at
+# m = 1.8 on (3, 4)
+_SIGMA_STAR_TOL_1E_9 = {1.05: 3.2138423641, 1.3: 3.2560063978, 1.5: 3.2882880594, 1.8: 3.3343415371, 1.98: 3.3606931276}
+
+
+@pytest.mark.parametrize("m", sorted(_SIGMA_STAR_TOL_1E_9))
+def test_first_pass_agrees_with_the_callers_controls(m):
+    """sigma_star's first pass runs at rel_tol 1e-8 and abs_tol 1e-10, 100
+    times those of FATE_ONLY_CONTROLS, and keeps its fate only where |F|
+    exceeds M = 1e3 (abs_tol + rel_tol z_max) at those tolerances.  At
+    1e-1, 1e-3 and 1e-4 on either side of sigma*, it gives the fate of a
+    run under FATE_ONLY_CONTROLS, and its F within M / 100, in fewer
+    steps."""
+    coarse = ssblow.orbits._coarse_controls(FATE_ONLY_CONTROLS)
+    assert (coarse.rel_tol, coarse.abs_tol) == (1e-8, 1e-10)
+    assert replace(coarse, rel_tol=1e-10, abs_tol=1e-12) == FATE_ONLY_CONTROLS
+    # caller's tolerances at least that loose leave no first pass
+    assert ssblow.orbits._coarse_controls(coarse) is None
+    s_star = _SIGMA_STAR_TOL_1E_9[m]
+    for d in (1e-1, 1e-3, 1e-4):
+        for sigma in (s_star - d, s_star + d):
+            params = validate_params(m, sigma)
+            margin = 1e3 * (coarse.abs_tol + coarse.rel_tol * 0.25 * beta_over_alpha(params) ** 2)
+            _, first = run_p2_orbit(params, coarse, delta=None)
+            _, ref = run_p2_orbit(params, FATE_ONLY_CONTROLS, delta=None)
+            assert first.kind == ref.kind, (sigma, first.kind, ref.kind)
+            assert first.parabola_side == ref.parabola_side == (sigma < s_star)
+            gaps = [ssblow.orbits._fate_gap(f, params) for f in (first, ref)]
+            assert abs(gaps[0] - gaps[1]) <= margin / 100.0, (sigma, gaps, margin)
+            assert first.diagnostics["n_steps"] < ref.diagnostics["n_steps"]
 
 
 # sigma*(m), the midpoint of a bisection on (3, 4) to tol 1e-12 (ssblow 0.16.0)
