@@ -4,7 +4,9 @@
 Writes, under results/ (or --outdir):
 
   orbit_sigma3.csv        P2 orbit entering the critical parabola
-  orbit_sigma3285.csv     P2 orbit entering the vertex neighborhood
+  orbit_sigma3285.csv     P2 orbit entering the parabola next to the vertex,
+                          at lambda_hat -0.0877, just outside the vertex band
+                          (vertex at -beta/(2 alpha) = -0.0946)
   orbit_sigma34.csv       P2 orbit escaping to Q3 past the midplane
   companions_sigma<k>.csv a few orbits launched out of P0 and Q1 that frame
                           the P2 orbit in the same phase portrait

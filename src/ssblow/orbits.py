@@ -11,27 +11,24 @@ operationalizes the two possible fates of an orbit:
   trapping tube round the parabola (see _tube_at): from there on it is
   certified to converge, and lambda_hat is the projection of that state
   along the stable fibres, to within 1e-10.  On the lower half, in the
-  vertex band and wherever the tube does not apply, the certificate is
-  still stagnation: a field norm below 1e-11 within 1e-4 of the parabola,
-  with lambda_hat the state's Y;
-* escape to the sign-change attractor Q3 at infinity, certified either by a
-  downward crossing of the midplane {Y = -beta/(2 alpha)} with Z above the
-  vertex height (Z is non-decreasing, so the orbit can never return to the
-  parabola), or by Y falling below a floor with X bounded away from zero.
+  vertex band and wherever else the tube does not apply, a bracket on the
+  limit of Z certifies the fate within 1e-4 of the parabola: an entry at
+  the parabola point of that limit, or an escape (_entry_certificate);
+* escape to the sign-change attractor Q3 at infinity, certified by that
+  bracket, by a downward crossing of the midplane {Y = -beta/(2 alpha)}
+  with Z above the vertex height (Z is non-decreasing, so the orbit can
+  never return to the parabola), or by Y falling below a floor with X
+  bounded away from zero.
 
 Everything else (out of time, out of steps) is Inconclusive and surfaced,
 never coerced.  Runs that keep only the fate (the sigma* search, the CLI's
-sigma-star and sweep) use FATE_ONLY_CONTROLS: no step cap, step ends only,
-and a time budget of 1e6, so that near the critical sigma the slow,
-logarithmic vertex approach still reaches a fate.  Their P2 orbits start
-on a series of P2's unstable manifold, as far out as it is accurate and no
-fate event can lie between P2 and the start (launch_from_P2 with delta
-None), so they skip the slow escape from P2, which the orbit leaves at the
-rate lambda_u (0.01 at (1.5, 3)).  Runs whose samples are kept start at
-P2 + 1e-6 e3, so that they sample the orbit next to P2.  The sigma* search
-runs each sigma first at 100 times looser tolerances, and reruns it under
-its controls only where |Z - z_max| at the fate event is too small to
-trust that fate (see sigma_star).
+sigma-star and sweep) use FATE_ONLY_CONTROLS: no step cap, step ends only
+and a time budget of 1e6.  Their P2 orbits start on a series of P2's
+unstable manifold (launch_from_P2 with delta None), which skips the slow
+escape from P2 at the rate lambda_u (0.01 at (1.5, 3)); runs whose samples
+are kept start at P2 + 1e-6 e3, to sample the orbit next to P2.  The
+sigma* search reruns a sigma under its controls only where the F of a
+first pass at 100 times looser tolerances is too small to trust it.
 """
 
 from __future__ import annotations
@@ -45,9 +42,7 @@ from .params import (
     Params,
     DomainError,
     beta_over_alpha,
-    derive_exponents,
     lambda_range,
-    parabola_z,
     p2_coordinates,
     validate_params,
 )
@@ -73,7 +68,6 @@ __all__ = [
     "launch_from_P2",
     "launch_from_P0",
     "launch_from_Q1_chart",
-    "parabola_entry_distance",
     "standard_fate_events",
     "classify_fate",
     "run_p2_orbit",
@@ -99,18 +93,16 @@ class FateKind:
     INCONCLUSIVE = "inconclusive"
 
 
-# fate thresholds: stagnation is a field norm below _STAGNATION_FIELD_TOL
-# within _PARABOLA_DIST_TOL of the parabola; an entry within _VERTEX_TOL of
-# the vertex's lambda is a vertex entry; a Y-floor hit certifies Q3 only
-# with X at least _X_AWAY_TOL
-_STAGNATION_FIELD_TOL = 1e-11
+# fate thresholds: the entry certificates apply within _PARABOLA_DIST_TOL of
+# the parabola; an entry within _VERTEX_TOL of the vertex's lambda is a
+# vertex entry; a Y-floor hit certifies Q3 only with X at least _X_AWAY_TOL
 _PARABOLA_DIST_TOL = 1e-4
 _VERTEX_TOL = 5e-3
 _Y_FLOOR = -1e3
 _X_AWAY_TOL = 1e-8
 # the trapping tube bounds the truncation error of its lambda_hat by this;
 # its coefficients grow like 1/lambda^2 next to lambda = 0, so above
-# _TUBE_LAMBDA_TOP they could overflow, and there the stagnation test applies
+# _TUBE_LAMBDA_TOP they could overflow, and there the Z bracket applies
 _PROJECTION_TOL = 1e-10
 _TUBE_LAMBDA_TOP = -1e-100
 
@@ -339,20 +331,6 @@ def launch_from_Q1_chart(delta: float, params: Params) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def parabola_entry_distance(pt, params: Params) -> float:
-    """Distance from pt to the parabola point with the same Y (clamped).
-
-    This is exactly the quantity the stagnation certificate bounds:
-    || pt - (0, lambda_hat, Z(lambda_hat)) || with lambda_hat = clamp(Y).
-    """
-    x, y, z = (float(v) for v in pt)
-    lo, hi = lambda_range(params)
-    lam = min(max(y, lo), hi)
-    dz = z - parabola_z(lam, params)
-    dy = y - lam
-    return math.sqrt(x * x + dy * dy + dz * dz)
-
-
 def _tube_at(lam: float, m1: float, s2: float, boa: float):
     """The trapping tube round the upper-half parabola point P0^lam.
 
@@ -450,32 +428,81 @@ def _entry_tube(params: Params):
     return tube
 
 
+def _entry_certificate(params: Params):
+    """certify(x, y, z) -> (value, cert, lambda_hat, F) near the parabola:
+    the entry guard reads value, at most 0 where cert holds, and
+    classify_fate all four.  Where the tube applies they are its value and
+    projection, cert "tube" and F = -(lambda_hat + h)^2, h = beta/(2 alpha).
+    Elsewhere cert is "z_limit" where a bracket [Z, Z_hi] on the limit Z_inf
+    of Z certifies the fate, else None.  With W = Y + h and z_max = h^2,
+    W' = -W^2 + (z_max - Z) + X (1 - Y), and X' <= -(m - 1)|Y_c| X while
+    Y <= Y_c < 0, so Z_inf <= Z_hi = Z exp((sigma - 2) X / ((m - 1)|Y_c|))
+    and q = z_max - Z + X (1 + h) never grows.
+      * Entry, Z_hi < z_max, Y_c = W_c - h, W_c = max(W, sqrt(q)): W' <= 0
+        at W = W_c and W' >= 0 at W = -sqrt(z_max - Z_hi), so W stays in
+        between, X -> 0 and the orbit enters lambda = sqrt(z_max - Z_inf) - h.
+      * Escape, Z - z_max > X (1 + h) and 0 < W < h, Y_c = Y: W' <= -(Z -
+        z_max - X (1 + h)) < 0, a bound that only falls, so the orbit falls
+        through the midplane with Z > z_max; lambda_hat is None.
+    value, in absolute Z units, is at most 0 once 100 (Z_hi - Z) is at most
+    the bracket's gap to z_max (z_max - Z_hi, or Z - z_max for an escape)
+    and min(W, 0)^2 - (z_max - Z_hi), or X (1 + h) - (Z - z_max) and -W |W|,
+    are below 0.  All are continuous, and value is inf only where Y_c >= 0
+    or the exponent exceeds 700.  F = Z_hi - z_max: next to the vertex |Y_c|
+    is within about W_c / h of the decay rate of X, so Z_inf lies within
+    that fraction of the bracket below Z_hi.
+    """
+    tube = _entry_tube(params)
+    m1 = params.m - 1.0
+    s2 = params.sigma - 2.0
+    h = 0.5 * beta_over_alpha(params)
+    z_max = h * h
+
+    def certify(x, y, z):
+        inside = tube(x, y, z)
+        if inside is not None:
+            return inside[0], "tube", inside[1], -((inside[1] + h) ** 2)
+        # X >= 0 on every orbit; a rounding below 0 must not loosen the bounds
+        x = abs(x)
+        w = y + h
+        ky = -y
+        r = math.sqrt(abs(z_max - z) + x * (1.0 + h))
+        if z < z_max and w < r:
+            # h - r, in the form free of cancellation next to lambda = 0
+            ky = (z - x * (1.0 + h)) / (h + r)
+        e = s2 * x / (m1 * ky) if ky > 0.0 else math.inf
+        if not e < 700.0:
+            return math.inf, None, None, None
+        rise = z * math.expm1(e)
+        if z < z_max:
+            gap = z_max - z - rise
+            low = min(w, 0.0) ** 2 - gap
+            cert = "z_limit" if gap > 0.0 and low < 0.0 else None
+            return max(100.0 * rise - gap, low), cert, math.sqrt(gap) - h if cert else None, -gap
+        gap = z - z_max
+        far = x * (1.0 + h) - gap
+        cert = "z_limit" if far < 0.0 and w > 0.0 else None
+        return max(100.0 * rise - gap, far, -w * abs(w)), cert, None, gap + rise
+
+    return certify
+
+
 def standard_fate_events(params: Params) -> list[EventSpec]:
     """The event set used for all fate classifications.
 
     Order matters for tie-breaking: parabola entry, midplane, Y-floor.
 
-    The parabola-entry guard is one guard for both certificates.  Away from
-    the parabola (distance above 1e-4) it is that distance less 1e-4 and
-    costs no field call.  Nearer, on the upper half outside the vertex band,
-    it is the tube value of _entry_tube, which falls through zero at the
-    rate the orbit approaches the parabola, so the event's eta is
-    well-conditioned: it moves by about as much as the state does, divided
-    by that rate.  Elsewhere it is the stagnation test, max(field norm
-    less 1e-11, distance less 1e-4).  The eta of a stagnation event is
-    ill-conditioned: near the parabola that guard falls by only about
-    2e-14 per unit eta, so the located eta can move by 1e-5 under a change
-    that moves the state by 1e-16.  Only the state of such an event, and
-    hence lambda_hat, is accurate.
+    The parabola-entry guard makes no field call: it is the distance from
+    the parabola less 1e-4 where that is positive, else the value of
+    _entry_certificate.  The tube's falls through zero at the rate the orbit
+    approaches the parabola, so its event's eta moves by about as much as
+    the state does, divided by that rate; the Z bracket's falls as X decays.
     """
-    rhs = make_rhs(params)
     boa = beta_over_alpha(params)
-    lo, hi = lambda_range(params)
-    ftol = _STAGNATION_FIELD_TOL
-    dtol = _PARABOLA_DIST_TOL
-    tube = _entry_tube(params)
-
     half = boa / 2.0
+    lo, hi = lambda_range(params)
+    dtol = _PARABOLA_DIST_TOL
+    certify = _entry_certificate(params)
 
     def entry_guard(p):
         x, y, z = p
@@ -485,12 +512,7 @@ def standard_fate_events(params: Params) -> list[EventSpec]:
         dist = math.sqrt(x * x + dy * dy + dz * dz)
         if dist - dtol > 0.0:
             return dist - dtol
-        inside = tube(x, y, z)
-        if inside is not None:
-            return inside[0]
-        f = rhs(0.0, p)
-        fnorm = math.sqrt(f[0] * f[0] + f[1] * f[1] + f[2] * f[2])
-        return max(fnorm - ftol, dist - dtol)
+        return certify(x, y, z)[0]
 
     return [
         EventSpec(id="parabola_entry", guard=entry_guard),
@@ -503,10 +525,12 @@ def classify_fate(traj: Trajectory, params: Params) -> OrbitFate:
     """Deterministic fate from a trajectory run with the standard event set.
 
     diagnostics["events"] names the event that ended the run, and for a
-    parabola entry the certificate that fired: "tube" or "stagnation".
+    parabola-entry event the certificate that fired: "tube" or "z_limit".
+    diagnostics["z_gap"] is F, the limit of Z less z_max, from that
+    certificate or, for a midplane escape, the event's Z less z_max.
     """
-    exp = derive_exponents(params)
     boa = beta_over_alpha(params)
+    z_max = 0.25 * boa * boa
     hit = traj.event
     diagnostics = {
         "termination": traj.termination,
@@ -521,22 +545,15 @@ def classify_fate(traj: Trajectory, params: Params) -> OrbitFate:
         return OrbitFate(FateKind.INCONCLUSIVE, None, None, diagnostics)
     pt = hit.point
     if hit.id == "parabola_entry":
-        inside = _entry_tube(params)(*pt)
-        if inside is not None:
-            diagnostics["events"] = [("tube", hit.eta)]
-            # the event is located to 1e-12 in eta, where the value falls
-            # at the approach rate, which is below 1
-            if inside[0] > 1e-9:
-                diagnostics["reason"] = "tube event fired outside the tube"
-                return OrbitFate(FateKind.INCONCLUSIVE, None, pt, diagnostics)
-            lam_hat = float(inside[1])
-        else:
-            diagnostics["events"] = [("stagnation", hit.eta)]
-            lam_hat = float(pt[1])
-            dist = parabola_entry_distance(pt, params)
-            if dist > 2.0 * _PARABOLA_DIST_TOL or pt[0] >= _PARABOLA_DIST_TOL:
-                diagnostics["reason"] = "stagnation fired away from the parabola"
-                return OrbitFate(FateKind.INCONCLUSIVE, None, pt, diagnostics)
+        value, cert, lam_hat, gap = _entry_certificate(params)(*pt)
+        # the event is located to 1e-12 in eta, where the tube value falls at
+        # the approach rate (below 1); the Z bracket's sets only its width
+        if cert is None or (cert == "tube" and value > 1e-9):
+            diagnostics["reason"] = "entry event fired outside its certificate"
+            return OrbitFate(FateKind.INCONCLUSIVE, None, pt, diagnostics)
+        diagnostics.update(events=[(cert, hit.eta)], z_gap=gap)
+        if lam_hat is None:
+            return OrbitFate(FateKind.ENTERS_Q3, None, pt, diagnostics)
         kind = (
             FateKind.ENTERS_VERTEX
             if abs(lam_hat + boa / 2.0) < _VERTEX_TOL
@@ -544,7 +561,8 @@ def classify_fate(traj: Trajectory, params: Params) -> OrbitFate:
         )
         return OrbitFate(kind, lam_hat, pt, diagnostics)
     if hit.id == "midplane":
-        if pt[2] > exp.z_max:
+        if pt[2] > z_max:
+            diagnostics["z_gap"] = float(pt[2]) - z_max
             return OrbitFate(FateKind.ENTERS_Q3, None, pt, diagnostics)
         diagnostics["reason"] = "midplane crossed below the vertex height"
         return OrbitFate(FateKind.INCONCLUSIVE, None, pt, diagnostics)
@@ -658,22 +676,6 @@ def run_q1_orbit(
 # ---------------------------------------------------------------------------
 
 
-def _fate_gap(fate: OrbitFate, params: Params) -> float | None:
-    """F = Z - z_max at the fate event of a decisive P2 orbit, or None where
-    the run carries none.  For a parabola entry it is Z_limit - z_max =
-    -(lambda_hat + beta/(2 alpha))^2; for an escape to Q3 at the midplane,
-    the event's Z less z_max.  F is one smooth function of sigma through
-    sigma*, negative below it and positive above."""
-    half = 0.5 * beta_over_alpha(params)
-    if fate.parabola_side:
-        lam = fate.lambda_hat
-        return None if lam is None else -((lam + half) ** 2)
-    events = fate.diagnostics.get("events")
-    if fate.kind == FateKind.ENTERS_Q3 and events and events[-1][0] == "midplane":
-        return float(fate.entry_point[2]) - half * half
-    return None
-
-
 def _zero_estimate(points) -> float | None:
     """The sigma where F = 0, from the (sigma, F) points with the smallest
     |F|: inverse quadratic interpolation through three of them where their
@@ -723,39 +725,37 @@ def sigma_star(
     """Shrink a sigma bracket between a parabola-entering and a
     Q3-escaping fate to at most tol, by a safeguarded two-sided secant.
 
-    Each decisive run carries F = Z - z_max at its fate event (_fate_gap):
-    -(lambda_hat + beta/(2 alpha))^2 for an entry, the event's Z less z_max
-    for a Q3 escape at the midplane.  F is one smooth function of sigma
-    through sigma*, with the same slope on both sides.  So each step
+    Each decisive run but a Y-floor escape carries F, the limit of Z less
+    z_max (diagnostics["z_gap"] of classify_fate).  F is one smooth function
+    of sigma through sigma*, with the same slope on both sides.  So each step
     estimates the zero est of F from the runs with the smallest |F|, by
     inverse quadratic interpolation through three of them or the secant
-    through two (_zero_estimate), from either side.  Runs within much less
-    than tol of sigma* are the slowest (their orbits linger at the vertex),
-    so the step does not aim at est: it aims 0.45 tol past est, toward the
-    bracket end farther from it, so that the run cuts the larger part off
-    and the next can close the bracket; once est lies within 0.95 tol of
-    an end, it steps 0.95 tol past that end, so that the run closes the
-    bracket.  The step is the midpoint instead when there is no est (the
-    runs with an F all lie on one side of sigma*), when est is not strictly
-    inside the bracket, when the midpoint alone closes the bracket, or when
-    the bracket has not halved over the two steps before (so a secant that
-    stops converging gives way to bisection).
+    through two (_zero_estimate), from either side.  A run at est lands on
+    either side of sigma* and is the slowest to decide (its F is next to 0,
+    and the Z bracket waits for X << |F|), so the step does not aim at est: it
+    aims 0.45 tol past est, toward the bracket end farther from it, so that
+    the run cuts the larger part off and the next can close the bracket; once
+    est lies within 0.95 tol of an end, it steps 0.95 tol past that end, so
+    that the run closes the bracket.  The step is the midpoint instead when
+    there is no est (the runs with an F all lie on one side of sigma*), when
+    est is not strictly inside the bracket, when the midpoint alone closes the
+    bracket, or when the bracket has not halved over the two steps before (so
+    a secant that stops converging gives way to bisection).
 
-    Each bracket end and each step decides the fate at one sigma, and that
-    fate replaces the bracket end whose fate it shares.  Its P2 orbits are
-    launched on the series of P2's unstable manifold (launch_from_P2 with
-    delta None).  The first runs under coarse controls: rel_tol and abs_tol
-    100 times those of controls (FATE_ONLY_CONTROLS by default), but no
-    looser than 1e-8 and 1e-10 (_coarse_controls), where that is looser
-    than controls at all.  Its fate is kept where it is decisive and either
-    a Y-floor escape or |F| above the margin M = 1e3 (abs_tol + rel_tol
-    z_max) at the coarse tolerances, 1.0e-7 to 4.3e-7 by default: coarse
-    runs there give the fate of runs under controls, with F within M / 100.
-    Otherwise the sigma is rerun under controls, and so is every step whose
-    |F|, predicted from the slope through the two runs with the smallest
-    |F| and its distance to est, is below 10 M, with no coarse run first.
-    An inconclusive run under controls ends the search with
-    InconclusiveError naming its sigma and termination, rather than an
+    Each bracket end and each step decides the fate at one sigma, from a
+    P2 orbit launched with delta None, and that fate replaces the bracket
+    end whose fate it shares.  The first run is under coarse controls:
+    rel_tol and abs_tol 100 times those of controls (FATE_ONLY_CONTROLS by
+    default), but no looser than 1e-8 and 1e-10 (_coarse_controls), where
+    that is looser than controls at all.  Its fate is kept where it is
+    decisive and either a Y-floor escape or |F| above the margin M = 1e3
+    (abs_tol + rel_tol z_max) at the coarse tolerances, 1.0e-7 to 4.3e-7 by
+    default: coarse runs there give the fate of runs under controls, with F
+    within M / 100.  Otherwise the sigma is rerun under controls, and so is
+    every step whose |F|, predicted from the slope through the two runs
+    with the smallest |F| and its distance to est, is below 10 M, with no
+    coarse run first.  An inconclusive run under controls ends the search
+    with InconclusiveError naming its sigma and termination, rather than an
     invented answer; an inconclusive coarse run is rerun.  evaluations
     holds (sigma, n_steps, fate kind, lambda_hat) for every orbit run, in
     order, so a rerun sigma appears twice.
@@ -785,7 +785,7 @@ def sigma_star(
             margin = 1e3 * (coarse.abs_tol + coarse.rel_tol * half * half)
             if predicted is None or predicted >= 10.0 * margin:
                 fate = run(params, coarse)
-                gap = _fate_gap(fate, params)
+                gap = fate.diagnostics.get("z_gap")
                 events = fate.diagnostics.get("events")
                 floor_escape = fate.kind == FateKind.ENTERS_Q3 and events and events[-1][0] == "y_floor"
                 if not (fate.decisive and (floor_escape or (gap is not None and abs(gap) > margin))):
@@ -798,7 +798,7 @@ def sigma_star(
                     "P2 orbit at m=%.17g sigma=%.17g is inconclusive (termination %s%s)"
                     % (m, sig, diag["termination"], ": " + diag["reason"] if "reason" in diag else "")
                 )
-            gap = _fate_gap(fate, params)
+            gap = fate.diagnostics.get("z_gap")
         if gap is not None:
             points.append((sig, gap))
         return fate

@@ -858,7 +858,7 @@ _PUBLIC_SURFACE = {
     "orbits": [
         "BracketError", "FATE_ONLY_CONTROLS", "FateKind", "InconclusiveError", "OrbitFate",
         "ShootResult", "classify_fate", "launch_from_P0", "launch_from_P2",
-        "launch_from_Q1_chart", "parabola_entry_distance", "q1_to_p2_connection",
+        "launch_from_Q1_chart", "q1_to_p2_connection",
         "run_p0_orbit", "run_p2_orbit", "run_q1_orbit", "sigma_star", "standard_fate_events",
     ],
     "profiles": [

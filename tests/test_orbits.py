@@ -15,7 +15,7 @@ from ssblow.params import (
     derive_exponents,
     interface_xi_of_lambda,
     p2_coordinates,
-    parabola_point,
+    parabola_z,
     validate_params,
 )
 from ssblow.field import (
@@ -37,7 +37,6 @@ from ssblow.orbits import (
     launch_from_P0,
     launch_from_P2,
     launch_from_Q1_chart,
-    parabola_entry_distance,
     q1_to_p2_connection,
     run_p0_orbit,
     run_p2_orbit,
@@ -45,6 +44,14 @@ from ssblow.orbits import (
     sigma_star,
     standard_fate_events,
 )
+
+
+def _parabola_distance(pt, params):
+    """Distance from pt to the parabola point whose lambda is its Y, clamped
+    to the parabola: the distance the entry guard compares with 1e-4."""
+    x, y, z = (float(v) for v in pt)
+    lam = min(max(y, -beta_over_alpha(params)), 0.0)
+    return math.hypot(x, y - lam, z - parabola_z(lam, params))
 
 
 def test_launch_from_p2_geometry(params15_3):
@@ -179,7 +186,7 @@ def test_p2_orbit_enters_parabola_at_sigma_3(p2_orbit_15_3, params15_3):
     assert fate.kind == FateKind.ENTERS_PARABOLA
     assert -0.1 < fate.lambda_hat < 0.0
     assert fate.entry_point[0] < 1e-4
-    assert parabola_entry_distance(fate.entry_point, params15_3) < 1e-4
+    assert _parabola_distance(fate.entry_point, params15_3) < 1e-4
     # parabola-entry consistency with the interface map
     exp = derive_exponents(params15_3)
     assert interface_xi_of_lambda(fate.lambda_hat, params15_3) <= exp.xi_max + 1e-6
@@ -323,11 +330,13 @@ def test_sigma_star_stores_step_ends_only(monkeypatch):
 
 
 def test_sigma_star_stops_at_the_first_inconclusive_midpoint(monkeypatch):
-    """Under a budget of 1e4 an orbit within about 1e-5 of sigma*(1.5) is
-    still on its slow vertex approach.  At tol 1e-5 the search reaches
-    one, a run strictly between the bracket ends (here a secant step, not
-    the bisection midpoint); it ends there, naming that sigma and the
-    termination, after decisive runs only, and tries no other point."""
+    """Under a budget of 250 steps the first passes at the bracket ends
+    (167 and 97 steps) are decisive, but an orbit within about 3e-3 of
+    sigma*(1.5) is not: it lingers at the vertex until X has decayed enough
+    for the Z bracket to decide (324 steps).  At tol 1e-5 the search
+    reaches one, a run strictly between the bracket ends (here a secant
+    step, not the bisection midpoint); it ends there, naming that sigma and
+    the termination, after decisive runs only, and tries no other point."""
     tried = []
 
     def recorded(params, controls=None, delta=1e-6):
@@ -336,11 +345,11 @@ def test_sigma_star_stops_at_the_first_inconclusive_midpoint(monkeypatch):
         return traj, fate
 
     monkeypatch.setattr(ssblow.orbits, "run_p2_orbit", recorded)
-    short = IntegrationControls(max_step=math.inf, sample_step=math.inf, max_time=1e4)
+    short = replace(FATE_ONLY_CONTROLS, max_steps=250)
     with pytest.raises(InconclusiveError) as err:
         sigma_star(1.5, (3.0, 3.4), 1e-5, short)
     message = str(err.value)
-    assert "termination max_time" in message
+    assert "termination max_steps" in message
     sigma = float(re.search(r"sigma=(\S+) is inconclusive", message).group(1))
     assert sigma == tried[-1][0]
     assert [decisive for _, decisive in tried] == [True] * (len(tried) - 1) + [False]
@@ -352,7 +361,8 @@ def _square_root_law(s_star, c, k, tried=None, q3=None):
     - sigma; from s_star on it escapes to Q3.  With q3 = (c3, k3) a Q3 run
     ends at the midplane with Z - z_max = c3 e + k3 e^2, e = sigma - s_star,
     so both sides carry Z - z_max; without it a Q3 run carries no event
-    point.  tried collects each sigma."""
+    point and no F.  Every other run carries its F in diagnostics["z_gap"],
+    as classify_fate reports it.  tried collects each sigma."""
 
     def run(params, controls=None, delta=None):
         if tried is not None:
@@ -364,10 +374,13 @@ def _square_root_law(s_star, c, k, tried=None, q3=None):
             if q3 is None:
                 return None, OrbitFate(FateKind.ENTERS_Q3, None, None, diag)
             c3, k3 = q3
-            point = np.array([0.0, -half, half * half - c3 * d + k3 * d * d])
-            return None, OrbitFate(FateKind.ENTERS_Q3, None, point, dict(diag, events=[("midplane", 0.0)]))
-        lam = math.sqrt(c * d + k * d * d) - half
-        return None, OrbitFate(FateKind.ENTERS_PARABOLA, lam, None, {"n_steps": 0, "termination": "event"})
+            gap = -c3 * d + k3 * d * d
+            point = np.array([0.0, -half, half * half + gap])
+            diag.update(events=[("midplane", 0.0)], z_gap=gap)
+            return None, OrbitFate(FateKind.ENTERS_Q3, None, point, diag)
+        gap = c * d + k * d * d
+        diag = {"n_steps": 0, "termination": "event", "z_gap": -gap}
+        return None, OrbitFate(FateKind.ENTERS_PARABOLA, math.sqrt(gap) - half, None, diag)
 
     return run
 
@@ -430,15 +443,16 @@ def test_sigma_star_secant_never_takes_more_runs_than_bisection(
 
 @pytest.mark.parametrize("bracket, tol", [((3.0, 3.4), 1e-3), ((3.0, 4.0), 1e-9), ((2.5, 6.0), 0.3)])
 def test_sigma_star_without_lambda_hat_bisects(monkeypatch, bracket, tol):
-    """Entries that carry no lambda_hat give the secant nothing to work
-    with, and every step is the midpoint: the sequence of distinct sigmas
-    is exactly the bisection's (a first pass that carries no F is rerun at
-    the same sigma)."""
+    """Entries that carry no lambda_hat, and so no F, give the secant
+    nothing to work with, and every step is the midpoint: the sequence of
+    distinct sigmas is exactly the bisection's (a first pass that carries
+    no F is rerun at the same sigma)."""
     law = _square_root_law(3.2882880592, 0.014641, 0.0)
 
     def entry_without_lambda(params, controls=None, delta=None):
         _, fate = law(params)
         fate.lambda_hat = None
+        fate.diagnostics.pop("z_gap", None)
         return None, fate
 
     monkeypatch.setattr(ssblow.orbits, "run_p2_orbit", entry_without_lambda)
@@ -493,6 +507,7 @@ def test_sigma_star_reruns_an_untrusted_first_pass(monkeypatch):
             diag = {"n_steps": 1 if first else 2, "termination": "event"}
             if gap is None:
                 return None, OrbitFate(FateKind.INCONCLUSIVE, None, None, dict(diag, termination="max_time"))
+            diag["z_gap"] = gap
             if gap < 0.0:
                 return None, OrbitFate(FateKind.ENTERS_PARABOLA, math.sqrt(-gap) - half, None, diag)
             point = np.array([0.0, -half, half * half + gap])
@@ -544,12 +559,21 @@ def test_sigma_star_reruns_an_untrusted_first_pass(monkeypatch):
     assert [(e[0], e[1] == 1) for e in res.evaluations] == calls
 
 
-# sigma*(m) to 10 digits from sigma_star at tol 1e-9, on (2.5, 6) and at
-# m = 1.8 on (3, 4)
-_SIGMA_STAR_TOL_1E_9 = {1.05: 3.2138423641, 1.3: 3.2560063978, 1.5: 3.2882880594, 1.8: 3.3343415371, 1.98: 3.3606931276}
+# sigma*(m) from an independent DOP853 oracle (solve_ivp, rtol 1e-13,
+# atol 1e-16, from P2 + 1e-6 e3): F = Z - z_max where X first falls below
+# 1e-15, on the entry runs 2e-7 and 4e-7 below sigma*, extrapolated along
+# their secant to F = 0, and the pair moved to the new estimate until it
+# stands still.  There Z lies within about 1e-16 of its limit.
+_SIGMA_STAR_ORACLE = {
+    1.05: 3.213842294624,
+    1.3: 3.256006395957,
+    1.5: 3.288288058641,
+    1.8: 3.334341537022,
+    1.98: 3.360693127696,
+}
 
 
-@pytest.mark.parametrize("m", sorted(_SIGMA_STAR_TOL_1E_9))
+@pytest.mark.parametrize("m", sorted(_SIGMA_STAR_ORACLE))
 def test_first_pass_agrees_with_the_callers_controls(m):
     """sigma_star's first pass runs at rel_tol 1e-8 and abs_tol 1e-10, 100
     times those of FATE_ONLY_CONTROLS, and keeps its fate only where |F|
@@ -562,7 +586,7 @@ def test_first_pass_agrees_with_the_callers_controls(m):
     assert replace(coarse, rel_tol=1e-10, abs_tol=1e-12) == FATE_ONLY_CONTROLS
     # caller's tolerances at least that loose leave no first pass
     assert ssblow.orbits._coarse_controls(coarse) is None
-    s_star = _SIGMA_STAR_TOL_1E_9[m]
+    s_star = _SIGMA_STAR_ORACLE[m]
     for d in (1e-1, 1e-3, 1e-4):
         for sigma in (s_star - d, s_star + d):
             params = validate_params(m, sigma)
@@ -571,22 +595,19 @@ def test_first_pass_agrees_with_the_callers_controls(m):
             _, ref = run_p2_orbit(params, FATE_ONLY_CONTROLS, delta=None)
             assert first.kind == ref.kind, (sigma, first.kind, ref.kind)
             assert first.parabola_side == ref.parabola_side == (sigma < s_star)
-            gaps = [ssblow.orbits._fate_gap(f, params) for f in (first, ref)]
+            gaps = [f.diagnostics["z_gap"] for f in (first, ref)]
             assert abs(gaps[0] - gaps[1]) <= margin / 100.0, (sigma, gaps, margin)
             assert first.diagnostics["n_steps"] < ref.diagnostics["n_steps"]
 
 
-# sigma*(m), the midpoint of a bisection on (3, 4) to tol 1e-12 (ssblow 0.16.0)
-_SIGMA_STAR_BY_BISECTION = {1.3: 3.256006397886722, 1.5: 3.288288059383831, 1.8: 3.334341537349701}
-
-
-@pytest.mark.parametrize("m", sorted(_SIGMA_STAR_BY_BISECTION))
+@pytest.mark.parametrize("m", [1.3, 1.5, 1.8])
 def test_z_minus_z_max_has_one_slope_through_sigma_star(m):
-    """F = Z - z_max at the fate event, -(lambda_hat + beta/(2 alpha))^2 for
-    an entry and the midplane event's Z less z_max for an escape to Q3, is
-    one smooth function through sigma*: F / (sigma - sigma*) is the same on
+    """F, the limit of Z less z_max that classify_fate reports from the
+    certificate of the fate, -(lambda_hat + beta/(2 alpha))^2 for an entry
+    and the Z bracket's or the midplane event's for an escape to Q3, is one
+    smooth function through sigma*: F / (sigma - sigma*) is the same on
     both sides within 1 %, at 1e-5 and at 1e-3 from sigma*."""
-    s_star = _SIGMA_STAR_BY_BISECTION[m]
+    s_star = _SIGMA_STAR_ORACLE[m]
     for d in (1e-5, 1e-3):
         slopes = []
         for sigma in (s_star - d, s_star + d):
@@ -594,21 +615,21 @@ def test_z_minus_z_max_has_one_slope_through_sigma_star(m):
             _, fate = run_p2_orbit(params, FATE_ONLY_CONTROLS, delta=None)
             assert fate.parabola_side == (sigma < s_star)
             if not fate.parabola_side:
-                assert fate.diagnostics["events"][0][0] == "midplane"
-            slopes.append(ssblow.orbits._fate_gap(fate, params) / (sigma - s_star))
+                assert fate.diagnostics["events"][0][0] in ("midplane", "z_limit")
+            slopes.append(fate.diagnostics["z_gap"] / (sigma - s_star))
         assert slopes[0] > 0.0
         assert slopes[1] == pytest.approx(slopes[0], rel=1e-2)
 
 
-@pytest.mark.parametrize("m", sorted(_SIGMA_STAR_BY_BISECTION))
+@pytest.mark.parametrize("m", [1.3, 1.5, 1.8])
 def test_sigma_star_takes_at_most_half_the_runs_of_bisection(m):
     """Bisection on (3, 4) takes 22 runs at tol 1e-6 and 32 at tol 1e-9.
     The secant takes at most half as many, and no more than the one-sided
     secant of ssblow 0.19.0 took (9 / 10 / 10 and 12 / 13 / 13 at m = 1.3,
-    1.5, 1.8).  Its bracket holds sigma* as a bisection to tol 1e-12 places
-    it, at tol 1e-9 at least 1e-10 inside either end."""
+    1.5, 1.8).  Its bracket holds the oracle's sigma*, at tol 1e-9 at least
+    1e-10 inside either end."""
     runs_at_0_19 = {1e-6: {1.3: 9, 1.5: 10, 1.8: 10}, 1e-9: {1.3: 12, 1.5: 13, 1.8: 13}}
-    s_star = _SIGMA_STAR_BY_BISECTION[m]
+    s_star = _SIGMA_STAR_ORACLE[m]
     for tol in (1e-6, 1e-9):
         res = sigma_star(m, (3.0, 4.0), tol)
         lo, hi = res.bracket
@@ -617,6 +638,15 @@ def test_sigma_star_takes_at_most_half_the_runs_of_bisection(m):
         assert len(res.evaluations) <= (2 + math.ceil(math.log2(1.0 / tol))) / 2
         assert len(res.evaluations) <= runs_at_0_19[tol][m]
     assert lo <= s_star - 1e-10 and s_star + 1e-10 <= hi
+
+
+def test_sigma_star_brackets_the_oracle_at_m_1_05():
+    """At m = 1.05, where F has a slope of only 1.4e-4 through sigma*, the
+    tol-1e-9 bracket on (2.5, 6) holds the oracle's sigma* at least 1e-10
+    inside either end (ssblow 0.21.0 put it 7e-8 too high)."""
+    lo, hi = sigma_star(1.05, (2.5, 6.0), 1e-9).bracket
+    assert hi - lo <= 1e-9
+    assert lo <= _SIGMA_STAR_ORACLE[1.05] - 1e-10 and _SIGMA_STAR_ORACLE[1.05] + 1e-10 <= hi
 
 
 def test_sigma_star_resolves_every_midpoint_at_m_1_2():
@@ -825,7 +855,7 @@ def test_state_just_outside_the_tube_is_not_certified(face, p2_orbit_15_3, param
     for scale, certified in ((1.0 + 1e-6, False), (1.0 - 1e-6, True)):
         x, w = (scale * rho, 0.0) if face == "X" else (0.5 * rho, scale * a * rho)
         p = (x, lam + w, z)
-        assert parabola_entry_distance(p, params15_3) < 1e-4
+        assert _parabola_distance(p, params15_3) < 1e-4
         assert (guard(p) <= 0.0) == certified
 
 
@@ -860,7 +890,7 @@ def test_p0_launch_is_not_certified_at_eta_0(params15_3):
     is far outside it and fires nothing in its first 100 units of eta, and
     the K = 0.3 orbit is certified only at the end of its approach."""
     start = launch_from_P0(0.01, 1e-7, params15_3)
-    assert parabola_entry_distance(start, params15_3) < 1e-4
+    assert _parabola_distance(start, params15_3) < 1e-4
     assert standard_fate_events(params15_3)[0].guard(start) > 1.0
     traj = integrate(
         make_rhs(params15_3), start, standard_fate_events(params15_3),
@@ -877,34 +907,112 @@ def test_p0_launch_is_not_certified_at_eta_0(params15_3):
         assert fate.kind == FateKind.INCONCLUSIVE
 
 
-@pytest.mark.parametrize("where", ["lower_half", "vertex_band"])
-def test_entry_off_the_tube_ends_at_stagnation(where, params15_3):
-    """On the lower half and within the vertex band the entry guard is still
-    the stagnation test: a flow carrying the state straight onto such a
-    parabola point ends at a stagnation event, with lambda_hat its Y."""
-    boa = beta_over_alpha(params15_3)
-    lam, kind = {
-        "lower_half": (-0.75 * boa, FateKind.ENTERS_PARABOLA),
-        "vertex_band": (-0.5 * boa + 0.5 * ssblow.orbits._VERTEX_TOL, FateKind.ENTERS_VERTEX),
-    }[where]
-    target = parabola_point(lam, params15_3)
-    onto_target = lambda t, p: tuple(target[i] - p[i] for i in range(3))
-    traj = integrate(
-        onto_target, target + 1e-3, standard_fate_events(params15_3),
-        IntegrationControls(max_time=100.0),
+def _dop853(params, start, *events):
+    """A DOP853 run (rtol 1e-13, atol 1e-16) from start to the first of the
+    terminal events (t, p) -> value."""
+    for ev in events:
+        ev.terminal = True
+    return solve_ivp(
+        make_rhs(params), (0.0, 1e8), start, method="DOP853", rtol=1e-13, atol=1e-16, events=events
     )
-    fate = classify_fate(traj, params15_3)
-    assert fate.diagnostics["events"] == [("stagnation", traj.event.eta)]
-    assert fate.kind == kind
-    assert fate.lambda_hat == pytest.approx(lam, abs=1e-9)
 
 
-def test_p2_vertex_entry_ends_at_stagnation():
-    """Next to sigma*(1.5) the P2 orbit enters the vertex band, where the
-    certificate is still stagnation."""
-    _, fate = run_p2_orbit(validate_params(1.5, 3.2875), FATE_ONLY_CONTROLS)
+@pytest.mark.parametrize("below", [3e-10, 1e-10])
+def test_escape_just_above_z_max_is_certified_as_q3(below):
+    """3e-10 and 1e-10 below sigma = 3.288288059383831 at m = 1.5 the P2
+    orbit's Z tends to 6e-12 and 9e-12 above z_max, so it crawls past the
+    vertex and escapes.  The Z bracket certifies that escape in a few
+    hundred steps, where a field norm below 1e-11 called both entries
+    (ssblow 0.21.0), and its F is that of a DOP853 run from the same start,
+    which crosses the midplane with Z above z_max."""
+    pr = validate_params(1.5, 3.288288059383831 - below)
+    _, fate = run_p2_orbit(pr, FATE_ONLY_CONTROLS, delta=None)
+    assert fate.kind == FateKind.ENTERS_Q3
+    assert fate.diagnostics["events"][0][0] == "z_limit"
+    assert fate.diagnostics["n_steps"] < 1000
+    half = 0.5 * beta_over_alpha(pr)
+
+    def midplane(t, p):
+        return p[1] + half
+
+    midplane.direction = -1
+    sol = _dop853(pr, launch_from_P2(pr, None), midplane)
+    assert sol.status == 1 and sol.t_events[0].size == 1
+    gap = sol.y[2, -1] - half * half
+    assert gap > 5e-12
+    assert fate.diagnostics["z_gap"] == pytest.approx(gap, rel=1e-2)
+
+
+def test_p2_vertex_entry_brackets_the_limit_of_z():
+    """Next to sigma*(1.5) the P2 orbit enters the vertex band, where the Z
+    bracket decides: with W = Y + beta/(2 alpha), q = z_max - Z +
+    X (1 + beta/(2 alpha)), W_c = max(W, sqrt(q)) and Y_c = W_c -
+    beta/(2 alpha), Z_inf lies in [Z, Z exp((sigma - 2) X / ((m - 1)
+    |Y_c|))].  At the event that bracket is within 1 % of its gap to z_max,
+    lambda_hat lies in the bracket's image sqrt(z_max - Z_inf) - beta/(2
+    alpha), and both the bracket and F hold the Z_inf - z_max of a DOP853
+    run carried on until X is below 1e-15, F within 1 %."""
+    pr = validate_params(1.5, 3.2875)
+    _, fate = run_p2_orbit(pr, FATE_ONLY_CONTROLS, delta=None)
     assert fate.kind == FateKind.ENTERS_VERTEX
-    assert fate.diagnostics["events"][0][0] == "stagnation"
+    assert fate.diagnostics["events"][0][0] == "z_limit"
+    half = 0.5 * beta_over_alpha(pr)
+    z_max = half * half
+    x, y, z = fate.entry_point
+    w_c = max(y + half, math.sqrt(z_max - z + x * (1.0 + half)))
+    z_hi = z * math.exp((pr.sigma - 2.0) * x / ((pr.m - 1.0) * (half - w_c)))
+    assert 0.0 < z_hi - z <= 0.01 * (z_max - z_hi) * (1.0 + 1e-9)
+    assert math.sqrt(z_max - z_hi) - half <= fate.lambda_hat <= math.sqrt(z_max - z) - half
+
+    def entered(t, p):
+        return p[0] - 1e-15
+
+    sol = _dop853(pr, launch_from_P2(pr, None), entered)
+    assert sol.status == 1
+    assert z <= sol.y[2, -1] <= z_hi
+    assert fate.diagnostics["z_gap"] == pytest.approx(sol.y[2, -1] - z_max, rel=1e-2)
+
+
+def test_entry_guard_makes_no_field_call(monkeypatch):
+    """Tube entries, Z bracket entries and escapes, and midplane escapes
+    alike: a run evaluates its guards without a single field call."""
+    in_guard = [False]
+    counts = {"guard": 0, "field_in_guard": 0}
+    make_rhs_, integrate_ = ssblow.orbits.make_rhs, ssblow.orbits.integrate
+
+    def counted_make_rhs(params):
+        rhs = make_rhs_(params)
+
+        def counted(t, p):
+            counts["field_in_guard"] += in_guard[0]
+            return rhs(t, p)
+
+        return counted
+
+    def traced_guard(guard):
+        def run(p):
+            counts["guard"] += 1
+            in_guard[0] = True
+            try:
+                return guard(p)
+            finally:
+                in_guard[0] = False
+
+        return run
+
+    def traced(field, start, events, controls):
+        events = [replace(ev, guard=traced_guard(ev.guard)) for ev in events]
+        return integrate_(field, start, events, controls)
+
+    monkeypatch.setattr(ssblow.orbits, "make_rhs", counted_make_rhs)
+    monkeypatch.setattr(ssblow.orbits, "integrate", traced)
+    certificates = set()
+    for sigma in (3.0, 3.2875, 3.288288059383831 - 1e-10, 3.4):
+        _, fate = run_p2_orbit(validate_params(1.5, sigma), FATE_ONLY_CONTROLS, delta=None)
+        certificates.add(fate.diagnostics["events"][0][0])
+    assert certificates == {"tube", "z_limit", "midplane"}
+    assert counts["guard"] > 1000
+    assert counts["field_in_guard"] == 0
 
 
 @settings(max_examples=10, deadline=None)
