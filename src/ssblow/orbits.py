@@ -3,17 +3,20 @@
 Launches come out of P2 (along its unstable eigenvector, or on a series of
 its unstable manifold), out of P0 (on the center-manifold family), and out
 of Q1 in the chart at infinity.  A standard set of terminal events
-operationalizes the two possible fates of an orbit:
+operationalizes the two possible fates of an orbit, and every decisive
+fate carries F, the limit of Z less the vertex height z_max:
 
 * entry into a parabola point P0^lambda, an infinite-time limit.  On the
   upper half of the parabola, outside a band round the vertex, both normal
   directions attract, and the run ends where the orbit enters a computed
-  trapping tube round the parabola (see _tube_at): from there on it is
-  certified to converge, and lambda_hat is the projection of that state
-  along the stable fibres, to within 1e-10.  On the lower half, in the
-  vertex band and wherever else the tube does not apply, a bracket on the
-  limit of Z certifies the fate within 1e-4 of the parabola: an entry at
-  the parabola point of that limit, or an escape (_entry_certificate);
+  trapping tube round the parabola: from there on it is certified to
+  converge, and lambda_hat is the projection of that state along the
+  stable fibres, to within 1e-10.  On the lower half, in the vertex band
+  and wherever else the tube does not apply, a bracket on the limit of Z
+  certifies the fate within 1e-4 of the parabola: an entry at the parabola
+  point of that limit, or an escape (_entry_certificate).  An entry next
+  to the vertex is a parabola entry like any other: the vertex connection
+  (F = 0) is the single sigma* between the two fates;
 * escape to the sign-change attractor Q3 at infinity, certified by that
   bracket, by a downward crossing of the midplane {Y = -beta/(2 alpha)}
   with Z above the vertex height (Z is non-decreasing, so the orbit can
@@ -88,14 +91,13 @@ class BracketError(ValueError):
 
 class FateKind:
     ENTERS_PARABOLA = "enters_parabola"
-    ENTERS_VERTEX = "enters_vertex_neighborhood"
     ENTERS_Q3 = "enters_q3"
     INCONCLUSIVE = "inconclusive"
 
 
 # fate thresholds: the entry certificates apply within _PARABOLA_DIST_TOL of
-# the parabola; an entry within _VERTEX_TOL of the vertex's lambda is a
-# vertex entry; a Y-floor hit certifies Q3 only with X at least _X_AWAY_TOL
+# the parabola; the trapping tube stays _VERTEX_TOL above the vertex's
+# lambda; a Y-floor hit certifies Q3 only with X at least _X_AWAY_TOL
 _PARABOLA_DIST_TOL = 1e-4
 _VERTEX_TOL = 5e-3
 _Y_FLOOR = -1e3
@@ -133,7 +135,7 @@ class OrbitFate:
 
     @property
     def parabola_side(self) -> bool:
-        return self.kind in (FateKind.ENTERS_PARABOLA, FateKind.ENTERS_VERTEX)
+        return self.kind == FateKind.ENTERS_PARABOLA
 
     @property
     def decisive(self) -> bool:
@@ -392,52 +394,27 @@ def _tube_at(lam: float, m1: float, s2: float, boa: float):
     return rho, a, sig * rho / k, c10, c11, c20
 
 
-def _entry_tube(params: Params):
-    """tube(x, y, z) -> (max(|X| / rho, |W| / (a rho)) - 1, lambda_hat), or
-    None where the tube does not apply: Y or the upper root lam of Z in the
-    vertex band or below, lam above _TUBE_LAMBDA_TOP, or Z outside
-    (0, z_max).
-
-    The value is at most 0 exactly inside the tube.  rho is the smaller of
-    the radii at lam and at the lowest lambda the orbit can drift to, which
-    bounds it over that short interval where the coefficients change
-    monotonically, and the tube does not apply when the drift could reach
-    the vertex.
-    """
-    m1 = params.m - 1.0
-    s2 = params.sigma - 2.0
-    boa = beta_over_alpha(params)
-    edge = -0.5 * boa + _VERTEX_TOL
-    z_max = 0.25 * boa * boa
-
-    def tube(x, y, z):
-        if not (edge < y and 0.0 < z < z_max):
-            return None
-        # the upper root, in the form that keeps its digits as Z -> 0
-        lam = -2.0 * z / (boa + math.sqrt(boa * boa - 4.0 * z))
-        if not edge < lam < _TUBE_LAMBDA_TOP:
-            return None
-        rho, a, drift, c10, c11, c20 = _tube_at(lam, m1, s2, boa)
-        low = lam - drift
-        if not 2.0 * low + boa > 0.0:
-            return None
-        rho = min(rho, _tube_at(low, m1, s2, boa)[0])
-        w = y - lam
-        return max(abs(x), abs(w) / a) / rho - 1.0, lam + x * (c10 + c11 * w + c20 * x)
-
-    return tube
-
-
 def _entry_certificate(params: Params):
-    """certify(x, y, z) -> (value, cert, lambda_hat, F) near the parabola:
-    the entry guard reads value, at most 0 where cert holds, and
-    classify_fate all four.  Where the tube applies they are its value and
-    projection, cert "tube" and F = -(lambda_hat + h)^2, h = beta/(2 alpha).
+    """certify(x, y, z) -> (value, cert, lambda_hat, F) near the parabola,
+    the one place that decides parabola entry: the entry guard reads value,
+    at most 0 where cert holds, and classify_fate all four.  h = beta/(2
+    alpha), z_max = h^2, and F is the limit of Z less z_max.
+
+    cert is "tube" inside the trapping tube of _tube_at, which applies where
+    Y and the upper root lam of Z lie more than _VERTEX_TOL above the
+    vertex's lambda -h, lam lies below _TUBE_LAMBDA_TOP and Z in (0, z_max).
+    value is max(|X| / rho, |W| / (a rho)) - 1, at most 0 exactly inside the
+    tube, lambda_hat the projection and F = -(lambda_hat + h)^2.  rho is the
+    smaller of the radii at lam and at the lowest lambda the orbit can drift
+    to, which bounds it over that short interval where the coefficients
+    change monotonically, and the tube does not apply when the drift could
+    reach the vertex.
+
     Elsewhere cert is "z_limit" where a bracket [Z, Z_hi] on the limit Z_inf
-    of Z certifies the fate, else None.  With W = Y + h and z_max = h^2,
-    W' = -W^2 + (z_max - Z) + X (1 - Y), and X' <= -(m - 1)|Y_c| X while
-    Y <= Y_c < 0, so Z_inf <= Z_hi = Z exp((sigma - 2) X / ((m - 1)|Y_c|))
-    and q = z_max - Z + X (1 + h) never grows.
+    of Z certifies the fate, else None.  With W = Y + h, W' = -W^2 + (z_max
+    - Z) + X (1 - Y), and X' <= -(m - 1)|Y_c| X while Y <= Y_c < 0, so Z_inf
+    <= Z_hi = Z exp((sigma - 2) X / ((m - 1)|Y_c|)) and q = z_max - Z +
+    X (1 + h) never grows.
       * Entry, Z_hi < z_max, Y_c = W_c - h, W_c = max(W, sqrt(q)): W' <= 0
         at W = W_c and W' >= 0 at W = -sqrt(z_max - Z_hi), so W stays in
         between, X -> 0 and the orbit enters lambda = sqrt(z_max - Z_inf) - h.
@@ -452,16 +429,25 @@ def _entry_certificate(params: Params):
     is within about W_c / h of the decay rate of X, so Z_inf lies within
     that fraction of the bracket below Z_hi.
     """
-    tube = _entry_tube(params)
     m1 = params.m - 1.0
     s2 = params.sigma - 2.0
-    h = 0.5 * beta_over_alpha(params)
+    boa = beta_over_alpha(params)
+    h = 0.5 * boa
     z_max = h * h
+    edge = _VERTEX_TOL - h
 
     def certify(x, y, z):
-        inside = tube(x, y, z)
-        if inside is not None:
-            return inside[0], "tube", inside[1], -((inside[1] + h) ** 2)
+        if edge < y and 0.0 < z < z_max:
+            # the upper root, in the form that keeps its digits as Z -> 0
+            lam = -2.0 * z / (boa + math.sqrt(boa * boa - 4.0 * z))
+            if edge < lam < _TUBE_LAMBDA_TOP:
+                rho, a, drift, c10, c11, c20 = _tube_at(lam, m1, s2, boa)
+                low = lam - drift
+                if 2.0 * low + boa > 0.0:
+                    rho = min(rho, _tube_at(low, m1, s2, boa)[0])
+                    w = y - lam
+                    lam_hat = lam + x * (c10 + c11 * w + c20 * x)
+                    return max(abs(x), abs(w) / a) / rho - 1.0, "tube", lam_hat, -((lam_hat + h) ** 2)
         # X >= 0 on every orbit; a rounding below 0 must not loosen the bounds
         x = abs(x)
         w = y + h
@@ -522,12 +508,15 @@ def standard_fate_events(params: Params) -> list[EventSpec]:
 
 
 def classify_fate(traj: Trajectory, params: Params) -> OrbitFate:
-    """Deterministic fate from a trajectory run with the standard event set.
+    """Deterministic fate from a trajectory run with the standard event set:
+    enters_parabola or enters_q3 where a certificate decides, else
+    inconclusive.
 
     diagnostics["events"] names the event that ended the run, and for a
     parabola-entry event the certificate that fired: "tube" or "z_limit".
-    diagnostics["z_gap"] is F, the limit of Z less z_max, from that
-    certificate or, for a midplane escape, the event's Z less z_max.
+    Every decisive fate carries diagnostics["z_gap"], F, the limit of Z less
+    z_max: from that certificate, below 0 for an entry, or, for an escape
+    at the midplane or the Y floor, the event's Z less z_max.
     """
     boa = beta_over_alpha(params)
     z_max = 0.25 * boa * boa
@@ -552,13 +541,7 @@ def classify_fate(traj: Trajectory, params: Params) -> OrbitFate:
             diagnostics["reason"] = "entry event fired outside its certificate"
             return OrbitFate(FateKind.INCONCLUSIVE, None, pt, diagnostics)
         diagnostics.update(events=[(cert, hit.eta)], z_gap=gap)
-        if lam_hat is None:
-            return OrbitFate(FateKind.ENTERS_Q3, None, pt, diagnostics)
-        kind = (
-            FateKind.ENTERS_VERTEX
-            if abs(lam_hat + boa / 2.0) < _VERTEX_TOL
-            else FateKind.ENTERS_PARABOLA
-        )
+        kind = FateKind.ENTERS_Q3 if lam_hat is None else FateKind.ENTERS_PARABOLA
         return OrbitFate(kind, lam_hat, pt, diagnostics)
     if hit.id == "midplane":
         if pt[2] > z_max:
@@ -568,6 +551,7 @@ def classify_fate(traj: Trajectory, params: Params) -> OrbitFate:
         return OrbitFate(FateKind.INCONCLUSIVE, None, pt, diagnostics)
     if hit.id == "y_floor":
         if pt[0] >= _X_AWAY_TOL:
+            diagnostics["z_gap"] = float(pt[2]) - z_max
             return OrbitFate(FateKind.ENTERS_Q3, None, pt, diagnostics)
         diagnostics["reason"] = "Y floor reached with X not bounded away from 0"
         return OrbitFate(FateKind.INCONCLUSIVE, None, pt, diagnostics)
@@ -642,7 +626,10 @@ def run_q1_orbit(
     1e-2 (X = 1/w at most 100); the phase leg then runs the standard fate
     events.  With z0 = 0 the orbit stays in the invariant plane and
     converges to P2 instead of producing a profile fate; the chart leg's
-    arrival is then reported through the diagnostics.
+    arrival is then reported through the diagnostics.  A chart leg whose
+    Y = y/w falls to the Y floor first (large z0 drives y down) ends the run
+    there, with X = 1/w >= 100: the Y-floor escape of classify_fate, and no
+    phase leg, whose floor guard would start below its floor and never arm.
 
     The chart leg always runs under its own controls (max_step 0.01,
     max_time 100): it ends where Z is about 1e-7, so the caller's abs_tol
@@ -653,8 +640,11 @@ def run_q1_orbit(
     if not 0.0 <= z0 < math.inf:
         raise DomainError("z0 must be finite and nonnegative")
     start = launch_from_Q1_chart(delta, params) + np.array([0.0, 0.0, z0])
-    handoff = EventSpec(id="handoff", guard=lambda p: 1e-2 - p[0])
-    chart_traj = integrate(make_chart_rhs(params), start, [handoff], _CHART_CONTROLS)
+    events = [
+        EventSpec(id="handoff", guard=lambda p: 1e-2 - p[0]),
+        EventSpec(id="y_floor", guard=lambda p: p[1] - _Y_FLOOR * p[0]),
+    ]
+    chart_traj = integrate(make_chart_rhs(params), start, events, _CHART_CONTROLS)
     hit = chart_traj.event
     if hit is None:
         fate = OrbitFate(
@@ -664,6 +654,9 @@ def run_q1_orbit(
             {"termination": chart_traj.termination, "leg": "chart", "events": []},
         )
         return chart_traj, None, fate
+    if hit.id == "y_floor":
+        floor_hit = replace(hit, point=phase_from_chart(hit.point))
+        return chart_traj, None, classify_fate(replace(chart_traj, event=floor_hit), params)
     phase_start = phase_from_chart(hit.point)
     phase_traj, fate = _run(params, phase_start, controls)
     fate.diagnostics["chart_leg_eta"] = hit.eta
@@ -680,13 +673,8 @@ def _zero_estimate(points) -> float | None:
     """The sigma where F = 0, from the (sigma, F) points with the smallest
     |F|: inverse quadratic interpolation through three of them where their
     F differ, else the secant through two; None where neither exists or the
-    estimate is not finite.
-
-    It is None as well while every point lies on one side of sigma* (all F
-    of one sign): an estimate from them extrapolates, and the curvature of
-    F can carry it far past sigma*."""
-    if len({f > 0.0 for _, f in points}) < 2:
-        return None
+    estimate is not finite.  sigma_star calls it once both bracket ends,
+    whose F have opposite signs, are among the points."""
     best = sorted(points, key=lambda p: abs(p[1]))[:3]
     est = None
     if len(best) == 3:
@@ -725,22 +713,23 @@ def sigma_star(
     """Shrink a sigma bracket between a parabola-entering and a
     Q3-escaping fate to at most tol, by a safeguarded two-sided secant.
 
-    Each decisive run but a Y-floor escape carries F, the limit of Z less
-    z_max (diagnostics["z_gap"] of classify_fate).  F is one smooth function
-    of sigma through sigma*, with the same slope on both sides.  So each step
-    estimates the zero est of F from the runs with the smallest |F|, by
-    inverse quadratic interpolation through three of them or the secant
-    through two (_zero_estimate), from either side.  A run at est lands on
-    either side of sigma* and is the slowest to decide (its F is next to 0,
-    and the Z bracket waits for X << |F|), so the step does not aim at est: it
-    aims 0.45 tol past est, toward the bracket end farther from it, so that
-    the run cuts the larger part off and the next can close the bracket; once
-    est lies within 0.95 tol of an end, it steps 0.95 tol past that end, so
-    that the run closes the bracket.  The step is the midpoint instead when
-    there is no est (the runs with an F all lie on one side of sigma*), when
-    est is not strictly inside the bracket, when the midpoint alone closes the
-    bracket, or when the bracket has not halved over the two steps before (so
-    a secant that stops converging gives way to bisection).
+    Each decisive run carries F, the limit of Z less z_max
+    (diagnostics["z_gap"] of classify_fate), below 0 for an entry and above
+    0 for an escape.  F is one smooth function of sigma through sigma*, with
+    the same slope on both sides.  So each step estimates the zero est of F
+    from the runs with the smallest |F|, by inverse quadratic interpolation
+    through three of them or the secant through two (_zero_estimate), from
+    either side.  A run at est lands on either side of sigma* and is the
+    slowest to decide (its F is next to 0, and the Z bracket waits for
+    X << |F|), so the step does not aim at est: it aims 0.45 tol past est,
+    toward the bracket end farther from it, so that the run cuts the larger
+    part off and the next can close the bracket; once est lies within
+    0.95 tol of an end, it steps 0.95 tol past that end, so that the run
+    closes the bracket.  The step is the midpoint instead when there is no
+    est, when est is not strictly inside the bracket, when the midpoint
+    alone closes the bracket, or when the bracket has not halved over the
+    two steps before (so a secant that stops converging gives way to
+    bisection).
 
     Each bracket end and each step decides the fate at one sigma, from a
     P2 orbit launched with delta None, and that fate replaces the bracket
@@ -748,14 +737,14 @@ def sigma_star(
     rel_tol and abs_tol 100 times those of controls (FATE_ONLY_CONTROLS by
     default), but no looser than 1e-8 and 1e-10 (_coarse_controls), where
     that is looser than controls at all.  Its fate is kept where it is
-    decisive and either a Y-floor escape or |F| above the margin M = 1e3
-    (abs_tol + rel_tol z_max) at the coarse tolerances, 1.0e-7 to 4.3e-7 by
-    default: coarse runs there give the fate of runs under controls, with F
-    within M / 100.  Otherwise the sigma is rerun under controls, and so is
-    every step whose |F|, predicted from the slope through the two runs
-    with the smallest |F| and its distance to est, is below 10 M, with no
-    coarse run first.  An inconclusive run under controls ends the search
-    with InconclusiveError naming its sigma and termination, rather than an
+    decisive and |F| exceeds the margin M = 1e3 (abs_tol + rel_tol z_max)
+    at the coarse tolerances, 1.0e-7 to 4.3e-7 by default: coarse runs
+    there give the fate of runs under controls, with F within M / 100.
+    Otherwise the sigma is rerun under controls, and so is every step whose
+    |F|, predicted from the slope through the two runs with the smallest
+    |F| and its distance to est, is below 10 M, with no coarse run first.
+    An inconclusive run under controls ends the search with
+    InconclusiveError naming its sigma and termination, rather than an
     invented answer; an inconclusive coarse run is rerun.  evaluations
     holds (sigma, n_steps, fate kind, lambda_hat) for every orbit run, in
     order, so a rerun sigma appears twice.
@@ -769,7 +758,7 @@ def sigma_star(
     coarse = _coarse_controls(controls)
 
     evaluations = []
-    # (sigma, F) of every decided sigma whose fate carries an F
+    # (sigma, F) of every decided sigma
     points = []
 
     def run(params: Params, run_controls: IntegrationControls) -> OrbitFate:
@@ -779,16 +768,13 @@ def sigma_star(
 
     def fate_at(sig: float, predicted: float | None = None) -> OrbitFate:
         params = validate_params(m, sig)
-        fate = gap = None
+        fate = None
         if coarse is not None:
             half = 0.5 * beta_over_alpha(params)
             margin = 1e3 * (coarse.abs_tol + coarse.rel_tol * half * half)
             if predicted is None or predicted >= 10.0 * margin:
                 fate = run(params, coarse)
-                gap = fate.diagnostics.get("z_gap")
-                events = fate.diagnostics.get("events")
-                floor_escape = fate.kind == FateKind.ENTERS_Q3 and events and events[-1][0] == "y_floor"
-                if not (fate.decisive and (floor_escape or (gap is not None and abs(gap) > margin))):
+                if not (fate.decisive and abs(fate.diagnostics["z_gap"]) > margin):
                     fate = None
         if fate is None:
             fate = run(params, controls)
@@ -798,9 +784,7 @@ def sigma_star(
                     "P2 orbit at m=%.17g sigma=%.17g is inconclusive (termination %s%s)"
                     % (m, sig, diag["termination"], ": " + diag["reason"] if "reason" in diag else "")
                 )
-            gap = fate.diagnostics.get("z_gap")
-        if gap is not None:
-            points.append((sig, gap))
+        points.append((sig, fate.diagnostics["z_gap"]))
         return fate
 
     fate_lo = fate_at(lo)

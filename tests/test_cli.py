@@ -162,6 +162,28 @@ def test_classify_q1_chart_leg_keeps_its_own_controls(capsys):
     assert abs(lams[1] - lams[2]) < 1e-11
 
 
+@pytest.mark.parametrize("z0", ["1e-2", "1", "1e3", "1e12"])
+def test_classify_q1_chart_leg_ends_at_the_y_floor(z0, capsys):
+    """From z0 = 1e-2 on at (1.5, 3) the chart leg's Y = y / w falls below
+    the Y floor before w reaches the handoff (from z0 = 1e3 on, before it
+    could underflow its step).  The chart leg ends there, as the Y-floor
+    escape to Q3 with X = 1 / w at least 100 and F = Z - z_max, where a
+    phase leg started below the floor would never arm its floor guard."""
+    code, out, _ = run_cli(
+        capsys, "classify", "--m", "1.5", "--sigma", "3", "--source", "q1",
+        "--z0", z0, "--format", "json",
+    )
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert res["fate"] == "enters_q3"
+    assert [e[0] for e in res["diagnostics"]["events"]] == ["y_floor"]
+    x, y, _ = res["entry_point"]
+    assert x >= 100.0
+    # the event is located in eta, and at z0 = 1e12 the chart leg reaches
+    # the floor by eta 1e-9, where Y is off the floor by 2.3e-4 of it
+    assert y == pytest.approx(-1e3, rel=1e-3)
+
+
 def test_classify_trajectory_csv_round_trip(tmp_path, capsys):
     out_csv = tmp_path / "t.csv"
     code, _, _ = run_cli(
@@ -512,7 +534,7 @@ def test_sweep_paper_grid(tmp_path, capsys):
     rows = io_mod.read_sweep_csv(out_csv)
     fates = [r[1] for r in rows]
     assert fates[:3] == ["enters_parabola"] * 3
-    assert fates[3] in ("enters_parabola", "enters_vertex_neighborhood")
+    assert fates[3] == "enters_parabola"
     assert fates[4] == "enters_q3"
     # lambda decreases along the parabola-entering part of the grid
     lams = [r[2] for r in rows[:4]]
