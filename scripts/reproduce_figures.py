@@ -13,6 +13,8 @@ Writes, under results/ (or --outdir):
   profile_sigma3.csv      the compact-support profile carried by the sigma=3
                           orbit in physical variables (xi, f, f')
 
+Each line that names a CSV also gives its row count and byte size.
+
 Plotting recipe (matplotlib):
 
   import pandas as pd, matplotlib.pyplot as plt
@@ -30,6 +32,11 @@ from ssblow.integrate import IntegrationControls
 from ssblow.orbits import run_p0_orbit, run_p2_orbit, run_q1_orbit
 from ssblow.profiles import reconstruct_profile
 from ssblow import io as io_mod
+
+
+def _written(path, rows) -> str:
+    """path with the rows and bytes written to it."""
+    return "%s (%d rows, %d bytes)" % (path, rows, path.stat().st_size)
 
 
 def main(argv=None) -> int:
@@ -52,7 +59,7 @@ def main(argv=None) -> int:
         xi0 = interface_xi_of_lambda(lam, pr) if lam is not None else None
         print(
             "sigma=%-6g fate=%-26s lambda_hat=%-12s xi0=%-12s -> %s"
-            % (sigma, fate.kind, lam, xi0, path)
+            % (sigma, fate.kind, lam, xi0, _written(path, len(traj.eta)))
         )
 
         # companion orbits below (out of P0) and above (out of Q1) the P2 orbit
@@ -70,7 +77,7 @@ def main(argv=None) -> int:
         for i, comp in enumerate(companions):
             cpath = outdir / ("companion%d_sigma%s.csv" % (i, tag))
             io_mod.write_trajectory_csv(cpath, comp)
-            print("  companion %d -> %s" % (i, cpath))
+            print("  companion %d -> %s" % (i, _written(cpath, len(comp.eta))))
 
     # physical profile of the sigma=3 connection
     traj, fate, pr = connection
@@ -82,7 +89,7 @@ def main(argv=None) -> int:
     # interface, which lambda_hat locates
     print(
         "profile: %d samples up to xi = %.6f, interface at %.6f (bound %.6f) -> %s"
-        % (len(frame), frame.xi[-1], interface_xi_of_lambda(fate.lambda_hat, pr), exp.xi_max, ppath)
+        % (len(frame), frame.xi[-1], interface_xi_of_lambda(fate.lambda_hat, pr), exp.xi_max, _written(ppath, len(frame)))
     )
     return 0
 

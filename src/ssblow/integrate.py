@@ -8,32 +8,27 @@ zero or below, and that ends the run.  A guard arms only once it has been
 above _ARM_TOL, so restarting from a located event point does not re-fire
 it.  Every accepted step is also searched for a guard that dips through
 zero and back inside it, so a run can leave the step to error control.
-The same extension supplies the stored samples: a step longer than the
-sample grid's spacing stores the extension's values at the grid points it
-spans, not its end, so the step is set by error control and the output
-grid by what the output needs.  The step loop does not evaluate them: such
-a step keeps its start, length, state and extension coefficients once, its
-grid points are stored as placeholders, and after the loop every
-placeholder still stored is evaluated by numpy, with the scalar
-evaluator's operations in the same order, so the values are bit-identical
-to it.  The placeholders are found and evaluated a fixed-size block of
-stored samples at a time, and each block's values are written in place,
-so the evaluation holds no array as long as the run.  One helper, _thin,
-holds the sample cap's rule: past the cap it drops every other stored
-sample, evaluates the placeholders kept and forgets the steps, so the
-points a thinned run drops are never evaluated; it also stores the run's
-final sample.  Runs that store step ends only never defer a sample and do
-no work for it.
+The same extension supplies the stored samples, which follow the state
+where it moves rather than a grid in eta.  Moves are measured in the norm
+max_c |dy_c| / (1e-9 + |y_c|), with the larger |y_c| of the two ends, so
+a component is sampled relative to its own size down to 1e-9.  A step
+that moves more than sample_step stores the extension at theta = i/n,
+0 < i < n = ceil(move / sample_step), up to its event if one ends it, and
+then its end; a shorter step stores its end once the state has moved
+sample_step from the last sample.  So the step is set by error control
+and the samples by how far the state goes.  One helper, _thin, holds the
+sample cap's rule: past the cap it drops every other stored sample; it
+also stores the run's final sample.  Runs that store step ends only
+measure no move.
 
 The right-hand side receives and returns plain float triples; keeping the
 hot loop free of array allocation is what makes long runs affordable.  The
 step loop also keeps interpreter work per step low: the state and every
 stage are unpacked into scalar locals once, the tableau and the controls
-are bound to locals before the loop, and the error norm, the guards'
-crossing, probe and arming tests and the per-sample bookkeeping are
-written out inline.  It performs the floating-point operations of the
-indexed textbook form in the same order, so a trajectory does not depend
-on how the loop is written.
+are bound to locals before the loop, and the error norm and the guards'
+crossing, probe and arming tests are written out inline.  It performs the
+floating-point operations of the indexed textbook form in the same order,
+so a trajectory does not depend on how the loop is written.
 
 scipy.integrate.solve_ivp is deliberately not used here; it remains the
 independent oracle in the test suite.
@@ -96,6 +91,7 @@ _MIN_STEP = 1e-14  # absolute step underflow threshold
 _MAX_ETA = sys.float_info.max  # a run ends here whatever its max_time
 _ARM_TOL = 1e-10  # a guard arms once it has been above this
 _MAX_SAMPLES = 200_000  # a run stores at most this many samples besides its last
+_MOVE_FLOOR = 1e-9  # a in the sample norm max_c |dy_c| / (a + |y_c|)
 _PROBE_NODES = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -105,13 +101,16 @@ class IntegrationControls:
     """Step-size, sampling and budget controls for one integration run.
 
     max_step caps the step; math.inf leaves it to error control alone.
-    sample_step is the spacing of the output grid, the multiples of
-    sample_step in eta: an accepted step longer than sample_step stores the
-    continuous extension's values at the grid points it spans, and a
-    shorter step stores its end, so no two samples are more than
-    sample_step apart.  math.inf stores every step end and nothing else.
-    A finite sample_step needs a finite number of grid points up to the
-    farthest eta a run can reach, min(max_time, max_steps * max_step).
+    sample_step is the move between stored samples, in the norm
+    max_c |dy_c| / (1e-9 + |y_c|) with the larger |y_c| of the two ends:
+    a step that moves more than sample_step stores the continuous
+    extension at theta = i/n, 0 < i < n = ceil(move / sample_step), up to
+    its event, and then its end; a shorter step stores its end once the
+    state has moved sample_step from the last sample.  So the samples
+    follow the state however long the step.  A move is below 2, so a
+    component that crosses zero inside a step costs at most 2 / sample_step
+    samples, which must be finite.  math.inf stores every step end and
+    nothing else.
     max_time bounds the autonomous variable.  math.inf lets a run end only
     at an event, at max_steps or at step underflow; when max_step is
     math.inf as well, eta can grow to the largest float, and the run ends
@@ -125,7 +124,7 @@ class IntegrationControls:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_step: float = 5.0
-    sample_step: float = 0.1
+    sample_step: float = 0.005
     max_time: float = 1e4
     max_steps: int = 10_000_000
 
@@ -139,14 +138,8 @@ class IntegrationControls:
             and self.max_steps > 0
         ):
             raise ValueError("all integration controls must be positive")
-        # a run reaches eta at most min(max_time, max_steps * max_step); the
-        # grid index of every sample below that must be a finite number
-        reach = min(self.max_time, self.max_steps * self.max_step)
-        if reach / self.sample_step == math.inf:
-            raise ValueError(
-                "sample_step leaves an unbounded sample grid: "
-                "min(max_time, max_steps * max_step) / sample_step overflows"
-            )
+        if 2.0 / self.sample_step == math.inf:
+            raise ValueError("sample_step is too small: 2 / sample_step overflows")
         if self.rel_tol < 1e-13:
             raise ValueError("rel_tol below 1e-13 is not supported")
 
@@ -242,44 +235,16 @@ def _dense(theta, h, y0, q):
     )
 
 
-def _dense_rows(theta, j, rows):
-    """_dense at theta[i] on the step in row j[i] of rows, for every i in one
-    numpy pass.  A row holds one step's (t, h, y0, y1, y2) and its 12
-    _dense_coeffs.  Each column is gathered where it is used, and every
-    operation is _dense's in the same order, so the values are bit-identical
-    to it."""
-    ht = rows[j, 1] * theta
-    out = np.empty((len(j), 3))
-    for c in range(3):
-        a0, a1, a2, a3 = (rows[j, 5 + 4 * c + i] for i in range(4))
-        out[:, c] = rows[j, 2 + c] + ht * (a0 + theta * (a1 + theta * (a2 + theta * a3)))
-    return out
+def _move(a, b):
+    """The sample norm of b - a: max_c |b_c - a_c| / (_MOVE_FLOOR + the
+    larger |a_c|, |b_c|).  It is below 2 between finite states; 2 stands in
+    for a difference that overflows or is not a number."""
+    m = max(abs(b[c] - a[c]) / (_MOVE_FLOOR + max(abs(a[c]), abs(b[c]))) for c in range(3))
+    return m if m < 2.0 else 2.0
 
 
-_PENDING = (math.nan, math.nan, math.nan)  # a stored sample not yet evaluated
-_STEP_ROW = 17  # floats per deferred step: t, h, the state, 12 coefficients
-_PENDING_BLOCK = 4096  # stored samples searched and evaluated at a time
-
-
-def _pending_blocks(eta, pts, steps):
-    """The positions in pts of the samples stored as _PENDING, and their
-    values, yielded _PENDING_BLOCK stored samples at a time, so that no
-    evaluation holds arrays longer than a block.  steps holds _STEP_ROW
-    floats per deferred step, in eta order; a pending sample at eta e lies
-    on the last step that starts at or before e."""
-    rows = np.array(steps).reshape(-1, _STEP_ROW)
-    for s in range(0, len(pts), _PENDING_BLOCK):
-        block = pts[s : s + _PENDING_BLOCK]
-        idx = np.flatnonzero(np.fromiter((p is _PENDING for p in block), bool, len(block)))
-        e = np.asarray(eta[s : s + _PENDING_BLOCK], dtype=float)[idx]
-        j = np.searchsorted(rows[:, 0], e, side="right") - 1
-        yield s + idx, _dense_rows((e - rows[j, 0]) / rows[j, 1], j, rows)
-
-
-def _thin(etas, pts, steps, last=None):
-    """Drop every other stored sample but the first, evaluate the pending
-    samples kept in place and forget the deferred steps, so that a thinned
-    run keeps only the steps its stored samples need.
+def _thin(etas, pts, last=None):
+    """Drop every other stored sample but the first.
 
     In the step loop (last None) the sample that took the run over
     _MAX_SAMPLES is among those dropped, [1::2], and the loop stores every
@@ -297,11 +262,6 @@ def _thin(etas, pts, steps, last=None):
         del etas[1:-1:2], pts[1:-1:2]
     else:
         del etas[1::2], pts[1::2]
-    if steps:
-        for idx, vals in _pending_blocks(etas, pts, steps):
-            for i, v in zip(idx.tolist(), vals.tolist()):
-                pts[i] = v
-        steps.clear()
 
 
 def _rms(v, sc):
@@ -422,6 +382,7 @@ def integrate(
     rel, ab = controls.rel_tol, controls.abs_tol
     max_step, max_steps = controls.max_step, controls.max_steps
     ds = controls.sample_step
+    ends_only = ds == math.inf
     cap = _MAX_SAMPLES
     # eta cannot pass the largest float: an infinite max_time ends the run
     # there at the latest, and only a step cap of inf as well can reach it
@@ -447,15 +408,28 @@ def integrate(
     etas = [t]
     pts = [y]
     add_eta, add_pt = etas.append, pts.append
-    steps = []  # the deferred steps whose grid points pts holds as _PENDING
-    add_step = steps.extend
-    pending = _PENDING
     t_rec = t  # eta of the last stored sample
+    ref = y  # the last sample the motion rule took, stored or not
     hit: EventHit | None = None
     termination = "max_time"
     n_steps = n_rejected = 0
     stride = 1  # store every stride-th sample
     since_record = 0
+
+    def take(e, p):
+        """Store every stride-th sample, thinning past the cap."""
+        nonlocal since_record, stride, t_rec
+        since_record += 1
+        if since_record >= stride:
+            if e > t_rec:
+                add_eta(e)
+                add_pt(p)
+                t_rec = e
+                if len(etas) > cap:
+                    _thin(etas, pts)
+                    stride *= 2
+                    t_rec = etas[-1]
+            since_record = 0
 
     y0, y1, y2 = y
     u0, u1, u2 = abs(y0), abs(y1), abs(y2)
@@ -580,51 +554,27 @@ def integrate(
                 armed[i] = True
             elif g_new < -_ARM_TOL:
                 armed[i] = False
-        # samples: the grid points a long step spans up to its end or its
-        # event, or else the end of a short step; every stride-th is stored.
-        # A stored grid point is a placeholder, evaluated from the step's
-        # record (kept once per step) after the loop or by _thin
-        if h > ds:
-            if q is None:
-                q = _dense_coeffs(k1, k3, k4, k5, k6, k7)
-            t_last = t_new if first is None else first[0]
-            kept = False
-            # the multiples k * ds in [t, t_last)
-            k = math.floor(t / ds)
-            while k * ds < t:
-                k += 1
-            e = k * ds
-            while e < t_last:
-                since_record += 1
-                if since_record >= stride:
-                    if e > t_rec:
-                        if not kept:
-                            add_step((t, h, y0, y1, y2))
-                            add_step(q)
-                            kept = True
-                        add_eta(e)
-                        add_pt(pending)
-                        t_rec = e
-                        if len(etas) > cap:
-                            _thin(etas, pts, steps)
-                            stride *= 2
-                            t_rec = etas[-1]
-                            kept = False
-                    since_record = 0
-                k += 1
-                e = k * ds
-        elif first is None:
-            since_record += 1
-            if since_record >= stride:
-                if t_new > t_rec:
-                    add_eta(t_new)
-                    add_pt(y_new)
-                    t_rec = t_new
-                    if len(etas) > cap:
-                        _thin(etas, pts, steps)
-                        stride *= 2
-                        t_rec = etas[-1]
-                since_record = 0
+        # samples: every step end if sample_step is inf; else the extension
+        # at theta = i/n of a step that moves n > 1 units, up to its end or
+        # its event, then its end; and the end of a shorter step once the
+        # state has moved a unit from the last sample
+        if ends_only:
+            if first is None:
+                take(t_new, y_new)
+        else:
+            t_last, y_last = (t_new, y_new) if first is None else first[:2]
+            n = math.ceil(_move(y, y_last) / ds)
+            if n > 1:
+                if q is None:
+                    q = _dense_coeffs(k1, k3, k4, k5, k6, k7)
+                th_last = (t_last - t) / h
+                for j in range(1, n):
+                    theta = th_last * j / n
+                    ref = _dense(theta, h, y, q)
+                    take(t + theta * h, ref)
+            if first is None and (n > 1 or _move(ref, y_new) >= ds):
+                ref = y_new
+                take(t_new, y_new)
         if first is not None:
             t, y, i = first
             hit = EventHit(id=events[i].id, eta=t, point=np.array(y))
@@ -643,15 +593,10 @@ def integrate(
             w = 0.9 * err**-0.2  # at least 0.9, as err <= 1
             h *= w if w < 5.0 else 5.0
 
-    _thin(etas, pts, steps, (t, y))  # the final sample: an event's or the last step end
-    eta = np.array(etas)
-    points = np.fromiter(itertools.chain.from_iterable(pts), float, 3 * len(pts)).reshape(-1, 3)
-    if steps:
-        for idx, vals in _pending_blocks(eta, pts, steps):
-            points[idx] = vals
+    _thin(etas, pts, (t, y))  # the final sample: an event's or the last step end
     return Trajectory(
-        eta=eta,
-        points=points,
+        eta=np.array(etas),
+        points=np.fromiter(itertools.chain.from_iterable(pts), float, 3 * len(pts)).reshape(-1, 3),
         event=hit,
         termination=termination,
         n_steps=n_steps,

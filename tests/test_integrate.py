@@ -1,6 +1,6 @@
 import math
 import sys
-import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,12 +15,10 @@ from ssblow.integrate import (
     _PD,
     EventSpec,
     IntegrationControls,
-    _dense,
     _dense_coeffs,
-    _dense_rows,
     integrate,
 )
-from ssblow.orbits import launch_from_P2, run_p0_orbit, standard_fate_events
+from ssblow.orbits import launch_from_P2, standard_fate_events
 
 
 def test_linear_field_against_closed_form():
@@ -125,18 +123,19 @@ def test_event_idempotence_on_relaunch(params15_3):
 
 
 def test_a_long_run_keeps_every_2k_th_step(monkeypatch):
-    """Past _MAX_SAMPLES stored samples a run keeps every 2nd, then 4th, ...
-    accepted step, whatever its max_time, so its samples stay evenly spaced
-    and bounded in number; the start and the end are always kept."""
+    """Past _MAX_SAMPLES stored samples a run that stores its step ends
+    keeps every 2nd, then 4th, ... accepted step, whatever its max_time, so
+    its samples stay evenly spaced and bounded in number; the start and the
+    end are always kept."""
     monkeypatch.setattr(integrate_module, "_MAX_SAMPLES", 100)
     short = integrate(
         lambda t, y: (1.0, 0.0, 0.0), (0.0, 0.0, 0.0), [],
-        IntegrationControls(max_step=0.01, max_time=0.5),
+        IntegrationControls(max_step=0.01, max_time=0.5, sample_step=math.inf),
     )
     assert len(short.eta) == short.n_steps + 1  # below the cap every step is kept
     traj = integrate(
         lambda t, y: (1.0, 0.0, 0.0), (0.0, 0.0, 0.0), [],
-        IntegrationControls(max_step=0.01, max_time=10.0),
+        IntegrationControls(max_step=0.01, max_time=10.0, sample_step=math.inf),
     )
     assert traj.n_steps > 1000 and 50 < len(traj.eta) <= 101
     assert traj.eta[0] == 0.0 and traj.eta[-1] == 10.0
@@ -146,15 +145,18 @@ def test_a_long_run_keeps_every_2k_th_step(monkeypatch):
 
 @pytest.mark.parametrize("cap, n_samples", [(7, 5), (8, 8)])
 def test_thinning_keeps_the_event_sample(monkeypatch, cap, n_samples):
-    """The event's sample can be the one that takes a run over its cap; the
-    thinning then keeps it, whether the stored count is odd or even."""
+    """The unit field's step ends lie at 1e-4, 6e-4, ..., 0.39, 1.95, so a
+    wall at 1.05 makes the event's the 8th sample: it takes a run with a
+    cap of 7 over it, and the final thinning keeps it with every other
+    earlier sample; under a cap of 8 every sample is kept."""
     monkeypatch.setattr(integrate_module, "_MAX_SAMPLES", cap)
     traj = integrate(
         lambda t, y: (1.0, 0.0, 0.0), (0.0, 0.0, 0.0),
-        [EventSpec(id="wall", guard=lambda p: 5.05 - p[0])],
+        [EventSpec(id="wall", guard=lambda p: 1.05 - p[0])],
+        IntegrationControls(sample_step=math.inf),
     )
     assert traj.event.id == "wall"
-    assert traj.final_eta == traj.event.eta == pytest.approx(5.05, abs=1e-12)
+    assert traj.final_eta == traj.event.eta == pytest.approx(1.05, abs=1e-12)
     assert np.array_equal(traj.final_point, traj.event.point)
     assert len(traj.eta) == n_samples
 
@@ -290,6 +292,9 @@ def test_controls_validation():
         IntegrationControls(rel_tol=1e-14)
     with pytest.raises(ValueError):
         IntegrationControls(max_step=-1.0)
+    # a finite sample_step bounds the samples of a step, not the reach of a run
+    IntegrationControls(max_time=math.inf, max_step=math.inf)
+    assert IntegrationControls(max_time=1.0, sample_step=1e-300).sample_step == 1e-300
 
 
 def test_eta_strictly_increasing(p2_orbit_15_3):
@@ -303,21 +308,34 @@ _ENDS = {"max_time": (lambda p: 1.0, 10.05), "event": (lambda p: 5.05 - p[0], 5.
 
 @pytest.mark.parametrize("end", sorted(_ENDS))
 def test_long_steps_store_the_sample_grid(end):
-    """Under a unit field the steps grow fivefold up to the cap of 5: the
-    steps shorter than 0.1 store their ends, the longer ones the multiples
-    of 0.1 they span, and the run's end (max_time or an event) comes last."""
+    """Under a unit field the steps grow fivefold up to the cap of 5, and
+    the state moves |dx| / (1e-9 + x) in the sample norm.  A step that
+    moves n > 1 units of sample_step stores the extension at theta = i/n,
+    up to its end or its event, and then its end; a shorter step stores its
+    end once x has moved a unit from the last sample.  The run's end
+    (max_time or an event) comes last.  The step ends are those of the run
+    that stores nothing else."""
     guard, last = _ENDS[end]
     rhs = lambda t, y: (1.0, 0.0, 0.0)
+    events = [EventSpec(id="end", guard=guard)]
     controls = IntegrationControls(max_time=10.05)
-    traj = integrate(rhs, (0.0, 0.0, 0.0), [EventSpec(id="end", guard=guard)], controls)
+    traj = integrate(rhs, (0.0, 0.0, 0.0), events, controls)
+    ends = integrate(rhs, (0.0, 0.0, 0.0), events, replace(controls, sample_step=math.inf))
     assert traj.termination == end
     assert traj.final_eta == pytest.approx(last, abs=1e-12)
-    grid = traj.eta[1:-1][traj.eta[1:-1] >= 0.1]
-    assert np.array_equal(grid, np.arange(1, len(grid) + 1) * 0.1)
-    assert grid[-1] == pytest.approx(math.floor(last * 10.0) / 10.0, abs=1e-12)
-    assert len(traj.eta) - len(grid) == traj.eta.searchsorted(0.1) + 1  # short ends + last
     assert np.max(np.abs(traj.points[:, 0] - traj.eta)) < 1e-12
-    assert np.max(np.diff(traj.eta)) <= 0.1 + 1e-12
+    ds, x = controls.sample_step, ends.points[:, 0]
+    units = lambda a, b: abs(b - a) / (1e-9 + max(abs(a), abs(b))) / ds
+    expected, ref = [0.0], 0.0
+    for k in range(len(ends.eta) - 1):
+        t0, t1 = ends.eta[k], ends.eta[k + 1]
+        n = math.ceil(units(x[k], x[k + 1]))
+        expected += [t0 + (t1 - t0) * i / n for i in range(1, n)]
+        if n > 1 or units(ref, x[k + 1]) >= 1.0 or k == len(ends.eta) - 2:
+            expected.append(t1)
+            ref = x[k + 1]
+    assert len(traj.eta) == len(expected) > 10 * ends.n_steps
+    assert np.max(np.abs(traj.eta - expected)) < 1e-12
 
 
 @pytest.mark.parametrize("end", sorted(_ENDS))
@@ -378,20 +396,10 @@ def test_non_finite_error_rejects_with_factor_one_fifth(bad):
 
 @pytest.mark.parametrize("sample_step", [0.0, -0.1, math.nan, 1e-320])
 def test_sample_step_must_be_positive(sample_step):
-    """1e-320 is positive, but 1e4 / 1e-320 grid points overflow."""
+    """1e-320 is positive, but a move is below 2, and 2 / 1e-320 samples of
+    one step overflow."""
     with pytest.raises(ValueError):
         IntegrationControls(sample_step=sample_step)
-
-
-def test_sample_grid_must_be_finite_up_to_the_reachable_eta():
-    # max_step bounds the reach when max_time does not
-    IntegrationControls(max_time=math.inf)
-    IntegrationControls(max_time=math.inf, max_step=math.inf, sample_step=math.inf)
-    with pytest.raises(ValueError):
-        IntegrationControls(max_time=math.inf, max_step=math.inf)
-    with pytest.raises(ValueError):
-        IntegrationControls(max_time=1.0, sample_step=5e-309)
-    assert IntegrationControls(max_time=1.0, sample_step=1e-300).sample_step == 1e-300
 
 
 def test_extension_table_is_scipys_rk45_p():
@@ -419,10 +427,10 @@ def test_extension_coefficients_are_k_transpose_p():
 @given(
     st.sampled_from([(1.5, 3.0), (1.5, 3.4), (1.2, 2.5), (1.8, 3.0)]),
     st.sampled_from([5.0, math.inf]),
-    st.sampled_from([0.05, 0.1, 0.37, math.inf]),
+    st.sampled_from([0.001, 0.005, 0.05, math.inf]),
 )
 def test_sampling_does_not_change_the_steps(ms, max_step, sample_step):
-    """Whatever the sample grid, a P2 run takes the same steps, rejections
+    """Whatever the largest move between samples, a P2 run takes the same steps, rejections
     and field calls, and ends alike, to the bit, as the run that stores
     step ends only."""
     pr = validate_params(*ms)
@@ -445,15 +453,15 @@ def test_sampling_does_not_change_the_steps(ms, max_step, sample_step):
 
 
 def test_a_thinned_long_step_run_keeps_a_subset_of_the_grid(monkeypatch):
-    """Steps of up to 5 store the 0.1 grid; past _MAX_SAMPLES the kept
-    interior samples are grid samples of the unthinned run, bit for bit,
-    evenly spaced by 0.1 * 2^k."""
+    """Steps of up to 5 store their extension where the state moves; past
+    _MAX_SAMPLES the kept interior samples are samples of the unthinned
+    run, bit for bit, every 2^k-th of them."""
     rhs = lambda t, y: (1.0, 0.01 * (1.0 - y[1]), 0.0)
     controls = IntegrationControls(max_step=5.0, max_time=1e3)
     full = integrate(rhs, (0.0, 0.0, 0.0), [], controls)
     monkeypatch.setattr(integrate_module, "_MAX_SAMPLES", 100)
     thin = integrate(rhs, (0.0, 0.0, 0.0), [], controls)
-    assert len(full.eta) > 10_000 and 50 < len(thin.eta) <= 101
+    assert len(full.eta) > 2_000 and 50 < len(thin.eta) <= 101
     assert (thin.n_steps, thin.n_rhs) == (full.n_steps, full.n_rhs)
     assert thin.eta[0] == 0.0 and thin.eta[-1] == full.eta[-1] == 1e3
     assert np.array_equal(thin.points[[0, -1]], full.points[[0, -1]])
@@ -461,41 +469,17 @@ def test_a_thinned_long_step_run_keeps_a_subset_of_the_grid(monkeypatch):
     at = full.eta.searchsorted(thin.eta[inner])
     assert np.array_equal(full.eta[at], thin.eta[inner])
     assert np.array_equal(full.points[at], thin.points[inner])
-    gaps = np.diff(thin.eta[inner])
-    k = round(math.log2(gaps[0] / 0.1))
-    assert k > 0 and np.allclose(gaps, 0.1 * 2**k)
-
-
-_steps = st.lists(
-    st.tuples(
-        st.floats(min_value=1e-14, max_value=1e6),
-        st.lists(st.floats(min_value=-1e100, max_value=1e100), min_size=15, max_size=15),
-    ),
-    min_size=1,
-    max_size=6,
-)
-
-
-@settings(max_examples=100, deadline=None)
-@given(_steps, st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.0), st.integers(0, 5)), min_size=1))
-def test_deferred_samples_are_the_scalar_extension_bit_for_bit(steps, samples):
-    """_dense_rows, which evaluates a run's stored grid points after its step
-    loop, gives _dense's values to the bit at any theta, h, y and q."""
-    rows = np.array([[0.0, h] + yq for h, yq in steps])
-    theta = np.array([th for th, _ in samples])
-    j = np.array([k % len(steps) for _, k in samples])
-    out = _dense_rows(theta, j, rows)
-    for i, (th, k) in enumerate(zip(theta.tolist(), j.tolist())):
-        h, yq = steps[k]
-        assert out[i].tolist() == list(_dense(th, h, yq[:3], yq[3:]))
+    gaps = np.diff(at)
+    k = round(math.log2(gaps[0]))
+    assert k > 0 and np.all(gaps == 2**k)
 
 
 def _rotation_run(controls, events=(), w=1.0):
-    """X = eta, (Y, Z) = (cos w eta, sin w eta), sampled on a grid finer
-    than the steps, so that the stored grid points are deferred ones."""
+    """X = eta, (Y, Z) = (cos w eta, sin w eta): every sample, a step end
+    or the extension inside a step, lies on the closed form."""
     rhs = lambda t, y: (1.0, -w * y[2], w * y[1])
     traj = integrate(rhs, (0.0, 1.0, 0.0), events, controls)
-    assert not np.isnan(traj.points).any()  # no placeholder survives
+    assert not np.isnan(traj.points).any()
     assert np.max(np.abs(traj.points[:, 0] - traj.eta)) < 1e-12
     assert np.max(np.abs(traj.points[:, 1] - np.cos(w * traj.eta))) < 1e-8
     assert np.max(np.abs(traj.points[:, 2] - np.sin(w * traj.eta))) < 1e-8
@@ -503,26 +487,27 @@ def _rotation_run(controls, events=(), w=1.0):
 
 
 def test_a_run_ending_inside_a_long_step_evaluates_every_deferred_sample():
-    """Steps of about 0.03 against a grid of 0.005; the event's step stores
-    its grid points up to the event."""
-    traj = _rotation_run(
-        IntegrationControls(sample_step=0.005, max_time=50.0),
-        [EventSpec(id="wall", guard=lambda p: 5.0525 - p[0])],
-    )
+    """Steps of about 0.03, each of which moves the state more than one
+    unit of sample_step; the event's step stores its extension evenly in
+    eta up to the event, which comes last."""
+    events = [EventSpec(id="wall", guard=lambda p: 5.0525 - p[0])]
+    controls = IntegrationControls(max_time=50.0)
+    traj = _rotation_run(controls, events)
+    ends = _rotation_run(replace(controls, sample_step=math.inf), events)
     assert traj.termination == "event" and traj.final_eta == pytest.approx(5.0525, abs=1e-12)
-    assert traj.n_steps < len(traj.eta) / 4  # most samples came from long steps
-    grid = traj.eta[1:-1][traj.eta[1:-1] >= 0.005]
-    assert np.array_equal(grid, np.arange(1, len(grid) + 1) * 0.005)
-    assert grid[-1] == pytest.approx(5.05, abs=1e-12)  # the event step's last grid point
+    assert traj.n_steps < len(traj.eta) / 4  # most samples come from inside steps
+    last_step = traj.eta[traj.eta >= ends.eta[-2]]
+    assert last_step[0] == ends.eta[-2] and last_step[-1] == ends.eta[-1]
+    gaps = np.diff(last_step)
+    assert len(gaps) > 1 and np.max(np.abs(gaps - gaps[0])) < 1e-12
 
 
 @pytest.mark.parametrize("max_time", [10.5, 1e3])
 def test_a_thinned_run_evaluates_every_deferred_sample(monkeypatch, max_time):
-    """Steps of up to 5 against a grid of 0.1.  Thinning evaluates the
-    deferred samples it keeps and forgets their steps, also in the middle
-    of a step that goes on storing (max_time 10.5 ends the run soon after
-    the first thinning); the samples kept are the unthinned run's, bit for
-    bit."""
+    """Steps of up to 5 store their extension inside them.  Thinning keeps
+    the unthinned run's samples, bit for bit, also in the middle of a step
+    that goes on storing (max_time 10.5 ends the run soon after the first
+    thinning)."""
     controls = IntegrationControls(max_time=max_time)
     full = _rotation_run(controls, w=0.01)
     monkeypatch.setattr(integrate_module, "_MAX_SAMPLES", 100)
@@ -533,78 +518,25 @@ def test_a_thinned_run_evaluates_every_deferred_sample(monkeypatch, max_time):
     assert np.array_equal(full.points[at], thin.points)
 
 
-def test_a_pending_sample_at_a_step_start_is_that_steps_start_state():
-    """A grid point that falls on a step's start is evaluated at theta = 0
-    on that step, not at theta = 1 on the step before."""
-    p = integrate_module._PENDING
-    rows = [[0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0] + [0.0] * 8,
-            [1.0, 1.0, 5.0, 6.0, 7.0] + [1.0] * 12]
-    eta = np.array([0.0, 0.5, 1.0, 1.5])
-    pts = [(9.0, 9.0, 9.0), p, p, (8.0, 8.0, 8.0)]
-    idx, vals = next(integrate_module._pending_blocks(eta, pts, [v for r in rows for v in r]))
-    assert idx.tolist() == [1, 2]
-    assert vals.tolist() == [[0.5, 0.0, 0.0], [5.0, 6.0, 7.0]]
-
-
 def test_a_thinning_among_short_steps_evaluates_the_deferred_samples(monkeypatch):
-    """Long steps defer their grid samples up to eta 50, then the field
-    turns fast and short steps store their ends; the thinnings there also
-    evaluate the deferred samples they keep and forget their steps, so a
-    thinned run holds the steps of its stored samples only."""
+    """Long steps store their extension up to eta 50, then the field turns
+    fast and short steps store their ends; the thinnings there, too, keep
+    the unthinned run's samples, bit for bit."""
     rhs = lambda t, y: (1.0, 0.0, 0.0) if t < 50.0 else (1.0, -20.0 * y[2], 20.0 * y[1])
     controls = IntegrationControls(max_time=60.0)
     full = integrate(rhs, (0.0, 1.0, 0.0), [], controls)
     monkeypatch.setattr(integrate_module, "_MAX_SAMPLES", 100)
-    resolved = []
+    thinned_at = []
     thin = integrate_module._thin
 
-    def spy(etas, pts, steps, last=None):
+    def spy(etas, pts, last=None):
         if last is None:  # a thinning in the step loop, not the final store
-            resolved.append((etas[-1], len(steps)))
-        thin(etas, pts, steps, last)
+            thinned_at.append(etas[-1])
+        thin(etas, pts, last)
 
     monkeypatch.setattr(integrate_module, "_thin", spy)
     thin = integrate(rhs, (0.0, 1.0, 0.0), [], controls)
-    assert any(eta > 50.0 and n > 0 for eta, n in resolved)
-    assert not np.isnan(thin.points).any()
+    assert any(eta > 50.0 for eta in thinned_at)
     at = full.eta.searchsorted(thin.eta)
     assert np.array_equal(full.eta[at], thin.eta)
     assert np.array_equal(full.points[at], thin.points)
-
-
-@pytest.mark.parametrize("cap", [None, 5000], ids=["unthinned", "thinned"])
-def test_deferred_samples_evaluated_in_small_blocks_are_the_same_bits(monkeypatch, cap):
-    """The P0 companion (K = 0.3, max_time 3e4) stores 42 241 samples, most
-    of them deferred; evaluated 7 stored samples at a time, also under a
-    cap of 5000 that thins it to every 16th sample, it is the run of the
-    default blocks to the bit."""
-    if cap is not None:
-        monkeypatch.setattr(integrate_module, "_MAX_SAMPLES", cap)
-    params = validate_params(1.5, 3.0)
-    controls = IntegrationControls(max_time=3e4)
-    ref, _ = run_p0_orbit(0.3, 1e-5, params, controls)
-    monkeypatch.setattr(integrate_module, "_PENDING_BLOCK", 7)
-    small, _ = run_p0_orbit(0.3, 1e-5, params, controls)
-    assert len(ref.eta) == (42_241 if cap is None else 2641)
-    assert not np.isnan(small.points).any()  # no placeholder survives
-    assert np.array_equal(ref.eta.view(np.int64), small.eta.view(np.int64))
-    assert np.array_equal(ref.points.view(np.int64), small.points.view(np.int64))
-
-
-def test_deferred_samples_are_evaluated_without_a_run_long_copy(monkeypatch):
-    """A run of 12 004 samples, almost all deferred, evaluated 512 at a
-    time, peaks below 4.5 times its returned arrays (3.2 times: the sample
-    lists of the step loop, the returned arrays and a block), where
-    evaluating every sample in one pass peaks at 7.0 times.  Tracing
-    allocation costs about 0.1 ms per sample in the step loop, so the run
-    is kept short and the block with it."""
-    monkeypatch.setattr(integrate_module, "_PENDING_BLOCK", 512)
-    rhs = lambda t, y: (1.0, -0.01 * y[2], 0.01 * y[1])
-    tracemalloc.start()
-    try:
-        traj = integrate(rhs, (0.0, 1.0, 0.0), (), IntegrationControls(max_time=1200.0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(traj.eta) == 12_004 and traj.n_steps < 1000
-    assert peak < 4.5 * (traj.eta.nbytes + traj.points.nbytes)
