@@ -35,6 +35,7 @@ from .orbits import (
     sigma_star,
 )
 from .profiles import (
+    _MAX_S_STEP,
     InconclusiveProfile,
     find_good_profile_P1,
     integrate_ssode,
@@ -70,7 +71,9 @@ def _set_config_defaults(parser: argparse.ArgumentParser, args: argparse.Namespa
     """Install the config file's values as the subcommand's own defaults.
 
     Parsing argv again then gives flags > config file > defaults, and
-    argparse converts each value with its option's type.
+    argparse converts each value with its option's type.  A list-valued
+    key that a flag sets (args is the parse without the file) keeps no
+    default: argparse would append the flag's values to the file's list.
     """
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     sub = subparsers.choices[args.cmd]
@@ -86,20 +89,16 @@ def _set_config_defaults(parser: argparse.ArgumentParser, args: argparse.Namespa
             defaults[key] = raw.lower() in ("1", "true", "yes", "on")
         elif action.nargs is None and not isinstance(action, argparse._AppendAction):
             defaults[key] = raw  # argparse converts an unused string default itself
-        else:
+        elif getattr(args, key) == action.default:
             defaults[key] = [action.type(v) if action.type else v for v in raw.split()]
     sub.set_defaults(**defaults)
 
 
 def _controls_from(args, base: IntegrationControls = IntegrationControls()) -> IntegrationControls:
-    """base with the tolerances, step cap and time budget of the flags."""
-    return replace(
-        base,
-        rel_tol=args.rel_tol,
-        abs_tol=args.abs_tol,
-        max_step=args.max_step,
-        max_time=args.max_time,
-    )
+    """base with the tolerances, step cap and time budget of the flags that
+    hold a value."""
+    flags = {k: getattr(args, k) for k in ("rel_tol", "abs_tol", "max_step", "max_time")}
+    return replace(base, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _controls_config(c: IntegrationControls) -> dict:
@@ -211,6 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="direct profile-equation integration, or phase-space reconstruction"
                    " (origin p2 only)")
     p.add_argument("--out", type=str, default=None, help="profile CSV path")
+    # the direct integration reads neither, so that a given one can be refused
+    p.set_defaults(abs_tol=None, max_time=None)
 
     p = sub.add_parser("verify", help="verify barrier sign claims by seeded sampling")
     _add_common(p)
@@ -224,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, sigma=False)
     _add_controls(p, FATE_ONLY_CONTROLS)
     p.add_argument("--sigmas", type=str, required=True, help="comma-separated sigma grid")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1")
     p.add_argument("--out", type=str, default=None, help="sweep CSV path")
     return ap
 
@@ -253,27 +254,6 @@ def _cmd_params(args) -> tuple[int, dict]:
         "vertex_lambda": lo / 2.0,
     }
     return EXIT_OK, report
-
-
-# the counters of one run, as classify reports them: each sweep row and
-# each profile report carries them
-_RUN_COUNTERS = ("n_steps", "n_rejected", "n_rhs", "termination")
-
-
-def _fate_payload(fate) -> dict:
-    return {
-        "fate": fate.kind,
-        "lambda_hat": fate.lambda_hat,
-        "entry_point": None if fate.entry_point is None else [float(v) for v in fate.entry_point],
-        "diagnostics": {
-            "termination": fate.diagnostics.get("termination"),
-            "n_steps": fate.diagnostics.get("n_steps"),
-            "n_rejected": fate.diagnostics.get("n_rejected"),
-            "n_rhs": fate.diagnostics.get("n_rhs"),
-            "final_eta": fate.diagnostics.get("final_eta"),
-            "events": fate.diagnostics.get("events", []),
-        },
-    }
 
 
 # the launch flags each classify source uses, and their defaults
@@ -310,14 +290,19 @@ def _cmd_classify(args) -> tuple[int, dict]:
         )
         if traj is None:
             traj = chart_traj
-    report["results"] = _fate_payload(fate)
+    report["results"] = {
+        "fate": fate.kind,
+        "lambda_hat": fate.lambda_hat,
+        "entry_point": None if fate.entry_point is None else [float(v) for v in fate.entry_point],
+        "diagnostics": fate.diagnostics,
+    }
     if fate.lambda_hat is not None:
         report["results"]["xi0"] = interface_xi_of_lambda(fate.lambda_hat, pr)
     if args.out:
         io_mod.write_trajectory_csv(args.out, traj)
         report["results"]["trajectory_csv"] = args.out
     if fate.kind == FateKind.INCONCLUSIVE:
-        report["warnings"].append("orbit fate is inconclusive: %s" % fate.diagnostics.get("reason", fate.diagnostics.get("termination")))
+        report["warnings"].append("orbit fate is inconclusive: %s" % fate.diagnostics["reason"])
         return EXIT_INCONCLUSIVE, report
     return EXIT_OK, report
 
@@ -364,6 +349,9 @@ def _cmd_profile(args) -> tuple[int, dict]:
         raise ParameterError("--K needs --origin p0")
     if args.xi_start is not None and args.via == "phase":
         raise ParameterError("--xi-start needs --via ode")
+    for name in ("abs_tol", "max_time"):
+        if getattr(args, name) is not None and args.via == "ode":
+            raise ParameterError("--%s needs --via phase" % name.replace("_", "-"))
     controls = _controls_from(args)
     config = {"m": pr.m, "sigma": pr.sigma, "origin": args.origin, "via": args.via}
     if args.a_bracket is not None:
@@ -375,15 +363,17 @@ def _cmd_profile(args) -> tuple[int, dict]:
         config["K"] = 0.05 if args.K is None else args.K
     if args.via == "ode":
         config["xi_start"] = 1e-4 if args.xi_start is None else args.xi_start
-    config.update(_controls_config(controls))
+        # the direct integration reads only rel_tol and the step cap, capped at 0.05
+        config.update(rel_tol=controls.rel_tol, max_step=min(controls.max_step, _MAX_S_STEP))
+    else:
+        config.update(_controls_config(controls))
     report = _report_skeleton("profile", config)
     warnings = report["warnings"]
 
     if args.via == "phase":
         traj, fate = run_p2_orbit(pr, controls)
         frame = reconstruct_profile(traj, pr)
-        results = {"fate": fate.kind, "lambda_hat": fate.lambda_hat, "n_samples": len(frame)}
-        results.update((c, fate.diagnostics[c]) for c in _RUN_COUNTERS)
+        results = {"fate": fate.kind, "lambda_hat": fate.lambda_hat, "n_samples": len(frame), **traj.record}
         if fate.lambda_hat is not None:
             results["xi0"] = interface_xi_of_lambda(fate.lambda_hat, pr)
         if not fate.decisive:
@@ -410,7 +400,7 @@ def _cmd_profile(args) -> tuple[int, dict]:
             results["discriminant"] = res.report.discriminant
             results["matched_slope"] = res.report.matched_slope
     if args.via == "ode":
-        results.update((c, getattr(res, c)) for c in _RUN_COUNTERS)
+        results.update(res.record)
     if len(frame) >= 5:
         results["ssode_residual"] = ssode_residual(frame, pr)
     if args.out:
@@ -464,20 +454,22 @@ def _cmd_verify(args) -> tuple[int, dict]:
 
 
 def _sweep_one(task):
-    """One sweep row: (sigma, fate, lambda_hat, xi0, counters), the P2 orbit
-    run from the series launch of fate-only runs."""
+    """One sweep row: (sigma, fate, lambda_hat, xi0, run record), the P2
+    orbit run from the series launch of fate-only runs."""
     m, sigma, controls = task
     pr = validate_params(m, sigma)
-    _, fate = run_p2_orbit(pr, controls, delta=None)
+    traj, fate = run_p2_orbit(pr, controls, delta=None)
     lam = fate.lambda_hat
     xi0 = interface_xi_of_lambda(lam, pr) if lam is not None else None
-    return sigma, fate.kind, lam, xi0, {c: fate.diagnostics[c] for c in _RUN_COUNTERS}
+    return sigma, fate.kind, lam, xi0, traj.record
 
 
 def _cmd_sweep(args) -> tuple[int, dict]:
     sigmas = [float(s) for s in args.sigmas.split(",") if s.strip()]
     if not sigmas:
         raise ParameterError("empty sigma grid")
+    if args.jobs < 1:
+        raise ParameterError("--jobs must be at least 1")
     if min(sigmas) < _SIGMA_FLOOR:
         raise ParameterError(
             "sigma must exceed 2: grid must stay above %.3f" % _SIGMA_FLOOR
@@ -498,8 +490,8 @@ def _cmd_sweep(args) -> tuple[int, dict]:
         rows = [_sweep_one(t) for t in tasks]
     report["results"] = {
         "rows": [
-            {"sigma": s, "fate": k, "lambda_hat": lam, "xi0": xi0, **counters}
-            for (s, k, lam, xi0, counters) in rows
+            {"sigma": s, "fate": k, "lambda_hat": lam, "xi0": xi0, **record}
+            for (s, k, lam, xi0, record) in rows
         ]
     }
     inconclusive = [row[0] for row in rows if row[1] == FateKind.INCONCLUSIVE]

@@ -195,6 +195,19 @@ class Trajectory:
     def final_point(self) -> np.ndarray:
         return self.points[-1]
 
+    @property
+    def record(self) -> dict:
+        """The run record: how the run ended, what it cost and where it
+        stopped.  Fate diagnostics, profile results and every JSON report
+        carry it whole."""
+        return {
+            "termination": self.termination,
+            "n_steps": self.n_steps,
+            "n_rejected": self.n_rejected,
+            "n_rhs": self.n_rhs,
+            "final_eta": self.final_eta,
+        }
+
 
 def _dense_coeffs(k1, k3, k4, k5, k6, k7):
     """Q = K^T P of the continuous extension: 4 coefficients per component,

@@ -512,51 +512,47 @@ def classify_fate(traj: Trajectory, params: Params) -> OrbitFate:
     enters_parabola or enters_q3 where a certificate decides, else
     inconclusive.
 
-    diagnostics["events"] names the event that ended the run, and for a
-    parabola-entry event the certificate that fired: "tube" or "z_limit".
-    Every decisive fate carries diagnostics["z_gap"], F, the limit of Z less
-    z_max: from that certificate, below 0 for an entry, or, for an escape
-    at the midplane or the Y floor, the event's Z less z_max.
+    diagnostics is the run record of traj (Trajectory.record) and the
+    fate's own keys.  "events" names the event that ended the run, and for
+    a parabola-entry event the certificate that fired: "tube" or "z_limit".
+    Every decisive fate carries "z_gap", F, the limit of Z less z_max: from
+    that certificate, below 0 for an entry, or, for an escape at the
+    midplane or the Y floor, the event's Z less z_max.  Every inconclusive
+    fate carries a "reason".
     """
     boa = beta_over_alpha(params)
     z_max = 0.25 * boa * boa
     hit = traj.event
-    diagnostics = {
-        "termination": traj.termination,
-        "n_steps": traj.n_steps,
-        "n_rejected": traj.n_rejected,
-        "n_rhs": traj.n_rhs,
-        "final_eta": traj.final_eta,
-        "events": [] if hit is None else [(hit.id, hit.eta)],
-    }
+    pt = None if hit is None else hit.point
+    diagnostics = dict(traj.record, events=[] if hit is None else [(hit.id, hit.eta)])
+    kind, lam_hat, gap, reason = FateKind.ENTERS_Q3, None, None, None
     if hit is None:
-        diagnostics["final_point"] = traj.final_point
-        return OrbitFate(FateKind.INCONCLUSIVE, None, None, diagnostics)
-    pt = hit.point
-    if hit.id == "parabola_entry":
+        reason = "run ended by %s before any fate event" % traj.termination
+    elif hit.id == "parabola_entry":
         value, cert, lam_hat, gap = _entry_certificate(params)(*pt)
         # the event is located to 1e-12 in eta, where the tube value falls at
         # the approach rate (below 1); the Z bracket's sets only its width
         if cert is None or (cert == "tube" and value > 1e-9):
-            diagnostics["reason"] = "entry event fired outside its certificate"
-            return OrbitFate(FateKind.INCONCLUSIVE, None, pt, diagnostics)
-        diagnostics.update(events=[(cert, hit.eta)], z_gap=gap)
-        kind = FateKind.ENTERS_Q3 if lam_hat is None else FateKind.ENTERS_PARABOLA
-        return OrbitFate(kind, lam_hat, pt, diagnostics)
-    if hit.id == "midplane":
-        if pt[2] > z_max:
-            diagnostics["z_gap"] = float(pt[2]) - z_max
-            return OrbitFate(FateKind.ENTERS_Q3, None, pt, diagnostics)
-        diagnostics["reason"] = "midplane crossed below the vertex height"
+            reason = "entry event fired outside its certificate"
+        else:
+            diagnostics["events"] = [(cert, hit.eta)]
+            if lam_hat is not None:
+                kind = FateKind.ENTERS_PARABOLA
+    elif hit.id == "midplane":
+        gap = float(pt[2]) - z_max
+        if not pt[2] > z_max:
+            reason = "midplane crossed below the vertex height"
+    elif hit.id == "y_floor":
+        gap = float(pt[2]) - z_max
+        if not pt[0] >= _X_AWAY_TOL:
+            reason = "Y floor reached with X not bounded away from 0"
+    else:
+        reason = "unrecognized terminal event %r" % hit.id
+    if reason is not None:
+        diagnostics["reason"] = reason
         return OrbitFate(FateKind.INCONCLUSIVE, None, pt, diagnostics)
-    if hit.id == "y_floor":
-        if pt[0] >= _X_AWAY_TOL:
-            diagnostics["z_gap"] = float(pt[2]) - z_max
-            return OrbitFate(FateKind.ENTERS_Q3, None, pt, diagnostics)
-        diagnostics["reason"] = "Y floor reached with X not bounded away from 0"
-        return OrbitFate(FateKind.INCONCLUSIVE, None, pt, diagnostics)
-    diagnostics["reason"] = "unrecognized terminal event %r" % hit.id
-    return OrbitFate(FateKind.INCONCLUSIVE, None, pt, diagnostics)
+    diagnostics["z_gap"] = gap
+    return OrbitFate(kind, lam_hat, pt, diagnostics)
 
 
 def _run(params: Params, start, controls) -> tuple[Trajectory, OrbitFate]:
@@ -624,12 +620,14 @@ def run_q1_orbit(
 
     The chart leg starts at delta*(1,1,0) + (0,0,z0) and ends when w exceeds
     1e-2 (X = 1/w at most 100); the phase leg then runs the standard fate
-    events.  With z0 = 0 the orbit stays in the invariant plane and
-    converges to P2 instead of producing a profile fate; the chart leg's
-    arrival is then reported through the diagnostics.  A chart leg whose
-    Y = y/w falls to the Y floor first (large z0 drives y down) ends the run
-    there, with X = 1/w >= 100: the Y-floor escape of classify_fate, and no
-    phase leg, whose floor guard would start below its floor and never arm.
+    events.  With z0 = 0 the orbit stays in the invariant plane {Z = 0}
+    and converges to P2 instead of producing a profile fate: its phase leg
+    ends inconclusive at its time budget (q1_to_p2_connection certifies
+    the arrival at P2).  A chart leg whose Y = y/w falls to the Y floor
+    first (large z0 drives y down) ends the run there, with X = 1/w >= 100:
+    the Y-floor escape of classify_fate, and no phase leg, whose floor
+    guard would start below its floor and never arm.  A chart leg that ends
+    without either event is inconclusive, with a reason that names it.
 
     The chart leg always runs under its own controls (max_step 0.01,
     max_time 100): it ends where Z is about 1e-7, so the caller's abs_tol
@@ -646,22 +644,16 @@ def run_q1_orbit(
     ]
     chart_traj = integrate(make_chart_rhs(params), start, events, _CHART_CONTROLS)
     hit = chart_traj.event
+    if hit is not None and hit.id == "handoff":
+        phase_traj, fate = _run(params, phase_from_chart(hit.point), controls)
+        return chart_traj, phase_traj, fate
     if hit is None:
-        fate = OrbitFate(
-            FateKind.INCONCLUSIVE,
-            None,
-            None,
-            {"termination": chart_traj.termination, "leg": "chart", "events": []},
-        )
-        return chart_traj, None, fate
-    if hit.id == "y_floor":
+        fate = classify_fate(chart_traj, params)
+        fate.diagnostics["reason"] = "chart leg ended by %s before its handoff" % chart_traj.termination
+    else:
         floor_hit = replace(hit, point=phase_from_chart(hit.point))
-        return chart_traj, None, classify_fate(replace(chart_traj, event=floor_hit), params)
-    phase_start = phase_from_chart(hit.point)
-    phase_traj, fate = _run(params, phase_start, controls)
-    fate.diagnostics["chart_leg_eta"] = hit.eta
-    fate.diagnostics["handoff_point"] = phase_start
-    return chart_traj, phase_traj, fate
+        fate = classify_fate(replace(chart_traj, event=floor_hit), params)
+    return chart_traj, None, fate
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .integrate import EventSpec, IntegrationControls, Trajectory, integrate
 _RHO_VANISH = 1e-4  # rho = g / hypot(g, xi g') at which a profile run ends as vanishing
 _SLOPE_TOL = 1e-2  # largest |g' - root| at the vanishing event that is an interface
 _DISC_TOL = 1e-6  # discriminants in [-_DISC_TOL, 0) count as a double root
+_MAX_S_STEP = 0.05  # the step cap of a profile run, in s
 
 __all__ = [
     "ProfileFrame",
@@ -183,11 +184,7 @@ class SsodeResult:
     xi0: float | None
     g_slope: float | None
     report: InterfaceReport | None
-    # the run's counters, as Trajectory holds them
-    n_steps: int
-    n_rejected: int
-    n_rhs: int
-    termination: str
+    record: dict  # the run record of the integration (Trajectory.record)
 
 
 def _asymptotic_start(origin, params, xi_start, a=None, K=None):
@@ -309,11 +306,12 @@ def integrate_ssode(
     that ends any other way (step underflow, step or s budget) raises
     InconclusiveProfile.
 
-    controls sets the tolerances and the step in s, capped at 0.05; the
-    frame holds the step ends, and since dxi/ds <= 1 the step also bounds
-    the xi-gap between samples.  Their max_time and sample_step are not
-    used: rho stays above 1e-4 until the run ends, so an s budget of
-    (xi_cap - xi_start) / 1e-4 always reaches xi_cap.
+    controls sets rel_tol and the step in s, capped at 0.05; the frame
+    holds the step ends, and since dxi/ds <= 1 the step also bounds the
+    xi-gap between samples.  Its abs_tol counts only below 1e-60, and its
+    max_time and sample_step are not used: rho stays above 1e-4 until the
+    run ends, so an s budget of (xi_cap - xi_start) / 1e-4 always reaches
+    xi_cap.
     """
     m = params.m
     exp = derive_exponents(params)
@@ -334,7 +332,7 @@ def integrate_ssode(
     run_controls = replace(
         base,
         max_time=(xi_cap - xi_start) / _RHO_VANISH,
-        max_step=min(base.max_step, 0.05),
+        max_step=min(base.max_step, _MAX_S_STEP),
         sample_step=math.inf,
         abs_tol=min(base.abs_tol, 1e-60),
     )
@@ -361,8 +359,7 @@ def integrate_ssode(
     f = ((m - 1.0) * g / m) ** (1.0 / (m - 1.0))
     frame = ProfileFrame(xi=xi, f=f, df=w * f ** (2.0 - m) / m)
     return SsodeResult(
-        frame=frame, fate=fate, xi0=xi0, g_slope=g_slope, report=report,
-        n_steps=traj.n_steps, n_rejected=traj.n_rejected, n_rhs=traj.n_rhs, termination=traj.termination,
+        frame=frame, fate=fate, xi0=xi0, g_slope=g_slope, report=report, record=traj.record
     )
 
 

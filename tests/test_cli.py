@@ -552,6 +552,12 @@ def test_sweep_empty_grid(capsys):
     assert "empty sigma grid" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_refuses_fewer_than_one_job(jobs, capsys):
+    err = usage_error(capsys, ParameterError, "sweep", "--m", "1.5", "--sigmas", "3", "--jobs", jobs)
+    assert "--jobs" in err
+
+
 def test_sweep_parallel_determinism(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run_cli(capsys, "sweep", "--m", "1.5", "--sigmas", "3.0,3.4", "--out", str(a))
@@ -561,20 +567,19 @@ def test_sweep_parallel_determinism(tmp_path, capsys):
 
 
 def test_sweep_rows_carry_the_run_counters(tmp_path, capsys):
-    """Each sweep JSON row carries n_steps, n_rejected, n_rhs and
-    termination as classify reports them, here of the fate-only run from
-    the series launch; two sweeps give the same bytes, and the CSV keeps
-    its four columns."""
+    """Each sweep JSON row carries the run record (Trajectory.record) as
+    classify reports it, here of the fate-only run from the series launch;
+    two sweeps give the same bytes, and the CSV keeps its four columns."""
     argv = ["sweep", "--m", "1.5", "--sigmas", "3.0,3.4", "--format", "json"]
     code, out, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "sweep.csv"))
     assert code == 0
     assert run_cli(capsys, *argv, "--out", str(tmp_path / "sweep.csv"))[1] == out
     rows = json.loads(out)["results"]["rows"]
     for row in rows:
-        _, fate = run_p2_orbit(validate_params(1.5, row["sigma"]), FATE_ONLY_CONTROLS, delta=None)
+        traj, fate = run_p2_orbit(validate_params(1.5, row["sigma"]), FATE_ONLY_CONTROLS, delta=None)
         assert row["fate"] == fate.kind and row["lambda_hat"] == fate.lambda_hat
-        for key in ("n_steps", "n_rejected", "n_rhs", "termination"):
-            assert row[key] == fate.diagnostics[key], key
+        for key, value in traj.record.items():
+            assert row[key] == value == fate.diagnostics[key], key
     assert rows[0]["termination"] == "event" and rows[0]["n_steps"] > 0
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert lines[0] == "sigma,fate,lambda_hat,xi0"
@@ -583,12 +588,18 @@ def test_sweep_rows_carry_the_run_counters(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [("--origin", "p2"), ("--origin", "p2", "--via", "phase"), ("--origin", "p1", "--a-bracket", "1e-13", "1e-10")],
+    [
+        ("--origin", "p2"),
+        ("--origin", "p2", "--via", "phase"),
+        ("--origin", "p1", "--a-bracket", "1e-13", "1e-10"),
+        ("--origin", "p0"),
+        ("--origin", "p1", "--a", "1e-13"),
+    ],
 )
 def test_profile_reports_carry_the_run_counters(capsys, flags):
-    """Each profile JSON report carries n_steps, n_rejected, n_rhs and
-    termination of the run it reports, as classify and sweep rows do, and
-    two runs give the same bytes."""
+    """Each profile JSON report carries the run record of the run it
+    reports, as classify and sweep rows do, with no key null, and two runs
+    give the same bytes."""
     argv = ["profile", "--m", "1.5", "--sigma", "3", *flags, "--format", "json"]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
@@ -596,6 +607,46 @@ def test_profile_reports_carry_the_run_counters(capsys, flags):
     results = json.loads(out)["results"]
     assert results["termination"] == "event" and results["n_steps"] > 0
     assert results["n_rhs"] == 6 * (results["n_steps"] + results["n_rejected"]) + 2
+    assert all(type(results[k]) is int for k in ("n_steps", "n_rejected", "n_rhs"))
+    assert results["final_eta"] > 0.0
+
+
+@pytest.mark.parametrize(
+    "launch, reason",
+    [
+        (["--source", "p2"], None),
+        (["--source", "p2", "--max-time", "10"], "run ended by max_time"),
+        (["--source", "p0", "--K", "0.3"], None),
+        (["--source", "q1", "--z0", "1e-15"], None),
+        (["--source", "q1", "--z0", "0.01"], None),
+        (["--source", "q1", "--z0", "1e300"], "chart leg ended by step_underflow"),
+    ],
+    ids=["p2", "p2-short", "p0", "q1", "q1-floor", "q1-no-handoff"],
+)
+def test_classify_diagnostics_are_the_fates_record(launch, reason, monkeypatch, capsys):
+    """classify emits the diagnostics of the fate it classifies whole: the
+    run record with no key null, events, and F (z_gap) of a decisive fate,
+    equal to the bit, or the reason of an inconclusive one.  A Q1 chart leg
+    that ends without its handoff (the first step underflows from
+    z0 = 1e300) reports its own record, whose counters were once null."""
+    fates = []
+
+    def recorded(traj, params):
+        fates.append(classify_fate(traj, params))
+        return fates[-1]
+
+    monkeypatch.setattr(ssblow.orbits, "classify_fate", recorded)
+    code, out, _ = run_cli(capsys, "classify", "--m", "1.5", "--sigma", "3", *launch, "--format", "json")
+    assert code == (0 if reason is None else 3)
+    (fate,) = fates
+    diag = json.loads(out)["results"]["diagnostics"]
+    assert diag == json.loads(json.dumps(fate.diagnostics))
+    assert all(type(diag[k]) is int for k in ("n_steps", "n_rejected", "n_rhs"))
+    assert type(diag["termination"]) is str and type(diag["final_eta"]) in (int, float)
+    if reason is None:
+        assert diag["z_gap"] == fate.diagnostics["z_gap"] and "reason" not in diag
+    else:
+        assert diag["reason"].startswith(reason) and "z_gap" not in diag
 
 
 def test_config_file_precedence(tmp_path, capsys):
@@ -630,6 +681,60 @@ def test_config_value_takes_effect_unless_flag_given(tmp_path, capsys):
     # an explicit flag wins even when it equals the built-in default
     code, _, _ = run_cli(capsys, *args, "--max-time", "10000")
     assert code == 0
+
+
+def test_list_valued_flag_replaces_the_config_files_list(tmp_path, capsys):
+    """flags > config file holds for a list-valued key: --barrier replaces
+    the file's barrier list instead of adding to it."""
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text("barrier=midplane\n")
+    argv = ("verify", "--m", "1.5", "--sigma", "3", "--n", "100", "--config", str(cfg), "--format", "json")
+    for flags, ids in (((), ["midplane"]), (("--barrier", "cylinder"), ["cylinder"])):
+        code, out, _ = run_cli(capsys, *argv, *flags)
+        assert code == 0
+        report = json.loads(out)
+        assert report["config"]["barriers"] == ids
+        assert [entry["barrier"] for entry in report["results"]["barriers"]] == ids
+
+
+@pytest.mark.parametrize("flag, value", [("--abs-tol", "1e-13"), ("--max-time", "5000")])
+def test_profile_via_ode_refuses_the_controls_it_does_not_read(flag, value, tmp_path, capsys):
+    """The direct integration reads only --rel-tol and --max-step, so
+    --abs-tol and --max-time, as a flag or a config key, end in exit 2
+    there; the phase reconstruction reads and reports them."""
+    argv = ("profile", "--m", "1.5", "--sigma", "3", "--origin", "p2")
+    assert "needs --via phase" in usage_error(capsys, ParameterError, *argv, flag, value)
+    key = flag[2:].replace("-", "_")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("%s=%s\n" % (key, value))
+    code, _, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 2 and "needs --via phase" in err
+    code, out, _ = run_cli(capsys, *argv, "--via", "phase", flag, value, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["config"][key] == float(value)
+
+
+@pytest.mark.parametrize("step", ["50", "0.01"])
+def test_profile_via_ode_config_names_the_controls_it_used(step, monkeypatch, capsys):
+    """The config block of the direct integration holds rel_tol and the
+    step cap that its run used, the flag's cap capped at 0.05, and no
+    abs_tol or max_time."""
+    seen = []
+
+    def spy(field, start, events, controls=None):
+        seen.append(controls)
+        return integrate(field, start, events, controls)
+
+    monkeypatch.setattr(ssblow.profiles, "integrate", spy)
+    code, out, _ = run_cli(
+        capsys, "profile", "--m", "1.5", "--sigma", "3", "--origin", "p2",
+        "--rel-tol", "1e-9", "--max-step", step, "--format", "json",
+    )
+    assert code == 0
+    (used,) = seen
+    config = json.loads(out)["config"]
+    assert (config["rel_tol"], config["max_step"]) == (used.rel_tol, used.max_step) == (1e-9, min(float(step), 0.05))
+    assert "abs_tol" not in config and "max_time" not in config
 
 
 def test_config_values_are_converted(tmp_path, capsys):
@@ -996,8 +1101,9 @@ _BAD_LINES = ["no_such_key=1", "format=xml", "m=x", "no equals sign"]
 
 @st.composite
 def _cli_case(draw):
-    """argv and config lines for params, verify (n <= 200), classify and
-    profile (max-time <= 50), sigma-star on brackets near sigma* and sweep
+    """argv and config lines for params, verify (n <= 200), classify (max-time
+    <= 50), profile (max-time <= 50 with --via phase; the direct
+    integration bounds its own run), sigma-star on brackets near sigma* and sweep
     over at most three sigmas with --jobs 1; no config key sets a budget,
     so every run stays short."""
     cmd = draw(st.sampled_from(sorted(_FLAGS)))
@@ -1015,8 +1121,12 @@ def _cli_case(draw):
     else:
         good = ["3", "3.4", "2.5"] if cmd == "profile" else ["3", "3.4", "2.5", "6"]
         argv += ["--sigma", draw(_mostly(good, ["2", "2.0001", "-1", "inf", "x"]))]
-    if cmd in ("classify", "profile"):
-        argv += ["--max-time", draw(_mostly(["50", "20", "1"], ["0", "-3", "nan"]))]
+    budget = _mostly(["50", "20", "1"], ["0", "-3", "nan"])
+    if cmd == "classify":
+        argv += ["--max-time", draw(budget)]
+    elif cmd == "profile" and draw(st.booleans()):
+        # the direct integration refuses --max-time; it bounds its own run
+        argv += ["--via", "phase", "--max-time", draw(budget)]
     elif cmd == "verify":
         argv += ["--n", str(draw(_mostly(range(100, 201), range(-5, 100))))]
         if draw(st.booleans()):
@@ -1038,8 +1148,7 @@ def _cli_case(draw):
                 "--source", "p0", "--K", "1e300"], None))
 @example(case=(["classify", "--m", "1.5", "--sigma", "3", "--max-time", "50",
                 "--source", "q1", "--z0", "1e300"], None))
-@example(case=(["profile", "--m", "1.5", "--sigma", "1e6", "--origin", "p1", "--a", "0.5",
-                "--max-time", "50"], None))
+@example(case=(["profile", "--m", "1.5", "--sigma", "1e6", "--origin", "p1", "--a", "0.5"], None))
 def test_cli_exit_code_contract(case, tmp_path_factory, capsys):
     """Any such argv and config file ends in exit 0, 2, 3 or 4, and never in
     a traceback.  The pinned classify starts are so large that the first

@@ -323,10 +323,7 @@ def test_find_good_profile_P1_refuses_a_tol_below_the_float_spacing_of_a(monkeyp
         if len(calls) > 200:
             raise RuntimeError("the bisection does not end")
         fate = "sign_change" if a < 5e-11 else "positive"
-        return SsodeResult(
-            frame=None, fate=fate, xi0=None, g_slope=None, report=None,
-            n_steps=0, n_rejected=0, n_rhs=2, termination="event",
-        )
+        return SsodeResult(frame=None, fate=fate, xi0=None, g_slope=None, report=None, record={})
 
     monkeypatch.setattr(ssblow.profiles, "integrate_ssode", step_at_5e_11)
     with pytest.raises(ProfileBracketError, match="float spacing"):
@@ -397,7 +394,7 @@ def test_tail_blowup_behavior(params15_3):
 
 
 def test_ssode_result_carries_its_run_counters(monkeypatch):
-    """integrate_ssode reports the counters of its one run."""
+    """integrate_ssode reports the run record of its one run."""
     runs = []
 
     def recorded(*args, **kwargs):
@@ -407,6 +404,5 @@ def test_ssode_result_carries_its_run_counters(monkeypatch):
     monkeypatch.setattr(ssblow.profiles, "integrate", recorded)
     res = integrate_ssode("p2", validate_params(1.5, 3.0))
     (traj,) = runs
-    assert (res.n_steps, res.n_rejected, res.n_rhs, res.termination) == (
-        traj.n_steps, traj.n_rejected, traj.n_rhs, "event",
-    )
+    assert res.record == traj.record
+    assert res.record["termination"] == "event" and res.record["final_eta"] == traj.eta[-1]
