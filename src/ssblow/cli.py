@@ -36,7 +36,6 @@ from .orbits import (
 )
 from .profiles import (
     _MAX_S_STEP,
-    InconclusiveProfile,
     find_good_profile_P1,
     integrate_ssode,
     reconstruct_profile,
@@ -51,6 +50,11 @@ EXIT_INCONCLUSIVE = 3
 EXIT_VIOLATION = 4
 
 _SIGMA_FLOOR = 2.0 + 1e-3  # refuse nearly-degenerate exponents on the CLI
+_K_DEFAULT = 0.05  # the tail coefficient of classify --source p0 and profile --origin p0
+_K_HELP = "tail coefficient K of the p0 profile f ~ K xi^((sigma+2)/(2(m-1))) (default %g)" % _K_DEFAULT
+# the values a store_true config key may take, in any case
+_CONFIG_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+                    "0": False, "false": False, "no": False, "off": False}
 
 
 def _read_config_file(path: str) -> dict:
@@ -86,7 +90,9 @@ def _set_config_defaults(parser: argparse.ArgumentParser, args: argparse.Namespa
         if action.choices is not None and raw not in action.choices:
             raise ValueError("config key %r must be one of %s" % (key, list(action.choices)))
         if action.nargs == 0:  # store_true
-            defaults[key] = raw.lower() in ("1", "true", "yes", "on")
+            if raw.lower() not in _CONFIG_BOOLEANS:
+                raise ValueError("config key %r must be one of %s" % (key, sorted(_CONFIG_BOOLEANS)))
+            defaults[key] = _CONFIG_BOOLEANS[raw.lower()]
         elif action.nargs is None and not isinstance(action, argparse._AppendAction):
             defaults[key] = raw  # argparse converts an unused string default itself
         elif getattr(args, key) == action.default:
@@ -175,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the launch flags default to None, so that a flag the source does not
     # use can be refused; _cmd_classify resolves the defaults
     p.add_argument("--delta", type=float, default=None, help="launch offset (p2, q1; default 1e-6)")
-    p.add_argument("--K", type=float, default=None, help="center-family parameter (p0; default 0.1)")
+    p.add_argument("--K", type=float, default=None, help=_K_HELP)
     p.add_argument(
         "--z0", type=float, default=None,
         help="launch height z0 (p0) or chart z (q1); default 1e-5",
@@ -201,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="bisect f(0) between differing fates (origin p1)",
     )
     p.add_argument("--a-tol", dest="a_tol", type=float, default=None)
-    p.add_argument("--K", type=float, default=None, help="tail coefficient for origin p0 (default 0.05)")
+    p.add_argument("--K", type=float, default=None, help=_K_HELP)
     p.add_argument(
         "--xi-start", dest="xi_start", type=float, default=None,
         help="start of the direct integration (default 1e-4; not with --via phase)",
@@ -215,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify barrier sign claims by seeded sampling")
     _add_common(p)
-    p.add_argument("--all", action="store_true")
+    p.add_argument("--all", action="store_true", help="check every barrier (the default without --barrier)")
     p.add_argument("--barrier", action="append", default=None, help="barrier id (repeatable)")
     p.add_argument("--n", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=42)
@@ -258,7 +264,7 @@ def _cmd_params(args) -> tuple[int, dict]:
 
 # the launch flags each classify source uses, and their defaults
 _LAUNCH_FLAGS = {"p2": ("delta",), "p0": ("K", "z0"), "q1": ("delta", "z0")}
-_LAUNCH_DEFAULTS = {"delta": 1e-6, "K": 0.1, "z0": 1e-5}
+_LAUNCH_DEFAULTS = {"delta": 1e-6, "K": _K_DEFAULT, "z0": 1e-5}
 
 
 def _cmd_classify(args) -> tuple[int, dict]:
@@ -360,7 +366,7 @@ def _cmd_profile(args) -> tuple[int, dict]:
     elif args.origin == "p1":
         config["a"] = args.a
     if args.origin == "p0":
-        config["K"] = 0.05 if args.K is None else args.K
+        config["K"] = _K_DEFAULT if args.K is None else args.K
     if args.via == "ode":
         config["xi_start"] = 1e-4 if args.xi_start is None else args.xi_start
         # the direct integration reads only rel_tol and the step cap, capped at 0.05
@@ -415,6 +421,8 @@ def _cmd_profile(args) -> tuple[int, dict]:
 
 def _cmd_verify(args) -> tuple[int, dict]:
     pr = _validated(args)
+    if args.all and args.barrier:
+        raise ParameterError("--all and --barrier exclude each other")
     config = {
         "m": pr.m, "sigma": pr.sigma, "n": args.n, "seed": args.seed,
         "barriers": args.barrier or "all",
@@ -532,7 +540,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (InconclusiveError, InconclusiveProfile) as exc:
+    except InconclusiveError as exc:
         print("inconclusive: %s" % exc, file=sys.stderr)
         return EXIT_INCONCLUSIVE
     _emit(report, args, time.time() - t0)

@@ -290,17 +290,23 @@ def p2_chart_coordinates(params: Params) -> np.ndarray:
 
 
 def center_family_P0(K: float, z: float, params: Params) -> tuple[float, float]:
-    """The point (X, Y) at height Z = z of the center-manifold family at P0:
-    X = K sqrt(Z) - (m-1) alpha Z, and Y from the tangent plane
-    (beta/alpha) Y = X - Z of the center manifold.
+    """The point (X, Y) at height Z = z of the center-manifold family at P0
+    that carries the tail profile f ~ K xi^{(sigma+2)/(2(m-1))}:
+    X = sqrt(m) K^{m-1} sqrt(Z) - (m-1) alpha Z, and Y from the tangent
+    plane (beta/alpha) Y = X - Z of the center manifold.
 
-    A nonpositive X means the family has left the physical region {X > 0}
-    for this (K, z); callers decide whether that is an error.
+    This is the one map from the tail coefficient K to phase space.  A point
+    with X <= 0 lies outside the physical region {X > 0} and is refused.
     """
     if not 0.0 <= z < math.inf:
         raise DomainError("z must be finite and nonnegative")
-    if not 0.0 <= K < math.inf:
-        raise DomainError("K must be finite and nonnegative")
+    if not 0.0 < K < math.inf:
+        raise DomainError("K must be finite and positive")
+    m = params.m
     exp = derive_exponents(params)
-    x = K * math.sqrt(z) - (params.m - 1.0) * exp.alpha * z
+    x = math.sqrt(m) * K ** (m - 1.0) * math.sqrt(z) - (m - 1.0) * exp.alpha * z
+    if not x > 0.0:
+        raise DomainError(
+            "non-physical start: K=%.17g gives X=%.17g <= 0 at z=%.17g" % (K, x, z)
+        )
     return x, (x - z) * exp.alpha / exp.beta

@@ -185,7 +185,7 @@ class Trajectory:
     termination: str = "max_time"  # event | max_time | max_steps | step_underflow
     n_steps: int = 0  # accepted steps
     n_rejected: int = 0  # rejected step attempts
-    n_rhs: int = 0  # field evaluations: 6 per attempt plus 2 at the start
+    n_rhs: int = 0  # field evaluations: 6 per attempt plus 1 or 2 at the start
 
     @property
     def final_eta(self) -> float:
@@ -287,14 +287,16 @@ def _initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, max_step):
     """Hairer's starting-step estimate, raised to _MIN_STEP: a state near
     zero under a fast field can give a guess below it, and only error
     control may judge a step too short.  So does a state or field that
-    overflows, whose first step error control then rejects."""
+    overflows, whose first step error control then rejects.  Returns the
+    step and the number of rhs calls made: 0 when the first guess is not
+    positive, else 1."""
     sc = [abs_tol + rel_tol * abs(y0[i]) for i in range(3)]
     d0 = _rms(y0, sc)
     d1 = _rms(f0, sc)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, max_step)
     if not h0 > 0.0:
-        return _MIN_STEP
+        return _MIN_STEP, 0
     y1 = tuple(y0[i] + h0 * f0[i] for i in range(3))
     f1 = rhs(t0 + h0, y1)
     d2 = _rms([f1[i] - f0[i] for i in range(3)], sc) / h0
@@ -303,7 +305,7 @@ def _initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, max_step):
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
     h = min(100.0 * h0, h1, max_step)
-    return h if h > _MIN_STEP else _MIN_STEP
+    return (h if h > _MIN_STEP else _MIN_STEP), 1
 
 
 def _refine(guard, t0, h, y0, q, ga, tb, yb, gb):
@@ -409,7 +411,7 @@ def integrate(
     e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
 
     f = tuple(float(v) for v in rhs(t, y))
-    h = _initial_step(rhs, t, y, f, rel, ab, max_step)
+    h, n_start = _initial_step(rhs, t, y, f, rel, ab, max_step)
 
     # each guard, its value at the last accepted step end, and its arming:
     # a guard arms above _ARM_TOL and disarms below -_ARM_TOL, so restarting
@@ -614,5 +616,5 @@ def integrate(
         termination=termination,
         n_steps=n_steps,
         n_rejected=n_rejected,
-        n_rhs=2 + 6 * (n_steps + n_rejected),
+        n_rhs=1 + n_start + 6 * (n_steps + n_rejected),
     )

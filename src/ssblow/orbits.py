@@ -82,11 +82,11 @@ __all__ = [
 
 
 class InconclusiveError(RuntimeError):
-    """An orbit terminated without any fate certificate."""
+    """A run ended without any fate certificate or classifiable outcome."""
 
 
 class BracketError(ValueError):
-    """A shooting bracket does not separate the two fates."""
+    """A shooting bracket does not separate the fates of the runs at its ends."""
 
 
 class FateKind:
@@ -307,17 +307,11 @@ def launch_from_P2(params: Params, delta: float | None = 1e-6) -> np.ndarray:
 
 def launch_from_P0(K: float, z0: float, params: Params) -> np.ndarray:
     """Start on the center-manifold family out of the origin, at the
-    family point (X, Y) of center_family_P0 with Z = z0."""
-    if not 0.0 < K < math.inf:
-        raise DomainError("K must be finite and positive")
+    family point (X, Y) of center_family_P0 with Z = z0: the orbit of the
+    tail profile f ~ K xi^{(sigma+2)/(2(m-1))}."""
     if not 0.0 < z0 <= 1e-5:
         raise DomainError("z0 must lie in (0, 1e-5]")
-    x0, y0 = center_family_P0(K, z0, params)
-    if x0 <= 0.0:
-        raise DomainError(
-            "non-physical start: K=%.17g gives X=%.17g <= 0 at z0=%.17g" % (K, x0, z0)
-        )
-    return np.array([x0, y0, z0])
+    return np.array([*center_family_P0(K, z0, params), z0])
 
 
 def launch_from_Q1_chart(delta: float, params: Params) -> np.ndarray:

@@ -37,6 +37,7 @@ from .params import (
 )
 from .field import center_family_P0, p2_unstable_eigenvector
 from .integrate import EventSpec, IntegrationControls, Trajectory, integrate
+from .orbits import BracketError, InconclusiveError
 
 _RHO_VANISH = 1e-4  # rho = g / hypot(g, xi g') at which a profile run ends as vanishing
 _SLOPE_TOL = 1e-2  # largest |g' - root| at the vanishing event that is an interface
@@ -47,8 +48,6 @@ __all__ = [
     "ProfileFrame",
     "InterfaceReport",
     "SsodeResult",
-    "InconclusiveProfile",
-    "ProfileBracketError",
     "reconstruct_profile",
     "ssode_residual",
     "interface_slopes",
@@ -85,14 +84,6 @@ class InterfaceReport:
     slope_plus: float | None
     discriminant: float
     matched_slope: float | None = None
-
-
-class InconclusiveProfile(RuntimeError):
-    """The profile integration ended without a classifiable outcome."""
-
-
-class ProfileBracketError(ValueError):
-    """The a-bracket does not separate the profile fates."""
 
 
 def _physical_rows(keep: np.ndarray, key: np.ndarray) -> np.ndarray:
@@ -215,14 +206,9 @@ def _asymptotic_start(origin, params, xi_start, a=None, K=None):
         x_s = p2[0] + z_s * e3[0] / e3[2]
         y_s = p2[1] + z_s * e3[1] / e3[2]
     elif origin == "p0":
-        if K is None or not 0.0 < K < math.inf:
+        if K is None:
             raise DomainError("origin p0 requires a finite K > 0")
-        # K is the coefficient of xi^{(sigma+2)/(2(m-1))}; the matching
-        # center-family parameter is sqrt(m) K^{m-1}.
-        k_fam = math.sqrt(m) * K ** (m - 1.0)
-        x_s, y_s = center_family_P0(k_fam, z_s, params)
-        if x_s <= 0.0:
-            raise DomainError("K too small: family leaves the physical region")
+        x_s, y_s = center_family_P0(K, z_s, params)
     else:
         raise DomainError("origin must be p1, p2 or p0")
     f0 = (alpha * xi_start**2 * x_s / m) ** (1.0 / (m - 1.0))
@@ -304,7 +290,7 @@ def integrate_ssode(
     that event, and the pressure-slope quadratic at xi0 tells an interface
     from a sign change: g' must lie within 1e-2 of one of its roots.  A run
     that ends any other way (step underflow, step or s budget) raises
-    InconclusiveProfile.
+    InconclusiveError.
 
     controls sets rel_tol and the step in s, capped at 0.05; the frame
     holds the step ends, and since dxi/ds <= 1 the step also bounds the
@@ -344,7 +330,7 @@ def integrate_ssode(
 
     hit = traj.event
     if hit is None:
-        raise InconclusiveProfile("profile integration failed: %s" % traj.termination)
+        raise InconclusiveError("profile integration failed: %s" % traj.termination)
     xi0 = g_slope = report = None
     if hit.id == "xi_cap":
         fate = "positive"
@@ -385,7 +371,7 @@ def find_good_profile_P1(
     # with tol at least the spacing at a_hi every midpoint lies strictly
     # between the ends, so the bisection ends
     if tol < math.ulp(a_hi):
-        raise ProfileBracketError(
+        raise BracketError(
             "tol %.3g is below the float spacing of a near %.17g" % (tol, a_hi)
         )
 
@@ -394,7 +380,7 @@ def find_good_profile_P1(
 
     r_lo, r_hi = run_at(a_lo), run_at(a_hi)
     if r_lo.fate == r_hi.fate:
-        raise ProfileBracketError(
+        raise BracketError(
             "same fate (%s) at both ends of the a-bracket (%g, %g)" % (r_lo.fate, a_lo, a_hi)
         )
     sign_change_low = r_lo.fate == "sign_change"

@@ -229,7 +229,9 @@ def test_criterion_10_tail_profiles_for_all_sigma():
         for sigma in (2.5, 3.0, 4.0, 6.0):
             pr = validate_params(1.5, sigma)
             found = None
-            for K in (3.0, 1.0, 0.3, 0.1, 0.05):  # descending: escapes resolve fast
+            # the tail coefficients of the family points sqrt(m) K^(m-1) =
+            # 3, 1, 0.3, 0.1 and 0.05; descending: escapes resolve fast
+            for K in (k * k / pr.m for k in (3.0, 1.0, 0.3, 0.1, 0.05)):
                 try:
                     _, fate = run_p0_orbit(K, 1e-5, pr, controls)
                 except Exception:

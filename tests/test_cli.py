@@ -31,7 +31,6 @@ from ssblow.orbits import (
     standard_fate_events,
 )
 from ssblow.params import DomainError, ParameterError, validate_params
-from ssblow.profiles import ProfileBracketError
 
 
 def run_cli(capsys, *argv):
@@ -132,6 +131,29 @@ def test_classify_p0(capsys):
     rep = json.loads(out)
     assert rep["results"]["fate"] == "enters_parabola"
     assert -0.05 < rep["results"]["lambda_hat"] < 0.0
+
+
+def test_classify_and_profile_p0_name_one_profile_by_default(capsys):
+    """classify --source p0 and profile --origin p0 read --K as the tail
+    coefficient, with the one default 0.05: at (1.5, 3) the default P0
+    orbit from z0 = 1e-5 enters the parabola at the interface that the
+    direct run from the same height, xi = (alpha^2 z0 / m)^(1/(sigma-2)),
+    finds."""
+    code, out, _ = run_cli(
+        capsys, "classify", "--m", "1.5", "--sigma", "3", "--source", "p0", "--format", "json"
+    )
+    assert code == 0
+    orbit = json.loads(out)
+    assert orbit["results"]["fate"] == "enters_parabola"
+    code, out, _ = run_cli(
+        capsys, "profile", "--m", "1.5", "--sigma", "3", "--origin", "p0",
+        "--xi-start", repr(10.0**2 * 1e-5 / 1.5), "--format", "json",  # alpha = 10, sigma - 2 = 1
+    )
+    assert code == 0
+    direct = json.loads(out)
+    assert orbit["config"]["K"] == direct["config"]["K"] == 0.05
+    assert direct["results"]["fate"] == "interface"
+    assert abs(orbit["results"]["xi0"] - direct["results"]["xi0"]) < 1e-7
 
 
 def test_classify_q1_chart_leg_keeps_its_own_controls(capsys):
@@ -349,7 +371,7 @@ def test_config_block_holds_only_the_values_used(tmp_path, capsys):
     value that the run would ignore is refused like the flag."""
     expected = {
         ("classify", "p2"): {"delta": 1e-6},
-        ("classify", "p0"): {"K": 0.1, "z0": 1e-5},
+        ("classify", "p0"): {"K": 0.05, "z0": 1e-5},
         ("classify", "q1"): {"delta": 1e-6, "z0": 1e-5},
     }
     for (cmd, source), used in expected.items():
@@ -386,8 +408,8 @@ def test_config_block_holds_only_the_values_used(tmp_path, capsys):
 @pytest.mark.parametrize(
     "error, flags, named",
     [
-        (DomainError, ["--origin", "p0", "--K", "1e-12"], "K too small"),
-        (ProfileBracketError, ["--origin", "p1", "--a-bracket", "1e-10", "2e-10"], "same fate"),
+        (DomainError, ["--origin", "p0", "--K", "1e-12"], "non-physical start"),
+        (BracketError, ["--origin", "p1", "--a-bracket", "1e-10", "2e-10"], "same fate"),
     ],
 )
 def test_profile_start_and_bracket_errors_exit_2(error, flags, named, capsys):
@@ -468,6 +490,44 @@ def test_verify_text_shows_plain_python_values(capsys):
     assert code == 0
     assert "'n_dot_e3': -0.25" in out
     assert "np." not in out
+
+
+@pytest.mark.parametrize(
+    "flags, config",
+    [
+        (["--all", "--barrier", "midplane"], None),
+        (["--all"], "barrier=midplane\n"),
+        (["--barrier", "midplane"], "all=yes\n"),
+    ],
+    ids=["flags", "barrier-in-file", "all-in-file"],
+)
+def test_verify_all_and_barrier_exclude_each_other(flags, config, tmp_path, capsys):
+    """--all checks every barrier, so together with --barrier, as a flag or
+    a config key, it is refused with exit 2."""
+    argv = ["verify", "--m", "1.5", "--sigma", "3", "--n", "100", *flags]
+    if config is not None:
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text(config)
+        argv += ["--config", str(cfg)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: --all and --barrier exclude each other\n"
+
+
+@pytest.mark.parametrize("value", ["ture", "", "2", "y", "enabled"])
+def test_config_refuses_a_malformed_boolean(value, tmp_path, capsys):
+    """A store_true key takes 1/0, true/false, yes/no or on/off, in any
+    case; anything else is exit 2, not a silent false."""
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text("all=%s\n" % value)
+    argv = ("verify", "--m", "1.5", "--sigma", "3", "--n", "100", "--config", str(cfg))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: config key 'all' must be one of")
+    for good in ("1", "0", "True", "false", "YES", "no", "on", "Off"):
+        cfg.write_text("all=%s\n" % good)
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0, good
 
 
 def test_verify_single_barrier_strict_margin(capsys):
@@ -989,9 +1049,8 @@ _PUBLIC_SURFACE = {
         "run_p0_orbit", "run_p2_orbit", "run_q1_orbit", "sigma_star", "standard_fate_events",
     ],
     "profiles": [
-        "InconclusiveProfile", "InterfaceReport", "ProfileBracketError", "ProfileFrame",
-        "SsodeResult", "find_good_profile_P1", "integrate_ssode", "interface_slopes",
-        "reconstruct_profile", "ssode_residual",
+        "InterfaceReport", "ProfileFrame", "SsodeResult", "find_good_profile_P1",
+        "integrate_ssode", "interface_slopes", "reconstruct_profile", "ssode_residual",
     ],
     "barriers": [
         "BarrierSpec", "ConfigurationError", "VerificationReport", "barrier_catalog",

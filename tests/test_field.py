@@ -210,17 +210,23 @@ def test_chart_round_trip(params15_3):
 
 
 def test_center_family_values(params15_3):
-    assert center_family_P0(0.1, 1e-4, params15_3)[0] == pytest.approx(5e-4, rel=1e-12)
-    assert center_family_P0(0.0, 1e-4, params15_3)[0] <= 0.0
-    # leading-order tangency X / sqrt(z) -> K as z -> 0
+    """At (1.5, 3), alpha = 10 and the tail coefficient K = 0.01 / 1.5 gives
+    sqrt(m) K^(m-1) = 0.1, so X = 0.1 sqrt(z) - 5 z."""
+    K = 0.01 / 1.5
+    assert center_family_P0(K, 1e-4, params15_3)[0] == pytest.approx(5e-4, rel=1e-12)
+    # leading-order tangency X / sqrt(z) -> sqrt(m) K^(m-1) as z -> 0
     errs = [
-        abs(center_family_P0(0.1, z, params15_3)[0] / np.sqrt(z) - 0.1)
+        abs(center_family_P0(K, z, params15_3)[0] / np.sqrt(z) - 0.1)
         for z in (1e-8, 1e-10, 1e-12)
     ]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-5
-    with pytest.raises(DomainError):
-        center_family_P0(-1.0, 1e-6, params15_3)
+    # K = 1e-4 / 1.5 gives X = 1e-4 - 5e-4 at z = 1e-4, outside {X > 0}
+    with pytest.raises(DomainError, match="non-physical start"):
+        center_family_P0(1e-4 / 1.5, 1e-4, params15_3)
+    for K in (0.0, -1.0):
+        with pytest.raises(DomainError, match="K must be finite and positive"):
+            center_family_P0(K, 1e-6, params15_3)
 
 
 @settings(max_examples=100)
@@ -231,9 +237,8 @@ def test_center_family_point_lies_on_the_tangent_plane(K, z):
     pr = validate_params(1.5, 3.0)
     x, y = center_family_P0(K, z, pr)
     assert beta_over_alpha(pr) * y == pytest.approx(x - z, rel=1e-14, abs=0.0)
-    if x > 0.0:
-        start = launch_from_P0(K, z, pr)
-        assert (start[0], start[1], start[2]) == (x, y, z)
+    start = launch_from_P0(K, z, pr)
+    assert (start[0], start[1], start[2]) == (x, y, z)
 
 
 @pytest.mark.parametrize(

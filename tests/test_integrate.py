@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import RK45, solve_ivp
 
 from ssblow.params import beta_over_alpha, validate_params
-from ssblow.field import make_rhs, p2_coordinates
+from ssblow.field import make_chart_rhs, make_rhs, p2_coordinates
 import ssblow.integrate as integrate_module
 from ssblow.integrate import (
     _PD,
@@ -234,6 +234,22 @@ def test_counters_repeat_and_count_every_rhs_call():
     n_steps, n_rejected, n_rhs, n_calls = runs[0]
     assert n_rejected > 0
     assert n_rhs == n_calls == 6 * (n_steps + n_rejected) + 2
+
+
+def test_n_rhs_counts_the_calls_of_a_start_whose_field_overflows(params15_3):
+    """From (1e-6, 1e-6, 1e300) in the chart the field's scaled norm
+    overflows, so the starting-step estimate makes no second rhs call; the
+    run's one rejected attempt brings the calls to 7, and n_rhs says 7."""
+    chart = make_chart_rhs(params15_3)
+    calls = [0]
+
+    def rhs(t, y):
+        calls[0] += 1
+        return chart(t, y)
+
+    traj = integrate(rhs, (1e-6, 1e-6, 1e300), controls=IntegrationControls(max_time=1.0))
+    assert traj.n_rhs == calls[0] == 7
+    assert traj.n_rhs == 6 * (traj.n_steps + traj.n_rejected) + 1
 
 
 def test_tolerance_halving_moves_endpoint_less_than_10x_tol(params15_3):

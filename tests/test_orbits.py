@@ -19,6 +19,7 @@ from ssblow.params import (
     validate_params,
 )
 from ssblow.field import (
+    center_family_P0,
     make_rhs,
     p2_unstable_eigenvalue,
     p2_unstable_eigenvector,
@@ -764,13 +765,19 @@ def test_q1_orbit_refuses_a_z0_that_is_not_finite_and_nonnegative(z0, params15_3
 
 
 def test_launch_from_p0_examples(params15_3):
-    start = launch_from_P0(0.1, 1e-6, params15_3)
+    """K = k^2 / m is the tail coefficient of the family point k = sqrt(m) K^(m-1)
+    at m = 1.5: k = 0.1 here, and 0.001 below the physicality threshold."""
+    start = launch_from_P0(0.01 / 1.5, 1e-6, params15_3)
     assert start == pytest.approx([9.5e-5, 4.7e-4, 1e-6], rel=1e-10)
     # z0 -> 0 collapses onto the origin
-    tiny = launch_from_P0(0.1, 1e-12, params15_3)
+    tiny = launch_from_P0(0.01 / 1.5, 1e-12, params15_3)
     assert np.linalg.norm(tiny) < 1e-5
-    with pytest.raises(DomainError):
-        launch_from_P0(0.001, 1e-6, params15_3)  # below the physicality threshold
+    with pytest.raises(DomainError, match="non-physical start") as refused:
+        launch_from_P0(1e-6 / 1.5, 1e-6, params15_3)
+    # the refusal is center_family_P0's own
+    with pytest.raises(DomainError) as family:
+        center_family_P0(1e-6 / 1.5, 1e-6, params15_3)
+    assert str(refused.value) == str(family.value)
     with pytest.raises(DomainError):
         launch_from_P0(0.1, 1e-4, params15_3)  # z0 too large
     with pytest.raises(DomainError):
@@ -942,8 +949,9 @@ def test_p0_launch_is_not_certified_at_eta_0(params15_3):
     """Next to the P0 end of the parabola the normal rates vanish with
     lambda, and so does the tube: a P0 launch within 1e-4 of the parabola
     is far outside it and fires nothing in its first 100 units of eta, and
-    the K = 0.3 orbit is certified only at the end of its approach."""
-    start = launch_from_P0(0.01, 1e-7, params15_3)
+    the K = 0.06 orbit (family point 0.3) is certified only at the end of
+    its approach."""
+    start = launch_from_P0(1e-4 / 1.5, 1e-7, params15_3)
     assert _parabola_distance(start, params15_3) < 1e-4
     assert standard_fate_events(params15_3)[0].guard(start) > 1.0
     traj = integrate(
@@ -951,13 +959,13 @@ def test_p0_launch_is_not_certified_at_eta_0(params15_3):
         IntegrationControls(max_time=100.0),
     )
     assert traj.event is None and traj.termination == "max_time"
-    traj, fate = run_p0_orbit(0.3, 1e-5, params15_3)
+    traj, fate = run_p0_orbit(0.09 / 1.5, 1e-5, params15_3)
     assert fate.diagnostics["events"] == [("tube", traj.event.eta)]
     assert traj.event.eta > 1000.0
     # launches so near P0 that lambda is 1e-30 or underflows the tube's
     # arithmetic are classified without an arithmetic error
     for z0 in (1e-30, 1e-300):
-        _, fate = run_p0_orbit(1.0, z0, params15_3, IntegrationControls(max_time=10.0))
+        _, fate = run_p0_orbit(1.0 / 1.5, z0, params15_3, IntegrationControls(max_time=10.0))
         assert fate.kind == FateKind.INCONCLUSIVE
 
 

@@ -14,11 +14,9 @@ from ssblow.params import (
     validate_params,
 )
 from ssblow.integrate import IntegrationControls, Trajectory, integrate
-from ssblow.orbits import run_p2_orbit
+from ssblow.orbits import BracketError, FateKind, InconclusiveError, run_p0_orbit, run_p2_orbit
 import ssblow.profiles
 from ssblow.profiles import (
-    InconclusiveProfile,
-    ProfileBracketError,
     SsodeResult,
     find_good_profile_P1,
     integrate_ssode,
@@ -247,7 +245,7 @@ def test_ssode_p2_interface_matches_phase_space(m):
 @pytest.mark.parametrize("origin", ["p2", "p0", "p1"])
 def test_ssode_outcome_is_a_fate_or_a_surfaced_failure(origin, m, sigma, a, K):
     """Over the (m, sigma) box each origin ends in a fate, a DomainError or
-    InconclusiveProfile, and never in another exception; an interface lies
+    InconclusiveError, and never in another exception; an interface lies
     within xi_max with its slope at a root of the quadratic.  K stays at or
     above the CLI default 0.05: near the origin the p0 start is stiff, with
     a step count growing like 1/(K^(m-1) xi_start), and far smaller K takes
@@ -255,7 +253,7 @@ def test_ssode_outcome_is_a_fate_or_a_surfaced_failure(origin, m, sigma, a, K):
     pr = validate_params(m, sigma)
     try:
         res = integrate_ssode(origin, pr, a=a, K=K)
-    except (DomainError, InconclusiveProfile):
+    except (DomainError, InconclusiveError):
         return
     assert res.fate in ("interface", "sign_change", "positive")
     assert (res.xi0 is None) == (res.fate == "positive")
@@ -308,7 +306,7 @@ def test_find_good_profile_P1_midpoint_matches_an_end(params15_3):
 
 
 def test_find_good_profile_P1_same_fate_error(params15_3):
-    with pytest.raises(ProfileBracketError):
+    with pytest.raises(BracketError):
         find_good_profile_P1(params15_3, (1e-14, 1e-13), tol=1e-15)
 
 
@@ -326,7 +324,7 @@ def test_find_good_profile_P1_refuses_a_tol_below_the_float_spacing_of_a(monkeyp
         return SsodeResult(frame=None, fate=fate, xi0=None, g_slope=None, report=None, record={})
 
     monkeypatch.setattr(ssblow.profiles, "integrate_ssode", step_at_5e_11)
-    with pytest.raises(ProfileBracketError, match="float spacing"):
+    with pytest.raises(BracketError, match="float spacing"):
         find_good_profile_P1(params15_3, (1e-13, 1e-10), tol=1e-40)
     assert calls == []
     a_star, _ = find_good_profile_P1(params15_3, (1e-13, 1e-10), tol=math.ulp(1e-10))
@@ -406,3 +404,32 @@ def test_ssode_result_carries_its_run_counters(monkeypatch):
     (traj,) = runs
     assert res.record == traj.record
     assert res.record["termination"] == "event" and res.record["final_eta"] == traj.eta[-1]
+
+
+@pytest.mark.parametrize(
+    "m, sigma, K, z0",
+    [(1.5, 3.0, 0.05, 1e-5), (1.5, 3.0, 0.3, 1e-5), (1.3, 3.2, 0.1, 1e-6)],
+)
+def test_p0_orbit_and_direct_p0_run_share_one_K(m, sigma, K, z0):
+    """K is the tail coefficient for both engines: the P0 orbit launched at
+    height z0 and the direct run started at the matching
+    xi = (alpha^2 z0 / m)^(1/(sigma-2)) carry one profile, and their
+    interfaces agree to 1e-7 (measured: 3e-9 to 1.3e-8)."""
+    pr = validate_params(m, sigma)
+    alpha = derive_exponents(pr).alpha
+    _, fate = run_p0_orbit(K, z0, pr)
+    res = integrate_ssode("p0", pr, K=K, xi_start=(alpha**2 * z0 / m) ** (1.0 / (sigma - 2.0)))
+    assert fate.kind == FateKind.ENTERS_PARABOLA and res.fate == "interface"
+    assert abs(interface_xi_of_lambda(fate.lambda_hat, pr) - res.xi0) < 1e-7
+
+
+def test_p0_tail_with_K_0_05_at_sigma_6_has_no_interface():
+    """At (1.5, 6) the tail profile with K = 0.05 changes sign: its P0 orbit
+    escapes to Q3, and the direct run from the same height ends in a sign
+    change."""
+    pr = validate_params(1.5, 6.0)
+    alpha = derive_exponents(pr).alpha
+    _, fate = run_p0_orbit(0.05, 1e-5, pr)
+    res = integrate_ssode("p0", pr, K=0.05, xi_start=(alpha**2 * 1e-5 / 1.5) ** 0.25)
+    assert fate.kind == FateKind.ENTERS_Q3
+    assert res.fate == "sign_change"
