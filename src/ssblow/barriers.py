@@ -2,10 +2,11 @@
 
 Each barrier is a surface (plane, parabolic cylinder, nullcline surface, or
 a chart-plane boundary) together with the closed-form sign of the scalar
-product between the surface normal and the vector field, restricted to a
-stated validity region.  The proofs of the orbit-confinement results are
-pointwise sign computations on these surfaces; this module re-evaluates
-those signs on seeded quasi-random samples and reports violations.
+product between the surface normal and the vector field, claimed over a
+stated region of that surface.  The proofs of the orbit-confinement results
+are pointwise sign computations on these surfaces; this module re-evaluates
+those signs on seeded quasi-random samples of each region and reports
+violations.
 
 Some barriers only participate in the small-sigma confinement argument
 under explicit hypothesis inequalities (for example X(P2) < X*); those
@@ -15,7 +16,8 @@ reported as inapplicable rather than silently passed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -43,15 +45,16 @@ __all__ = [
 
 
 class ConfigurationError(ValueError):
-    """A barrier's validity region produced no admissible samples."""
+    """A verification request the catalog cannot serve: an unknown barrier
+    id, fewer than 100 samples, or an unknown expected sign."""
 
 
 @dataclass
 class BarrierSpec:
     """One verifiable sign claim on one surface.
 
-    sample(u) maps quasi-random points u in [0,1)^2 onto the surface;
-    validity(pts) masks the admissible ones; sign_expr(pts) is the exact
+    sample(u) maps quasi-random points u in [0,1)^2 onto exactly the region
+    of the surface where the claim is made; sign_expr(pts) is the exact
     closed-form flow sign (positive multiples of the normal-field scalar
     product); expected is one of negative / positive / nonpositive /
     nonnegative.  gate() returns (applicable, checked-inequality dict).
@@ -63,18 +66,15 @@ class BarrierSpec:
     surface: Callable[[np.ndarray], np.ndarray]
     sign_expr: Callable[[np.ndarray], np.ndarray]
     sample: Callable[[np.ndarray], np.ndarray]
-    validity: Callable[[np.ndarray], np.ndarray]
     gate: Callable[[], tuple[bool, dict]] = lambda: (True, {})
 
 
 @dataclass
 class VerificationReport:
-    barrier_id: str
     expected: str
     applicable: bool
     gate_info: dict
     samples_tested: int
-    violations: list = dc_field(default_factory=list)
     n_violations: int = 0
     worst_margin: float | None = None
 
@@ -129,7 +129,7 @@ def plane3_constants(params: Params) -> dict:
 
 def plane3_gate(params: Params) -> dict:
     """Large-sigma hypotheses: P2's exit vector points above the plane and
-    the validity slab X in (X*, X(P2)) is nonempty."""
+    the slab X in (X*, X(P2)) of its region is nonempty."""
     cst = plane3_constants(params)
     x_p2 = float(p2_coordinates(params)[0])
     e3 = p2_unstable_eigenvector(params)
@@ -157,7 +157,7 @@ def barrier_catalog(params: Params) -> list[BarrierSpec]:
 
     The plane a X + Z = c4 confining the orbits out of the origin takes
     c4 = a X(P2) / 5: any positive level works at leading order, and this
-    one keeps its validity slab well inside the origin's neighborhood.
+    one keeps its region well inside the origin's neighborhood.
     """
     m, sigma = params.m, params.sigma
     exp = derive_exponents(params)
@@ -193,7 +193,6 @@ def barrier_catalog(params: Params) -> list[BarrierSpec]:
             surface=lambda p: p[:, 1] + boa / 2.0,
             sign_expr=lambda p: z_max + p[:, 0] * (1.0 + boa / 2.0) - p[:, 2],
             sample=mid_sample,
-            validity=lambda p: (p[:, 0] >= 0.0) & (p[:, 2] >= 0.0) & (p[:, 2] <= z_max),
         )
     )
 
@@ -215,7 +214,6 @@ def barrier_catalog(params: Params) -> list[BarrierSpec]:
             surface=lambda p: -p[:, 1] ** 2 - boa * p[:, 1] - p[:, 2],
             sign_expr=lambda p: p[:, 0] * h_of_y(p[:, 1]),
             sample=cyl_sample,
-            validity=lambda p: (p[:, 0] >= 0.0) & (p[:, 1] >= -boa / 2.0) & (p[:, 1] <= 0.0),
         )
     )
 
@@ -233,14 +231,20 @@ def barrier_catalog(params: Params) -> list[BarrierSpec]:
             surface=lambda p: p[:, 0] - p[:, 2],
             sign_expr=lambda p: p[:, 0] * ((m - 1.0) * p[:, 1] - sigma * p[:, 0]),
             sample=diag_sample,
-            validity=lambda p: (p[:, 0] > 0.0) & (p[:, 1] < 0.0),
         )
     )
 
     # --- Y'=0 nullcline surface bounding the trapping region in {Y < 0}.
+    # Its Z >= 0 exactly where X (1 - Y) >= Y (Y + beta/alpha), so Y stops
+    # at the lower root of Y (Y + beta/alpha) = x_hi (1 - Y), and X starts
+    # at Y (Y + beta/alpha) / (1 - Y).
+    b = boa + x_hi
+    y_lo = max(-2.0 * boa, -0.5 * (b + math.sqrt(b * b + 4.0 * x_hi)))
+
     def tsurf_sample(u):
-        x = 1e-12 + u[:, 0] * x_hi
-        y = -2.0 * boa * u[:, 1] - 1e-12
+        y = y_lo + u[:, 1] * (-1e-12 - y_lo)
+        x_lo = np.maximum(1e-12, y * (y + boa) / (1.0 - y))
+        x = x_lo + u[:, 0] * (x_hi - x_lo)
         z = -y * y - boa * y + x - x * y
         return np.column_stack([x, y, z])
 
@@ -257,7 +261,6 @@ def barrier_catalog(params: Params) -> list[BarrierSpec]:
                 - (sigma - 2.0) * p[:, 2]
             ),
             sample=tsurf_sample,
-            validity=lambda p: (p[:, 0] > 0.0) & (p[:, 1] < 0.0) & (p[:, 2] >= 0.0),
         )
     )
 
@@ -275,7 +278,6 @@ def barrier_catalog(params: Params) -> list[BarrierSpec]:
             surface=lambda p: p[:, 0] - xp2,
             sign_expr=lambda p: xp2 * ((m - 1.0) * p[:, 1] - 2.0 * xp2),
             sample=wallx_sample,
-            validity=lambda p: (p[:, 1] >= 0.0) & (p[:, 1] <= yp2) & (p[:, 2] >= 0.0),
         )
     )
 
@@ -292,7 +294,6 @@ def barrier_catalog(params: Params) -> list[BarrierSpec]:
             surface=lambda p: p[:, 1] - yp2,
             sign_expr=lambda p: -yp2 * yp2 - boa * yp2 + p[:, 0] * (1.0 - yp2) - p[:, 2],
             sample=wally_sample,
-            validity=lambda p: (p[:, 0] >= 0.0) & (p[:, 0] < xp2) & (p[:, 2] >= 0.0),
         )
     )
 
@@ -328,10 +329,6 @@ def barrier_catalog(params: Params) -> list[BarrierSpec]:
             surface=lambda p: c1 * p[:, 1] + p[:, 2] - d1,
             sign_expr=plane1_sign,
             sample=plane1_sample,
-            validity=lambda p: (p[:, 0] > 0.0)
-            & (p[:, 0] < x_star)
-            & (p[:, 1] > y_star)
-            & (p[:, 1] <= 0.5),
             gate=plane1_gate,
         )
     )
@@ -361,9 +358,6 @@ def barrier_catalog(params: Params) -> list[BarrierSpec]:
             * p[:, 0]
             * (-sigma * p[:, 0] + (m - 1.0) * p[:, 1] + sigma - 2.0),
             sample=plane2_sample,
-            validity=lambda p: (p[:, 0] > 0.0)
-            & (p[:, 0] < x_star)
-            & (p[:, 1] <= e2 * p[:, 0] - f2),
             gate=plane2_gate,
         )
     )
@@ -389,10 +383,6 @@ def barrier_catalog(params: Params) -> list[BarrierSpec]:
             sign_expr=lambda p: B3 * (yp2 - p[:, 1]) * p[:, 1]
             + A3 * sigma * (xp2 - p[:, 0]) * (p[:, 0] - x_star3),
             sample=plane3_sample,
-            validity=lambda p: (p[:, 0] > x_star3)
-            & (p[:, 0] < xp2)
-            & (p[:, 1] > 0.0)
-            & (p[:, 1] < yp2),
             gate=plane3_gate_fn,
         )
     )
@@ -417,10 +407,6 @@ def barrier_catalog(params: Params) -> list[BarrierSpec]:
                 + k_ykz * (sigma - 2.0) * p[:, 0] * p[:, 2]
             ),
             sample=ykz_sample,
-            validity=lambda p: (p[:, 0] > 0.0)
-            & (p[:, 0] < xp2)
-            & (p[:, 1] > 0.0)
-            & (p[:, 1] <= 1.0),
         )
     )
 
@@ -447,7 +433,6 @@ def barrier_catalog(params: Params) -> list[BarrierSpec]:
             surface=lambda p: a4 * p[:, 0] + p[:, 2] - c4,
             sign_expr=plane4_sign,
             sample=plane4_sample,
-            validity=lambda p: (p[:, 0] > 0.0) & (p[:, 0] < x0_cap) & (p[:, 1] == 0.0),
         )
     )
 
@@ -474,7 +459,6 @@ def barrier_catalog(params: Params) -> list[BarrierSpec]:
                 - p[:, 2]
             ),
             sample=upper_plane_sample,
-            validity=lambda p: (p[:, 0] >= 0.0) & (p[:, 2] >= 0.0),
         )
     )
 
@@ -497,7 +481,6 @@ def barrier_catalog(params: Params) -> list[BarrierSpec]:
             sign_expr=lambda p: p[:, 0]
             * (alpha * (m + 1.0) - 1.0 - (1.0 + beta * (m + 1.0)) * p[:, 0] / (alpha * (m + 1.0))),
             sample=chart_line_sample,
-            validity=lambda p: (p[:, 0] > 0.0) & (p[:, 0] < wp2),
         )
     )
 
@@ -516,7 +499,6 @@ def barrier_catalog(params: Params) -> list[BarrierSpec]:
             * (2.0 - (m - 1.0) * p[:, 1])
             * (1.0 - boa * p[:, 1]),
             sample=chart_curve_sample,
-            validity=lambda p: (p[:, 0] > 0.0) & (p[:, 1] > 0.0) & (p[:, 1] < yp2_chart),
         )
     )
 
@@ -526,7 +508,8 @@ def barrier_catalog(params: Params) -> list[BarrierSpec]:
 def verify_barrier(
     spec: BarrierSpec, params: Params, n_samples: int = 10_000, seed: int = 42
 ) -> VerificationReport:
-    """Sample the barrier surface and check the sign claim pointwise.
+    """Sample the barrier's region at n_samples R2 points and check the
+    sign claim pointwise.
 
     Boundary-equality roundoff is excluded through a 1e-12 margin band.
     An inapplicable barrier (failed gate) reports zero samples and no
@@ -537,7 +520,6 @@ def verify_barrier(
     applicable, gate_info = spec.gate()
     applicable = bool(applicable)
     report = VerificationReport(
-        barrier_id=spec.id,
         expected=spec.expected,
         applicable=applicable,
         gate_info=gate_info,
@@ -546,23 +528,7 @@ def verify_barrier(
     if not applicable:
         return report
 
-    collected = []
-    total = 0
-    seed_k = seed
-    for _ in range(20):
-        u = _r2_points(n_samples, seed_k)
-        pts = spec.sample(u)
-        pts = pts[spec.validity(pts)]
-        if len(pts):
-            collected.append(pts)
-            total += len(pts)
-        if total >= n_samples:
-            break
-        seed_k += 1
-    if total == 0:
-        raise ConfigurationError("validity region of %r rejected every sample" % spec.id)
-    pts = np.vstack(collected)[:n_samples]
-
+    pts = spec.sample(_r2_points(n_samples, seed))
     values = np.asarray(spec.sign_expr(pts), dtype=float)
     band = 1e-12
     if spec.expected in ("negative", "nonpositive"):
@@ -574,10 +540,8 @@ def verify_barrier(
     else:
         raise ConfigurationError("unknown expected sign %r" % spec.expected)
 
-    idx = np.flatnonzero(bad)
     report.samples_tested = len(pts)
-    report.n_violations = int(len(idx))
-    report.violations = [(pts[i].copy(), float(values[i])) for i in idx[:10]]
+    report.n_violations = int(np.count_nonzero(bad))
     report.worst_margin = worst
     return report
 

@@ -127,7 +127,6 @@ class CriticalPoint:
     location: np.ndarray
     coords: str
     eigen: EigenData | None
-    notes: str = ""
 
 
 def p2_unstable_eigenvalue(params: Params) -> float:
@@ -153,19 +152,6 @@ def p2_unstable_eigenvector(params: Params) -> np.ndarray:
         ]
     )
     return v / np.linalg.norm(v)
-
-
-def _p0_lambda_notes(lam: float, params: Params) -> str:
-    boa = beta_over_alpha(params)
-    if lam == 0.0:
-        return "origin endpoint; 1D stable + 2D center; launch point for tail profiles"
-    if abs(lam + boa / 2.0) <= 1e-14:
-        return "parabola vertex; 2D center + 1D stable; interface at xi_max"
-    if lam > -boa / 2.0:
-        return "upper parabola half; 2D stable + 1D center (on the parabola)"
-    if lam == -boa:
-        return "endpoint P1; orbits entering it stay in {Z = 0}, no profiles"
-    return "lower parabola half; 1D stable + 1D unstable (in {X=0}) + 1D center"
 
 
 def classify_critical_points(
@@ -194,7 +180,6 @@ def classify_critical_points(
                 location=loc,
                 coords="phase",
                 eigen=eigen_data(jacobian(loc, params)),
-                notes=_p0_lambda_notes(float(lam), params),
             )
         )
     p2 = p2_coordinates(params)
@@ -205,7 +190,6 @@ def classify_critical_points(
             location=p2,
             coords="phase",
             eigen=eigen_data(jacobian(p2, params)),
-            notes="2D stable (in {Z=0}) + 1D unstable; unique orbit out into {Z>0}",
         )
     )
     out.append(
@@ -215,22 +199,19 @@ def classify_critical_points(
             location=np.zeros(3),
             coords="chart",
             eigen=eigen_data(infinity_chart_jacobian(np.zeros(3), params)),
-            notes="unstable node at X-infinity; profiles with f(0) > 0",
         )
     )
+    # Q2 and Q3 are the sign-change nodes (Q3 the stable one), Q4 is inert
+    # (no profile orbit), and Q5 carries f ~ K xi^{1/m} at the origin
+    hyp = math.hypot(1.0, m)
     sphere = {
-        "Q2": (np.array([0.0, 1.0, 0.0, 0.0]), "unstable node; positive sign change"),
-        "Q3": (np.array([0.0, -1.0, 0.0, 0.0]), "stable node; negative sign change, no interface"),
-        "Q4": (np.array([0.0, 0.0, 1.0, 0.0]), "non-hyperbolic; inert (no profile orbits)"),
-        "Q5": (
-            np.array([m / math.hypot(1.0, m), 1.0 / math.hypot(1.0, m), 0.0, 0.0]),
-            "hyperbolic, 2D unstable + 1D stable; f ~ K xi^{1/m} at 0",
-        ),
+        "Q2": np.array([0.0, 1.0, 0.0, 0.0]),
+        "Q3": np.array([0.0, -1.0, 0.0, 0.0]),
+        "Q4": np.array([0.0, 0.0, 1.0, 0.0]),
+        "Q5": np.array([m / hyp, 1.0 / hyp, 0.0, 0.0]),
     }
-    for name, (loc, notes) in sphere.items():
-        out.append(
-            CriticalPoint(name=name, lam=None, location=loc, coords="sphere", eigen=None, notes=notes)
-        )
+    for name, loc in sphere.items():
+        out.append(CriticalPoint(name=name, lam=None, location=loc, coords="sphere", eigen=None))
     return out
 
 

@@ -523,7 +523,7 @@ def classify_fate(traj: Trajectory, params: Params) -> OrbitFate:
     if hit is None:
         reason = "run ended by %s before any fate event" % traj.termination
     elif hit.id == "parabola_entry":
-        value, cert, lam_hat, gap = _entry_certificate(params)(*pt)
+        value, cert, lam_hat, gap = _entry_certificate(params)(*pt.tolist())
         # the event is located to 1e-12 in eta, where the tube value falls at
         # the approach rate (below 1); the Z bracket's sets only its width
         if cert is None or (cert == "tube" and value > 1e-9):
@@ -553,7 +553,15 @@ def _run(params: Params, start, controls) -> tuple[Trajectory, OrbitFate]:
     """One phase-space run from start under the standard fate events, and
     its fate.  integrate, make_rhs and classify_fate are looked up as
     module globals at each call, so a tracer that rebinds them sees every
-    run."""
+    run.
+
+    The sample step is scaled by min(1, 2 (m - 1), 2 (sigma - 2)): f =
+    (alpha xi^2 X / m)^(1/(m-1)) and xi = (alpha^2 Z / m)^(1/(sigma-2))
+    amplify a relative move in X or Z by 1/(m-1) and 1/(sigma-2), so no
+    profile-space move is larger than at (m, sigma) = (1.5, 3)."""
+    controls = controls or IntegrationControls()
+    scale = min(1.0, 2.0 * (params.m - 1.0), 2.0 * (params.sigma - 2.0))
+    controls = replace(controls, sample_step=scale * controls.sample_step)
     traj = integrate(make_rhs(params), start, standard_fate_events(params), controls)
     return traj, classify_fate(traj, params)
 

@@ -100,19 +100,19 @@ def _physical_rows(keep: np.ndarray, key: np.ndarray) -> np.ndarray:
 def reconstruct_profile(traj: Trajectory, params: Params) -> ProfileFrame:
     """Invert the phase-space change of variables along a trajectory.
 
-    Samples with X <= 0 or Z <= 0 are dropped (counted in n_dropped), as are
-    repeated Z values, so xi comes out strictly increasing.
+    Samples with X <= 0 or Z <= 0, or where f underflows to 0 (at small
+    m - 1), are dropped (counted in n_dropped), as are repeated Z values, so
+    xi comes out strictly increasing and f positive.
     """
     m = params.m
     exp = derive_exponents(params)
     pts = traj.points
-    rows = _physical_rows((pts[:, 0] > 0.0) & (pts[:, 2] > 0.0), pts[:, 2])
-    x, y, z = pts[rows, 0], pts[rows, 1], pts[rows, 2]
-    n_dropped = len(pts) - len(rows)
-    xi = (exp.alpha**2 * z / m) ** (1.0 / (params.sigma - 2.0))
-    f = (exp.alpha * xi**2 * x / m) ** (1.0 / (m - 1.0))
-    df = exp.alpha * xi * f ** (2.0 - m) * y / m
-    return ProfileFrame(xi=xi, f=f, df=df, n_dropped=n_dropped)
+    xi = (exp.alpha**2 * np.maximum(pts[:, 2], 0.0) / m) ** (1.0 / (params.sigma - 2.0))
+    f = (exp.alpha * xi**2 * np.maximum(pts[:, 0], 0.0) / m) ** (1.0 / (m - 1.0))
+    rows = _physical_rows(f > 0.0, pts[:, 2])
+    xi, f = xi[rows], f[rows]
+    df = exp.alpha * xi * f ** (2.0 - m) * pts[rows, 1] / m
+    return ProfileFrame(xi=xi, f=f, df=df, n_dropped=len(pts) - len(rows))
 
 
 def ssode_residual(frame: ProfileFrame, params: Params) -> float:
@@ -179,14 +179,17 @@ class SsodeResult:
 
 
 def _asymptotic_start(origin, params, xi_start, a=None, K=None):
-    """First-order asymptotic data (f, f') at xi_start for each origin.
+    """First-order asymptotic data (g, w = g') at xi_start for each origin,
+    in the pressure g = m f^{m-1}/(m-1).
 
     The leading terms alone select the wrong nearby solution: the slow
     stable mode they leave behind decays like a small power of xi and
     visibly shifts the vanishing point.  For "p2" the next order comes from
     the unstable eigendirection at P2, for "p0" from the center-manifold
     family at the origin, for "p1" from the exact local integral-curve
-    shape f = (a^{m-1} + alpha(m-1) xi^2 / 2m)^{1/(m-1)}.
+    shape f = (a^{m-1} + alpha(m-1) xi^2 / 2m)^{1/(m-1)}.  In the phase
+    variables g = alpha xi^2 X / (m-1) and w = alpha xi Y, so the start
+    never forms f, which underflows to 0 at small m - 1.
     """
     m = params.m
     exp = derive_exponents(params)
@@ -194,11 +197,7 @@ def _asymptotic_start(origin, params, xi_start, a=None, K=None):
     if origin == "p1":
         if a is None or not 0.0 < a < math.inf:
             raise DomainError("origin p1 requires a finite a > 0")
-        f0 = (a ** (m - 1.0) + alpha * (m - 1.0) * xi_start**2 / (2.0 * m)) ** (
-            1.0 / (m - 1.0)
-        )
-        v0 = f0 ** (2.0 - m) * alpha * xi_start / m
-        return f0, v0
+        return m * a ** (m - 1.0) / (m - 1.0) + 0.5 * alpha * xi_start**2, alpha * xi_start
     z_s = m / alpha**2 * xi_start ** (params.sigma - 2.0)
     if origin == "p2":
         e3 = p2_unstable_eigenvector(params)
@@ -211,9 +210,7 @@ def _asymptotic_start(origin, params, xi_start, a=None, K=None):
         x_s, y_s = center_family_P0(K, z_s, params)
     else:
         raise DomainError("origin must be p1, p2 or p0")
-    f0 = (alpha * xi_start**2 * x_s / m) ** (1.0 / (m - 1.0))
-    v0 = alpha * xi_start * f0 ** (2.0 - m) * y_s / m
-    return f0, v0
+    return alpha * xi_start**2 * x_s / (m - 1.0), alpha * xi_start * y_s
 
 
 def _pressure_rhs(params: Params):
@@ -307,9 +304,7 @@ def integrate_ssode(
     if xi_cap <= xi_start:
         raise DomainError("xi_start must lie below xi_cap = %.6g" % xi_cap)
 
-    f0, v0 = _asymptotic_start(origin, params, xi_start, a=a, K=K)
-    g0 = m / (m - 1.0) * f0 ** (m - 1.0)
-    w0 = m * f0 ** (m - 2.0) * v0
+    g0, w0 = _asymptotic_start(origin, params, xi_start, a=a, K=K)
 
     # The asymptotic origins start with g many orders below any sensible
     # phase-space abs_tol; error control must resolve g relative to itself
@@ -339,11 +334,15 @@ def integrate_ssode(
         xi0 = xi_h + g_h / abs(g_slope)
         fate, report = _classify_vanishing(xi0, g_slope, params)
 
+    # rows where g <= 0, or where f underflows to 0 at small m - 1, are
+    # dropped, so the frame's f is positive
     pts = traj.points
-    rows = _physical_rows(pts[:, 1] > 0.0, pts[:, 0])
-    xi, g, w = pts[rows, 0], pts[rows, 1], pts[rows, 2]
-    f = ((m - 1.0) * g / m) ** (1.0 / (m - 1.0))
-    frame = ProfileFrame(xi=xi, f=f, df=w * f ** (2.0 - m) / m)
+    f = ((m - 1.0) * np.maximum(pts[:, 1], 0.0) / m) ** (1.0 / (m - 1.0))
+    rows = _physical_rows(f > 0.0, pts[:, 0])
+    f = f[rows]
+    frame = ProfileFrame(
+        xi=pts[rows, 0], f=f, df=pts[rows, 2] * f ** (2.0 - m) / m, n_dropped=len(pts) - len(rows)
+    )
     return SsodeResult(
         frame=frame, fate=fate, xi0=xi0, g_slope=g_slope, report=report, record=traj.record
     )

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ssblow.params import beta_over_alpha, derive_exponents, validate_params
-from ssblow.field import make_chart_rhs, make_rhs
+from ssblow.params import beta_over_alpha, derive_exponents, p2_coordinates, validate_params
+from ssblow.field import make_chart_rhs, make_rhs, p2_chart_coordinates
 from ssblow.integrate import EventSpec, IntegrationControls, integrate
 from ssblow.orbits import launch_from_P2
 from ssblow.barriers import (
@@ -81,7 +81,7 @@ def _surface_normal_dot_field(spec, pts, params):
         ("box_wall_y", 3.0),
         ("cap_plane_yz", 3.0),
         ("cap_plane_xz", 3.0),
-        ("p2_floor_plane", 10.0),  # validity slab X* < X < X(P2) empty at small sigma
+        ("p2_floor_plane", 10.0),  # its slab X* < X < X(P2) is empty at small sigma
         ("ykz_cap", 3.0),
         ("upper_plane_y", 3.0),
         ("chart_line", 3.0),
@@ -98,7 +98,6 @@ def test_sign_expression_matches_scalar_product(bid, sigma):
     spec = {b.id: b for b in barrier_catalog(params15_3)}[bid]
     u = qmc.Sobol(d=2, scramble=True, seed=1).random_base2(6)
     pts = spec.sample(u)
-    pts = pts[spec.validity(pts)]
     assert len(pts) > 10
     assert np.max(np.abs(np.asarray(spec.surface(pts)))) < 1e-10
     lhs = np.asarray(spec.sign_expr(pts), dtype=float)
@@ -116,7 +115,6 @@ def test_origin_cap_plane_sign_matches_center_chart_product(params15_3):
     from scipy.stats import qmc
 
     pts = spec.sample(qmc.Sobol(d=2, scramble=True, seed=2).random_base2(6))
-    pts = pts[spec.validity(pts)]
     a4 = 3.0 / ((m - 1.0) * alpha)
     x, t, z = pts[:, 0], pts[:, 1], pts[:, 2]
     xdot = x * (x + (m - 1.0) * alpha * t - (m - 1.0) * alpha * z) / beta
@@ -124,12 +122,60 @@ def test_origin_cap_plane_sign_matches_center_chart_product(params15_3):
     assert np.asarray(spec.sign_expr(pts)) == pytest.approx(a4 * xdot + zdot, rel=1e-12)
 
 
+def _claimed_regions(params):
+    """Each claim's region as its inequalities in the surface coordinates
+    (x, y, z), written from the constants the claim is stated with."""
+    boa = beta_over_alpha(params)
+    z_max = derive_exponents(params).z_max
+    xp2, yp2, _ = p2_coordinates(params).tolist()
+    wp2, yp2_chart = p2_chart_coordinates(params)[:2].tolist()
+    cst = dregion_constants(params)
+    x_star, y_star, e2, f2 = cst["x_star"], cst["y_star"], cst["e"], cst["f"]
+    x_star3 = plane3_constants(params)["x_star3"]
+    x0_cap = xp2 / 10.0  # c4 / (2 a4), with c4 = a4 X(P2) / 5
+    return {
+        "midplane": lambda x, y, z: (x >= 0.0) & (z >= 0.0) & (z <= z_max),
+        "cylinder": lambda x, y, z: (x >= 0.0) & (y >= -boa / 2.0) & (y <= 0.0),
+        "diagonal_xz": lambda x, y, z: (x > 0.0) & (y < 0.0),
+        "ydot_surface": lambda x, y, z: (x > 0.0) & (y < 0.0) & (z >= 0.0),
+        "box_wall_x": lambda x, y, z: (y >= 0.0) & (y <= yp2) & (z >= 0.0),
+        "box_wall_y": lambda x, y, z: (x >= 0.0) & (x < xp2) & (z >= 0.0),
+        "cap_plane_yz": lambda x, y, z: (x > 0.0) & (x < x_star) & (y > y_star) & (y <= 0.5),
+        "cap_plane_xz": lambda x, y, z: (x > 0.0) & (x < x_star) & (y <= e2 * x - f2),
+        "p2_floor_plane": lambda x, y, z: (x > x_star3) & (x < xp2) & (y > 0.0) & (y < yp2),
+        "ykz_cap": lambda x, y, z: (x > 0.0) & (x < xp2) & (y > 0.0) & (y <= 1.0),
+        "origin_cap_plane": lambda x, y, z: (x > 0.0) & (x < x0_cap) & (y == 0.0),
+        "upper_plane_y": lambda x, y, z: (x >= 0.0) & (z >= 0.0),
+        "chart_line": lambda x, y, z: (x > 0.0) & (x < wp2),
+        "chart_curve": lambda x, y, z: (x > 0.0) & (y > 0.0) & (y < yp2_chart),
+    }
+
+
+@pytest.mark.parametrize("m, sigma", GRID + [(1.5, 2.003), (1.5, 10.0)])
+def test_samples_lie_on_the_claimed_region(m, sigma):
+    """Every applicable barrier samples its surface inside the region of
+    its claim and nowhere else, so verify_barrier tests each of its
+    samples: the region's inequalities hold at all of them."""
+    pr = validate_params(m, sigma)
+    regions = _claimed_regions(pr)
+    specs = barrier_catalog(pr)
+    assert {spec.id for spec in specs} == set(regions)
+    u = _r2_points(10_000, 42)
+    for spec in specs:
+        if not spec.gate()[0]:
+            continue
+        pts = spec.sample(u)
+        inside = regions[spec.id](pts[:, 0], pts[:, 1], pts[:, 2])
+        assert np.all(inside), (spec.id, int(np.count_nonzero(~inside)))
+        assert np.max(np.abs(spec.surface(pts))) < 1e-10, spec.id
+
+
 def test_full_catalog_grid_passes():
     for m, s in GRID:
         pr = validate_params(m, s)
         for spec in barrier_catalog(pr):
             rep = verify_barrier(spec, pr, 2_000, seed=42)
-            assert rep.passed, (m, s, spec.id, rep.violations[:3])
+            assert rep.passed, (m, s, spec.id, rep.worst_margin)
 
 
 def test_gated_configuration_near_sigma_2():

@@ -492,6 +492,17 @@ def test_verify_text_shows_plain_python_values(capsys):
     assert "np." not in out
 
 
+@pytest.mark.parametrize("sigma", ["3", "3.2875", "3.4"])
+def test_classify_text_shows_plain_python_values(sigma, capsys):
+    """A fate's lambda_hat and z_gap are Python floats, from the tube, the
+    z_limit bracket and the midplane alike, so the text channel prints no
+    numpy repr such as np.float64(...)."""
+    code, out, _ = run_cli(capsys, "classify", "--m", "1.5", "--sigma", sigma)
+    assert code == 0
+    assert "'z_gap': " in out
+    assert "np." not in out
+
+
 @pytest.mark.parametrize(
     "flags, config",
     [

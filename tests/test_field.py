@@ -119,7 +119,8 @@ def test_catalog_covers_all_infinity_points(params15_3):
     names = {cp.name for cp in classify_critical_points(params15_3)}
     assert {"P0_lambda", "P2", "Q1", "Q2", "Q3", "Q4", "Q5"} <= names
     q4 = [cp for cp in classify_critical_points(params15_3) if cp.name == "Q4"][0]
-    assert "inert" in q4.notes
+    assert q4.coords == "sphere" and q4.eigen is None
+    assert np.array_equal(q4.location, [0.0, 0.0, 1.0, 0.0])
 
 
 def test_field_vanishes_at_every_cataloged_finite_point(params15_3):
