@@ -413,7 +413,10 @@ def _cmd_profile(args) -> tuple[int, dict]:
         io_mod.write_profile_csv(args.out, frame)
         results["profile_csv"] = args.out
     report["results"] = results
-    if not math.isfinite(results.get("ssode_residual", 0.0)):
+    if "ssode_residual" not in results:
+        warnings.append("the frame keeps %d samples, too few to test the profile equation" % len(frame))
+        return EXIT_INCONCLUSIVE, report
+    if not math.isfinite(results["ssode_residual"]):
         warnings.append("ssode_residual is not finite: a term of the profile equation overflows")
         return EXIT_INCONCLUSIVE, report
     return EXIT_OK, report

@@ -110,7 +110,10 @@ class IntegrationControls:
     follow the state however long the step.  A move is below 2, so a
     component that crosses zero inside a step costs at most 2 / sample_step
     samples, which must be finite.  math.inf stores every step end and
-    nothing else.
+    nothing else.  The phase-space orbit runs of orbits (run_p2_orbit,
+    run_p0_orbit and the phase leg of run_q1_orbit) scale a finite
+    sample_step by orbits._sample_scale(params), at most 1, since the
+    profile they rebuild amplifies a relative move in X by 1/(m - 1).
     max_time bounds the autonomous variable.  math.inf lets a run end only
     at an event, at max_steps or at step underflow; when max_step is
     math.inf as well, eta can grow to the largest float, and the run ends

@@ -549,19 +549,22 @@ def classify_fate(traj: Trajectory, params: Params) -> OrbitFate:
     return OrbitFate(kind, lam_hat, pt, diagnostics)
 
 
+def _sample_scale(params: Params) -> float:
+    """The factor min(1, max(0.1, 2 (m - 1))) by which the orbit runs
+    scale a finite sample step.  f = (alpha xi^2 X / m)^(1/(m-1))
+    amplifies a relative move in X by 1/(m - 1), so down to m = 1.05 no
+    move in f is larger than at m = 1.5; the floor keeps the samples of a
+    run below m = 1.05 within 10 times those of an unscaled one."""
+    return min(1.0, max(0.1, 2.0 * (params.m - 1.0)))
+
+
 def _run(params: Params, start, controls) -> tuple[Trajectory, OrbitFate]:
     """One phase-space run from start under the standard fate events, and
     its fate.  integrate, make_rhs and classify_fate are looked up as
     module globals at each call, so a tracer that rebinds them sees every
-    run.
-
-    The sample step is scaled by min(1, 2 (m - 1), 2 (sigma - 2)): f =
-    (alpha xi^2 X / m)^(1/(m-1)) and xi = (alpha^2 Z / m)^(1/(sigma-2))
-    amplify a relative move in X or Z by 1/(m-1) and 1/(sigma-2), so no
-    profile-space move is larger than at (m, sigma) = (1.5, 3)."""
+    run.  The sample step is scaled by _sample_scale(params)."""
     controls = controls or IntegrationControls()
-    scale = min(1.0, 2.0 * (params.m - 1.0), 2.0 * (params.sigma - 2.0))
-    controls = replace(controls, sample_step=scale * controls.sample_step)
+    controls = replace(controls, sample_step=_sample_scale(params) * controls.sample_step)
     traj = integrate(make_rhs(params), start, standard_fate_events(params), controls)
     return traj, classify_fate(traj, params)
 

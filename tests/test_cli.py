@@ -457,6 +457,36 @@ def test_a_profile_whose_residual_overflows_exits_3(capsys):
     assert rep["warnings"] == ["ssode_residual is not finite: a term of the profile equation overflows"]
 
 
+@pytest.mark.parametrize("origin", ["p0", "p2"])
+def test_a_profile_near_m_1_keeps_the_rows_where_f_is_positive(origin, capsys):
+    """At m = 1.02, f = ((m-1) g / m)^(1/(m-1)) underflows to 0 on part of
+    the run: the frame drops those rows, and the interface lies below
+    xi_max 0.98.  The residual is reported but checks little here: it is
+    relative to max(1, |alpha f|), and f is of order 1e-170."""
+    code, out, _ = run_cli(
+        capsys, "profile", "--m", "1.02", "--sigma", "3", "--origin", origin, "--format", "json"
+    )
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert res["fate"] == "interface" and res["xi0"] < 0.98
+    assert res["n_samples"] >= 5 and "ssode_residual" in res
+
+
+def test_a_profile_whose_frame_is_empty_exits_3(tmp_path, capsys):
+    """At m = 1.01 every f of the p0 run underflows to 0, so no sample is
+    left to test the profile equation: exit 3 with the reason named,
+    although the pressure run finds an interface."""
+    code, out, err = run_cli(
+        capsys, "profile", "--m", "1.01", "--sigma", "3", "--origin", "p0",
+        "--out", str(tmp_path / "profile.csv"), "--format", "json",
+    )
+    assert (code, err) == (3, "")
+    rep = json.loads(out)
+    assert rep["results"]["fate"] == "interface" and rep["results"]["n_samples"] == 0
+    assert "ssode_residual" not in rep["results"]
+    assert rep["warnings"] == ["the frame keeps 0 samples, too few to test the profile equation"]
+
+
 def test_profile_p1_bisection(capsys):
     code, out, _ = run_cli(
         capsys, "profile", "--m", "1.5", "--sigma", "3", "--origin", "p1",

@@ -34,6 +34,7 @@ from ssblow.orbits import (
     FateKind,
     InconclusiveError,
     OrbitFate,
+    _sample_scale,
     classify_fate,
     launch_from_P0,
     launch_from_P2,
@@ -696,7 +697,8 @@ def test_default_p2_orbit_samples_the_extension(sigma, default_run, request):
     )
     assert np.max(np.abs(sol.y.T - traj.points)) < 1e-9
     ends, _ = run_p2_orbit(params, IntegrationControls(sample_step=math.inf))
-    assert np.max(_sample_units(traj, ends, IntegrationControls().sample_step)) <= 2.0
+    ds = _sample_scale(params) * IntegrationControls().sample_step
+    assert np.max(_sample_units(traj, ends, ds)) <= 2.0
     assert len(traj.eta) > 5 * len(ends.eta)
     capped, _ = run_p2_orbit(params, IntegrationControls(max_step=0.1))
     assert traj.n_steps < capped.n_steps / 10
@@ -709,9 +711,9 @@ def test_samples_lie_on_the_orbit_where_it_moves(m, sigma):
     stored sample matches a DOP853 run from the same start to 1e-9 (times
     max(1, |y|)) beyond the error its step's ends already carry, which the
     sampling does not set; and no two consecutive samples are more than 2
-    units of sample_step apart in the sample norm."""
+    units of the run's scaled sample_step apart in the sample norm."""
     params = validate_params(m, sigma)
-    ds = IntegrationControls().sample_step
+    ds = _sample_scale(params) * IntegrationControls().sample_step
     runs = {
         "p2": lambda c: run_p2_orbit(params, c)[0],
         "p0": lambda c: run_p0_orbit(0.3, 1e-5, params, c)[0],
@@ -733,6 +735,14 @@ def test_samples_lie_on_the_orbit_where_it_moves(m, sigma):
         carried = np.maximum(end_err[k], end_err[np.maximum(k - 1, 0)])
         slack = 1e-9 * np.maximum(1.0, np.max(np.abs(traj.points), axis=1))
         assert np.all(err <= carried + slack), (name, np.max(err - carried))
+
+
+@pytest.mark.parametrize("m, scale", [(1.001, 0.1), (1.05, 0.1), (1.2, 0.4), (1.5, 1.0), (1.98, 1.0)])
+@pytest.mark.parametrize("sigma", [2.003, 3.0, 10.0])
+def test_orbit_sample_scale_follows_m_down_to_its_floor(m, scale, sigma):
+    """Orbit runs scale the sample step by min(1, max(0.1, 2 (m - 1))),
+    whatever sigma."""
+    assert _sample_scale(validate_params(m, sigma)) == pytest.approx(scale, rel=1e-12)
 
 
 def test_sigma_star_bracket_errors():
