@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -145,6 +145,21 @@ class IntegrationControls:
             raise ValueError("sample_step is too small: 2 / sample_step overflows")
         if self.rel_tol < 1e-13:
             raise ValueError("rel_tol below 1e-13 is not supported")
+
+
+def _coarse_controls(controls: IntegrationControls) -> IntegrationControls | None:
+    """The controls of a search's first pass at one point: rel_tol and
+    abs_tol 100 times the caller's, but no looser than 1e-8 and 1e-10
+    unless the caller's already are.  None where they equal the caller's,
+    so that there is no first pass.  Both fate searches use it:
+    orbits.sigma_star at each sigma and profiles.find_good_profile_P1 at
+    each a, and each keeps a first-pass fate only where it clears that
+    search's margin."""
+    rel = max(controls.rel_tol, min(100.0 * controls.rel_tol, 1e-8))
+    tol_abs = max(controls.abs_tol, min(100.0 * controls.abs_tol, 1e-10))
+    if rel == controls.rel_tol and tol_abs == controls.abs_tol:
+        return None
+    return replace(controls, rel_tol=rel, abs_tol=tol_abs)
 
 
 @dataclass(frozen=True)

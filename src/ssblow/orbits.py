@@ -59,7 +59,7 @@ from .field import (
     p2_chart_coordinates,
     phase_from_chart,
 )
-from .integrate import EventSpec, IntegrationControls, Trajectory, integrate
+from .integrate import EventSpec, IntegrationControls, Trajectory, _coarse_controls, integrate
 
 __all__ = [
     "FateKind",
@@ -687,18 +687,6 @@ def _zero_estimate(points) -> float | None:
         if f0 != f1:
             est = s0 - f0 * (s1 - s0) / (f1 - f0)
     return est if est is not None and math.isfinite(est) else None
-
-
-def _coarse_controls(controls: IntegrationControls) -> IntegrationControls | None:
-    """The controls of a search's first pass at a sigma: rel_tol and abs_tol
-    100 times the caller's, but no looser than 1e-8 and 1e-10 unless the
-    caller's already are.  None where they equal the caller's, so that there
-    is no first pass."""
-    rel = max(controls.rel_tol, min(100.0 * controls.rel_tol, 1e-8))
-    tol_abs = max(controls.abs_tol, min(100.0 * controls.abs_tol, 1e-10))
-    if rel == controls.rel_tol and tol_abs == controls.abs_tol:
-        return None
-    return replace(controls, rel_tol=rel, abs_tol=tol_abs)
 
 
 def sigma_star(

@@ -36,7 +36,7 @@ from .params import (
     p2_coordinates,
 )
 from .field import center_family_P0, p2_unstable_eigenvector
-from .integrate import EventSpec, IntegrationControls, Trajectory, integrate
+from .integrate import EventSpec, IntegrationControls, Trajectory, _coarse_controls, integrate
 from .orbits import BracketError, InconclusiveError
 
 _RHO_VANISH = 1e-4  # rho = g / hypot(g, xi g') at which a profile run ends as vanishing
@@ -348,6 +348,26 @@ def integrate_ssode(
     )
 
 
+def _fate_clearance(result: SsodeResult, params: Params) -> float:
+    """How far the fate of a run lies inside its case of _classify_vanishing:
+    the smaller of |discriminant + _DISC_TOL| and, where the quadratic has
+    roots, |nearest-root distance - _SLOPE_TOL|, each divided by the sum
+    of the magnitudes of the terms it is formed from.  0 for a run with no
+    report, as a "positive" one."""
+    report = result.report
+    if report is None:
+        return 0.0
+    exp = derive_exponents(params)
+    xi0, g_slope = result.xi0, result.g_slope
+    disc_scale = exp.beta**2 * xi0**2 + 4.0 * params.m * xi0**params.sigma
+    clearance = abs(report.discriminant + _DISC_TOL) / disc_scale
+    if report.slope_minus is not None:
+        root = min((report.slope_minus, report.slope_plus), key=lambda c: abs(g_slope - c))
+        slope_edge = abs(abs(g_slope - root) - _SLOPE_TOL) / (abs(g_slope) + abs(root))
+        clearance = min(clearance, slope_edge)
+    return clearance
+
+
 def find_good_profile_P1(
     params: Params,
     a_bracket: tuple[float, float],
@@ -359,8 +379,22 @@ def find_good_profile_P1(
 
     Returns (a_star, result) with result the SsodeResult of the run at
     a_star.  a_star is the midpoint of the final bracket, unless that run
-    is not an interface while an earlier run was: then result is the last
-    interface run and a_star its a, so the two always belong together.
+    is not an interface while an earlier fate was: then result is the run
+    at the last a whose fate was an interface, and a_star that a, so the
+    two always belong together.
+
+    Each bracket end and each midpoint is first run under coarse controls,
+    rel_tol 100 times the caller's but no looser than 1e-8
+    (integrate._coarse_controls).  Its fate is kept where it is "interface"
+    or "sign_change" and clears both edges of the classification, the
+    discriminant at -1e-6 and the nearest-root distance at 1e-2, by 1e3
+    times the coarse rel_tol relative to their scale (_fate_clearance).
+    A coarse "positive", an inconclusive coarse run and a fate inside that
+    margin are rerun under controls, and only such a run can raise
+    InconclusiveError.  The run at a_star, and the run at an earlier a that
+    is returned in its place, are always under controls, so the answer is
+    the one of a search that runs every a under controls.  Caller controls
+    with rel_tol 1e-8 or looser make no coarse pass.
     """
     a_lo, a_hi = float(a_bracket[0]), float(a_bracket[1])
     if not 0.0 < a_lo < a_hi < math.inf:
@@ -373,30 +407,48 @@ def find_good_profile_P1(
         raise BracketError(
             "tol %.3g is below the float spacing of a near %.17g" % (tol, a_hi)
         )
+    base = controls or IntegrationControls()
+    coarse = _coarse_controls(base)
+    # a profile run holds abs_tol below 1e-60, so only a looser rel_tol
+    # makes a coarse run differ
+    if coarse is not None and coarse.rel_tol == base.rel_tol:
+        coarse = None
 
-    def run_at(a):
-        return integrate_ssode("p1", params, controls, a=a, xi_start=xi_start)
+    def run_at(a, run_controls=controls):
+        return integrate_ssode("p1", params, run_controls, a=a, xi_start=xi_start)
 
-    r_lo, r_hi = run_at(a_lo), run_at(a_hi)
-    if r_lo.fate == r_hi.fate:
+    def fate_at(a):
+        """The fate at a: the coarse run's where it clears the margin, else
+        that of a run under controls."""
+        if coarse is not None:
+            try:
+                first = run_at(a, coarse)
+            except InconclusiveError:
+                pass
+            else:
+                if _fate_clearance(first, params) > 1e3 * coarse.rel_tol:
+                    return first.fate
+        return run_at(a).fate
+
+    f_lo, f_hi = fate_at(a_lo), fate_at(a_hi)
+    if f_lo == f_hi:
         raise BracketError(
-            "same fate (%s) at both ends of the a-bracket (%g, %g)" % (r_lo.fate, a_lo, a_hi)
+            "same fate (%s) at both ends of the a-bracket (%g, %g)" % (f_lo, a_lo, a_hi)
         )
-    sign_change_low = r_lo.fate == "sign_change"
-    # (a, result) of the last interface run
-    best = (a_lo, r_lo) if r_lo.fate == "interface" else ((a_hi, r_hi) if r_hi.fate == "interface" else None)
+    sign_change_low = f_lo == "sign_change"
+    # the a of the last interface fate
+    best = a_lo if f_lo == "interface" else (a_hi if f_hi == "interface" else None)
     while a_hi - a_lo > tol:
         mid = 0.5 * (a_lo + a_hi)
-        r_mid = run_at(mid)
-        if r_mid.fate == "interface":
-            best = (mid, r_mid)
-        if (r_mid.fate == "sign_change") == sign_change_low:
+        f_mid = fate_at(mid)
+        if f_mid == "interface":
+            best = mid
+        if (f_mid == "sign_change") == sign_change_low:
             a_lo = mid
         else:
             a_hi = mid
     a_star = 0.5 * (a_lo + a_hi)
     result = run_at(a_star)
     if result.fate != "interface" and best is not None:
-        return best
+        return best, run_at(best)
     return a_star, result
-

@@ -454,7 +454,7 @@ def test_sigma_star_reruns_an_untrusted_first_pass(monkeypatch):
     fate and carries the only InconclusiveError.  Once a secant estimate
     exists, a step whose predicted |F| is below 10 M runs under the
     caller's controls alone.  The trace lists every run."""
-    coarse = ssblow.orbits._coarse_controls(FATE_ONLY_CONTROLS)
+    coarse = ssblow.integrate._coarse_controls(FATE_ONLY_CONTROLS)
     calls = []
 
     def law(gaps):
@@ -548,11 +548,11 @@ def test_first_pass_agrees_with_the_callers_controls(m):
     1e-1, 1e-3 and 1e-4 on either side of sigma*, it gives the fate of a
     run under FATE_ONLY_CONTROLS, and its F within M / 100, in fewer
     steps."""
-    coarse = ssblow.orbits._coarse_controls(FATE_ONLY_CONTROLS)
+    coarse = ssblow.integrate._coarse_controls(FATE_ONLY_CONTROLS)
     assert (coarse.rel_tol, coarse.abs_tol) == (1e-8, 1e-10)
     assert replace(coarse, rel_tol=1e-10, abs_tol=1e-12) == FATE_ONLY_CONTROLS
     # caller's tolerances at least that loose leave no first pass
-    assert ssblow.orbits._coarse_controls(coarse) is None
+    assert ssblow.integrate._coarse_controls(coarse) is None
     s_star = _SIGMA_STAR_ORACLE[m]
     for d in (1e-1, 1e-3, 1e-4):
         for sigma in (s_star - d, s_star + d):

@@ -313,12 +313,14 @@ def test_find_good_profile_P1_same_fate_error(params15_3):
 def test_find_good_profile_P1_refuses_a_tol_below_the_float_spacing_of_a(monkeypatch, params15_3):
     """A tol below the float spacing of a would bisect forever; it is
     refused before any run.  At the spacing of the upper end every
-    midpoint lies strictly between the ends, and the bisection ends."""
+    midpoint lies strictly between the ends, and the bisection ends.  The
+    fake's results carry no report, so no coarse fate is kept and each a
+    runs twice: the bisection's length is the number of distinct a."""
     calls = []
 
-    def step_at_5e_11(origin, params, controls=None, a=None, K=None, xi_start=1e-4):
+    def step_at_5e_11(origin, params, controls, a=None, K=None, xi_start=1e-4):
         calls.append(a)
-        if len(calls) > 200:
+        if len(calls) > 400:
             raise RuntimeError("the bisection does not end")
         fate = "sign_change" if a < 5e-11 else "positive"
         return SsodeResult(frame=None, fate=fate, xi0=None, g_slope=None, report=None, record={})
@@ -328,7 +330,7 @@ def test_find_good_profile_P1_refuses_a_tol_below_the_float_spacing_of_a(monkeyp
         find_good_profile_P1(params15_3, (1e-13, 1e-10), tol=1e-40)
     assert calls == []
     a_star, _ = find_good_profile_P1(params15_3, (1e-13, 1e-10), tol=math.ulp(1e-10))
-    assert a_star == pytest.approx(5e-11, rel=1e-15) and len(calls) < 100
+    assert a_star == pytest.approx(5e-11, rel=1e-15) and len(set(calls)) < 100
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf])
@@ -352,6 +354,237 @@ def test_find_good_profile_P1_stable_under_tighter_tolerances(params15_3):
     tight = IntegrationControls(rel_tol=1e-11, abs_tol=1e-13)
     a2, _ = find_good_profile_P1(params15_3, (1e-12, 1e-11), tol=tol, controls=tight)
     assert abs(a1 - a2) <= 10.0 * tol
+
+
+def _vanishing_run(params, fate, edge_gap=None):
+    """A stand-in SsodeResult that vanishes at xi0 = 0.6 with a report from
+    the classification itself.  fate "interface" matches the lower root to
+    within 5e-3 and "sign_change" misses it by 0.1, each far from the slope
+    edge at 1e-2; edge_gap puts g' that far inside the edge instead."""
+    if fate == "positive":
+        return SsodeResult(frame=None, fate=fate, xi0=None, g_slope=None, report=None, record={})
+    root = interface_slopes(0.6, params).slope_minus
+    offset = {"interface": 5e-3, "sign_change": 0.1}[fate]
+    if edge_gap is not None:
+        offset = 1e-2 - edge_gap if fate == "interface" else 1e-2 + edge_gap
+    got, report = ssblow.profiles._classify_vanishing(0.6, root + offset, params)
+    assert got == fate
+    return SsodeResult(frame=None, fate=fate, xi0=0.6, g_slope=root + offset, report=report, record={})
+
+
+def _shoot_with(monkeypatch, params, law, **kwargs):
+    """find_good_profile_P1 on (1e-13, 1e-10) at tol 1e-12 with integrate_ssode
+    replaced by law(a, rel_tol), where rel_tol is that of the run's controls
+    (1e-10 for the default); it returns an SsodeResult or raises.  Returns
+    the search's answer (or the exception it raised) and the (a, rel_tol)
+    of every run."""
+    calls = []
+
+    def fake(origin, params, controls, a=None, K=None, xi_start=1e-4):
+        rel = (controls or IntegrationControls()).rel_tol
+        calls.append((a, rel))
+        return law(a, rel)
+
+    monkeypatch.setattr(ssblow.profiles, "integrate_ssode", fake)
+    try:
+        answer = find_good_profile_P1(params, (1e-13, 1e-10), tol=1e-12, **kwargs)
+    except (BracketError, InconclusiveError) as exc:
+        answer = exc
+    return answer, calls
+
+
+def _step_law(params, coarse_override=None):
+    """Interface below a = 5e-11 and sign change above; coarse_override(a)
+    may replace the result of a coarse run (rel_tol 1e-8) or raise."""
+
+    def law(a, rel):
+        if rel == 1e-8 and coarse_override is not None:
+            replaced = coarse_override(a)
+            if replaced is not None:
+                return replaced
+        return _vanishing_run(params, "interface" if a < 5e-11 else "sign_change")
+
+    return law
+
+
+def test_find_good_profile_P1_keeps_only_coarse_fates_clear_of_the_edges(monkeypatch, params15_3):
+    """Every a is run under coarse controls first.  Clear fates are kept,
+    so only the run at a_star is under the caller's controls; a coarse
+    fate within 1e3 rel_tol of the slope edge is rerun there."""
+    answer, calls = _shoot_with(monkeypatch, params15_3, _step_law(params15_3))
+    a_star, res = answer
+    assert res.fate == "interface" and a_star == pytest.approx(5e-11, abs=1e-12)
+    assert [rel for _, rel in calls] == [1e-8] * (len(calls) - 1) + [1e-10]
+    assert calls[-1][0] == a_star
+    assert ssblow.profiles._fate_clearance(_vanishing_run(params15_3, "interface"), params15_3) > 1e-5
+
+    # inside the margin at a_hi: 1e-7 from the slope edge
+    inside = _vanishing_run(params15_3, "sign_change", edge_gap=1e-7)
+    assert ssblow.profiles._fate_clearance(inside, params15_3) < 1e-5
+    answer, calls = _shoot_with(
+        monkeypatch, params15_3, _step_law(params15_3, lambda a: inside if a == 1e-10 else None)
+    )
+    assert answer[0] == a_star
+    assert calls[:3] == [(1e-13, 1e-8), (1e-10, 1e-8), (1e-10, 1e-10)]
+    assert sum(rel == 1e-10 for _, rel in calls) == 2
+
+
+def test_find_good_profile_P1_reruns_a_coarse_positive(monkeypatch, params15_3):
+    """A coarse "positive" is never kept: coarse positives at both ends
+    would be the same fate, but the reruns give a bracket."""
+    positive = _vanishing_run(params15_3, "positive")
+    answer, calls = _shoot_with(
+        monkeypatch, params15_3, _step_law(params15_3, lambda a: positive if a in (1e-13, 1e-10) else None)
+    )
+    assert not isinstance(answer, Exception) and answer[1].fate == "interface"
+    assert calls[:4] == [(1e-13, 1e-8), (1e-13, 1e-10), (1e-10, 1e-8), (1e-10, 1e-10)]
+
+
+def test_find_good_profile_P1_reruns_an_inconclusive_coarse_run(monkeypatch, params15_3):
+    """An inconclusive coarse run is rerun under the caller's controls; only
+    such a rerun ends the search with InconclusiveError."""
+
+    def coarse_fails(a):
+        raise InconclusiveError("coarse run failed")
+
+    answer, calls = _shoot_with(monkeypatch, params15_3, _step_law(params15_3, coarse_fails))
+    assert not isinstance(answer, Exception) and answer[1].fate == "interface"
+    ends = [a for a, _ in calls]
+    assert all(ends[i] == ends[i + 1] for i in range(0, len(ends) - 1, 2))
+    assert len(ends) % 2 == 1
+
+    # a_hi fails under the caller's controls: its kept coarse fate spares
+    # that run, and where the coarse run fails too the search ends there
+    base = _step_law(params15_3)
+
+    def fails_at_a_hi(*rel_tols):
+        def law(a, rel):
+            if a == 1e-10 and rel in rel_tols:
+                raise InconclusiveError("the run at a_hi failed")
+            return base(a, rel)
+
+        return law
+
+    answer, calls = _shoot_with(monkeypatch, params15_3, fails_at_a_hi(1e-10))
+    assert not isinstance(answer, Exception) and (1e-10, 1e-10) not in calls
+    answer, calls = _shoot_with(monkeypatch, params15_3, fails_at_a_hi(1e-8, 1e-10))
+    assert isinstance(answer, InconclusiveError)
+    assert calls == [(1e-13, 1e-8), (1e-10, 1e-8), (1e-10, 1e-10)]
+
+
+def test_find_good_profile_P1_bracket_error_comes_from_kept_fates(monkeypatch, params15_3):
+    """Equal coarse fates inside the margin at both ends are rerun, and the
+    reruns decide whether the bracket holds; equal kept coarse fates raise
+    BracketError with no run under the caller's controls."""
+    near_edge = _vanishing_run(params15_3, "sign_change", edge_gap=1e-7)
+    answer, calls = _shoot_with(
+        monkeypatch, params15_3, _step_law(params15_3, lambda a: near_edge if a in (1e-13, 1e-10) else None)
+    )
+    assert not isinstance(answer, Exception)
+    assert calls[:4] == [(1e-13, 1e-8), (1e-13, 1e-10), (1e-10, 1e-8), (1e-10, 1e-10)]
+
+    answer, calls = _shoot_with(
+        monkeypatch, params15_3, lambda a, rel: _vanishing_run(params15_3, "sign_change")
+    )
+    assert isinstance(answer, BracketError) and "same fate (sign_change)" in str(answer)
+    assert calls == [(1e-13, 1e-8), (1e-10, 1e-8)]
+
+    # coarse fates agree inside the margin, and so do the reruns
+    answer, calls = _shoot_with(
+        monkeypatch, params15_3,
+        lambda a, rel: _vanishing_run(params15_3, "sign_change", edge_gap=1e-7 if rel == 1e-8 else None),
+    )
+    assert isinstance(answer, BracketError)
+    assert calls == [(1e-13, 1e-8), (1e-13, 1e-10), (1e-10, 1e-8), (1e-10, 1e-10)]
+
+
+def test_find_good_profile_P1_returns_an_earlier_interface_run_under_the_callers_controls(
+    monkeypatch, params15_3
+):
+    """Where the run at a_star is not an interface, the search returns its
+    last interface fate; kept from a coarse run, that a is rerun under the
+    caller's controls, and the rerun is what it returns."""
+
+    def law(a, rel):
+        fate = "interface" if rel == 1e-8 and a < 5e-11 else "sign_change"
+        return _vanishing_run(params15_3, fate)
+
+    (a_best, res), calls = _shoot_with(monkeypatch, params15_3, law)
+    assert a_best < 5e-11 and res.fate == "sign_change"
+    assert calls[-2][1] == 1e-10 and calls[-2][0] > a_best
+    assert calls[-1] == (a_best, 1e-10)
+    assert (a_best, 1e-8) in calls
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-6])
+def test_find_good_profile_P1_makes_no_coarse_pass_at_loose_controls(monkeypatch, params15_3, rel_tol):
+    """Caller controls with rel_tol 1e-8 or looser make no coarse pass, even
+    where _coarse_controls would loosen abs_tol, which a profile run does
+    not use: every run gets the caller's controls, once per a."""
+    controls = IntegrationControls(rel_tol=rel_tol)
+    assert ssblow.profiles._coarse_controls(controls) is not None
+    calls = []
+    law = _step_law(params15_3)
+
+    def fake(origin, params, run_controls, a=None, K=None, xi_start=1e-4):
+        calls.append((a, run_controls))
+        return law(a, run_controls.rel_tol)
+
+    monkeypatch.setattr(ssblow.profiles, "integrate_ssode", fake)
+    _, res = find_good_profile_P1(params15_3, (1e-13, 1e-10), tol=1e-12, controls=controls)
+    assert res.fate == "interface"
+    assert all(run_controls is controls for _, run_controls in calls)
+    assert len({a for a, _ in calls}) == len(calls)
+
+
+@pytest.mark.parametrize(
+    "m, sigma, bracket, tol",
+    [
+        (1.5, 3.0, (1e-13, 1e-10), 1e-3 * (1e-10 - 1e-13)),
+        (1.5, 3.0, (1e-13, 1e-10), 1e-13),
+        (1.5, 3.0, (1e-13, 1e-10), 1e-16),
+        (1.5, 3.0, (1e-12, 1e-11), 1e-12),
+        (1.8, 3.2, (1e-12, 1e-10), 1e-3 * (1e-10 - 1e-12)),
+    ],
+    ids=["cli-default-tol", "tol-1e-13", "tol-1e-16-best", "narrow", "m1_8-sigma3_2"],
+)
+def test_find_good_profile_P1_answer_does_not_depend_on_the_coarse_pass(monkeypatch, m, sigma, bracket, tol):
+    """The coarse pass changes what the search costs, not its answer: a*,
+    the fate, xi0, g' and the run record equal those of the search with
+    every a run under the caller's controls (_coarse_controls patched to
+    None).  At tol 1e-16 the final midpoint is a sign change and the
+    search returns its last interface."""
+    params = validate_params(m, sigma)
+    a_star, res = find_good_profile_P1(params, bracket, tol)
+    monkeypatch.setattr(ssblow.profiles, "_coarse_controls", lambda controls: None)
+    ref_a, ref = find_good_profile_P1(params, bracket, tol)
+    assert (a_star, res.fate, res.xi0, res.g_slope, res.record) == (
+        ref_a, ref.fate, ref.xi0, ref.g_slope, ref.record
+    )
+    assert res.fate == "interface"
+
+
+def test_find_good_profile_P1_shoot_cost_does_not_grow(monkeypatch, params15_3):
+    """The shoot of the README and of the benchmark's figures workload,
+    (1.5, 3) on (1e-13, 1e-10) at tol 1e-3 of the width, makes 13 runs,
+    one of them under the caller's controls, and takes at most 6 300
+    accepted steps (6 236 at ssblow 0.28.0, 13 250 at 0.27.0, which ran
+    every a under the caller's controls): a change that makes the shoot
+    costlier must say so here."""
+    runs = []
+    real = ssblow.profiles.integrate_ssode
+
+    def counted(origin, params, controls, a=None, K=None, xi_start=1e-4):
+        res = real(origin, params, controls, a=a, K=K, xi_start=xi_start)
+        runs.append((controls, res.record["n_steps"]))
+        return res
+
+    monkeypatch.setattr(ssblow.profiles, "integrate_ssode", counted)
+    a_star, _ = find_good_profile_P1(params15_3, (1e-13, 1e-10), 1e-3 * (1e-10 - 1e-13))
+    assert a_star == 1.417041015625e-12
+    assert len(runs) == 13
+    assert sum(controls is None for controls, _ in runs) == 1
+    assert sum(steps for _, steps in runs) <= 6300
 
 
 def test_near_interface_pressure_scaling(p2_orbit_15_3, params15_3):
