@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .params import (
     Params,
@@ -29,6 +27,9 @@ from .params import (
     p2_coordinates,
 )
 from .field import p2_unstable_eigenvector, p2_chart_coordinates
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BarrierSpec",
@@ -104,7 +105,7 @@ def dregion_gates(params: Params) -> dict:
     """Hypothesis inequalities of the small-sigma argument, each computed."""
     m, sigma = params.m, params.sigma
     cst = dregion_constants(params)
-    x_p2, y_p2, _ = p2_coordinates(params).tolist()
+    x_p2, y_p2, _ = p2_coordinates(params)
     return {
         "x_p2_below_x_star": x_p2 < cst["x_star"],
         "y_p2_below_half": y_p2 < 0.5,
@@ -131,9 +132,9 @@ def plane3_gate(params: Params) -> dict:
     """Large-sigma hypotheses: P2's exit vector points above the plane and
     the slab X in (X*, X(P2)) of its region is nonempty."""
     cst = plane3_constants(params)
-    x_p2 = float(p2_coordinates(params)[0])
+    x_p2 = p2_coordinates(params)[0]
     e3 = p2_unstable_eigenvector(params)
-    n_dot_e3 = float(cst["A"] * e3[0] + cst["B"] * e3[1] + e3[2])
+    n_dot_e3 = cst["A"] * e3[0] + cst["B"] * e3[1] + e3[2]
     return {
         "exit_vector_above_plane": n_dot_e3 > 0.0,
         "x_star3_below_x_p2": cst["x_star3"] < x_p2,
@@ -142,12 +143,14 @@ def plane3_gate(params: Params) -> dict:
 
 
 # 1/g and 1/g^2 for the plastic number g, the real root of g^3 = g + 1
-_R2_STEP = np.array([0.75487766624669276005, 0.56984029099805326591])
+_R2_STEP = (0.75487766624669276005, 0.56984029099805326591)
 
 
 def _r2_points(n: int, seed: int) -> np.ndarray:
     """n points of the R2 Kronecker sequence in [0, 1)^2 with a seeded
     Cranley-Patterson shift: frac(shift + i * (1/g, 1/g^2)), i = 1..n."""
+    import numpy as np
+
     shift = np.random.default_rng(seed).random(2)
     return (shift + np.arange(1, n + 1)[:, None] * _R2_STEP) % 1.0
 
@@ -159,6 +162,8 @@ def barrier_catalog(params: Params) -> list[BarrierSpec]:
     c4 = a X(P2) / 5: any positive level works at leading order, and this
     one keeps its region well inside the origin's neighborhood.
     """
+    import numpy as np
+
     m, sigma = params.m, params.sigma
     exp = derive_exponents(params)
     alpha, beta = exp.alpha, exp.beta
@@ -527,6 +532,8 @@ def verify_barrier(
     )
     if not applicable:
         return report
+
+    import numpy as np
 
     pts = spec.sample(_r2_points(n_samples, seed))
     values = np.asarray(spec.sign_expr(pts), dtype=float)

@@ -255,7 +255,7 @@ def _cmd_params(args) -> tuple[int, dict]:
         "beta": exp.beta,
         "xi_max": exp.xi_max,
         "z_max": exp.z_max,
-        "P2": [float(p2[0]), float(p2[1]), float(p2[2])],
+        "P2": list(p2),
         "parabola_lambda_range": [lo, 0.0],
         "vertex_lambda": lo / 2.0,
     }
@@ -299,7 +299,7 @@ def _cmd_classify(args) -> tuple[int, dict]:
     report["results"] = {
         "fate": fate.kind,
         "lambda_hat": fate.lambda_hat,
-        "entry_point": None if fate.entry_point is None else [float(v) for v in fate.entry_point],
+        "entry_point": None if fate.entry_point is None else list(fate.entry_point),
         "diagnostics": fate.diagnostics,
     }
     if fate.lambda_hat is not None:
@@ -318,6 +318,8 @@ def _cmd_sigma_star(args) -> tuple[int, dict]:
         raise ParameterError(
             "sigma must exceed 2: bracket must stay above %.3f" % _SIGMA_FLOOR
         )
+    validate_params(args.m, args.lo)
+    validate_params(args.m, args.hi)
     controls = _controls_from(args, FATE_ONLY_CONTROLS)
     config = {
         "m": args.m, "lo": args.lo, "hi": args.hi, "tol": args.tol,
@@ -485,7 +487,8 @@ def _cmd_sweep(args) -> tuple[int, dict]:
         raise ParameterError(
             "sigma must exceed 2: grid must stay above %.3f" % _SIGMA_FLOOR
         )
-    validate_params(args.m, sigmas[0])
+    for sigma in sigmas:
+        validate_params(args.m, sigma)
     controls = _controls_from(args, FATE_ONLY_CONTROLS)
     config = {"m": args.m, "sigmas": sigmas, "jobs": args.jobs, **_controls_config(controls)}
     report = _report_skeleton("sweep", config)

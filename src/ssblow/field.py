@@ -12,14 +12,17 @@ isolated point P2, and five directions at infinity Q1..Q5.  This module
 provides the field, its Jacobian, the critical-point catalog with
 eigenstructure, the chart at Q1 and the center-manifold family along which
 orbits are launched out of P0.
+
+Points, vectors and Jacobians are plain float tuples (a Jacobian is a tuple
+of rows), so that launching and classifying an orbit needs no numpy; only
+the eigen data of the critical-point catalog imports it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .params import (
     Params,
@@ -30,6 +33,9 @@ from .params import (
     parabola_point,
     p2_coordinates,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "make_rhs",
@@ -65,18 +71,16 @@ def make_rhs(params: Params):
     return rhs
 
 
-def jacobian(pt, params: Params) -> np.ndarray:
-    """Analytic Jacobian of the phase-space field at pt."""
+def jacobian(pt, params: Params) -> tuple:
+    """Analytic Jacobian of the phase-space field at pt, as a tuple of rows."""
     x, y, z = (float(v) for v in pt)
     m1 = params.m - 1.0
     boa = beta_over_alpha(params)
     s2 = params.sigma - 2.0
-    return np.array(
-        [
-            [m1 * y - 4.0 * x, m1 * x, 0.0],
-            [1.0 - y, -2.0 * y - boa - x, -1.0],
-            [s2 * z, 0.0, s2 * x],
-        ]
+    return (
+        (m1 * y - 4.0 * x, m1 * x, 0.0),
+        (1.0 - y, -2.0 * y - boa - x, -1.0),
+        (s2 * z, 0.0, s2 * x),
     )
 
 
@@ -90,7 +94,9 @@ class EigenData:
     unstable_dim: int
     center_dim: int
 
-    def residuals(self, jac: np.ndarray) -> np.ndarray:
+    def residuals(self, jac) -> np.ndarray:
+        import numpy as np
+
         out = np.empty(3)
         for i in range(3):
             v = self.vectors[:, i]
@@ -101,7 +107,9 @@ class EigenData:
 _ZERO_TOL = 1e-12  # eigenvalues with |Re| at most this count as center
 
 
-def eigen_data(jac: np.ndarray) -> EigenData:
+def eigen_data(jac) -> EigenData:
+    import numpy as np
+
     values, vectors = np.linalg.eig(jac)
     re = values.real
     return EigenData(
@@ -134,24 +142,34 @@ def p2_unstable_eigenvalue(params: Params) -> float:
     return (params.sigma - 2.0) * (params.m - 1.0) / (2.0 * (params.m + 1.0) * exp.alpha)
 
 
-def p2_unstable_eigenvector(params: Params) -> np.ndarray:
+def p2_unstable_eigenvector(params: Params) -> tuple[float, float, float]:
     """Unit eigenvector of the positive eigenvalue at P2, oriented into {Z > 0}.
 
     Closed form (-2(m-1)(m+1)alpha, -2(m+1)sigma*alpha, D)/D with
     D = (m-1)sigma^2 + (5-m)sigma + 4m; the ratio of the first two components
     is (m-1)/sigma, as the first row of the linearization at P2 forces.
+
+    The squared norm is x^2, then y^2 added with a single rounding, then 1:
+    the order and roundings of the dot product by which numpy.linalg.norm
+    formed it (OpenBLAS on x86-64 fuses each product into its sum).  So the
+    vector keeps the bits it had as a numpy array (checked at 100 000 random
+    (m, sigma)), where math.hypot or the plain sum of squares differ in the
+    last bit at about one (m, sigma) in seven.
     """
     m, sigma = params.m, params.sigma
     alpha = derive_exponents(params).alpha
     den = (m - 1.0) * sigma * sigma + (5.0 - m) * sigma + 4.0 * m
-    v = np.array(
-        [
-            -2.0 * (m - 1.0) * (m + 1.0) * alpha / den,
-            -2.0 * (m + 1.0) * sigma * alpha / den,
-            1.0,
-        ]
-    )
-    return v / np.linalg.norm(v)
+    x = -2.0 * (m - 1.0) * (m + 1.0) * alpha / den
+    y = -2.0 * (m + 1.0) * sigma * alpha / den
+    norm = math.sqrt(_fused_multiply_add(y, y, x * x) + 1.0)
+    return (x / norm, y / norm, 1.0 / norm)
+
+
+def _fused_multiply_add(a: float, b: float, c: float) -> float:
+    """a * b + c with one rounding, from the exact integer ratios of the
+    three floats; int / int rounds correctly."""
+    (an, ad), (bn, bd), (cn, cd) = a.as_integer_ratio(), b.as_integer_ratio(), c.as_integer_ratio()
+    return (an * bn * cd + cn * ad * bd) / (ad * bd * cd)
 
 
 def classify_critical_points(
@@ -161,10 +179,11 @@ def classify_critical_points(
 
     Eigen data for finite points comes from numpy on the analytic Jacobian;
     for Q1 from the chart linearization.  Q2..Q5 are fate-classification
-    targets only and carry no spectrum.
+    targets only and carry no spectrum.  Locations are numpy arrays.
     """
-    m, sigma = params.m, params.sigma
-    exp = derive_exponents(params)
+    import numpy as np
+
+    m = params.m
     lo, hi = lambda_range(params)
     if lambda_grid is None:
         lambda_grid = np.linspace(lo, hi, 101)
@@ -172,7 +191,7 @@ def classify_critical_points(
     for lam in np.asarray(lambda_grid, dtype=float):
         if not lo <= lam <= hi:
             raise DomainError("lambda grid value %.17g outside [%.17g, 0]" % (lam, lo))
-        loc = parabola_point(lam, params)
+        loc = np.array(parabola_point(lam, params))
         out.append(
             CriticalPoint(
                 name="P0_lambda",
@@ -182,7 +201,7 @@ def classify_critical_points(
                 eigen=eigen_data(jacobian(loc, params)),
             )
         )
-    p2 = p2_coordinates(params)
+    p2 = np.array(p2_coordinates(params))
     out.append(
         CriticalPoint(
             name="P2",
@@ -238,31 +257,30 @@ def make_chart_rhs(params: Params):
     return rhs
 
 
-def infinity_chart_jacobian(cp, params: Params) -> np.ndarray:
+def infinity_chart_jacobian(cp, params: Params) -> tuple:
+    """Jacobian of the chart field at cp, as a tuple of rows."""
     w, y, z = (float(v) for v in cp)
     m = params.m
     m1 = m - 1.0
     boa = beta_over_alpha(params)
-    return np.array(
-        [
-            [2.0 - m1 * y, -m1 * w, 0.0],
-            [1.0 - boa * y - z, 1.0 - 2.0 * m * y - boa * w, -w],
-            [0.0, -m1 * z, params.sigma - m1 * y],
-        ]
+    return (
+        (2.0 - m1 * y, -m1 * w, 0.0),
+        (1.0 - boa * y - z, 1.0 - 2.0 * m * y - boa * w, -w),
+        (0.0, -m1 * z, params.sigma - m1 * y),
     )
 
 
-def phase_from_chart(cp) -> np.ndarray:
+def phase_from_chart(cp) -> tuple[float, float, float]:
     w, y, z = (float(v) for v in cp)
     if w <= 0.0:
         raise DomainError("phase map requires w > 0")
-    return np.array([1.0 / w, y / w, z / w])
+    return (1.0 / w, y / w, z / w)
 
 
-def p2_chart_coordinates(params: Params) -> np.ndarray:
+def p2_chart_coordinates(params: Params) -> tuple[float, float, float]:
     m1 = params.m - 1.0
     alpha = derive_exponents(params).alpha
-    return np.array([2.0 * (params.m + 1.0) * alpha / m1, 2.0 / m1, 0.0])
+    return (2.0 * (params.m + 1.0) * alpha / m1, 2.0 / m1, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -36,13 +36,15 @@ independent oracle in the test suite.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "IntegrationControls",
@@ -190,28 +192,73 @@ class EventSpec:
 class EventHit:
     id: str
     eta: float
-    point: np.ndarray
+    point: tuple[float, float, float]
 
 
-@dataclass
 class Trajectory:
-    """Time-ordered samples of one integration and the event that ended it."""
+    """Time-ordered samples of one integration and the event that ended it.
 
-    eta: np.ndarray
-    points: np.ndarray
-    event: EventHit | None = None  # set exactly when termination == "event"
-    termination: str = "max_time"  # event | max_time | max_steps | step_underflow
-    n_steps: int = 0  # accepted steps
-    n_rejected: int = 0  # rejected step attempts
-    n_rhs: int = 0  # field evaluations: 6 per attempt plus 1 or 2 at the start
+    eta, shape (n,), and points, shape (n, 3), are float numpy arrays.  A
+    run hands over its step loop's lists of floats and float triples, and
+    the arrays are built from them on the first read of either: numpy is
+    imported there, the arrays are kept, and the lists are released, so a
+    read trajectory holds its samples once.  eta and points may also be
+    given as arrays.  record, final_eta and termination read no sample
+    array, so a caller that keeps only the fate never imports numpy.
+    """
+
+    def __init__(
+        self,
+        eta,
+        points,
+        event: EventHit | None = None,
+        termination: str = "max_time",
+        n_steps: int = 0,
+        n_rejected: int = 0,
+        n_rhs: int = 0,
+    ):
+        self._eta = eta
+        self._points = points
+        self._built = False
+        self.final_eta = float(eta[-1])
+        self.event = event  # set exactly when termination == "event"
+        self.termination = termination  # event | max_time | max_steps | step_underflow
+        self.n_steps = n_steps  # accepted steps
+        self.n_rejected = n_rejected  # rejected step attempts
+        self.n_rhs = n_rhs  # field evaluations: 6 per attempt plus 1 or 2 at the start
+
+    def _build(self) -> None:
+        """The sample arrays, from the stored lists on the first read."""
+        import numpy as np
+
+        eta, pts = self._eta, self._points
+        self._eta = np.asarray(eta, dtype=float)
+        if isinstance(pts, list):
+            pts = np.fromiter(itertools.chain.from_iterable(pts), float, 3 * len(pts)).reshape(-1, 3)
+        self._points = np.asarray(pts, dtype=float)
+        self._built = True
 
     @property
-    def final_eta(self) -> float:
-        return float(self.eta[-1])
+    def eta(self) -> np.ndarray:
+        if not self._built:
+            self._build()
+        return self._eta
+
+    @property
+    def points(self) -> np.ndarray:
+        if not self._built:
+            self._build()
+        return self._points
 
     @property
     def final_point(self) -> np.ndarray:
         return self.points[-1]
+
+    def with_event(self, event: EventHit) -> "Trajectory":
+        """A copy that shares these samples and ends at event instead."""
+        out = copy.copy(self)
+        out.event = event
+        return out
 
     @property
     def record(self) -> dict:
@@ -610,7 +657,7 @@ def integrate(
                 take(t_new, y_new)
         if first is not None:
             t, y, i = first
-            hit = EventHit(id=events[i].id, eta=t, point=np.array(y))
+            hit = EventHit(id=events[i].id, eta=t, point=y)
             termination = "event"
             break
 
@@ -628,8 +675,8 @@ def integrate(
 
     _thin(etas, pts, (t, y))  # the final sample: an event's or the last step end
     return Trajectory(
-        eta=np.array(etas),
-        points=np.fromiter(itertools.chain.from_iterable(pts), float, 3 * len(pts)).reshape(-1, 3),
+        eta=etas,
+        points=pts,
         event=hit,
         termination=termination,
         n_steps=n_steps,

@@ -4,15 +4,15 @@ Floats are written with %.17g, which round-trips every finite double; every
 CSV the command-line tool emits is re-readable here with zero loss.  Rows
 are comma-separated, LF-terminated, with a header row.  A CSV of float
 columns is rendered and written in blocks of a fixed number of rows, so
-writing it holds no whole-file copy of its text or values.
+writing it holds no whole-file copy of its text or values.  numpy is
+imported only by the readers and writers of float columns (trajectories
+and profiles), so writing a sweep or a report does without it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-
-import numpy as np
 
 __all__ = [
     "fmt",
@@ -37,6 +37,8 @@ def _write_columns(path, header, columns):
     Rows are written _WRITE_BLOCK at a time, each block rendered by one %
     operation on the repeated row, so a file's text, and a copy of its
     values, is never held whole."""
+    import numpy as np
+
     line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
@@ -47,6 +49,8 @@ def _write_columns(path, header, columns):
 
 def _read_columns(path, header, kind):
     """The float columns under header, as one (rows, len(header)) array."""
+    import numpy as np
+
     with open(path) as fh:
         found = fh.readline().rstrip("\n")
         if found != ",".join(header):

@@ -39,8 +39,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field, replace
 
-import numpy as np
-
 from .params import (
     Params,
     DomainError,
@@ -130,7 +128,7 @@ class OrbitFate:
 
     kind: str
     lambda_hat: float | None
-    entry_point: np.ndarray | None
+    entry_point: tuple[float, float, float] | None
     diagnostics: dict = dc_field(default_factory=dict)
 
     @property
@@ -184,13 +182,12 @@ def _p2_manifold_series(params: Params):
     last order whose coefficients are finite.  Returns (s, [b_1, .., b_n]),
     n <= N, each b_k an (x, y, z) tuple.
     """
-    px, py, _ = (float(v) for v in p2_coordinates(params))
+    px, py, _ = p2_coordinates(params)
     lam = p2_unstable_eigenvalue(params)
-    jac = jacobian((px, py, 0.0), params)
-    j00, j01, j10, j11 = float(jac[0, 0]), float(jac[0, 1]), float(jac[1, 0]), float(jac[1, 1])
+    (j00, j01, _), (j10, j11, _), _ = jacobian((px, py, 0.0), params)
     m1 = params.m - 1.0
     s2 = params.sigma - 2.0
-    e3 = [float(v) for v in p2_unstable_eigenvector(params)]
+    e3 = p2_unstable_eigenvector(params)
 
     def solve(k, xs, ys, zs):
         """a_k from the coefficients of orders 1 to k-1."""
@@ -245,7 +242,7 @@ def _p2_manifold_launch(params: Params):
     it; the Y floor is farther.  So no standard guard has a zero in that
     ball, the launch skips no fate event, and every guard starts armed.
     """
-    px, py = (float(v) for v in p2_coordinates(params)[:2])
+    px, py, _ = p2_coordinates(params)
     rho = min(math.hypot(px, py) - _PARABOLA_DIST_TOL, py + 0.5 * beta_over_alpha(params))
     s, coeffs = _p2_manifold_series(params)
     n = len(coeffs)
@@ -282,10 +279,10 @@ def _p2_manifold_launch(params: Params):
     point = [0.0, 0.0, 0.0]
     for c in reversed(coeffs):
         point = [(p + ci) * phi for p, ci in zip(point, c)]
-    return theta, np.array([px + point[0], py + point[1], point[2]])
+    return theta, (px + point[0], py + point[1], point[2])
 
 
-def launch_from_P2(params: Params, delta: float | None = 1e-6) -> np.ndarray:
+def launch_from_P2(params: Params, delta: float | None = 1e-6) -> tuple[float, float, float]:
     """P2 + delta * e3 with e3 the unit unstable eigenvector oriented into {Z>0}.
 
     With delta None the start is on P2's unstable manifold as far out as
@@ -302,24 +299,25 @@ def launch_from_P2(params: Params, delta: float | None = 1e-6) -> np.ndarray:
         delta = _SERIES_MIN_THETA
     if not 0.0 < delta <= 1e-4:
         raise DomainError("delta must lie in (0, 1e-4]")
-    return p2_coordinates(params) + delta * p2_unstable_eigenvector(params)
+    return tuple(p + delta * e for p, e in zip(p2_coordinates(params), p2_unstable_eigenvector(params)))
 
 
-def launch_from_P0(K: float, z0: float, params: Params) -> np.ndarray:
+def launch_from_P0(K: float, z0: float, params: Params) -> tuple[float, float, float]:
     """Start on the center-manifold family out of the origin, at the
     family point (X, Y) of center_family_P0 with Z = z0: the orbit of the
     tail profile f ~ K xi^{(sigma+2)/(2(m-1))}."""
     if not 0.0 < z0 <= 1e-5:
         raise DomainError("z0 must lie in (0, 1e-5]")
-    return np.array([*center_family_P0(K, z0, params), z0])
+    return (*center_family_P0(K, z0, params), float(z0))
 
 
-def launch_from_Q1_chart(delta: float, params: Params) -> np.ndarray:
+def launch_from_Q1_chart(delta: float, params: Params) -> tuple[float, float, float]:
     """Chart start delta*(1,1,0) near Q1, along the direction of the profiles
     with f'(0) = 0."""
     if not 0.0 < delta <= 1e-4:
         raise DomainError("delta must lie in (0, 1e-4]")
-    return np.array([delta, delta, 0.0])
+    delta = float(delta)
+    return (delta, delta, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +521,7 @@ def classify_fate(traj: Trajectory, params: Params) -> OrbitFate:
     if hit is None:
         reason = "run ended by %s before any fate event" % traj.termination
     elif hit.id == "parabola_entry":
-        value, cert, lam_hat, gap = _entry_certificate(params)(*pt.tolist())
+        value, cert, lam_hat, gap = _entry_certificate(params)(*pt)
         # the event is located to 1e-12 in eta, where the tube value falls at
         # the approach rate (below 1); the Z bracket's sets only its width
         if cert is None or (cert == "tube" and value > 1e-9):
@@ -533,11 +531,11 @@ def classify_fate(traj: Trajectory, params: Params) -> OrbitFate:
             if lam_hat is not None:
                 kind = FateKind.ENTERS_PARABOLA
     elif hit.id == "midplane":
-        gap = float(pt[2]) - z_max
+        gap = pt[2] - z_max
         if not pt[2] > z_max:
             reason = "midplane crossed below the vertex height"
     elif hit.id == "y_floor":
-        gap = float(pt[2]) - z_max
+        gap = pt[2] - z_max
         if not pt[0] >= _X_AWAY_TOL:
             reason = "Y floor reached with X not bounded away from 0"
     else:
@@ -642,7 +640,8 @@ def run_q1_orbit(
     """
     if not 0.0 <= z0 < math.inf:
         raise DomainError("z0 must be finite and nonnegative")
-    start = launch_from_Q1_chart(delta, params) + np.array([0.0, 0.0, z0])
+    w, y, _ = launch_from_Q1_chart(delta, params)
+    start = (w, y, float(z0))
     events = [
         EventSpec(id="handoff", guard=lambda p: 1e-2 - p[0]),
         EventSpec(id="y_floor", guard=lambda p: p[1] - _Y_FLOOR * p[0]),
@@ -657,7 +656,7 @@ def run_q1_orbit(
         fate.diagnostics["reason"] = "chart leg ended by %s before its handoff" % chart_traj.termination
     else:
         floor_hit = replace(hit, point=phase_from_chart(hit.point))
-        fate = classify_fate(replace(chart_traj, event=floor_hit), params)
+        fate = classify_fate(chart_traj.with_event(floor_hit), params)
     return chart_traj, None, fate
 
 

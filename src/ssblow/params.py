@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "ParameterError",
     "DomainError",
@@ -57,6 +55,8 @@ class Params:
             raise ParameterError("m + p must equal 2 (got %.17g)" % (self.m + self.p))
         if not self.sigma > 2.0:
             raise ParameterError("sigma must exceed 2")
+        if not math.isfinite(self.sigma):
+            raise ParameterError("sigma must be finite")
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ def derive_exponents(params: Params) -> Exponents:
     return Exponents(alpha=alpha, beta=beta, xi_max=xi_max, z_max=z_max)
 
 
-def p2_coordinates(params: Params) -> np.ndarray:
+def p2_coordinates(params: Params) -> tuple[float, float, float]:
     """Phase-space coordinates (X, Y, 0) of the equilibrium P2.
 
     sigma - 2 and sigma + 2 enter scaled by 1/8.  A power of two changes no
@@ -107,7 +107,7 @@ def p2_coordinates(params: Params) -> np.ndarray:
     den = 0.125 * (sigma + 2.0)
     x = (m - 1.0) ** 2 * num / (2.0 * (m + 1.0) * den)
     y = (m - 1.0) * num / ((m + 1.0) * den)
-    return np.array([x, y, 0.0])
+    return (x, y, 0.0)
 
 
 def lambda_range(params: Params) -> tuple[float, float]:
@@ -120,14 +120,15 @@ def parabola_z(lam: float, params: Params) -> float:
     return -lam * (lam + beta_over_alpha(params))
 
 
-def parabola_point(lam: float, params: Params) -> np.ndarray:
+def parabola_point(lam: float, params: Params) -> tuple[float, float, float]:
     """Point (0, lambda, -lambda^2 - (beta/alpha) lambda) on the critical parabola."""
     lo, hi = lambda_range(params)
     if not lo <= lam <= hi:
         raise DomainError(
             "lambda must lie in [%.17g, 0], got %.17g" % (lo, lam)
         )
-    return np.array([0.0, lam, parabola_z(lam, params)])
+    lam = float(lam)
+    return (0.0, lam, parabola_z(lam, params))
 
 
 def interface_xi_of_lambda(lam: float, params: Params) -> float:

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .params import (
     Params,
@@ -38,6 +37,9 @@ from .params import (
 from .field import center_family_P0, p2_unstable_eigenvector
 from .integrate import EventSpec, IntegrationControls, Trajectory, _coarse_controls, integrate
 from .orbits import BracketError, InconclusiveError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _RHO_VANISH = 1e-4  # rho = g / hypot(g, xi g') at which a profile run ends as vanishing
 _SLOPE_TOL = 1e-2  # largest |g' - root| at the vanishing event that is an interface
@@ -89,6 +91,8 @@ class InterfaceReport:
 def _physical_rows(keep: np.ndarray, key: np.ndarray) -> np.ndarray:
     """Indices of the rows where keep holds and key strictly exceeds its
     value at the previous such row."""
+    import numpy as np
+
     rows = np.flatnonzero(keep)
     inc = np.empty(len(rows), dtype=bool)
     if len(rows):
@@ -104,6 +108,8 @@ def reconstruct_profile(traj: Trajectory, params: Params) -> ProfileFrame:
     m - 1), are dropped (counted in n_dropped), as are repeated Z values, so
     xi comes out strictly increasing and f positive.
     """
+    import numpy as np
+
     m = params.m
     exp = derive_exponents(params)
     pts = traj.points
@@ -126,6 +132,8 @@ def ssode_residual(frame: ProfileFrame, params: Params) -> float:
     max(1, max |alpha f|).  A flux that overflows gives nan, without a
     numpy warning.
     """
+    import numpy as np
+
     if len(frame) < 5:
         raise DomainError("need at least 5 samples to test the profile equation")
     if np.any(frame.f[1:-1] <= 0.0):
@@ -261,7 +269,7 @@ def _classify_vanishing(xi0: float, g_slope: float, params: Params):
         report.slope_minus = report.slope_plus = double
     candidates = [report.slope_minus, report.slope_plus]
     dists = [abs(g_slope - c) for c in candidates]
-    best = int(np.argmin(dists))
+    best = 0 if dists[0] <= dists[1] else 1
     if dists[best] <= _SLOPE_TOL:
         report.matched_slope = candidates[best]
         return "interface", report
@@ -330,12 +338,14 @@ def integrate_ssode(
     if hit.id == "xi_cap":
         fate = "positive"
     else:
-        xi_h, g_h, g_slope = (float(v) for v in hit.point)
+        xi_h, g_h, g_slope = hit.point
         xi0 = xi_h + g_h / abs(g_slope)
         fate, report = _classify_vanishing(xi0, g_slope, params)
 
     # rows where g <= 0, or where f underflows to 0 at small m - 1, are
     # dropped, so the frame's f is positive
+    import numpy as np
+
     pts = traj.points
     f = ((m - 1.0) * np.maximum(pts[:, 1], 0.0) / m) ** (1.0 / (m - 1.0))
     rows = _physical_rows(f > 0.0, pts[:, 0])
@@ -375,9 +385,11 @@ def find_good_profile_P1(
     controls: IntegrationControls | None = None,
     xi_start: float = 1e-4,
 ):
-    """Bisect the initial height a = f(0) between sign-change and positive fates.
+    """Bisect the initial height a = f(0) between a sign-change fate and any other.
 
-    Returns (a_star, result) with result the SsodeResult of the run at
+    Each fate counts as "sign_change" or not, so an interface and a
+    positive fate fall on the same side; the brackets of the README, the
+    tests and the benchmark have an interface at one end.  Returns (a_star, result) with result the SsodeResult of the run at
     a_star.  a_star is the midpoint of the final bracket, unless that run
     is not an interface while an earlier fate was: then result is the run
     at the last a whose fate was an interface, and a_star that a, so the

@@ -106,7 +106,7 @@ def test_criterion_02_eigen_suite():
             assert abs(lam3 - (sigma - 2.0) * (m - 1.0) / (2.0 * (m + 1.0) * exp.alpha)) < 1e-15
             assert abs(re[2] - lam3) < 1e-9
             # unstable eigenvector matches its closed form to 1e-8 in direction
-            e3 = p2_unstable_eigenvector(pr)
+            e3 = np.asarray(p2_unstable_eigenvector(pr))
             J = jacobian(p2_coordinates(pr), pr)
             num = p2.eigen.vectors[:, np.argmax(p2.eigen.values.real)].real
             cos = abs(np.dot(e3, num) / (np.linalg.norm(e3) * np.linalg.norm(num)))

@@ -127,8 +127,8 @@ def _claimed_regions(params):
     (x, y, z), written from the constants the claim is stated with."""
     boa = beta_over_alpha(params)
     z_max = derive_exponents(params).z_max
-    xp2, yp2, _ = p2_coordinates(params).tolist()
-    wp2, yp2_chart = p2_chart_coordinates(params)[:2].tolist()
+    xp2, yp2, _ = np.asarray(p2_coordinates(params)).tolist()
+    wp2, yp2_chart = np.asarray(p2_chart_coordinates(params))[:2].tolist()
     cst = dregion_constants(params)
     x_star, y_star, e2, f2 = cst["x_star"], cst["y_star"], cst["e"], cst["f"]
     x_star3 = plane3_constants(params)["x_star3"]

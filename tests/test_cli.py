@@ -441,6 +441,26 @@ def test_non_finite_launch_shot_and_search_values_exit_2(argv, capsys):
     assert code == 2 and err.startswith("error: "), (code, err)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["params", "--sigma", "inf"],
+        ["classify", "--sigma", "inf"],
+        ["profile", "--sigma", "inf"],
+        ["verify", "--sigma", "inf"],
+        ["sweep", "--sigmas", "3,inf"],
+        ["sigma-star", "--lo", "3", "--hi", "inf"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_an_infinite_sigma_exits_2(argv, capsys):
+    """Params refuses sigma = inf, which derive_exponents cannot take; sweep
+    and sigma-star check every sigma of the grid or bracket before the
+    first run."""
+    code, out, err = run_cli(capsys, *argv[:1], "--m", "1.5", *argv[1:])
+    assert (code, out, err) == (2, "", "error: sigma must be finite\n")
+
+
 def test_a_profile_whose_residual_overflows_exits_3(capsys):
     """At K = 1e300 the frame is finite (f up to 5.4e283), but the flux
     m f^(m-1) f' of ssode_residual overflows: exit 3 with the reason named,
@@ -1137,6 +1157,39 @@ def test_cli_import_leaves_out_the_process_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["params", "--sigma", "3"], False),
+        (["classify", "--sigma", "3", "--source", "p2"], False),
+        (["classify", "--sigma", "3", "--source", "p0"], False),
+        (["classify", "--sigma", "3", "--source", "q1"], False),
+        (["sigma-star", "--lo", "3", "--hi", "3.4"], False),
+        (["sweep", "--sigmas", "2.6,3.0,3.4", "--jobs", "1"], False),
+        (["profile", "--sigma", "3", "--origin", "p2"], True),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else "numpy" if v else "no numpy",
+)
+def test_commands_that_only_classify_leave_out_numpy(argv, loaded, tmp_path):
+    """params, classify without --out, sigma-star and sweep run in a fresh
+    interpreter without importing numpy; profile builds arrays, and shows
+    that the probe sees numpy where it is loaded."""
+    code = (
+        "import sys, ssblow.cli\n"
+        "rc = ssblow.cli.main(sys.argv[1:])\n"
+        "assert rc == 0, rc\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = str(Path(ssblow.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv[:1], "--m", "1.5", *argv[1:]],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(loaded)
 
 
 def _mostly(good, bad):

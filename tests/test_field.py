@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from ssblow.params import (
     validate_params,
 )
 from ssblow.field import (
+    _fused_multiply_add,
     center_family_P0,
     classify_critical_points,
     infinity_chart_jacobian,
@@ -140,7 +143,7 @@ def test_p2_spectrum(params15_3):
 
 def test_p2_unstable_eigenvector_is_true_eigenvector(params15_3):
     lam3 = p2_unstable_eigenvalue(params15_3)
-    e3 = p2_unstable_eigenvector(params15_3)
+    e3 = np.asarray(p2_unstable_eigenvector(params15_3))
     J = jacobian(p2_coordinates(params15_3), params15_3)
     assert np.linalg.norm(J @ e3 - lam3 * e3) < 1e-12
     # components scale as (-2(m-1)(m+1)alpha, -2(m+1) sigma alpha, D)/D
@@ -148,6 +151,35 @@ def test_p2_unstable_eigenvector_is_true_eigenvector(params15_3):
     assert scaled[:2] == pytest.approx([-25.0 / 21.0, -150.0 / 21.0], rel=1e-12)
     # the first two components have the ratio (m-1)/sigma
     assert scaled[0] / scaled[1] == pytest.approx((1.5 - 1.0) / 3.0, rel=1e-12)
+
+
+# e3 at the benchmark and README points, as v / np.linalg.norm(v) gave it
+_E3_BITS = {
+    (1.5, 3.0): ("-0x1.4d862185a7287p-3", "-0x1.f44932487abccp-1", "0x1.1828fd7044bb9p-3"),
+    (1.5, 3.285): ("-0x1.2fef8e55efa9dp-3", "-0x1.f336e925785e0p-1", "0x1.525b50cd88d21p-3"),
+    (1.5, 3.4): ("-0x1.2553eb7fe84f0p-3", "-0x1.f2a8438ca4865p-1", "0x1.6829c0c03f256p-3"),
+    (1.5, 2.6): ("-0x1.812aa2748feb3p-3", "-0x1.f4b76ccabb181p-1", "0x1.735e168923eafp-4"),
+    (1.3, 3.0): ("-0x1.963280ff7b62ap-4", "-0x1.fbbf213f5a3b3p-1", "0x1.4f8de4ff9272ep-4"),
+    (1.8, 3.0): ("-0x1.01a3566e99cb8p-2", "-0x1.e312420f605dap-1", "0x1.b9aa4b06be819p-3"),
+}
+
+
+@pytest.mark.parametrize("m, sigma", sorted(_E3_BITS))
+def test_p2_unstable_eigenvector_keeps_the_bits_of_numpys_norm(m, sigma):
+    """The scalar norm reproduces numpy's, so every launch along e3, and so
+    every orbit of the benchmark and the README, starts where it did."""
+    e3 = p2_unstable_eigenvector(validate_params(m, sigma))
+    assert tuple(v.hex() for v in e3) == _E3_BITS[m, sigma]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(-1e100, 1e100, allow_nan=False),
+    st.floats(-1e100, 1e100, allow_nan=False),
+    st.floats(-1e200, 1e200, allow_nan=False),
+)
+def test_fused_multiply_add_rounds_once(a, b, c):
+    assert _fused_multiply_add(a, b, c) == float(Fraction(a) * Fraction(b) + Fraction(c))
 
 
 def test_infinity_chart_fixed_points(params15_3):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 from dataclasses import replace
@@ -556,3 +557,49 @@ def test_a_thinning_among_short_steps_evaluates_the_deferred_samples(monkeypatch
     at = full.eta.searchsorted(thin.eta)
     assert np.array_equal(full.eta[at], thin.eta)
     assert np.array_equal(full.points[at], thin.points)
+
+
+def _lazy_case(case, monkeypatch):
+    """A run whose samples are read by nobody yet: one that samples by
+    move, one that stores step ends only, one ended by an event, and one
+    thinned past a _MAX_SAMPLES of 100."""
+    rotation = lambda t, y: (1.0, -y[2], y[1])
+    if case == "sampled":
+        return integrate(rotation, (0.0, 1.0, 0.0), [], IntegrationControls(max_time=10.0))
+    if case == "step_ends":
+        return integrate(rotation, (0.0, 1.0, 0.0), [], IntegrationControls(max_time=10.0, sample_step=math.inf))
+    if case == "event":
+        wall = EventSpec(id="wall", guard=lambda p: 5.0525 - p[0])
+        return integrate(rotation, (0.0, 1.0, 0.0), [wall], IntegrationControls(max_time=50.0))
+    monkeypatch.setattr(integrate_module, "_MAX_SAMPLES", 100)
+    return integrate(
+        lambda t, y: (1.0, 0.01 * (1.0 - y[1]), 0.0), (0.0, 0.0, 0.0), [],
+        IntegrationControls(max_step=5.0, max_time=1e3),
+    )
+
+
+@pytest.mark.parametrize("case", ["sampled", "step_ends", "event", "thinned"])
+def test_sample_arrays_are_built_on_first_read(case, monkeypatch):
+    """A run hands over its step lists, and the first read of eta or points
+    builds from them the arrays integrate returned when it built them
+    eagerly, np.array of the etas and np.fromiter of the point triples:
+    the same dtype, shape and bytes.  The arrays are kept, the lists are
+    released, and the run record reads neither."""
+    traj = _lazy_case(case, monkeypatch)
+    record = traj.record
+    etas, pts = traj._eta, traj._points
+    assert type(etas) is list and type(pts) is list
+    assert record["final_eta"] == etas[-1] and traj.final_eta == etas[-1]
+    eager_eta = np.array(etas)
+    eager_points = np.fromiter(itertools.chain.from_iterable(pts), float, 3 * len(pts)).reshape(-1, 3)
+    if case == "thinned":
+        assert len(pts) <= 101 and traj.n_steps > 101
+    for built, eager in ((traj.points, eager_points), (traj.eta, eager_eta)):
+        assert (built.dtype, built.shape) == (eager.dtype, eager.shape)
+        assert built.tobytes() == eager.tobytes()
+    assert traj.eta is traj.eta and traj.points is traj.points
+    assert all(value is not etas and value is not pts for value in vars(traj).values())
+    assert traj.record == record
+    if case == "event":
+        assert type(traj.event.point) is tuple and all(type(v) is float for v in traj.event.point)
+        assert traj.event.point == tuple(traj.points[-1])

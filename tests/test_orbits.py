@@ -58,7 +58,7 @@ def _parabola_distance(pt, params):
 
 def test_launch_from_p2_geometry(params15_3):
     start = launch_from_P2(params15_3, 1e-6)
-    e3 = p2_unstable_eigenvector(params15_3)
+    e3 = np.asarray(p2_unstable_eigenvector(params15_3))
     if e3[2] < 0:
         e3 = -e3
     assert start == pytest.approx(p2_coordinates(params15_3) + 1e-6 * e3, rel=1e-12)
@@ -90,7 +90,7 @@ def test_p2_manifold_series_solves_the_invariance_equation(m, sigma):
     b = np.array(coeffs)
     k = np.arange(1, len(coeffs) + 1)[:, None]
     rhs = make_rhs(pr)
-    p2 = p2_coordinates(pr)
+    p2 = np.asarray(p2_coordinates(pr))
     for t in (0.25 * theta, 0.5 * theta, theta):
         phi = t / s
         w = p2 + (b * phi**k).sum(axis=0)
@@ -121,7 +121,7 @@ def test_series_launch_is_finite_and_guard_free(m, sigma):
         linear = launch_from_P2(pr, 1e-6)
         assert np.all(np.isfinite(start))
         if not np.array_equal(start, linear):
-            dist = float(np.linalg.norm(start - p2_coordinates(pr)))
+            dist = float(np.linalg.norm(np.asarray(start) - p2_coordinates(pr)))
             assert 1e-6 < dist <= 0.5 * _guard_free_radius(pr)
             assert start[2] > 0.0
             assert all(ev.guard(start) > 1e-10 for ev in standard_fate_events(pr))
@@ -134,7 +134,7 @@ def test_series_launch_keeps_every_explicit_delta():
     assert _guard_free_radius(pr) < 0.0
     assert np.array_equal(launch_from_P2(pr, None), launch_from_P2(pr, 1e-6))
     pr = validate_params(1.5, 3.0)
-    e3 = p2_unstable_eigenvector(pr)
+    e3 = np.asarray(p2_unstable_eigenvector(pr))
     assert np.array_equal(launch_from_P2(pr, 5e-7), p2_coordinates(pr) + 5e-7 * e3)
     assert np.array_equal(run_p2_orbit(pr)[0].points[0], launch_from_P2(pr, 1e-6))
 
@@ -283,7 +283,7 @@ def test_uncapped_p2_orbit_keeps_the_capped_fate(sigma, default_run, request):
         if fate_c.lambda_hat is not None:
             assert fate.lambda_hat == pytest.approx(fate_c.lambda_hat, abs=1e-9)
         assert traj.event.id == traj_c.event.id
-        assert np.max(np.abs(traj.event.point - traj_c.event.point)) < 1e-9
+        assert np.max(np.abs(np.asarray(traj.event.point) - traj_c.event.point)) < 1e-9
     assert traj_u.n_steps < traj_c.n_steps / 10
 
 
@@ -810,7 +810,7 @@ def test_q1_to_p2_chart_connection(params15_3):
     traj, hit = q1_to_p2_connection(params15_3)
     assert hit is not None and hit.id == "p2_arrival"
     target = p2_chart_coordinates(params15_3)
-    rel = np.linalg.norm(hit.point[:2] - target[:2]) / np.linalg.norm(target[:2])
+    rel = np.linalg.norm(np.asarray(hit.point[:2]) - target[:2]) / np.linalg.norm(target[:2])
     assert rel <= 1e-3 + 1e-12
     # the connection stays inside the invariant plane z = 0
     assert np.all(traj.points[:, 2] == 0.0)

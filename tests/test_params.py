@@ -36,6 +36,8 @@ def test_validate_paper_experiment_triple():
         (2.0, 3.0, "m must be below 2"),
         (1.5, 2.0, "sigma must exceed 2"),
         (0.5, 3.0, "m must exceed 1"),
+        (1.5, math.inf, "sigma must be finite"),
+        (1.5, math.nan, "sigma must exceed 2"),
     ],
 )
 def test_validate_rejects_out_of_range(m, sigma, msg):
