@@ -149,27 +149,17 @@ def p2_unstable_eigenvector(params: Params) -> tuple[float, float, float]:
     D = (m-1)sigma^2 + (5-m)sigma + 4m; the ratio of the first two components
     is (m-1)/sigma, as the first row of the linearization at P2 forces.
 
-    The squared norm is x^2, then y^2 added with a single rounding, then 1:
-    the order and roundings of the dot product by which numpy.linalg.norm
-    formed it (OpenBLAS on x86-64 fuses each product into its sum).  So the
-    vector keeps the bits it had as a numpy array (checked at 100 000 random
-    (m, sigma)), where math.hypot or the plain sum of squares differ in the
-    last bit at about one (m, sigma) in seven.
+    The norm is math.hypot(x, y, 1): at the benchmark and README points it
+    gives the bits that numpy.linalg.norm gave, and elsewhere it may differ
+    from that in the last bit.
     """
     m, sigma = params.m, params.sigma
     alpha = derive_exponents(params).alpha
     den = (m - 1.0) * sigma * sigma + (5.0 - m) * sigma + 4.0 * m
     x = -2.0 * (m - 1.0) * (m + 1.0) * alpha / den
     y = -2.0 * (m + 1.0) * sigma * alpha / den
-    norm = math.sqrt(_fused_multiply_add(y, y, x * x) + 1.0)
+    norm = math.hypot(x, y, 1.0)
     return (x / norm, y / norm, 1.0 / norm)
-
-
-def _fused_multiply_add(a: float, b: float, c: float) -> float:
-    """a * b + c with one rounding, from the exact integer ratios of the
-    three floats; int / int rounds correctly."""
-    (an, ad), (bn, bd), (cn, cd) = a.as_integer_ratio(), b.as_integer_ratio(), c.as_integer_ratio()
-    return (an * bn * cd + cn * ad * bd) / (ad * bd * cd)
 
 
 def classify_critical_points(

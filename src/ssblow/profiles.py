@@ -2,13 +2,14 @@
 
 A phase-space trajectory maps pointwise back to a profile via
 
-    xi = (alpha^2 Z / m)^{1/(sigma-2)},   f = (alpha xi^2 X / m)^{1/(m-1)},
-    f' = (alpha xi f^{2-m} Y) / m,
+    xi = (alpha^2 Z / m)^{1/(sigma-2)},   g = alpha xi^2 X / (m-1),
+    g' = alpha xi Y,
 
-and the profile equation (f^m)'' - alpha f + beta xi f' + xi^sigma f^{2-m} = 0
-can be integrated directly as an independent cross-check.  The direct run
-uses the pressure g = m f^{m-1}/(m-1), which is Lipschitz up to an
-interface, in the form
+in the pressure g = m f^{m-1}/(m-1), and the profile equation
+(f^m)'' - alpha f + beta xi f' + xi^sigma f^{2-m} = 0 can be integrated
+directly as an independent cross-check.  Both routes give a frame
+through f = ((m-1) g / m)^{1/(m-1)} and f' = g' f^{2-m} / m.  The direct
+run integrates g, which is Lipschitz up to an interface, in the form
 
     (m-1) g g'' = (m-1) alpha g - (g')^2 - beta xi g' - m xi^sigma,
 
@@ -60,23 +61,17 @@ __all__ = [
 
 @dataclass
 class ProfileFrame:
-    """Columnar profile samples; xi strictly increasing, f >= 0."""
+    """Columnar profile samples; xi strictly increasing, f > 0 (_frame)."""
 
     xi: np.ndarray
     f: np.ndarray
     df: np.ndarray
-    n_dropped: int = 0
 
     def __len__(self):
         return len(self.xi)
 
     def decimated(self, step: int) -> "ProfileFrame":
-        return ProfileFrame(
-            xi=self.xi[::step],
-            f=self.f[::step],
-            df=self.df[::step],
-            n_dropped=self.n_dropped,
-        )
+        return ProfileFrame(xi=self.xi[::step], f=self.f[::step], df=self.df[::step])
 
 
 @dataclass
@@ -88,37 +83,41 @@ class InterfaceReport:
     matched_slope: float | None = None
 
 
-def _physical_rows(keep: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """Indices of the rows where keep holds and key strictly exceeds its
-    value at the previous such row."""
+def _frame(xi: np.ndarray, g: np.ndarray, dg: np.ndarray, m: float) -> ProfileFrame:
+    """The profile of pressure samples g, g' at xi: f = ((m-1) g / m)^{1/(m-1)}
+    and f' = g' f^{2-m} / m, on the rows where f > 0 and xi strictly exceeds
+    its value at the previous row with f > 0.  So rows with g <= 0, or where
+    f underflows to 0 (at small m - 1), are dropped, as are repeated xi."""
     import numpy as np
 
-    rows = np.flatnonzero(keep)
-    inc = np.empty(len(rows), dtype=bool)
-    if len(rows):
-        inc[0] = True
-        inc[1:] = np.diff(key[rows]) > 0.0
-    return rows[inc]
+    f = ((m - 1.0) * np.maximum(g, 0.0) / m) ** (1.0 / (m - 1.0))
+    rows = np.flatnonzero(f > 0.0)
+    rows = rows[np.diff(xi[rows], prepend=-math.inf) > 0.0]
+    f = f[rows]
+    return ProfileFrame(xi=xi[rows], f=f, df=dg[rows] * f ** (2.0 - m) / m)
+
+
+def _phase_pressure(xi, x, y, alpha: float, m: float):
+    """The pressure g = alpha xi^2 X / (m-1) and its slope g' = alpha xi Y at
+    the phase point (X, Y) over xi; floats or arrays."""
+    return alpha * xi**2 * x / (m - 1.0), alpha * xi * y
 
 
 def reconstruct_profile(traj: Trajectory, params: Params) -> ProfileFrame:
     """Invert the phase-space change of variables along a trajectory.
 
-    Samples with X <= 0 or Z <= 0, or where f underflows to 0 (at small
-    m - 1), are dropped (counted in n_dropped), as are repeated Z values, so
-    xi comes out strictly increasing and f positive.
+    xi comes from Z, and the pressure g and g' from X and Y over it
+    (_phase_pressure); _frame forms f and f' and keeps the rows where f > 0
+    and xi strictly increases, which drops the samples with X <= 0 or
+    Z <= 0 and those where f underflows to 0 (at small m - 1).
     """
     import numpy as np
 
-    m = params.m
     exp = derive_exponents(params)
     pts = traj.points
-    xi = (exp.alpha**2 * np.maximum(pts[:, 2], 0.0) / m) ** (1.0 / (params.sigma - 2.0))
-    f = (exp.alpha * xi**2 * np.maximum(pts[:, 0], 0.0) / m) ** (1.0 / (m - 1.0))
-    rows = _physical_rows(f > 0.0, pts[:, 2])
-    xi, f = xi[rows], f[rows]
-    df = exp.alpha * xi * f ** (2.0 - m) * pts[rows, 1] / m
-    return ProfileFrame(xi=xi, f=f, df=df, n_dropped=len(pts) - len(rows))
+    xi = (exp.alpha**2 * np.maximum(pts[:, 2], 0.0) / params.m) ** (1.0 / (params.sigma - 2.0))
+    g, dg = _phase_pressure(xi, pts[:, 0], pts[:, 1], exp.alpha, params.m)
+    return _frame(xi, g, dg, params.m)
 
 
 def ssode_residual(frame: ProfileFrame, params: Params) -> float:
@@ -218,7 +217,7 @@ def _asymptotic_start(origin, params, xi_start, a=None, K=None):
         x_s, y_s = center_family_P0(K, z_s, params)
     else:
         raise DomainError("origin must be p1, p2 or p0")
-    return alpha * xi_start**2 * x_s / (m - 1.0), alpha * xi_start * y_s
+    return _phase_pressure(xi_start, x_s, y_s, alpha, m)
 
 
 def _pressure_rhs(params: Params):
@@ -298,13 +297,12 @@ def integrate_ssode(
     InconclusiveError.
 
     controls sets rel_tol and the step in s, capped at 0.05; the frame
-    holds the step ends, and since dxi/ds <= 1 the step also bounds the
-    xi-gap between samples.  Its abs_tol counts only below 1e-60, and its
+    holds the step ends where f > 0 (_frame), and since dxi/ds <= 1 the
+    step also bounds the xi-gap between samples.  Its abs_tol counts only below 1e-60, and its
     max_time and sample_step are not used: rho stays above 1e-4 until the
     run ends, so an s budget of (xi_cap - xi_start) / 1e-4 always reaches
     xi_cap.
     """
-    m = params.m
     exp = derive_exponents(params)
     if not xi_start > 0.0:
         raise DomainError("xi_start must be positive")
@@ -342,19 +340,10 @@ def integrate_ssode(
         xi0 = xi_h + g_h / abs(g_slope)
         fate, report = _classify_vanishing(xi0, g_slope, params)
 
-    # rows where g <= 0, or where f underflows to 0 at small m - 1, are
-    # dropped, so the frame's f is positive
-    import numpy as np
-
     pts = traj.points
-    f = ((m - 1.0) * np.maximum(pts[:, 1], 0.0) / m) ** (1.0 / (m - 1.0))
-    rows = _physical_rows(f > 0.0, pts[:, 0])
-    f = f[rows]
-    frame = ProfileFrame(
-        xi=pts[rows, 0], f=f, df=pts[rows, 2] * f ** (2.0 - m) / m, n_dropped=len(pts) - len(rows)
-    )
     return SsodeResult(
-        frame=frame, fate=fate, xi0=xi0, g_slope=g_slope, report=report, record=traj.record
+        frame=_frame(pts[:, 0], pts[:, 1], pts[:, 2], params.m),
+        fate=fate, xi0=xi0, g_slope=g_slope, report=report, record=traj.record,
     )
 
 
@@ -385,15 +374,16 @@ def find_good_profile_P1(
     controls: IntegrationControls | None = None,
     xi_start: float = 1e-4,
 ):
-    """Bisect the initial height a = f(0) between a sign-change fate and any other.
+    """Bisect the initial height a = f(0) between a sign change and no sign change.
 
-    Each fate counts as "sign_change" or not, so an interface and a
-    positive fate fall on the same side; the brackets of the README, the
-    tests and the benchmark have an interface at one end.  Returns (a_star, result) with result the SsodeResult of the run at
-    a_star.  a_star is the midpoint of the final bracket, unless that run
-    is not an interface while an earlier fate was: then result is the run
-    at the last a whose fate was an interface, and a_star that a, so the
-    two always belong together.
+    One side rule decides the bracket, every bisection step and the
+    answer: a fate is "sign_change" or not, so an interface and a positive
+    fate lie on the same side; the brackets of the README, the tests and
+    the benchmark have an interface at one end.  Ends on the same side
+    raise BracketError, which names that side.  Returns (a_star, result):
+    a_star is the end of the final bracket whose fate is not a sign
+    change, and result the SsodeResult of the run at a_star under
+    controls.
 
     Each bracket end and each midpoint is first run under coarse controls,
     rel_tol 100 times the caller's but no looser than 1e-8
@@ -402,11 +392,12 @@ def find_good_profile_P1(
     discriminant at -1e-6 and the nearest-root distance at 1e-2, by 1e3
     times the coarse rel_tol relative to their scale (_fate_clearance).
     A coarse "positive", an inconclusive coarse run and a fate inside that
-    margin are rerun under controls, and only such a run can raise
-    InconclusiveError.  The run at a_star, and the run at an earlier a that
-    is returned in its place, are always under controls, so the answer is
-    the one of a search that runs every a under controls.  Caller controls
-    with rel_tol 1e-8 or looser make no coarse pass.
+    margin are rerun under controls, and an inconclusive rerun raises
+    InconclusiveError.  Where the fate at a_star was kept from a coarse
+    run, a_star is run once under controls, and a sign change there
+    raises InconclusiveError too.  So no a runs twice under controls, and the answer
+    is the one of a search that runs every a under controls.  Caller
+    controls with rel_tol 1e-8 or looser make no coarse pass.
     """
     a_lo, a_hi = float(a_bracket[0]), float(a_bracket[1])
     if not 0.0 < a_lo < a_hi < math.inf:
@@ -429,9 +420,9 @@ def find_good_profile_P1(
     def run_at(a, run_controls=controls):
         return integrate_ssode("p1", params, run_controls, a=a, xi_start=xi_start)
 
-    def fate_at(a):
-        """The fate at a: the coarse run's where it clears the margin, else
-        that of a run under controls."""
+    def side_at(a):
+        """Whether the fate at a is a sign change, and the run under
+        controls that decided it, or None where a coarse fate was kept."""
         if coarse is not None:
             try:
                 first = run_at(a, coarse)
@@ -439,28 +430,27 @@ def find_good_profile_P1(
                 pass
             else:
                 if _fate_clearance(first, params) > 1e3 * coarse.rel_tol:
-                    return first.fate
-        return run_at(a).fate
+                    return first.fate == "sign_change", None
+        run = run_at(a)
+        return run.fate == "sign_change", run
 
-    f_lo, f_hi = fate_at(a_lo), fate_at(a_hi)
-    if f_lo == f_hi:
-        raise BracketError(
-            "same fate (%s) at both ends of the a-bracket (%g, %g)" % (f_lo, a_lo, a_hi)
-        )
-    sign_change_low = f_lo == "sign_change"
-    # the a of the last interface fate
-    best = a_lo if f_lo == "interface" else (a_hi if f_hi == "interface" else None)
+    (lo_side, lo_run), (hi_side, hi_run) = side_at(a_lo), side_at(a_hi)
+    if lo_side == hi_side:
+        side = "a sign change at both ends" if lo_side else "no sign change at either end"
+        raise BracketError("%s of the a-bracket (%g, %g)" % (side, a_lo, a_hi))
     while a_hi - a_lo > tol:
         mid = 0.5 * (a_lo + a_hi)
-        f_mid = fate_at(mid)
-        if f_mid == "interface":
-            best = mid
-        if (f_mid == "sign_change") == sign_change_low:
-            a_lo = mid
+        side, run = side_at(mid)
+        if side == lo_side:
+            a_lo, lo_run = mid, run
         else:
-            a_hi = mid
-    a_star = 0.5 * (a_lo + a_hi)
-    result = run_at(a_star)
-    if result.fate != "interface" and best is not None:
-        return best, run_at(best)
+            a_hi, hi_run = mid, run
+    a_star, result = (a_hi, hi_run) if lo_side else (a_lo, lo_run)
+    if result is None:
+        result = run_at(a_star)
+        if result.fate == "sign_change":
+            raise InconclusiveError(
+                "the run at a* = %.17g changes sign under the caller's controls,"
+                " against its coarse fate" % a_star
+            )
     return a_star, result

@@ -409,10 +409,20 @@ def test_config_block_holds_only_the_values_used(tmp_path, capsys):
     "error, flags, named",
     [
         (DomainError, ["--origin", "p0", "--K", "1e-12"], "non-physical start"),
-        (BracketError, ["--origin", "p1", "--a-bracket", "1e-10", "2e-10"], "same fate"),
+        pytest.param(
+            BracketError, ["--origin", "p1", "--a-bracket", "1e-10", "2e-10"], "a sign change at both ends",
+            id="sign-change-at-both-ends",
+        ),
+        # an interface at 1e-13 and a positive fate at 1
+        pytest.param(
+            BracketError, ["--origin", "p1", "--a-bracket", "1e-13", "1"], "no sign change at either end",
+            id="no-sign-change-at-either-end",
+        ),
     ],
 )
 def test_profile_start_and_bracket_errors_exit_2(error, flags, named, capsys):
+    """A bracket whose ends lie on the same side of the sign change exits 2
+    with a message naming that side, even where their fates differ."""
     err = usage_error(capsys, error, "profile", "--m", "1.5", "--sigma", "3", *flags)
     assert named in err
 

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +13,6 @@ from ssblow.params import (
     validate_params,
 )
 from ssblow.field import (
-    _fused_multiply_add,
     center_family_P0,
     classify_critical_points,
     infinity_chart_jacobian,
@@ -166,20 +163,12 @@ _E3_BITS = {
 
 @pytest.mark.parametrize("m, sigma", sorted(_E3_BITS))
 def test_p2_unstable_eigenvector_keeps_the_bits_of_numpys_norm(m, sigma):
-    """The scalar norm reproduces numpy's, so every launch along e3, and so
-    every orbit of the benchmark and the README, starts where it did."""
+    """At these six points math.hypot gives the bits of numpy's norm, so
+    every launch along e3, and so every orbit of the benchmark and the
+    README, starts where it did.  Elsewhere the two may differ in the last
+    bit."""
     e3 = p2_unstable_eigenvector(validate_params(m, sigma))
     assert tuple(v.hex() for v in e3) == _E3_BITS[m, sigma]
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.floats(-1e100, 1e100, allow_nan=False),
-    st.floats(-1e100, 1e100, allow_nan=False),
-    st.floats(-1e200, 1e200, allow_nan=False),
-)
-def test_fused_multiply_add_rounds_once(a, b, c):
-    assert _fused_multiply_add(a, b, c) == float(Fraction(a) * Fraction(b) + Fraction(c))
 
 
 def test_infinity_chart_fixed_points(params15_3):

@@ -38,7 +38,7 @@ def _phase_coords(frame, params):
 def test_reconstruct_round_trip(p2_orbit_15_3, params15_3):
     traj, _ = p2_orbit_15_3
     frame = reconstruct_profile(traj, params15_3)
-    assert frame.n_dropped == 0
+    assert len(frame) == len(traj.points)
     assert np.all(np.diff(frame.xi) > 0.0)
     x, y, z = _phase_coords(frame, params15_3)
     keep = traj.points[:, 2] > 0
@@ -85,8 +85,59 @@ def test_reconstruct_drops_nonphysical_samples(params15_3):
     )
     traj = Trajectory(eta=eta, points=pts, termination="max_time")
     frame = reconstruct_profile(traj, params15_3)
-    assert len(frame) == 2
-    assert frame.n_dropped == 2
+    # xi = (alpha^2 Z / m)^{1/(sigma-2)} = 100 Z / 1.5 at (1.5, 3)
+    assert frame.xi == pytest.approx([100.0 * 1e-6 / 1.5, 100.0 * 2e-6 / 1.5], rel=1e-13)
+
+
+def _rows_of_0_29_0(keep, key):
+    """ssblow 0.29.0's row rule: the rows where keep holds and key strictly
+    exceeds its value at the previous such row."""
+    rows = np.flatnonzero(keep)
+    return rows[np.concatenate(([True], np.diff(key[rows]) > 0.0))[: len(rows)]]
+
+
+@pytest.mark.parametrize("m", [1.02, 1.1, 1.3, 1.5, 1.8])
+@pytest.mark.parametrize("sigma", [2.5, 3.0, 3.4, 4.0])
+def test_both_frame_routes_keep_the_rows_and_values_of_0_29_0(monkeypatch, m, sigma):
+    """Each route built its own frame in ssblow 0.29.0, with the formulas
+    inlined here.  The frame rebuilt from the P2 orbit keeps the same rows,
+    with f and f' within 1e-13 relative: it now goes through the pressure,
+    and 0.29.0 formed f from X and took the rows where Z increases.  The
+    direct frame of integrate_ssode is bit-identical."""
+    params = validate_params(m, sigma)
+    alpha = derive_exponents(params).alpha
+
+    traj, _ = run_p2_orbit(params)
+    pts = traj.points
+    xi = (alpha**2 * np.maximum(pts[:, 2], 0.0) / m) ** (1.0 / (sigma - 2.0))
+    f = (alpha * xi**2 * np.maximum(pts[:, 0], 0.0) / m) ** (1.0 / (m - 1.0))
+    rows = _rows_of_0_29_0(f > 0.0, pts[:, 2])
+    xi, f = xi[rows], f[rows]
+    df = alpha * xi * f ** (2.0 - m) * pts[rows, 1] / m
+    frame = reconstruct_profile(traj, params)
+    # at m = 1.02 and sigma below 4, f underflows to 0 at every sample of
+    # the orbit, and both frames are empty
+    assert np.array_equal(frame.xi, xi)
+    assert np.all(np.abs(frame.f - f) <= 1e-13 * f)
+    assert np.all(np.abs(frame.df - df) <= 1e-13 * np.abs(df))
+
+    runs = []
+    real = ssblow.profiles.integrate
+
+    def kept(*args):
+        runs.append(real(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(ssblow.profiles, "integrate", kept)
+    frame = integrate_ssode("p2", params).frame
+    pts = runs[0].points
+    f = ((m - 1.0) * np.maximum(pts[:, 1], 0.0) / m) ** (1.0 / (m - 1.0))
+    rows = _rows_of_0_29_0(f > 0.0, pts[:, 0])
+    f = f[rows]
+    df = pts[rows, 2] * f ** (2.0 - m) / m
+    assert len(rows) > 100
+    for got, want in ((frame.xi, pts[rows, 0]), (frame.f, f), (frame.df, df)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_ssode_residual_small_on_phase_reconstruction(p2_orbit_15_3, params15_3):
@@ -273,15 +324,15 @@ def test_find_good_profile_P1_boundary_interface(params15_3):
 
 
 def test_find_good_profile_P1_reports_the_a_of_its_profile(params15_3):
-    """At tol 1e-16 the run at the final midpoint is a sign change, so the
-    search returns its last interface run: the a it reports runs to that
-    same profile.  At the default tol of the CLI it is the midpoint."""
+    """a* is the interface end of the final bracket, and the a it reports
+    runs to the same profile, at tol 1e-16 and at the default tol of the
+    CLI."""
     a_star, res = find_good_profile_P1(params15_3, (1e-13, 1e-10), tol=1e-16)
     again = integrate_ssode("p1", params15_3, a=a_star)
     assert res.fate == again.fate == "interface"
     assert again.xi0 == res.xi0
     a_star, res = find_good_profile_P1(params15_3, (1e-13, 1e-10), tol=1e-3 * (1e-10 - 1e-13))
-    assert a_star == 1.417041015625e-12
+    assert a_star == 1.36826171875e-12
     assert integrate_ssode("p1", params15_3, a=a_star).xi0 == res.xi0
 
 
@@ -306,8 +357,16 @@ def test_find_good_profile_P1_midpoint_matches_an_end(params15_3):
 
 
 def test_find_good_profile_P1_same_fate_error(params15_3):
-    with pytest.raises(BracketError):
+    """Ends on the same side of the sign change raise BracketError naming
+    that side, even where their fates differ: an interface at 1e-13 and a
+    positive fate at 1."""
+    with pytest.raises(BracketError, match="no sign change at either end"):
         find_good_profile_P1(params15_3, (1e-14, 1e-13), tol=1e-15)
+    assert integrate_ssode("p1", params15_3, a=1.0).fate == "positive"
+    with pytest.raises(BracketError, match="no sign change at either end"):
+        find_good_profile_P1(params15_3, (1e-13, 1.0), tol=1e-3)
+    with pytest.raises(BracketError, match="a sign change at both ends"):
+        find_good_profile_P1(params15_3, (1e-10, 2e-10), tol=1e-12)
 
 
 def test_find_good_profile_P1_refuses_a_tol_below_the_float_spacing_of_a(monkeypatch, params15_3):
@@ -449,9 +508,12 @@ def test_find_good_profile_P1_reruns_an_inconclusive_coarse_run(monkeypatch, par
 
     answer, calls = _shoot_with(monkeypatch, params15_3, _step_law(params15_3, coarse_fails))
     assert not isinstance(answer, Exception) and answer[1].fate == "interface"
+    # every a runs coarse, then under the caller's controls, and the run at
+    # a_star is reused: no a runs a third time
     ends = [a for a, _ in calls]
-    assert all(ends[i] == ends[i + 1] for i in range(0, len(ends) - 1, 2))
-    assert len(ends) % 2 == 1
+    assert len(ends) % 2 == 0
+    assert all(ends[i] == ends[i + 1] for i in range(0, len(ends), 2))
+    assert len(set(ends)) == len(ends) // 2
 
     # a_hi fails under the caller's controls: its kept coarse fate spares
     # that run, and where the coarse run fails too the search ends there
@@ -486,7 +548,7 @@ def test_find_good_profile_P1_bracket_error_comes_from_kept_fates(monkeypatch, p
     answer, calls = _shoot_with(
         monkeypatch, params15_3, lambda a, rel: _vanishing_run(params15_3, "sign_change")
     )
-    assert isinstance(answer, BracketError) and "same fate (sign_change)" in str(answer)
+    assert isinstance(answer, BracketError) and "a sign change at both ends" in str(answer)
     assert calls == [(1e-13, 1e-8), (1e-10, 1e-8)]
 
     # coarse fates agree inside the margin, and so do the reruns
@@ -498,22 +560,21 @@ def test_find_good_profile_P1_bracket_error_comes_from_kept_fates(monkeypatch, p
     assert calls == [(1e-13, 1e-8), (1e-13, 1e-10), (1e-10, 1e-8), (1e-10, 1e-10)]
 
 
-def test_find_good_profile_P1_returns_an_earlier_interface_run_under_the_callers_controls(
-    monkeypatch, params15_3
-):
-    """Where the run at a_star is not an interface, the search returns its
-    last interface fate; kept from a coarse run, that a is rerun under the
-    caller's controls, and the rerun is what it returns."""
+def test_find_good_profile_P1_refuses_an_end_whose_run_under_controls_changes_sign(monkeypatch, params15_3):
+    """a_star's fate kept from a coarse run is an interface, but its one run
+    under the caller's controls changes sign: the search raises
+    InconclusiveError rather than return a sign change as its answer."""
 
     def law(a, rel):
         fate = "interface" if rel == 1e-8 and a < 5e-11 else "sign_change"
         return _vanishing_run(params15_3, fate)
 
-    (a_best, res), calls = _shoot_with(monkeypatch, params15_3, law)
-    assert a_best < 5e-11 and res.fate == "sign_change"
-    assert calls[-2][1] == 1e-10 and calls[-2][0] > a_best
-    assert calls[-1] == (a_best, 1e-10)
-    assert (a_best, 1e-8) in calls
+    answer, calls = _shoot_with(monkeypatch, params15_3, law)
+    assert isinstance(answer, InconclusiveError) and "changes sign" in str(answer)
+    a_star, rel = calls[-1]
+    assert a_star < 5e-11 and rel == 1e-10
+    assert (a_star, 1e-8) in calls
+    assert [rel for _, rel in calls].count(1e-10) == 1
 
 
 @pytest.mark.parametrize("rel_tol", [1e-8, 1e-6])
@@ -552,8 +613,7 @@ def test_find_good_profile_P1_answer_does_not_depend_on_the_coarse_pass(monkeypa
     """The coarse pass changes what the search costs, not its answer: a*,
     the fate, xi0, g' and the run record equal those of the search with
     every a run under the caller's controls (_coarse_controls patched to
-    None).  At tol 1e-16 the final midpoint is a sign change and the
-    search returns its last interface."""
+    None)."""
     params = validate_params(m, sigma)
     a_star, res = find_good_profile_P1(params, bracket, tol)
     monkeypatch.setattr(ssblow.profiles, "_coarse_controls", lambda controls: None)
@@ -564,13 +624,19 @@ def test_find_good_profile_P1_answer_does_not_depend_on_the_coarse_pass(monkeypa
     assert res.fate == "interface"
 
 
-def test_find_good_profile_P1_shoot_cost_does_not_grow(monkeypatch, params15_3):
+@pytest.mark.parametrize(
+    "sigma, a_star", [(3.0, 1.36826171875e-12), (3.005, 1.17314453125e-12)], ids=["3.0", "3.005"]
+)
+def test_find_good_profile_P1_shoot_cost_does_not_grow(monkeypatch, sigma, a_star):
     """The shoot of the README and of the benchmark's figures workload,
-    (1.5, 3) on (1e-13, 1e-10) at tol 1e-3 of the width, makes 13 runs,
-    one of them under the caller's controls, and takes at most 6 300
+    (1.5, 3) on (1e-13, 1e-10) at tol 1e-3 of the width, makes at most 13
+    runs, one of them under the caller's controls, and takes at most 6 300
     accepted steps (6 236 at ssblow 0.28.0, 13 250 at 0.27.0, which ran
     every a under the caller's controls): a change that makes the shoot
-    costlier must say so here."""
+    costlier must say so here.  At sigma 3.005, inside the benchmark's
+    jitter, ssblow 0.29.0 reran its last interface after a sign change at
+    the final midpoint: 14 runs, 2 under the caller's controls, 7 300
+    steps.  The answer is the interface end of the final bracket."""
     runs = []
     real = ssblow.profiles.integrate_ssode
 
@@ -580,9 +646,9 @@ def test_find_good_profile_P1_shoot_cost_does_not_grow(monkeypatch, params15_3):
         return res
 
     monkeypatch.setattr(ssblow.profiles, "integrate_ssode", counted)
-    a_star, _ = find_good_profile_P1(params15_3, (1e-13, 1e-10), 1e-3 * (1e-10 - 1e-13))
-    assert a_star == 1.417041015625e-12
-    assert len(runs) == 13
+    found, res = find_good_profile_P1(validate_params(1.5, sigma), (1e-13, 1e-10), 1e-3 * (1e-10 - 1e-13))
+    assert found == a_star and res.fate == "interface"
+    assert len(runs) <= 13
     assert sum(controls is None for controls, _ in runs) == 1
     assert sum(steps for _, steps in runs) <= 6300
 

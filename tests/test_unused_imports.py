@@ -5,7 +5,9 @@ IntegrationControls).  `from __future__` imports are directives, not names.
 
 And no module of ssblow lists a name in __all__ that only its own unit
 tests use: every public name is read somewhere in the package, the
-scripts, perfbench or the acceptance tests, outside its own definition."""
+scripts, perfbench or the acceptance tests, outside its own definition.
+The same holds for every module-level private name (one leading
+underscore), so a helper whose last caller goes is not left behind."""
 
 import ast
 from pathlib import Path
@@ -67,6 +69,19 @@ def _public_names(tree: ast.Module) -> list[str]:
     return []
 
 
+def _private_names(tree: ast.Module) -> list[str]:
+    """The names a module binds at its top level, by def, class or
+    assignment, that begin with one underscore."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
 def _reads(tree: ast.Module):
     """(owner, name) for each name the module reads: a loaded variable, an
     attribute, or a string equal to the name (perfbench wraps functions
@@ -85,14 +100,15 @@ def _reads(tree: ast.Module):
                 yield owner, node.value
 
 
-def unread_public_names(modules: dict[str, str], callers: dict[str, str]) -> list[str]:
-    """module.name for each name in a module's __all__ that no caller reads
+def unread_names(modules: dict[str, str], callers: dict[str, str], names=_public_names) -> list[str]:
+    """module.name for each name in a module's __all__ (or, with names
+    _private_names, each private name it binds) that no caller reads
     outside the name's own top-level definition.  Both arguments map a
     module or file name to its source; modules are among the callers."""
     reads = {key: set(_reads(ast.parse(src))) for key, src in callers.items()}
     unread = []
     for module, src in modules.items():
-        for name in _public_names(ast.parse(src)):
+        for name in names(ast.parse(src)):
             if not any(
                 read == name and (key != module or owner != name)
                 for key, found in reads.items()
@@ -114,9 +130,36 @@ def test_every_public_name_has_a_caller():
         "def helper(): return Kept()\n"
     )
     callers = {"lib": lib, "script": "import lib\nlib.used()\n"}
-    assert unread_public_names({"lib": lib}, callers) == ["lib.alone", "lib.recursive"]
+    assert unread_names({"lib": lib}, callers) == ["lib.alone", "lib.recursive"]
+    assert unread_names(*_ssblow_and_its_callers()) == []
+
+
+def test_every_private_name_has_a_caller():
+    """The scan flags a toy module's unread private names, a def, a
+    recursive def and a constant, but not a dunder name or one read by
+    another module or in another definition, and flags no name of ssblow."""
+    lib = (
+        "__version__ = '1'\n"
+        "_LIMIT = 3\n"
+        "_SPARE: int = 4\n"
+        "def _used(): return _LIMIT\n"
+        "def _alone(): pass\n"
+        "def _recursive(n): return _recursive(n - 1)\n"
+        "def _from_script(): pass\n"
+        "def public(): return _used()\n"
+    )
+    callers = {"lib": lib, "script": "import lib\nlib._from_script()\n"}
+    assert unread_names({"lib": lib}, callers, _private_names) == [
+        "lib._SPARE", "lib._alone", "lib._recursive"
+    ]
+    assert unread_names(*_ssblow_and_its_callers(), _private_names) == []
+
+
+def _ssblow_and_its_callers() -> tuple[dict[str, str], dict[str, str]]:
+    """The sources of ssblow's modules by module name, and those of every
+    caller (CALLERS) by module name or path."""
     modules = {p.stem: p.read_text() for p in sorted((ROOT / "src" / "ssblow").glob("*.py"))}
     callers = {
         (p.stem if p.parent.name == "ssblow" else str(p.relative_to(ROOT))): p.read_text() for p in CALLERS
     }
-    assert unread_public_names(modules, callers) == []
+    return modules, callers
