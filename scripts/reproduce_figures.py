@@ -59,7 +59,7 @@ def main(argv=None) -> int:
         xi0 = interface_xi_of_lambda(lam, pr) if lam is not None else None
         print(
             "sigma=%-6g fate=%-26s lambda_hat=%-12s xi0=%-12s -> %s"
-            % (sigma, fate.kind, lam, xi0, _written(path, len(traj.eta)))
+            % (sigma, fate.kind, lam, xi0, _written(path, len(traj)))
         )
 
         # companion orbits below (out of P0) and above (out of Q1) the P2 orbit

@@ -203,8 +203,9 @@ class Trajectory:
     the arrays are built from them on the first read of either: numpy is
     imported there, the arrays are kept, and the lists are released, so a
     read trajectory holds its samples once.  eta and points may also be
-    given as arrays.  record, final_eta and termination read no sample
-    array, so a caller that keeps only the fate never imports numpy.
+    given as arrays.  record, final_eta, termination, len() and
+    point_list() build no sample array, so a caller that keeps only the
+    fate, or reads the samples as floats, never imports numpy.
     """
 
     def __init__(
@@ -237,6 +238,16 @@ class Trajectory:
             pts = np.fromiter(itertools.chain.from_iterable(pts), float, 3 * len(pts)).reshape(-1, 3)
         self._points = np.asarray(pts, dtype=float)
         self._built = True
+
+    def __len__(self) -> int:
+        """The number of samples."""
+        return len(self._eta)
+
+    def point_list(self) -> list:
+        """The sample points as float triples, read without building the
+        arrays: the stored step list, or points.tolist() once they are built."""
+        pts = self._points
+        return pts if isinstance(pts, list) else pts.tolist()
 
     @property
     def eta(self) -> np.ndarray:

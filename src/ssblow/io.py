@@ -4,9 +4,11 @@ Floats are written with %.17g, which round-trips every finite double; every
 CSV the command-line tool emits is re-readable here with zero loss.  Rows
 are comma-separated, LF-terminated, with a header row.  A CSV of float
 columns is rendered and written in blocks of a fixed number of rows, so
-writing it holds no whole-file copy of its text or values.  numpy is
-imported only by the readers and writers of float columns (trajectories
-and profiles), so writing a sweep or a report does without it.
+writing it holds no whole-file copy of its text or values.  The writer
+reads each column through slicing and tolist(), so it takes array('d')
+columns, as a profile frame holds, or numpy arrays, and imports nothing.
+numpy is imported only by the readers of float columns (np.loadtxt) and
+where a trajectory's sample arrays are read.
 """
 
 from __future__ import annotations
@@ -33,18 +35,22 @@ def fmt(x) -> str:
 
 
 def _write_columns(path, header, columns):
-    """One row per index of the float columns, each written with %.17g.
-    Rows are written _WRITE_BLOCK at a time, each block rendered by one %
-    operation on the repeated row, so a file's text, and a copy of its
-    values, is never held whole."""
-    import numpy as np
-
-    line = ",".join(["%.17g"] * len(header)) + "\n"
+    """One row per index of the 1-D float columns, each value written with
+    %.17g.  Rows are written _WRITE_BLOCK at a time: each column's block is
+    read with tolist(), the blocks are interleaved into one list by slice
+    assignment, and the block is rendered by one % operation on the
+    repeated row, so a file's text, and a copy of its values, is never held
+    whole."""
+    k = len(columns)
+    line = ",".join(["%.17g"] * k) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for s in range(0, len(columns[0]), _WRITE_BLOCK):
-            values = np.column_stack([c[s : s + _WRITE_BLOCK] for c in columns])
-            fh.write((line * len(values)) % tuple(values.ravel().tolist()))
+            blocks = [c[s : s + _WRITE_BLOCK].tolist() for c in columns]
+            flat = [0.0] * (k * len(blocks[0]))
+            for j, block in enumerate(blocks):
+                flat[j::k] = block
+            fh.write((line * len(blocks[0])) % tuple(flat))
 
 
 def _read_columns(path, header, kind):
@@ -68,7 +74,8 @@ def _read_columns(path, header, kind):
 
 
 def write_trajectory_csv(path, traj) -> None:
-    _write_columns(path, ("eta", "X", "Y", "Z"), (traj.eta, traj.points))
+    pts = traj.points
+    _write_columns(path, ("eta", "X", "Y", "Z"), (traj.eta, pts[:, 0], pts[:, 1], pts[:, 2]))
 
 
 def read_trajectory_csv(path):

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 from .params import (
     Params,
@@ -38,9 +37,6 @@ from .params import (
 from .field import center_family_P0, p2_unstable_eigenvector
 from .integrate import EventSpec, IntegrationControls, Trajectory, _coarse_controls, integrate
 from .orbits import BracketError, InconclusiveError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _RHO_VANISH = 1e-4  # rho = g / hypot(g, xi g') at which a profile run ends as vanishing
 _SLOPE_TOL = 1e-2  # largest |g' - root| at the vanishing event that is an interface
@@ -59,19 +55,43 @@ __all__ = [
 ]
 
 
-@dataclass
 class ProfileFrame:
-    """Columnar profile samples; xi strictly increasing, f > 0 (_frame)."""
+    """Columnar profile samples with f > 0; _frame states the row rule.
 
-    xi: np.ndarray
-    f: np.ndarray
-    df: np.ndarray
+    xi, f and df are 1-D float columns of one length: array('d') where
+    _frame forms them, which numpy reads without a copy, or arrays.  A
+    frame made by ProfileFrame._on_read(rows, m) holds the pressure rows
+    (xi, g, g') of a run instead, and _frame forms its columns on the
+    first read of a column or of its length, the way Trajectory builds its
+    arrays; so a run whose frame is never read forms none.
+    """
+
+    def __init__(self, xi, f, df):
+        self._columns = (xi, f, df)
+        self._pending = None
+
+    @classmethod
+    def _on_read(cls, rows, m: float) -> "ProfileFrame":
+        frame = cls(None, None, None)
+        frame._pending = (rows, m)
+        return frame
+
+    def _read(self) -> tuple:
+        if self._pending is not None:
+            self._columns = _frame(*self._pending)._columns
+            self._pending = None
+        return self._columns
+
+    xi = property(lambda self: self._read()[0])
+    f = property(lambda self: self._read()[1])
+    df = property(lambda self: self._read()[2])
 
     def __len__(self):
         return len(self.xi)
 
     def decimated(self, step: int) -> "ProfileFrame":
-        return ProfileFrame(xi=self.xi[::step], f=self.f[::step], df=self.df[::step])
+        xi, f, df = self._read()
+        return ProfileFrame(xi[::step], f[::step], df[::step])
 
 
 @dataclass
@@ -83,18 +103,38 @@ class InterfaceReport:
     matched_slope: float | None = None
 
 
-def _frame(xi: np.ndarray, g: np.ndarray, dg: np.ndarray, m: float) -> ProfileFrame:
-    """The profile of pressure samples g, g' at xi: f = ((m-1) g / m)^{1/(m-1)}
+def _frame(rows, m: float) -> ProfileFrame:
+    """The profile of pressure rows (xi, g, g'): f = ((m-1) g / m)^{1/(m-1)}
     and f' = g' f^{2-m} / m, on the rows where f > 0 and xi strictly exceeds
     its value at the previous row with f > 0.  So rows with g <= 0, or where
-    f underflows to 0 (at small m - 1), are dropped, as are repeated xi."""
-    import numpy as np
+    f underflows to 0 (at small m - 1), are dropped, as are repeated xi.
 
-    f = ((m - 1.0) * np.maximum(g, 0.0) / m) ** (1.0 / (m - 1.0))
-    rows = np.flatnonzero(f > 0.0)
-    rows = rows[np.diff(xi[rows], prepend=-math.inf) > 0.0]
-    f = f[rows]
-    return ProfileFrame(xi=xi[rows], f=f, df=dg[rows] * f ** (2.0 - m) / m)
+    One pass over the rows in Python floats, each formula in the order of
+    its terms above; a power that overflows is inf.  The columns are
+    array('d').
+    """
+    from array import array
+
+    m1, e, q = m - 1.0, 1.0 / (m - 1.0), 2.0 - m
+    xi_col, f_col, df_col = array("d"), array("d"), array("d")
+    add_xi, add_f, add_df = xi_col.append, f_col.append, df_col.append
+    last = -math.inf  # xi at the previous row with f > 0
+    for xi, g, dg in rows:
+        if not g > 0.0:
+            continue
+        try:
+            f = (m1 * g / m) ** e
+        except OverflowError:
+            f = math.inf
+        if not f > 0.0:
+            continue
+        if xi > last:
+            add_xi(xi)
+            add_f(f)
+            # 0 < 2 - m < 1, so f^{2-m} cannot overflow
+            add_df(dg * f**q / m)
+        last = xi
+    return ProfileFrame(xi_col, f_col, df_col)
 
 
 def _phase_pressure(xi, x, y, alpha: float, m: float):
@@ -107,9 +147,10 @@ def reconstruct_profile(traj: Trajectory, params: Params) -> ProfileFrame:
     """Invert the phase-space change of variables along a trajectory.
 
     xi comes from Z, and the pressure g and g' from X and Y over it
-    (_phase_pressure); _frame forms f and f' and keeps the rows where f > 0
-    and xi strictly increases, which drops the samples with X <= 0 or
-    Z <= 0 and those where f underflows to 0 (at small m - 1).
+    (_phase_pressure), formed on the orbit's arrays; _frame forms f and f'
+    and keeps the rows where f > 0 and xi strictly increases, which drops
+    the samples with X <= 0 or Z <= 0 and those where f underflows to 0 (at
+    small m - 1).
     """
     import numpy as np
 
@@ -117,7 +158,18 @@ def reconstruct_profile(traj: Trajectory, params: Params) -> ProfileFrame:
     pts = traj.points
     xi = (exp.alpha**2 * np.maximum(pts[:, 2], 0.0) / params.m) ** (1.0 / (params.sigma - 2.0))
     g, dg = _phase_pressure(xi, pts[:, 0], pts[:, 1], exp.alpha, params.m)
-    return _frame(xi, g, dg, params.m)
+    return _frame(zip(xi.tolist(), g.tolist(), dg.tolist()), params.m)
+
+
+def _pow(x: float, y: float) -> float:
+    """x ** y as a float power: inf where it overflows, and nan where x < 0
+    and y is not an integer."""
+    try:
+        return math.pow(x, y)
+    except OverflowError:
+        return math.inf
+    except ValueError:
+        return math.nan
 
 
 def ssode_residual(frame: ProfileFrame, params: Params) -> float:
@@ -128,34 +180,34 @@ def ssode_residual(frame: ProfileFrame, params: Params) -> float:
     the three-point second difference of f^m is only first order where
     neighbouring spacings differ, as at an event sample off the sample
     grid.  f' is the sampled derivative.  Normalization is
-    max(1, max |alpha f|).  A flux that overflows gives nan, without a
-    numpy warning.
+    max(1, max |alpha f|).  One pass in Python floats, each term in the
+    order written here; a term that overflows, or a nan, makes the result
+    inf or nan, with no warning of any kind.
     """
-    import numpy as np
-
     if len(frame) < 5:
         raise DomainError("need at least 5 samples to test the profile equation")
-    if np.any(frame.f[1:-1] <= 0.0):
+    xi, f, df = frame.xi.tolist(), frame.f.tolist(), frame.df.tolist()
+    if any(v <= 0.0 for v in f[1:-1]):
         raise DomainError("interior samples must have f > 0")
-    m = params.m
+    m, sigma = params.m, params.sigma
+    m1, q = m - 1.0, 2.0 - m
     exp = derive_exponents(params)
-    xi, f, df = frame.xi, frame.f, frame.df
-    h1 = xi[1:-1] - xi[:-2]
-    h2 = xi[2:] - xi[1:-1]
-    mid = slice(1, -1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        flux = m * f ** (m - 1.0) * df
-        dflux = (
-            h1 * h1 * flux[2:] + (h2 * h2 - h1 * h1) * flux[1:-1] - h2 * h2 * flux[:-2]
-        ) / (h1 * h2 * (h1 + h2))
-        res = (
-            dflux
-            - exp.alpha * f[mid]
-            + exp.beta * xi[mid] * df[mid]
-            + xi[mid] ** params.sigma * f[mid] ** (2.0 - m)
-        )
-    scale = max(1.0, float(np.max(np.abs(exp.alpha * f))))
-    return float(np.max(np.abs(res))) / scale
+    alpha, beta = exp.alpha, exp.beta
+    # f^(m-1) and f^(2-m) have exponents in (0, 1): they cannot overflow,
+    # and interior f > 0, so only an end f < 0 (nan) and xi^sigma need care
+    flux = [m * v**m1 * d if v >= 0.0 else math.nan for v, d in zip(f, df)]
+    worst = 0.0
+    for x0, x1, x2, q0, q1, q2, v, d in zip(xi, xi[1:], xi[2:], flux, flux[1:], flux[2:], f[1:-1], df[1:-1]):
+        h1 = x1 - x0
+        h2 = x2 - x1
+        den = h1 * h2 * (h1 + h2)
+        num = h1 * h1 * q2 + (h2 * h2 - h1 * h1) * q1 - h2 * h2 * q0
+        dflux = num / den if den != 0.0 else math.nan
+        res = abs(dflux - alpha * v + beta * x1 * d + _pow(x1, sigma) * v**q)
+        if res > worst or res != res:
+            worst = res
+    # alpha > 0, so alpha max|f| is max|alpha f| to the bit
+    return worst / max(1.0, alpha * max(map(abs, f)))
 
 
 def interface_slopes(xi0: float, params: Params) -> InterfaceReport:
@@ -297,11 +349,12 @@ def integrate_ssode(
     InconclusiveError.
 
     controls sets rel_tol and the step in s, capped at 0.05; the frame
-    holds the step ends where f > 0 (_frame), and since dxi/ds <= 1 the
-    step also bounds the xi-gap between samples.  Its abs_tol counts only below 1e-60, and its
-    max_time and sample_step are not used: rho stays above 1e-4 until the
-    run ends, so an s budget of (xi_cap - xi_start) / 1e-4 always reaches
-    xi_cap.
+    holds the step ends where f > 0 (_frame), formed from the run's stored
+    step triples when it is first read, and since dxi/ds <= 1 the step also
+    bounds the xi-gap between samples.  Its abs_tol counts only below
+    1e-60, and its max_time and sample_step are not used: rho stays above
+    1e-4 until the run ends, so an s budget of (xi_cap - xi_start) / 1e-4
+    always reaches xi_cap.
     """
     exp = derive_exponents(params)
     if not xi_start > 0.0:
@@ -340,9 +393,8 @@ def integrate_ssode(
         xi0 = xi_h + g_h / abs(g_slope)
         fate, report = _classify_vanishing(xi0, g_slope, params)
 
-    pts = traj.points
     return SsodeResult(
-        frame=_frame(pts[:, 0], pts[:, 1], pts[:, 2], params.m),
+        frame=ProfileFrame._on_read(traj.point_list(), params.m),
         fate=fate, xi0=xi0, g_slope=g_slope, report=report, record=traj.record,
     )
 

@@ -471,15 +471,18 @@ def test_an_infinite_sigma_exits_2(argv, capsys):
     assert (code, out, err) == (2, "", "error: sigma must be finite\n")
 
 
-def test_a_profile_whose_residual_overflows_exits_3(capsys):
+@pytest.mark.parametrize(
+    "start", [["--origin", "p0", "--K", "1e300"], ["--origin", "p1", "--a", "1e308"]], ids=" ".join
+)
+def test_a_profile_whose_residual_overflows_exits_3(start, capsys):
     """At K = 1e300 the frame is finite (f up to 5.4e283), but the flux
-    m f^(m-1) f' of ssode_residual overflows: exit 3 with the reason named,
-    and no numpy warning."""
+    m f^(m-1) f' of ssode_residual overflows; at a = 1e308 its
+    normalization |alpha f| does.  Either way: exit 3 with the reason
+    named, and no warning of any kind."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(
-            capsys, "profile", "--m", "1.5", "--sigma", "3", "--origin", "p0", "--K", "1e300",
-            "--format", "json",
+            capsys, "profile", "--m", "1.5", "--sigma", "3", *start, "--format", "json",
         )
     assert (code, err) == (3, "")
     rep = json.loads(out)
@@ -1169,23 +1172,9 @@ def test_cli_import_leaves_out_the_process_pool():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-@pytest.mark.parametrize(
-    "argv, loaded",
-    [
-        (["params", "--sigma", "3"], False),
-        (["classify", "--sigma", "3", "--source", "p2"], False),
-        (["classify", "--sigma", "3", "--source", "p0"], False),
-        (["classify", "--sigma", "3", "--source", "q1"], False),
-        (["sigma-star", "--lo", "3", "--hi", "3.4"], False),
-        (["sweep", "--sigmas", "2.6,3.0,3.4", "--jobs", "1"], False),
-        (["profile", "--sigma", "3", "--origin", "p2"], True),
-    ],
-    ids=lambda v: " ".join(v) if isinstance(v, list) else "numpy" if v else "no numpy",
-)
-def test_commands_that_only_classify_leave_out_numpy(argv, loaded, tmp_path):
-    """params, classify without --out, sigma-star and sweep run in a fresh
-    interpreter without importing numpy; profile builds arrays, and shows
-    that the probe sees numpy where it is loaded."""
+def _numpy_loaded(argv, tmp_path) -> bool:
+    """Whether ssblow argv, with --m 1.5, leaves numpy in sys.modules when
+    it runs in a fresh interpreter in tmp_path; it must exit 0."""
     code = (
         "import sys, ssblow.cli\n"
         "rc = ssblow.cli.main(sys.argv[1:])\n"
@@ -1199,7 +1188,56 @@ def test_commands_that_only_classify_leave_out_numpy(argv, loaded, tmp_path):
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == str(loaded)
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["params", "--sigma", "3"], False),
+        (["classify", "--sigma", "3", "--source", "p2"], False),
+        (["classify", "--sigma", "3", "--source", "p0"], False),
+        (["classify", "--sigma", "3", "--source", "q1"], False),
+        (["sigma-star", "--lo", "3", "--hi", "3.4"], False),
+        (["sweep", "--sigmas", "2.6,3.0,3.4", "--jobs", "1"], False),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else "numpy" if v else "no numpy",
+)
+def test_commands_that_only_classify_leave_out_numpy(argv, loaded, tmp_path):
+    """params, classify without --out, sigma-star and sweep run in a fresh
+    interpreter without importing numpy."""
+    assert _numpy_loaded(argv, tmp_path) == loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["profile", "--sigma", "3", "--origin", "p2"],
+        ["profile", "--sigma", "3", "--origin", "p2", "--out", "profile.csv"],
+        ["profile", "--sigma", "3", "--origin", "p1", "--a-bracket", "1e-13", "1e-10"],
+        ["profile", "--sigma", "3", "--origin", "p0"],
+    ],
+    ids=" ".join,
+)
+def test_profile_commands_leave_out_numpy(argv, tmp_path):
+    """profile through the direct route forms its frame, its residual and
+    its CSV in Python floats, and runs without importing numpy."""
+    assert not _numpy_loaded(argv, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--sigma", "3", "--out", "orbit.csv"],
+        ["verify", "--sigma", "3", "--barrier", "midplane", "--n", "100"],
+    ],
+    ids=" ".join,
+)
+def test_commands_that_read_sample_arrays_import_numpy(argv, tmp_path):
+    """classify --out writes an orbit's sample arrays and verify samples
+    its barriers with numpy: they show that the probe above sees numpy
+    where it is loaded."""
+    assert _numpy_loaded(argv, tmp_path)
 
 
 def _mostly(good, bad):

@@ -1,7 +1,10 @@
 import itertools
 import math
+import os
+import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -603,3 +606,34 @@ def test_sample_arrays_are_built_on_first_read(case, monkeypatch):
     if case == "event":
         assert type(traj.event.point) is tuple and all(type(v) is float for v in traj.event.point)
         assert traj.event.point == tuple(traj.points[-1])
+
+
+@pytest.mark.parametrize("case", ["sampled", "step_ends", "event", "thinned"])
+def test_len_and_point_list_build_no_array(case, monkeypatch):
+    """len(traj) counts the samples and point_list() hands over the stored
+    triples, and neither builds the arrays; once they are built, len reads
+    them and point_list() returns points.tolist(), the same floats."""
+    traj = _lazy_case(case, monkeypatch)
+    n, pts = len(traj), traj.point_list()
+    assert type(traj._points) is list and pts is traj._points
+    assert n == len(traj.eta) == len(traj)
+    assert traj.point_list() == [list(p) for p in pts]
+
+
+def test_len_of_an_orbit_leaves_out_numpy(p2_orbit_15_3):
+    """An orbit run in a fresh interpreter counts its samples with len(traj)
+    without importing numpy, and counts len(traj.eta) of them."""
+    code = (
+        "import sys\n"
+        "from ssblow.params import validate_params\n"
+        "from ssblow.orbits import run_p2_orbit\n"
+        "traj, _ = run_p2_orbit(validate_params(1.5, 3.0))\n"
+        "print(len(traj), 'numpy' in sys.modules)\n"
+    )
+    src = str(Path(integrate_module.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    n, loaded = proc.stdout.split()
+    assert loaded == "False"
+    assert int(n) == len(p2_orbit_15_3[0].eta)

@@ -29,9 +29,10 @@ from ssblow.profiles import (
 def _phase_coords(frame, params):
     exp = derive_exponents(params)
     m = params.m
-    x = m / exp.alpha * frame.xi**-2 * frame.f ** (m - 1.0)
-    y = m / exp.alpha / frame.xi * frame.f ** (m - 2.0) * frame.df
-    z = m / exp.alpha**2 * frame.xi ** (params.sigma - 2.0)
+    xi, f, df = np.asarray(frame.xi), np.asarray(frame.f), np.asarray(frame.df)
+    x = m / exp.alpha * xi**-2 * f ** (m - 1.0)
+    y = m / exp.alpha / xi * f ** (m - 2.0) * df
+    z = m / exp.alpha**2 * xi ** (params.sigma - 2.0)
     return x, y, z
 
 
@@ -96,14 +97,51 @@ def _rows_of_0_29_0(keep, key):
     return rows[np.concatenate(([True], np.diff(key[rows]) > 0.0))[: len(rows)]]
 
 
+def _ulps(a, b) -> int:
+    """The largest distance of a and b, element by element, on the float
+    grid: the number of doubles between them, subnormal ones included."""
+
+    def grid(v):
+        bits = np.asarray(v, dtype=float).view(np.int64)
+        return np.where(bits < 0, -(bits & np.int64(0x7FFFFFFFFFFFFFFF)), bits).tolist()
+
+    return max((abs(x - y) for x, y in zip(grid(a), grid(b))), default=0)
+
+
+def _float_pow(x, y):
+    """x ** y on Python floats, inf where it overflows."""
+    try:
+        return x**y
+    except OverflowError:
+        return math.inf
+
+
+def _check_frame_formulas(frame, xi, g, dg, m):
+    """The frame of the pressure rows (xi, g, g') keeps the rows of 0.29.0's
+    numpy rule.  Its f and f' are bit-identical to the frame formulas on
+    Python floats, and lie within 2 and 32 ulp of the same formulas in
+    numpy, whose vectorized pow is not libm's."""
+    f = ((m - 1.0) * np.maximum(g, 0.0) / m) ** (1.0 / (m - 1.0))
+    rows = _rows_of_0_29_0(f > 0.0, xi)
+    assert np.array_equal(frame.xi, xi[rows])
+    f = f[rows]
+    assert _ulps(frame.f, f) <= 2
+    assert _ulps(frame.df, dg[rows] * f ** (2.0 - m) / m) <= 32
+    py_f = [_float_pow((m - 1.0) * v / m, 1.0 / (m - 1.0)) for v in g[rows].tolist()]
+    py_df = [d * v ** (2.0 - m) / m for d, v in zip(dg[rows].tolist(), py_f)]
+    assert np.asarray(frame.f).tobytes() == np.array(py_f, dtype=float).tobytes()
+    assert np.asarray(frame.df).tobytes() == np.array(py_df, dtype=float).tobytes()
+
+
 @pytest.mark.parametrize("m", [1.02, 1.1, 1.3, 1.5, 1.8])
 @pytest.mark.parametrize("sigma", [2.5, 3.0, 3.4, 4.0])
 def test_both_frame_routes_keep_the_rows_and_values_of_0_29_0(monkeypatch, m, sigma):
     """Each route built its own frame in ssblow 0.29.0, with the formulas
     inlined here.  The frame rebuilt from the P2 orbit keeps the same rows,
     with f and f' within 1e-13 relative: it now goes through the pressure,
-    and 0.29.0 formed f from X and took the rows where Z increases.  The
-    direct frame of integrate_ssode is bit-identical."""
+    and 0.29.0 formed f from X and took the rows where Z increases.  Both
+    routes form f and f' from the pressure in Python floats
+    (_check_frame_formulas)."""
     params = validate_params(m, sigma)
     alpha = derive_exponents(params).alpha
 
@@ -112,14 +150,16 @@ def test_both_frame_routes_keep_the_rows_and_values_of_0_29_0(monkeypatch, m, si
     xi = (alpha**2 * np.maximum(pts[:, 2], 0.0) / m) ** (1.0 / (sigma - 2.0))
     f = (alpha * xi**2 * np.maximum(pts[:, 0], 0.0) / m) ** (1.0 / (m - 1.0))
     rows = _rows_of_0_29_0(f > 0.0, pts[:, 2])
-    xi, f = xi[rows], f[rows]
-    df = alpha * xi * f ** (2.0 - m) * pts[rows, 1] / m
+    df = alpha * xi[rows] * f[rows] ** (2.0 - m) * pts[rows, 1] / m
+    f = f[rows]
     frame = reconstruct_profile(traj, params)
     # at m = 1.02 and sigma below 4, f underflows to 0 at every sample of
     # the orbit, and both frames are empty
-    assert np.array_equal(frame.xi, xi)
-    assert np.all(np.abs(frame.f - f) <= 1e-13 * f)
-    assert np.all(np.abs(frame.df - df) <= 1e-13 * np.abs(df))
+    assert np.array_equal(frame.xi, xi[rows])
+    assert np.all(np.abs(np.asarray(frame.f) - f) <= 1e-13 * f)
+    assert np.all(np.abs(np.asarray(frame.df) - df) <= 1e-13 * np.abs(df))
+    g, dg = alpha * xi**2 * pts[:, 0] / (m - 1.0), alpha * xi * pts[:, 1]
+    _check_frame_formulas(frame, xi, g, dg, m)
 
     runs = []
     real = ssblow.profiles.integrate
@@ -131,13 +171,36 @@ def test_both_frame_routes_keep_the_rows_and_values_of_0_29_0(monkeypatch, m, si
     monkeypatch.setattr(ssblow.profiles, "integrate", kept)
     frame = integrate_ssode("p2", params).frame
     pts = runs[0].points
-    f = ((m - 1.0) * np.maximum(pts[:, 1], 0.0) / m) ** (1.0 / (m - 1.0))
-    rows = _rows_of_0_29_0(f > 0.0, pts[:, 0])
-    f = f[rows]
-    df = pts[rows, 2] * f ** (2.0 - m) / m
-    assert len(rows) > 100
-    for got, want in ((frame.xi, pts[rows, 0]), (frame.f, f), (frame.df, df)):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert len(frame) > 100
+    _check_frame_formulas(frame, pts[:, 0], pts[:, 1], pts[:, 2], m)
+
+
+def test_frame_keeps_the_rows_of_the_numpy_rule():
+    """Crafted pressure rows at m = 1.02: g <= 0 and an f that underflows
+    to 0 drop their rows, a repeated xi drops, and an xi that drops and
+    rises again is kept where it exceeds the previous row with f > 0, not
+    the previous kept row, as 0.29.0's numpy rule kept it.  A g whose power
+    overflows gives an inf row, with no exception."""
+    m = 1.02
+    rows = [
+        (0.1, 1.0, 0.5),
+        (0.2, 0.0, 0.5),  # g = 0
+        (0.3, -1.0, 0.5),  # g < 0
+        (0.4, 1e-10, 0.5),  # f = (0.02 g / 1.02)^50 underflows to 0
+        (0.35, 1.0, 0.5),  # above 0.1, the previous row with f > 0
+        (0.35, 2.0, 0.5),  # repeated xi
+        (0.5, 3.0, -0.5),
+        (0.45, 1.0, 0.5),  # below 0.5: dropped
+        (0.48, 1.0, 0.5),  # below 0.5, but above 0.45: kept, as numpy kept it
+        (0.6, 1e10, 0.5),  # f overflows to inf
+        (0.7, 1.0, 0.5),
+    ]
+    frame = ssblow.profiles._frame(rows, m)
+    assert np.asarray(frame.xi).tolist() == [0.1, 0.35, 0.5, 0.48, 0.6, 0.7]
+    assert math.isinf(frame.f[4]) and math.isinf(frame.df[4])
+    xi, g, dg = (np.array(col) for col in zip(*rows))
+    with np.errstate(over="ignore"):
+        _check_frame_formulas(frame, xi, g, dg, m)
 
 
 def test_ssode_residual_small_on_phase_reconstruction(p2_orbit_15_3, params15_3):
@@ -210,8 +273,9 @@ def test_ssode_p2_origin_interface(params15_3):
     q = res.g_slope**2 + exp.beta * res.xi0 * res.g_slope + params15_3.m * res.xi0**3
     assert abs(q) < 1e-3
     # leading behavior f ~ xi^4 / 225 near zero (next order is O(xi^{sigma-2}))
-    head = res.frame.xi < 1e-3
-    ratio = res.frame.f[head] / res.frame.xi[head] ** 4
+    xi, f = np.asarray(res.frame.xi), np.asarray(res.frame.f)
+    head = xi < 1e-3
+    ratio = f[head] / xi[head] ** 4
     assert ratio == pytest.approx(1.0 / 225.0, rel=5e-3)
 
 
@@ -227,10 +291,11 @@ def test_ssode_p0_origin(params15_3):
     # so the pure-power head needs a very small starting point
     res = integrate_ssode("p0", params15_3, K=0.05, xi_start=1e-6)
     assert res.fate == "interface"
-    ratio = res.frame.f[:100] / res.frame.xi[:100] ** 5
+    xi, f = np.asarray(res.frame.xi), np.asarray(res.frame.f)
+    ratio = f[:100] / xi[:100] ** 5
     assert ratio == pytest.approx(0.05, rel=1e-2)
     # the deviation from the pure power shrinks toward the origin
-    full = np.abs(res.frame.f / res.frame.xi**5 - 0.05)
+    full = np.abs(f / xi**5 - 0.05)
     assert full[0] < full[len(full) // 3]
     with pytest.raises(DomainError):
         integrate_ssode("p0", params15_3)  # K missing
@@ -270,7 +335,7 @@ def test_pressure_variable_continuation_at_larger_m():
     q = res.g_slope**2 + exp.beta * res.xi0 * res.g_slope + pr.m * res.xi0**pr.sigma
     assert abs(q) < 1e-3
     assert np.all(np.diff(res.frame.xi) > 0.0)
-    assert np.all(res.frame.f > 0.0)
+    assert np.all(np.asarray(res.frame.f) > 0.0)
 
 
 @pytest.mark.parametrize("m", [1.2, 1.5, 1.8])
@@ -658,9 +723,9 @@ def test_near_interface_pressure_scaling(p2_orbit_15_3, params15_3):
     traj, fate = p2_orbit_15_3
     frame = reconstruct_profile(traj, params15_3)
     xi0 = interface_xi_of_lambda(fate.lambda_hat, params15_3)
-    d = xi0 - frame.xi
+    d = xi0 - np.asarray(frame.xi)
     sel = (d > 1e-6) & (d < 1e-2)
-    u = frame.f[sel] ** (params15_3.m - 1.0)
+    u = np.asarray(frame.f)[sel] ** (params15_3.m - 1.0)
     x = d[sel]
     coef = np.polyfit(x, u, 1)
     pred = np.polyval(coef, x)
