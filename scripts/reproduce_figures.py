@@ -77,7 +77,7 @@ def main(argv=None) -> int:
         for i, comp in enumerate(companions):
             cpath = outdir / ("companion%d_sigma%s.csv" % (i, tag))
             io_mod.write_trajectory_csv(cpath, comp)
-            print("  companion %d -> %s" % (i, _written(cpath, len(comp.eta))))
+            print("  companion %d -> %s" % (i, _written(cpath, len(comp))))
 
     # physical profile of the sigma=3 connection
     traj, fate, pr = connection

@@ -199,13 +199,13 @@ class Trajectory:
     """Time-ordered samples of one integration and the event that ended it.
 
     eta, shape (n,), and points, shape (n, 3), are float numpy arrays.  A
-    run hands over its step loop's lists of floats and float triples, and
-    the arrays are built from them on the first read of either: numpy is
-    imported there, the arrays are kept, and the lists are released, so a
-    read trajectory holds its samples once.  eta and points may also be
-    given as arrays.  record, final_eta, termination, len() and
-    point_list() build no sample array, so a caller that keeps only the
-    fate, or reads the samples as floats, never imports numpy.
+    trajectory takes its run's step loop lists, of floats and of float
+    triples, and the arrays are built from them on the first read of
+    either: numpy is imported there, the arrays are kept, and the lists
+    are released, so a read trajectory holds its samples once.  record,
+    final_eta, termination, len() and point_list() build no sample array,
+    so a caller that keeps only the fate, or reads the samples as floats,
+    never imports numpy.
     """
 
     def __init__(
@@ -232,11 +232,9 @@ class Trajectory:
         """The sample arrays, from the stored lists on the first read."""
         import numpy as np
 
-        eta, pts = self._eta, self._points
-        self._eta = np.asarray(eta, dtype=float)
-        if isinstance(pts, list):
-            pts = np.fromiter(itertools.chain.from_iterable(pts), float, 3 * len(pts)).reshape(-1, 3)
-        self._points = np.asarray(pts, dtype=float)
+        pts = self._points
+        self._eta = np.array(self._eta, dtype=float)
+        self._points = np.fromiter(itertools.chain.from_iterable(pts), float, 3 * len(pts)).reshape(-1, 3)
         self._built = True
 
     def __len__(self) -> int:
@@ -246,8 +244,7 @@ class Trajectory:
     def point_list(self) -> list:
         """The sample points as float triples, read without building the
         arrays: the stored step list, or points.tolist() once they are built."""
-        pts = self._points
-        return pts if isinstance(pts, list) else pts.tolist()
+        return self._points.tolist() if self._built else self._points
 
     @property
     def eta(self) -> np.ndarray:
@@ -260,10 +257,6 @@ class Trajectory:
         if not self._built:
             self._build()
         return self._points
-
-    @property
-    def final_point(self) -> np.ndarray:
-        return self.points[-1]
 
     def with_event(self, event: EventHit) -> "Trajectory":
         """A copy that shares these samples and ends at event instead."""

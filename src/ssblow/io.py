@@ -6,9 +6,10 @@ are comma-separated, LF-terminated, with a header row.  A CSV of float
 columns is rendered and written in blocks of a fixed number of rows, so
 writing it holds no whole-file copy of its text or values.  The writer
 reads each column through slicing and tolist(), so it takes array('d')
-columns, as a profile frame holds, or numpy arrays, and imports nothing.
-numpy is imported only by the readers of float columns (np.loadtxt) and
-where a trajectory's sample arrays are read.
+columns, as every profile frame holds, or numpy arrays, as a trajectory
+holds, and imports nothing.  numpy is imported only by the readers of
+float columns (np.loadtxt) and where a trajectory's sample arrays are
+read, as write_trajectory_csv reads them.
 """
 
 from __future__ import annotations

@@ -56,30 +56,24 @@ __all__ = [
 
 
 class ProfileFrame:
-    """Columnar profile samples with f > 0; _frame states the row rule.
+    """Columnar profile samples with f > 0, formed from pressure rows.
 
-    xi, f and df are 1-D float columns of one length: array('d') where
-    _frame forms them, which numpy reads without a copy, or arrays.  A
-    frame made by ProfileFrame._on_read(rows, m) holds the pressure rows
-    (xi, g, g') of a run instead, and _frame forms its columns on the
-    first read of a column or of its length, the way Trajectory builds its
-    arrays; so a run whose frame is never read forms none.
+    ProfileFrame(rows, m) holds the rows (xi, g, g') of a profile, an
+    iterable of float triples, and _frame forms its columns xi, f and df
+    on the first read of a column or of its length, the way Trajectory
+    builds its arrays; so a run whose frame is never read forms none.  The
+    columns are 1-D array('d') of one length, which numpy reads without a
+    copy.
     """
 
-    def __init__(self, xi, f, df):
-        self._columns = (xi, f, df)
-        self._pending = None
-
-    @classmethod
-    def _on_read(cls, rows, m: float) -> "ProfileFrame":
-        frame = cls(None, None, None)
-        frame._pending = (rows, m)
-        return frame
+    def __init__(self, rows, m: float):
+        self._rows, self._m = rows, m
+        self._columns = None
 
     def _read(self) -> tuple:
-        if self._pending is not None:
-            self._columns = _frame(*self._pending)._columns
-            self._pending = None
+        if self._columns is None:
+            self._columns = _frame(self._rows, self._m)
+            self._rows = None
         return self._columns
 
     xi = property(lambda self: self._read()[0])
@@ -90,8 +84,10 @@ class ProfileFrame:
         return len(self.xi)
 
     def decimated(self, step: int) -> "ProfileFrame":
-        xi, f, df = self._read()
-        return ProfileFrame(xi[::step], f[::step], df[::step])
+        """Every step-th sample of this frame, as a frame."""
+        out = ProfileFrame(None, self._m)
+        out._columns = tuple(c[::step] for c in self._read())
+        return out
 
 
 @dataclass
@@ -103,15 +99,16 @@ class InterfaceReport:
     matched_slope: float | None = None
 
 
-def _frame(rows, m: float) -> ProfileFrame:
-    """The profile of pressure rows (xi, g, g'): f = ((m-1) g / m)^{1/(m-1)}
-    and f' = g' f^{2-m} / m, on the rows where f > 0 and xi strictly exceeds
-    its value at the previous row with f > 0.  So rows with g <= 0, or where
-    f underflows to 0 (at small m - 1), are dropped, as are repeated xi.
+def _frame(rows, m: float) -> tuple:
+    """The columns (xi, f, f') of pressure rows (xi, g, g'):
+    f = ((m-1) g / m)^{1/(m-1)} and f' = g' f^{2-m} / m, on the rows where
+    f > 0 and xi strictly exceeds its value at the previous row with f > 0.
+    So rows with g <= 0, or where f underflows to 0 (at small m - 1), are
+    dropped, as are repeated xi.
 
     One pass over the rows in Python floats, each formula in the order of
     its terms above; a power that overflows is inf.  The columns are
-    array('d').
+    array('d').  ProfileFrame calls it on its first read.
     """
     from array import array
 
@@ -134,31 +131,37 @@ def _frame(rows, m: float) -> ProfileFrame:
             # 0 < 2 - m < 1, so f^{2-m} cannot overflow
             add_df(dg * f**q / m)
         last = xi
-    return ProfileFrame(xi_col, f_col, df_col)
+    return xi_col, f_col, df_col
 
 
-def _phase_pressure(xi, x, y, alpha: float, m: float):
+def _phase_pressure(xi: float, x: float, y: float, alpha: float, m: float):
     """The pressure g = alpha xi^2 X / (m-1) and its slope g' = alpha xi Y at
-    the phase point (X, Y) over xi; floats or arrays."""
-    return alpha * xi**2 * x / (m - 1.0), alpha * xi * y
+    the phase point (X, Y) over xi.  xi^2 is xi * xi: a float power of 2
+    goes through libm pow, which need not round it as the product does."""
+    return alpha * (xi * xi) * x / (m - 1.0), alpha * xi * y
 
 
 def reconstruct_profile(traj: Trajectory, params: Params) -> ProfileFrame:
     """Invert the phase-space change of variables along a trajectory.
 
-    xi comes from Z, and the pressure g and g' from X and Y over it
-    (_phase_pressure), formed on the orbit's arrays; _frame forms f and f'
-    and keeps the rows where f > 0 and xi strictly increases, which drops
-    the samples with X <= 0 or Z <= 0 and those where f underflows to 0 (at
-    small m - 1).
+    Per sample (X, Y, Z) of traj.point_list(), xi = (alpha^2 max(Z, 0) /
+    m)^{1/(sigma-2)} in Python floats (_pow: inf where it overflows), and
+    the pressure g and g' come from X and Y over it (_phase_pressure).  The
+    frame forms f and f' on its first read (_frame) and keeps the rows
+    where f > 0 and xi strictly increases, which drops the samples with
+    X <= 0 or Z <= 0 and those where f underflows to 0 (at small m - 1).
     """
-    import numpy as np
+    m = params.m
+    alpha = derive_exponents(params).alpha
+    a2, e = alpha**2, 1.0 / (params.sigma - 2.0)
 
-    exp = derive_exponents(params)
-    pts = traj.points
-    xi = (exp.alpha**2 * np.maximum(pts[:, 2], 0.0) / params.m) ** (1.0 / (params.sigma - 2.0))
-    g, dg = _phase_pressure(xi, pts[:, 0], pts[:, 1], exp.alpha, params.m)
-    return _frame(zip(xi.tolist(), g.tolist(), dg.tolist()), params.m)
+    def rows():
+        for x, y, z in traj.point_list():
+            xi = _pow(a2 * max(z, 0.0) / m, e)
+            g, dg = _phase_pressure(xi, x, y, alpha, m)
+            yield xi, g, dg
+
+    return ProfileFrame(rows(), m)
 
 
 def _pow(x: float, y: float) -> float:
@@ -394,7 +397,7 @@ def integrate_ssode(
         fate, report = _classify_vanishing(xi0, g_slope, params)
 
     return SsodeResult(
-        frame=ProfileFrame._on_read(traj.point_list(), params.m),
+        frame=ProfileFrame(traj.point_list(), params.m),
         fate=fate, xi0=xi0, g_slope=g_slope, report=report, record=traj.record,
     )
 

@@ -1216,12 +1216,15 @@ def test_commands_that_only_classify_leave_out_numpy(argv, loaded, tmp_path):
         ["profile", "--sigma", "3", "--origin", "p2", "--out", "profile.csv"],
         ["profile", "--sigma", "3", "--origin", "p1", "--a-bracket", "1e-13", "1e-10"],
         ["profile", "--sigma", "3", "--origin", "p0"],
+        ["profile", "--sigma", "3", "--via", "phase"],
+        ["profile", "--sigma", "3", "--via", "phase", "--out", "phase.csv"],
     ],
     ids=" ".join,
 )
 def test_profile_commands_leave_out_numpy(argv, tmp_path):
-    """profile through the direct route forms its frame, its residual and
-    its CSV in Python floats, and runs without importing numpy."""
+    """profile through either route, the direct run or the rebuild from the
+    P2 orbit, forms its frame, its residual and its CSV in Python floats,
+    and runs without importing numpy."""
     assert not _numpy_loaded(argv, tmp_path)
 
 

@@ -29,7 +29,7 @@ def test_linear_field_against_closed_form():
     rhs = lambda t, y: (-y[0], -2.0 * y[1], 0.5 * y[2])
     traj = integrate(rhs, (1.0, 1.0, 1.0), controls=IntegrationControls(max_time=2.0, max_step=0.5))
     exact = np.array([math.exp(-2.0), math.exp(-4.0), math.exp(1.0)])
-    assert traj.final_point == pytest.approx(exact, abs=1e-10)
+    assert traj.points[-1] == pytest.approx(exact, abs=1e-10)
     assert traj.termination == "max_time"
 
 
@@ -37,7 +37,7 @@ def test_polynomial_exactness():
     # quartic solution is reproduced to error-control accuracy by the pair
     rhs = lambda t, y: (4.0 * t**3, 3.0 * t**2, 1.0)
     traj = integrate(rhs, (0.0, 0.0, 0.0), controls=IntegrationControls(max_time=2.0, max_step=0.25))
-    assert traj.final_point == pytest.approx([16.0, 8.0, 2.0], rel=1e-12)
+    assert traj.points[-1] == pytest.approx([16.0, 8.0, 2.0], rel=1e-12)
 
 
 def test_equilibrium_stays_put(params15_3):
@@ -161,7 +161,7 @@ def test_thinning_keeps_the_event_sample(monkeypatch, cap, n_samples):
     )
     assert traj.event.id == "wall"
     assert traj.final_eta == traj.event.eta == pytest.approx(1.05, abs=1e-12)
-    assert np.array_equal(traj.final_point, traj.event.point)
+    assert np.array_equal(traj.points[-1], traj.event.point)
     assert len(traj.eta) == n_samples
 
 
@@ -262,8 +262,8 @@ def test_tolerance_halving_moves_endpoint_less_than_10x_tol(params15_3):
     tight = IntegrationControls(rel_tol=5e-9, abs_tol=5e-11, max_time=50.0)
     a = integrate(make_rhs(params15_3), start, controls=base)
     b = integrate(make_rhs(params15_3), start, controls=tight)
-    scale = np.linalg.norm(a.final_point)
-    assert np.linalg.norm(a.final_point - b.final_point) < 10.0 * (1e-8 * scale + 1e-10)
+    scale = np.linalg.norm(a.points[-1])
+    assert np.linalg.norm(a.points[-1] - b.points[-1]) < 10.0 * (1e-8 * scale + 1e-10)
 
 
 def test_z_monotone_on_physical_trajectories(p2_orbit_15_3):
@@ -304,7 +304,7 @@ def test_against_scipy_oracle(params15_3):
         atol=1e-12,
         max_step=0.1,
     )
-    assert traj.final_point == pytest.approx(sol.y[:, -1], abs=1e-9)
+    assert traj.points[-1] == pytest.approx(sol.y[:, -1], abs=1e-9)
 
 
 def test_controls_validation():
@@ -469,7 +469,7 @@ def test_sampling_does_not_change_the_steps(ms, max_step, sample_step):
     if ends.event is not None:
         assert sampled.event.id == ends.event.id and sampled.event.eta == ends.event.eta
         assert np.array_equal(sampled.event.point, ends.event.point)
-    assert np.array_equal(sampled.final_point, ends.final_point)
+    assert np.array_equal(sampled.points[-1], ends.points[-1])
 
 
 def test_a_thinned_long_step_run_keeps_a_subset_of_the_grid(monkeypatch):

@@ -838,7 +838,7 @@ def test_q1_in_plane_orbit_reports_inconclusive(params15_3):
         controls=IntegrationControls(max_time=4000.0),
     )
     assert fate.kind == FateKind.INCONCLUSIVE
-    assert np.linalg.norm(phase_traj.final_point - p2_coordinates(params15_3)) < 1e-3
+    assert np.linalg.norm(phase_traj.points[-1] - p2_coordinates(params15_3)) < 1e-3
 
 
 def test_fate_robustness_to_delta(params15_3):

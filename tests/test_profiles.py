@@ -60,11 +60,7 @@ def test_reconstruct_z_max_maps_to_xi_max(params15_3):
 
 
 def test_reconstruct_explicit_point_mapping(params15_3):
-    traj = Trajectory(
-        eta=np.array([0.0]),
-        points=np.array([[0.01, 0.04, 1e-6]]),
-        termination="max_time",
-    )
+    traj = Trajectory(eta=[0.0], points=[(0.01, 0.04, 1e-6)], termination="max_time")
     frame = reconstruct_profile(traj, params15_3)
     xi = frame.xi[0]
     assert xi == pytest.approx(100.0 * 1e-6 / 1.5, rel=1e-13)  # (alpha^2 z / m)^{1/(sigma-2)}
@@ -75,15 +71,13 @@ def test_reconstruct_explicit_point_mapping(params15_3):
 
 
 def test_reconstruct_drops_nonphysical_samples(params15_3):
-    eta = np.array([0.0, 1.0, 2.0, 3.0])
-    pts = np.array(
-        [
-            [0.01, 0.0, 1e-6],
-            [-1.0, 0.0, 2e-6],  # dropped: X <= 0
-            [0.01, 0.0, 2e-6],
-            [0.01, 0.0, 2e-6],  # dropped: Z not increasing
-        ]
-    )
+    eta = [0.0, 1.0, 2.0, 3.0]
+    pts = [
+        (0.01, 0.0, 1e-6),
+        (-1.0, 0.0, 2e-6),  # dropped: X <= 0
+        (0.01, 0.0, 2e-6),
+        (0.01, 0.0, 2e-6),  # dropped: Z not increasing
+    ]
     traj = Trajectory(eta=eta, points=pts, termination="max_time")
     frame = reconstruct_profile(traj, params15_3)
     # xi = (alpha^2 Z / m)^{1/(sigma-2)} = 100 Z / 1.5 at (1.5, 3)
@@ -139,7 +133,9 @@ def test_both_frame_routes_keep_the_rows_and_values_of_0_29_0(monkeypatch, m, si
     """Each route built its own frame in ssblow 0.29.0, with the formulas
     inlined here.  The frame rebuilt from the P2 orbit keeps the same rows,
     with f and f' within 1e-13 relative: it now goes through the pressure,
-    and 0.29.0 formed f from X and took the rows where Z increases.  Both
+    and 0.29.0 formed f from X and took the rows where Z increases.  Its xi
+    is math.pow on Python floats, in 0.29.0's order of operations, and
+    within 2 ulp of numpy's vectorized power, which is not libm's.  Both
     routes form f and f' from the pressure in Python floats
     (_check_frame_formulas)."""
     params = validate_params(m, sigma)
@@ -153,13 +149,15 @@ def test_both_frame_routes_keep_the_rows_and_values_of_0_29_0(monkeypatch, m, si
     df = alpha * xi[rows] * f[rows] ** (2.0 - m) * pts[rows, 1] / m
     f = f[rows]
     frame = reconstruct_profile(traj, params)
+    py_xi = np.array([math.pow(alpha**2 * max(z, 0.0) / m, 1.0 / (sigma - 2.0)) for z in pts[:, 2].tolist()])
     # at m = 1.02 and sigma below 4, f underflows to 0 at every sample of
     # the orbit, and both frames are empty
-    assert np.array_equal(frame.xi, xi[rows])
+    assert np.asarray(frame.xi).tobytes() == py_xi[rows].tobytes()
+    assert _ulps(frame.xi, xi[rows]) <= 2
     assert np.all(np.abs(np.asarray(frame.f) - f) <= 1e-13 * f)
     assert np.all(np.abs(np.asarray(frame.df) - df) <= 1e-13 * np.abs(df))
-    g, dg = alpha * xi**2 * pts[:, 0] / (m - 1.0), alpha * xi * pts[:, 1]
-    _check_frame_formulas(frame, xi, g, dg, m)
+    g, dg = alpha * py_xi**2 * pts[:, 0] / (m - 1.0), alpha * py_xi * pts[:, 1]
+    _check_frame_formulas(frame, py_xi, g, dg, m)
 
     runs = []
     real = ssblow.profiles.integrate
@@ -195,7 +193,7 @@ def test_frame_keeps_the_rows_of_the_numpy_rule():
         (0.6, 1e10, 0.5),  # f overflows to inf
         (0.7, 1.0, 0.5),
     ]
-    frame = ssblow.profiles._frame(rows, m)
+    frame = ssblow.profiles.ProfileFrame(rows, m)
     assert np.asarray(frame.xi).tolist() == [0.1, 0.35, 0.5, 0.48, 0.6, 0.7]
     assert math.isinf(frame.f[4]) and math.isinf(frame.df[4])
     xi, g, dg = (np.array(col) for col in zip(*rows))
@@ -220,8 +218,8 @@ def test_ssode_residual_shrinks_with_density(p2_orbit_15_3, params15_3):
 def test_ssode_residual_input_validation(params15_3):
     frame = reconstruct_profile(
         Trajectory(
-            eta=np.arange(3.0),
-            points=np.array([[0.01, 0.0, 1e-6], [0.01, 0.0, 2e-6], [0.01, 0.0, 3e-6]]),
+            eta=[0.0, 1.0, 2.0],
+            points=[(0.01, 0.0, 1e-6), (0.01, 0.0, 2e-6), (0.01, 0.0, 3e-6)],
             termination="max_time",
         ),
         params15_3,
