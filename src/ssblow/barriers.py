@@ -510,11 +510,10 @@ def barrier_catalog(params: Params) -> list[BarrierSpec]:
     return specs
 
 
-def verify_barrier(
-    spec: BarrierSpec, params: Params, n_samples: int = 10_000, seed: int = 42
-) -> VerificationReport:
+def verify_barrier(spec: BarrierSpec, n_samples: int = 10_000, seed: int = 42) -> VerificationReport:
     """Sample the barrier's region at n_samples R2 points and check the
-    sign claim pointwise.
+    sign claim pointwise.  The spec carries the (m, sigma) of the
+    barrier_catalog call that built it.
 
     Boundary-equality roundoff is excluded through a 1e-12 margin band.
     An inapplicable barrier (failed gate) reports zero samples and no

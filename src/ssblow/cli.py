@@ -112,12 +112,13 @@ def _controls_config(c: IntegrationControls) -> dict:
     return {"rel_tol": c.rel_tol, "abs_tol": c.abs_tol, "max_step": c.max_step, "max_time": c.max_time}
 
 
-def _validated(args):
-    if args.sigma < _SIGMA_FLOOR:
+def _validated(m, *sigmas) -> list:
+    """The Params of m at each sigma, once all (nan too) pass the CLI floor."""
+    if not all(sigma >= _SIGMA_FLOOR for sigma in sigmas):
         raise ParameterError(
             "sigma must exceed 2 (at least %.3f on the command line)" % _SIGMA_FLOOR
         )
-    return validate_params(args.m, args.sigma)
+    return [validate_params(m, sigma) for sigma in sigmas]
 
 
 def _report_skeleton(command: str, config: dict) -> dict:
@@ -242,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_params(args) -> tuple[int, dict]:
-    pr = _validated(args)
+    [pr] = _validated(args.m, args.sigma)
     exp = derive_exponents(pr)
     p2 = p2_coordinates(pr)
     lo, _ = lambda_range(pr)
@@ -268,7 +269,7 @@ _LAUNCH_DEFAULTS = {"delta": 1e-6, "K": _K_DEFAULT, "z0": 1e-5}
 
 
 def _cmd_classify(args) -> tuple[int, dict]:
-    pr = _validated(args)
+    [pr] = _validated(args.m, args.sigma)
     used = _LAUNCH_FLAGS[args.source]
     launch = {}
     for name, default in _LAUNCH_DEFAULTS.items():
@@ -314,12 +315,7 @@ def _cmd_classify(args) -> tuple[int, dict]:
 
 
 def _cmd_sigma_star(args) -> tuple[int, dict]:
-    if min(args.lo, args.hi) < _SIGMA_FLOOR:
-        raise ParameterError(
-            "sigma must exceed 2: bracket must stay above %.3f" % _SIGMA_FLOOR
-        )
-    validate_params(args.m, args.lo)
-    validate_params(args.m, args.hi)
+    _validated(args.m, args.lo, args.hi)
     controls = _controls_from(args, FATE_ONLY_CONTROLS)
     config = {
         "m": args.m, "lo": args.lo, "hi": args.hi, "tol": args.tol,
@@ -342,7 +338,7 @@ def _cmd_sigma_star(args) -> tuple[int, dict]:
 
 
 def _cmd_profile(args) -> tuple[int, dict]:
-    pr = _validated(args)
+    [pr] = _validated(args.m, args.sigma)
     if args.via == "phase" and args.origin != "p2":
         raise ParameterError("--via phase needs --origin p2")
     if args.a_bracket is not None and args.origin != "p1":
@@ -425,7 +421,7 @@ def _cmd_profile(args) -> tuple[int, dict]:
 
 
 def _cmd_verify(args) -> tuple[int, dict]:
-    pr = _validated(args)
+    [pr] = _validated(args.m, args.sigma)
     if args.all and args.barrier:
         raise ParameterError("--all and --barrier exclude each other")
     config = {
@@ -433,7 +429,11 @@ def _cmd_verify(args) -> tuple[int, dict]:
         "barriers": args.barrier or "all",
     }
     report = _report_skeleton("verify", config)
-    catalog = {spec.id: spec for spec in barrier_catalog(pr)}
+    try:
+        catalog = {spec.id: spec for spec in barrier_catalog(pr)}
+    except OverflowError as exc:
+        report["warnings"].append("a barrier constant overflows at sigma = %.17g: %s" % (pr.sigma, exc))
+        return EXIT_INCONCLUSIVE, report
     if args.barrier:
         unknown = [b for b in args.barrier if b not in catalog]
         if unknown:
@@ -446,7 +446,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
     entries = []
     any_violation = False
     for bid in ids:
-        rep = verify_barrier(catalog[bid], pr, args.n, args.seed)
+        rep = verify_barrier(catalog[bid], args.n, args.seed)
         any_violation |= not rep.passed
         entries.append(
             {
@@ -469,12 +469,11 @@ def _cmd_verify(args) -> tuple[int, dict]:
 def _sweep_one(task):
     """One sweep row: (sigma, fate, lambda_hat, xi0, run record), the P2
     orbit run from the series launch of fate-only runs."""
-    m, sigma, controls = task
-    pr = validate_params(m, sigma)
+    pr, controls = task
     traj, fate = run_p2_orbit(pr, controls, delta=None)
     lam = fate.lambda_hat
     xi0 = interface_xi_of_lambda(lam, pr) if lam is not None else None
-    return sigma, fate.kind, lam, xi0, traj.record
+    return pr.sigma, fate.kind, lam, xi0, traj.record
 
 
 def _cmd_sweep(args) -> tuple[int, dict]:
@@ -483,16 +482,11 @@ def _cmd_sweep(args) -> tuple[int, dict]:
         raise ParameterError("empty sigma grid")
     if args.jobs < 1:
         raise ParameterError("--jobs must be at least 1")
-    if min(sigmas) < _SIGMA_FLOOR:
-        raise ParameterError(
-            "sigma must exceed 2: grid must stay above %.3f" % _SIGMA_FLOOR
-        )
-    for sigma in sigmas:
-        validate_params(args.m, sigma)
+    grid = _validated(args.m, *sigmas)
     controls = _controls_from(args, FATE_ONLY_CONTROLS)
     config = {"m": args.m, "sigmas": sigmas, "jobs": args.jobs, **_controls_config(controls)}
     report = _report_skeleton("sweep", config)
-    tasks = [(args.m, s, controls) for s in sigmas]
+    tasks = [(pr, controls) for pr in grid]
     if args.jobs > 1:
         # imported here: concurrent.futures and multiprocessing would add
         # 15 to 25 ms to the start-up of every other command

@@ -179,8 +179,6 @@ def classify_critical_points(
         lambda_grid = np.linspace(lo, hi, 101)
     out: list[CriticalPoint] = []
     for lam in np.asarray(lambda_grid, dtype=float):
-        if not lo <= lam <= hi:
-            raise DomainError("lambda grid value %.17g outside [%.17g, 0]" % (lam, lo))
         loc = np.array(parabola_point(lam, params))
         out.append(
             CriticalPoint(

@@ -311,9 +311,9 @@ def launch_from_P0(K: float, z0: float, params: Params) -> tuple[float, float, f
     return (*center_family_P0(K, z0, params), float(z0))
 
 
-def launch_from_Q1_chart(delta: float, params: Params) -> tuple[float, float, float]:
+def launch_from_Q1_chart(delta: float) -> tuple[float, float, float]:
     """Chart start delta*(1,1,0) near Q1, along the direction of the profiles
-    with f'(0) = 0."""
+    with f'(0) = 0.  The direction is the same for every (m, sigma)."""
     if not 0.0 < delta <= 1e-4:
         raise DomainError("delta must lie in (0, 1e-4]")
     delta = float(delta)
@@ -598,7 +598,7 @@ def q1_to_p2_connection(params: Params):
     Returns (trajectory, hit) where the terminal hit certifies arrival within
     1e-3 relative distance of the chart image of P2.
     """
-    start = launch_from_Q1_chart(1e-5, params)
+    start = launch_from_Q1_chart(1e-5)
     target = p2_chart_coordinates(params)
     scale = math.hypot(target[0], target[1])
 
@@ -640,7 +640,7 @@ def run_q1_orbit(
     """
     if not 0.0 <= z0 < math.inf:
         raise DomainError("z0 must be finite and nonnegative")
-    w, y, _ = launch_from_Q1_chart(delta, params)
+    w, y, _ = launch_from_Q1_chart(delta)
     start = (w, y, float(z0))
     events = [
         EventSpec(id="handoff", guard=lambda p: 1e-2 - p[0]),
@@ -688,6 +688,16 @@ def _zero_estimate(points) -> float | None:
     return est if est is not None and math.isfinite(est) else None
 
 
+def _check_tol(tol: float, hi: float) -> None:
+    """Refuse a tol that is not finite and positive (DomainError) or below
+    math.ulp(hi), the float spacing at the bracket's upper end (BracketError).
+    From there up a bracket wider than tol has its midpoint strictly inside."""
+    if not 0.0 < tol < math.inf:
+        raise DomainError("tol must be finite and positive")
+    if tol < math.ulp(hi):
+        raise BracketError("tol %.3g is below the float spacing %.3g near %.17g" % (tol, math.ulp(hi), hi))
+
+
 def sigma_star(
     m: float,
     bracket: tuple[float, float],
@@ -732,12 +742,17 @@ def sigma_star(
     invented answer; an inconclusive coarse run is rerun.  evaluations
     holds (sigma, n_steps, fate kind, lambda_hat) for every orbit run, in
     order, so a rerun sigma appears twice.
+
+    The ends' Params and tol (_check_tol) are checked before the first
+    run.  Where the ends lie in different binades, the spacing rule refuses
+    a few tols that a search ending near lo could have met.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise BracketError("bracket must satisfy lo < hi")
-    if not 0.0 < tol < math.inf:
-        raise BracketError("tol must be finite and positive")
+    validate_params(m, lo)
+    validate_params(m, hi)
+    _check_tol(tol, hi)
     controls = controls or FATE_ONLY_CONTROLS
     coarse = _coarse_controls(controls)
 
@@ -797,8 +812,6 @@ def sigma_star(
                 aim = est - 0.45 * tol
             if lo < aim < hi:
                 sig = aim
-        if not lo < sig < hi:
-            raise BracketError("tol %.3g is below the float spacing of sigma near %.17g" % (tol, sig))
         widths.append(width)
         predicted = None
         if est is not None:

@@ -38,21 +38,21 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class Params:
-    """Validated exponent triple. p is redundant (p = 2 - m) but kept for clarity."""
+    """Validated exponents of the regime m + p = 2.  p = 2 - m is exact for
+    1 < m < 2 (Sterbenz lemma), so p lies in (0, 1) and m + p == 2."""
 
     m: float
-    p: float
     sigma: float
+
+    @property
+    def p(self) -> float:
+        return 2.0 - self.m
 
     def __post_init__(self):
         if not self.m > 1.0:
             raise ParameterError("m must exceed 1")
         if not self.m < 2.0:
             raise ParameterError("m must be below 2")
-        if not 0.0 < self.p < 1.0:
-            raise ParameterError("p must lie in (0, 1)")
-        if abs(self.m + self.p - 2.0) > 1e-12:
-            raise ParameterError("m + p must equal 2 (got %.17g)" % (self.m + self.p))
         if not self.sigma > 2.0:
             raise ParameterError("sigma must exceed 2")
         if not math.isfinite(self.sigma):
@@ -70,9 +70,8 @@ class Exponents:
 
 
 def validate_params(m: float, sigma: float) -> Params:
-    """Validate (m, sigma) and return Params with p recomputed as 2 - m."""
-    m = float(m)
-    return Params(m=m, p=2.0 - m, sigma=float(sigma))
+    """Validate (m, sigma) and return their Params."""
+    return Params(m=float(m), sigma=float(sigma))
 
 
 def beta_over_alpha(params: Params) -> float:

@@ -36,7 +36,7 @@ from .params import (
 )
 from .field import center_family_P0, p2_unstable_eigenvector
 from .integrate import EventSpec, IntegrationControls, Trajectory, _coarse_controls, integrate
-from .orbits import BracketError, InconclusiveError
+from .orbits import BracketError, InconclusiveError, _check_tol
 
 _RHO_VANISH = 1e-4  # rho = g / hypot(g, xi g') at which a profile run ends as vanishing
 _SLOPE_TOL = 1e-2  # largest |g' - root| at the vanishing event that is an interface
@@ -453,18 +453,14 @@ def find_good_profile_P1(
     raises InconclusiveError too.  So no a runs twice under controls, and the answer
     is the one of a search that runs every a under controls.  Caller
     controls with rel_tol 1e-8 or looser make no coarse pass.
+
+    The bracket and tol are checked before the first run, tol by the rule
+    of sigma_star (orbits._check_tol).
     """
     a_lo, a_hi = float(a_bracket[0]), float(a_bracket[1])
     if not 0.0 < a_lo < a_hi < math.inf:
         raise DomainError("need 0 < a_lo < a_hi < inf")
-    if not 0.0 < tol < math.inf:
-        raise DomainError("tol must be finite and positive")
-    # with tol at least the spacing at a_hi every midpoint lies strictly
-    # between the ends, so the bisection ends
-    if tol < math.ulp(a_hi):
-        raise BracketError(
-            "tol %.3g is below the float spacing of a near %.17g" % (tol, a_hi)
-        )
+    _check_tol(tol, a_hi)
     base = controls or IntegrationControls()
     coarse = _coarse_controls(base)
     # a profile run holds abs_tol below 1e-60, so only a looser rel_tol

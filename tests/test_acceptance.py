@@ -175,7 +175,7 @@ def test_criterion_07_barrier_suite():
         for m, sigma in GRID9:
             pr = validate_params(m, sigma)
             for spec in barrier_catalog(pr):
-                rep = verify_barrier(spec, pr, 10_000, seed=42)
+                rep = verify_barrier(spec, 10_000, seed=42)
                 assert rep.passed, (m, sigma, spec.id, rep.worst_margin)
 
 

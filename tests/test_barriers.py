@@ -174,7 +174,7 @@ def test_full_catalog_grid_passes():
     for m, s in GRID:
         pr = validate_params(m, s)
         for spec in barrier_catalog(pr):
-            rep = verify_barrier(spec, pr, 2_000, seed=42)
+            rep = verify_barrier(spec, 2_000, seed=42)
             assert rep.passed, (m, s, spec.id, rep.worst_margin)
 
 
@@ -184,7 +184,7 @@ def test_gated_configuration_near_sigma_2():
     assert all(bool(v) for v in gates.values())
     applicable = 0
     for spec in barrier_catalog(pr):
-        rep = verify_barrier(spec, pr, 2_000, seed=7)
+        rep = verify_barrier(spec, 2_000, seed=7)
         assert rep.passed
         applicable += rep.applicable
     # the small-sigma cap planes participate here
@@ -196,7 +196,7 @@ def test_gates_fail_at_sigma_3(params15_3):
     assert not gates["x_p2_below_x_star"]
     assert not gates["r2_right_of_r1"]
     reports = {
-        spec.id: verify_barrier(spec, params15_3, 1_000, seed=3)
+        spec.id: verify_barrier(spec, 1_000, seed=3)
         for spec in barrier_catalog(params15_3)
     }
     assert not reports["cap_plane_yz"].applicable
@@ -209,22 +209,22 @@ def test_p2_floor_plane_gate_turns_on_at_large_sigma():
     on = validate_params(1.5, 10.0)
     spec_off = {b.id: b for b in barrier_catalog(off)}["p2_floor_plane"]
     spec_on = {b.id: b for b in barrier_catalog(on)}["p2_floor_plane"]
-    assert not verify_barrier(spec_off, off, 1_000, seed=1).applicable
-    rep = verify_barrier(spec_on, on, 1_000, seed=1)
+    assert not verify_barrier(spec_off, 1_000, seed=1).applicable
+    rep = verify_barrier(spec_on, 1_000, seed=1)
     assert rep.applicable and rep.passed
     assert rep.worst_margin > 0.0
 
 
 def test_cylinder_margin_strictly_negative(params15_3):
     spec = {b.id: b for b in barrier_catalog(params15_3)}["cylinder"]
-    rep = verify_barrier(spec, params15_3, 2_000, seed=42)
+    rep = verify_barrier(spec, 2_000, seed=42)
     assert rep.passed and rep.worst_margin < 0.0
 
 
 def test_verify_barrier_input_validation(params15_3):
     spec = barrier_catalog(params15_3)[0]
     with pytest.raises(ConfigurationError):
-        verify_barrier(spec, params15_3, 10, seed=1)
+        verify_barrier(spec, 10, seed=1)
 
 
 def test_r2_points_are_seeded_and_low_discrepancy():
@@ -242,10 +242,10 @@ def test_r2_points_are_seeded_and_low_discrepancy():
 
 def test_verify_reports_are_seed_deterministic(params15_3):
     spec = {b.id: b for b in barrier_catalog(params15_3)}["cylinder"]
-    a = verify_barrier(spec, params15_3, 2_000, seed=42)
-    b = verify_barrier(spec, params15_3, 2_000, seed=42)
+    a = verify_barrier(spec, 2_000, seed=42)
+    b = verify_barrier(spec, 2_000, seed=42)
     assert a.worst_margin == b.worst_margin
-    c = verify_barrier(spec, params15_3, 2_000, seed=43)
+    c = verify_barrier(spec, 2_000, seed=43)
     assert c.worst_margin != a.worst_margin
 
 

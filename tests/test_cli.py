@@ -93,6 +93,35 @@ def test_params_rejects_sigma_2(capsys):
     assert "sigma must exceed 2" in err
 
 
+@pytest.mark.parametrize("bad", ["2.0001", "nan"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["params", "--sigma", "{}"],
+        ["classify", "--sigma", "{}"],
+        ["profile", "--sigma", "{}"],
+        ["verify", "--sigma", "{}"],
+        ["sigma-star", "--lo", "{}", "--hi", "3.4"],
+        ["sigma-star", "--lo", "3", "--hi", "{}"],
+        ["sweep", "--sigmas", "3,{}"],
+    ],
+    ids=lambda a: "-".join(a[:2]).replace("{}", ""),
+)
+def test_every_command_refuses_a_sigma_below_the_floor_with_one_message(capsys, argv, bad):
+    """One floor check serves all six commands, for a single sigma, either
+    end of the sigma* bracket and any sweep grid value; nan fails it too."""
+    argv = [a.format(bad) for a in argv]
+    err = usage_error(capsys, ParameterError, argv[0], "--m", "1.5", *argv[1:])
+    assert err == "error: sigma must exceed 2 (at least 2.001 on the command line)\n"
+
+
+@pytest.mark.parametrize("sigma", ["1.4e154", "1e300"])
+def test_verify_ends_inconclusive_where_a_barrier_constant_overflows(capsys, sigma):
+    code, out, err = run_cli(capsys, "verify", "--m", "1.5", "--sigma", sigma, "--n", "100", "--format", "json")
+    assert code == 3 and "Traceback" not in err
+    assert "overflows" in json.loads(out)["warnings"][0]
+
+
 def test_params_rejects_bad_m(capsys):
     code, _, err = run_cli(capsys, "params", "--m", "1.0", "--sigma", "3")
     assert code == 2
@@ -162,7 +191,7 @@ def test_classify_q1_chart_leg_keeps_its_own_controls(capsys):
     both legs run at rel_tol 1e-13, abs_tol 1e-15, and the phase leg's cap
     moves it by less than 1e-11."""
     pr = validate_params(1.5, 3.0)
-    start = launch_from_Q1_chart(1e-6, pr) + np.array([0.0, 0.0, 1e-15])
+    start = launch_from_Q1_chart(1e-6) + np.array([0.0, 0.0, 1e-15])
     handoff = EventSpec(id="handoff", guard=lambda p: 1e-2 - p[0])
     tight = IntegrationControls(rel_tol=1e-13, abs_tol=1e-15, max_step=0.01, max_time=100.0)
     hit = integrate(make_chart_rhs(pr), start, [handoff], tight).event
@@ -1301,6 +1330,8 @@ _KEYS = {
     "sweep": {"format": ["json"], "sigmas": ["3,3.4"]},
 }
 _BAD_LINES = ["no_such_key=1", "format=xml", "m=x", "no equals sign"]
+# finite sigmas at which (sigma + 2)^2 overflows, up to the largest float
+_HUGE_SIGMAS = ["1.4e154", "1e300", "1.7976931348623157e308"]
 
 
 @st.composite
@@ -1315,16 +1346,16 @@ def _cli_case(draw):
     if cmd == "sigma-star":
         argv += [
             "--lo", draw(_mostly(["3", "3.2"], ["1.9", "3.6", "x"])),
-            "--hi", draw(_mostly(["3.4", "3.6"], ["3", "nan"])),
+            "--hi", draw(_mostly(["3.4", "3.6"], ["3", "nan"] + _HUGE_SIGMAS)),
         ]
     elif cmd == "sweep":
         argv += [
-            "--sigmas", draw(_mostly(["3", "2.6,3.0,3.4", "3.4,3"], ["3,x", "", "1.9,3", "nan"])),
+            "--sigmas", draw(_mostly(["3", "2.6,3.0,3.4", "3.4,3"], ["3,x", "", "1.9,3", "nan"] + _HUGE_SIGMAS)),
             "--jobs", "1",
         ]
     else:
         good = ["3", "3.4", "2.5"] if cmd == "profile" else ["3", "3.4", "2.5", "6"]
-        argv += ["--sigma", draw(_mostly(good, ["2", "2.0001", "-1", "inf", "x"]))]
+        argv += ["--sigma", draw(_mostly(good, ["2", "2.0001", "-1", "inf", "x"] + _HUGE_SIGMAS))]
     budget = _mostly(["50", "20", "1"], ["0", "-3", "nan"])
     if cmd == "classify":
         argv += ["--max-time", draw(budget)]
@@ -1353,12 +1384,14 @@ def _cli_case(draw):
 @example(case=(["classify", "--m", "1.5", "--sigma", "3", "--max-time", "50",
                 "--source", "q1", "--z0", "1e300"], None))
 @example(case=(["profile", "--m", "1.5", "--sigma", "1e6", "--origin", "p1", "--a", "0.5"], None))
+@example(case=(["verify", "--m", "1.5", "--sigma", "1e300", "--n", "100"], None))
 def test_cli_exit_code_contract(case, tmp_path_factory, capsys):
     """Any such argv and config file ends in exit 0, 2, 3 or 4, and never in
     a traceback.  The pinned classify starts are so large that the first
     step's field overflows, which once raised OverflowError; they end in
     exit 3.  In the pinned profile run a trial stage past xi = 1 once
-    overflowed xi^sigma the same way."""
+    overflowed xi^sigma the same way, and in the pinned verify run a
+    barrier constant overflowed at sigma = 1e300."""
     argv, config = case
     if config is not None:
         path = tmp_path_factory.mktemp("cfg") / "run.cfg"

@@ -11,6 +11,7 @@ from scipy.integrate import solve_ivp
 
 from ssblow.params import (
     DomainError,
+    ParameterError,
     beta_over_alpha,
     derive_exponents,
     interface_xi_of_lambda,
@@ -438,12 +439,26 @@ def test_sigma_star_secant_never_takes_more_runs_than_bisection(
 
 def test_sigma_star_stops_where_no_float_lies_between_the_ends(monkeypatch):
     """A tol below the float spacing of sigma would search forever by
-    secant proposals."""
+    secant proposals; it is refused before any orbit run."""
+    tried = []
     monkeypatch.setattr(
-        ssblow.orbits, "run_p2_orbit", _square_root_law(3.3, 0.014641, 0.0, q3=(0.014641, 0.0))
+        ssblow.orbits, "run_p2_orbit", _square_root_law(3.3, 0.014641, 0.0, q3=(0.014641, 0.0), tried=tried)
     )
     with pytest.raises(BracketError, match="float spacing"):
         sigma_star(1.5, (3.0, 3.4), tol=1e-17)
+    assert tried == []
+
+
+def test_sigma_star_refuses_an_infinite_end_before_any_run(monkeypatch):
+    """Both ends' Params are checked before the first orbit run, so an
+    infinite hi is refused without running lo."""
+    tried = []
+    monkeypatch.setattr(
+        ssblow.orbits, "run_p2_orbit", _square_root_law(3.3, 0.014641, 0.0, q3=(0.014641, 0.0), tried=tried)
+    )
+    with pytest.raises(ParameterError, match="finite"):
+        sigma_star(1.5, (3.0, math.inf), 1e-3)
+    assert tried == []
 
 
 def test_sigma_star_reruns_an_untrusted_first_pass(monkeypatch):
@@ -752,13 +767,13 @@ def test_sigma_star_bracket_errors():
         sigma_star(1.5, (3.35, 3.4), tol=0.05)  # both escape to Q3
     with pytest.raises(BracketError):
         sigma_star(1.5, (3.4, 3.0), tol=0.05)
-    with pytest.raises(BracketError):
+    with pytest.raises(DomainError):
         sigma_star(1.5, (3.0, 3.4), tol=-1.0)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf])
 def test_sigma_star_refuses_a_non_finite_tol(tol):
-    with pytest.raises(BracketError, match="finite"):
+    with pytest.raises(DomainError, match="finite"):
         sigma_star(1.5, (3.0, 3.4), tol)
 
 
@@ -800,10 +815,10 @@ def test_p0_orbit_enters_parabola_near_origin(params15_3):
     assert -0.05 < fate.lambda_hat < 0.0
 
 
-def test_launch_from_q1_chart_directions(params15_3):
-    assert launch_from_Q1_chart(1e-5, params15_3) == pytest.approx([1e-5, 1e-5, 0.0])
+def test_launch_from_q1_chart_directions():
+    assert launch_from_Q1_chart(1e-5) == pytest.approx([1e-5, 1e-5, 0.0])
     with pytest.raises(DomainError):
-        launch_from_Q1_chart(1.0, params15_3)
+        launch_from_Q1_chart(1.0)
 
 
 def test_q1_to_p2_chart_connection(params15_3):

@@ -45,9 +45,8 @@ def test_validate_rejects_out_of_range(m, sigma, msg):
         validate_params(m, sigma)
 
 
-def test_direct_construction_rejects_inconsistent_p():
-    with pytest.raises(ParameterError):
-        Params(m=1.5, p=0.7, sigma=3.0)
+def test_params_derives_p_as_2_minus_m():
+    assert Params(m=1.5, sigma=3.0).p == 0.5
 
 
 def test_derive_exponents_m15_sigma3():

@@ -7,7 +7,9 @@ And no module of ssblow lists a name in __all__ that only its own unit
 tests use: every public name is read somewhere in the package, the
 scripts, perfbench or the acceptance tests, outside its own definition.
 The same holds for every module-level private name (one leading
-underscore), so a helper whose last caller goes is not left behind."""
+underscore), so a helper whose last caller goes is not left behind.  And
+every parameter of a module-level function or method of ssblow is read
+in its body, so no caller passes a value that nothing uses."""
 
 import ast
 from pathlib import Path
@@ -163,3 +165,48 @@ def _ssblow_and_its_callers() -> tuple[dict[str, str], dict[str, str]]:
         (p.stem if p.parent.name == "ssblow" else str(p.relative_to(ROOT))): p.read_text() for p in CALLERS
     }
     return modules, callers
+
+
+def unread_parameters(source: str) -> list[str]:
+    """name(parameter) for each parameter of a module-level function, or
+    of a method of a module-level class, that its body never loads.
+    Nested functions are exempt: the field kernels take the integrator's
+    eta, or the profile run's s, by the calling convention."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    tree = ast.parse(source)
+    defs = [(node.name, node) for node in tree.body if isinstance(node, functions)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            defs += [("%s.%s" % (cls.name, n.name), n) for n in cls.body if isinstance(n, functions)]
+    unread = []
+    for name, fn in defs:
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p is not None]
+        read = {
+            n.id for stmt in fn.body for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        unread += ["%s(%s)" % (name, p.arg) for p in params if p.arg not in read]
+    return unread
+
+
+def test_every_parameter_is_read():
+    """The scan flags a toy module's unread parameters, of a function and a
+    method, but not one read only in a nested function, nor the nested
+    function's own; and it flags no parameter of ssblow."""
+    lib = (
+        "def used(a, *, b=1): return a + b\n"
+        "def spare(a, params, *rest, **extra): return a\n"
+        "def outer(k):\n"
+        "    def kernel(eta, y): return k * y\n"
+        "    return kernel\n"
+        "class C:\n"
+        "    def method(self, x): return self\n"
+    )
+    assert unread_parameters(lib) == ["spare(params)", "spare(rest)", "spare(extra)", "C.method(x)"]
+    unread = [
+        "%s: %s" % (p.name, u)
+        for p in sorted((ROOT / "src" / "ssblow").glob("*.py"))
+        for u in unread_parameters(p.read_text())
+    ]
+    assert unread == []
