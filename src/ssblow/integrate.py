@@ -26,9 +26,13 @@ hot loop free of array allocation is what makes long runs affordable.  The
 step loop also keeps interpreter work per step low: the state and every
 stage are unpacked into scalar locals once, the tableau and the controls
 are bound to locals before the loop, and the error norm and the guards'
-crossing, probe and arming tests are written out inline.  It performs the
-floating-point operations of the indexed textbook form in the same order,
-so a trajectory does not depend on how the loop is written.
+crossing, probe and arming tests are written out inline.  So is the
+work per sample: a step that stores extension samples unpacks the
+extension's 12 coefficients once, and each sample performs _dense's
+operations in _dense's order; _move forms its three ratios as scalars.
+The loop performs the floating-point operations of the indexed textbook
+form in the same order, so a trajectory does not depend on how the loop
+is written.
 
 scipy.integrate.solve_ivp is deliberately not used here; it remains the
 independent oracle in the test suite.
@@ -320,9 +324,22 @@ def _dense(theta, h, y0, q):
 def _move(a, b):
     """The sample norm of b - a: max_c |b_c - a_c| / (_MOVE_FLOOR + the
     larger |a_c|, |b_c|).  It is below 2 between finite states; 2 stands in
-    for a difference that overflows or is not a number."""
-    m = max(abs(b[c] - a[c]) / (_MOVE_FLOOR + max(abs(a[c]), abs(b[c]))) for c in range(3))
-    return m if m < 2.0 else 2.0
+    for a difference that overflows or is not a number, in any component.
+    Both maxima make max's comparisons in max's order, so between finite
+    states this is max's value to the bit."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    u, v = abs(a0), abs(b0)
+    r0 = abs(b0 - a0) / (_MOVE_FLOOR + (v if v > u else u))
+    u, v = abs(a1), abs(b1)
+    r1 = abs(b1 - a1) / (_MOVE_FLOOR + (v if v > u else u))
+    u, v = abs(a2), abs(b2)
+    r2 = abs(b2 - a2) / (_MOVE_FLOOR + (v if v > u else u))
+    m = r1 if r1 > r0 else r0
+    if r2 > m:
+        m = r2
+    # a nan ratio fails every comparison, so it is tested for itself
+    return m if m < 2.0 and r1 == r1 and r2 == r2 else 2.0
 
 
 def _thin(etas, pts, last=None):
@@ -651,11 +668,18 @@ def integrate(
             if n > 1:
                 if q is None:
                     q = _dense_coeffs(k1, k3, k4, k5, k6, k7)
+                # _dense inline, its coefficients unpacked once per step
+                q00, q01, q02, q03, q10, q11, q12, q13, q20, q21, q22, q23 = q
                 th_last = (t_last - t) / h
                 for j in range(1, n):
                     theta = th_last * j / n
-                    ref = _dense(theta, h, y, q)
-                    take(t + theta * h, ref)
+                    ht = h * theta
+                    ref = (
+                        y0 + ht * (q00 + theta * (q01 + theta * (q02 + theta * q03))),
+                        y1 + ht * (q10 + theta * (q11 + theta * (q12 + theta * q13))),
+                        y2 + ht * (q20 + theta * (q21 + theta * (q22 + theta * q23))),
+                    )
+                    take(t + ht, ref)
             if first is None and (n > 1 or _move(ref, y_new) >= ds):
                 ref = y_new
                 take(t_new, y_new)

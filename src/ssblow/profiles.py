@@ -291,24 +291,28 @@ def _pressure_rhs(params: Params):
     alpha, beta = exp.alpha, exp.beta
     sigma = params.sigma
     m1 = m - 1.0
+    m1_alpha = m1 * alpha  # m1 * alpha * g groups left to right
+    hypot = math.hypot
 
     def rhs(s, u):
         xi, g, w = u
-        r = math.hypot(g, xi * w)
+        r = hypot(g, xi * w)
         rho = g / r
         try:
-            reaction = m * max(xi, 0.0) ** sigma
+            # max(xi, 0.0) written out: the same value for -0.0 and nan
+            reaction = m * (0.0 if xi < 0.0 else xi) ** sigma
         except OverflowError:
             reaction = math.inf
-        num = m1 * alpha * g - w * w - beta * xi * w - reaction
+        num = m1_alpha * g - w * w - beta * xi * w - reaction
         return (rho, rho * w, num / (m1 * r))
 
     return rhs
 
 
-def _rho(u) -> float:
+def _vanishing(u) -> float:
+    """The vanishing event's guard: rho = g / hypot(g, xi g') less 1e-4."""
     xi, g, w = u
-    return g / math.hypot(g, xi * w)
+    return g / math.hypot(g, xi * w) - _RHO_VANISH
 
 
 def _classify_vanishing(xi0: float, g_slope: float, params: Params):
@@ -380,7 +384,7 @@ def integrate_ssode(
         abs_tol=min(base.abs_tol, 1e-60),
     )
     events = [
-        EventSpec(id="vanishing", guard=lambda u: _rho(u) - _RHO_VANISH),
+        EventSpec(id="vanishing", guard=_vanishing),
         EventSpec(id="xi_cap", guard=lambda u: xi_cap - u[0]),
     ]
     traj = integrate(_pressure_rhs(params), (xi_start, g0, w0), events, run_controls)

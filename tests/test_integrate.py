@@ -20,6 +20,7 @@ from ssblow.integrate import (
     EventSpec,
     IntegrationControls,
     _dense_coeffs,
+    _move,
     integrate,
 )
 from ssblow.orbits import launch_from_P2, standard_fate_events
@@ -441,6 +442,42 @@ def test_extension_coefficients_are_k_transpose_p():
         q = np.array(_dense_coeffs(*(tuple(K[j]) for j in (0, 2, 3, 4, 5, 6)))).reshape(3, 4)
         ref = K.T @ P
         assert np.all(np.abs(q - ref) <= 4.0 * np.spacing(np.abs(K).T @ np.abs(P)))
+
+
+def _move_reference(a, b):
+    """_move in its generator form (0.33.0), the reference for finite states."""
+    m = max(abs(b[c] - a[c]) / (1e-9 + max(abs(a[c]), abs(b[c]))) for c in range(3))
+    return m if m < 2.0 else 2.0
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ((0.0, 0.0, 0.0), (1e-3, math.inf, 0.0)),
+        ((0.0, 0.0, 0.0), (1e-3, 0.0, math.nan)),
+        ((0.0, 0.0, 0.0), (math.nan, 1e-3, 0.0)),
+        ((0.0, 0.0, 0.0), (1e-3, 0.0, -math.inf)),
+        ((1e-3, -math.inf, 0.0), (0.0, -math.inf, 0.0)),
+        ((1e-3, -1e308, 0.0), (0.0, 1e308, 0.0)),
+    ],
+)
+def test_move_is_2_where_a_component_is_not_finite(a, b):
+    """A component whose difference overflows or is not a number moves 2,
+    whichever component it is; max alone skips a nan past the first."""
+    assert _move(a, b) == 2.0
+
+
+_finite_triples = st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_finite_triples, _finite_triples)
+@example((0.0, 0.0, 0.0), (1e-3, 2e-3, 0.0))
+@example((1.0, -1.0, 0.0), (-1.0, 1.0, 0.0))
+@example((-1e308, 0.0, 1.0), (1e308, 0.0, 1.0))
+@example((0.0, 5e-324, -0.0), (-0.0, -5e-324, 0.0))
+def test_move_of_finite_states_keeps_the_generator_form_to_the_bit(a, b):
+    assert _move(a, b).hex() == _move_reference(a, b).hex()
 
 
 @settings(max_examples=20, deadline=None)

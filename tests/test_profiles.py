@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -795,3 +796,70 @@ def test_p0_tail_with_K_0_05_at_sigma_6_has_no_interface():
     res = integrate_ssode("p0", pr, K=0.05, xi_start=(alpha**2 * 1e-5 / 1.5) ** 0.25)
     assert fate.kind == FateKind.ENTERS_Q3
     assert res.fate == "sign_change"
+
+
+def _pressure_rhs_reference(params):
+    """_pressure_rhs as 0.33.0 wrote it, the reference for the field."""
+    m = params.m
+    exp = derive_exponents(params)
+    alpha, beta = exp.alpha, exp.beta
+    sigma = params.sigma
+    m1 = m - 1.0
+
+    def rhs(s, u):
+        xi, g, w = u
+        r = math.hypot(g, xi * w)
+        rho = g / r
+        try:
+            reaction = m * max(xi, 0.0) ** sigma
+        except OverflowError:
+            reaction = math.inf
+        num = m1 * alpha * g - w * w - beta * xi * w - reaction
+        return (rho, rho * w, num / (m1 * r))
+
+    return rhs
+
+
+def _vanishing_reference(u):
+    """The vanishing guard as 0.33.0 wrote it: rho less 1e-4."""
+    xi, g, w = u
+    return g / math.hypot(g, xi * w) - 1e-4
+
+
+def _bits(f, *args):
+    """The bits of f's floats, or the type of the error it raises."""
+    try:
+        out = f(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+    return struct.pack("<%dd" % len(out), *out) if isinstance(out, tuple) else struct.pack("<d", out)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    ms=st.sampled_from([(1.5, 3.0), (1.5, 3.4), (1.2, 2.5), (1.8, 6.0), (1.02, 3.0), (1.5, 10.0)]),
+    xi=st.one_of(
+        _finite,
+        st.floats(max_value=-5e-324, allow_infinity=False),
+        st.sampled_from([0.0, -0.0]),
+        st.floats(min_value=1e30, max_value=1.7e308),
+    ),
+    g=_finite,
+    w=_finite,
+)
+@example(ms=(1.5, 3.0), xi=-0.5, g=1e-3, w=-0.2)
+@example(ms=(1.5, 3.0), xi=0.0, g=1e-3, w=-0.2)
+@example(ms=(1.5, 3.0), xi=-0.0, g=1e-3, w=-0.2)
+@example(ms=(1.5, 3.4), xi=1e200, g=1e-3, w=-0.2)
+@example(ms=(1.5, 3.0), xi=0.3, g=0.0, w=0.0)
+def test_pressure_field_and_vanishing_guard_keep_their_reference_bits(ms, xi, g, w):
+    """The pressure field and the vanishing guard give the bits of their
+    reference forms on finite states, or raise what they raise: xi < 0
+    and xi = -0.0 take xi^sigma as 0, an overflowing xi^sigma as inf."""
+    pr = validate_params(*ms)
+    u = (xi, g, w)
+    assert _bits(ssblow.profiles._pressure_rhs(pr), 0.0, u) == _bits(_pressure_rhs_reference(pr), 0.0, u)
+    assert _bits(ssblow.profiles._vanishing, u) == _bits(_vanishing_reference, u)
