@@ -2,16 +2,19 @@
 
 A single engine serves every orbit computation in the package: a
 Dormand-Prince 5(4) embedded pair with PI-free step control, the pair's own
-4th-order continuous extension (Shampine 1986) for event localization, and
-one event contract: an event fires when its guard falls from positive to
-zero or below, and that ends the run.  A guard arms only once it has been
-above _ARM_TOL, so restarting from a located event point does not re-fire
-it.  Every accepted step is also searched for a guard that dips through
-zero and back inside it, so a run can leave the step to error control.
-The same extension supplies the stored samples, which follow the state
-where it moves rather than a grid in eta.  Moves are measured in the norm
-max_c |dy_c| / (1e-9 + |y_c|), with the larger |y_c| of the two ends, so
-a component is sampled relative to its own size down to 1e-9.  A step
+4th-order continuous extension (Shampine 1986), and one event contract: an
+event fires when its guard falls from positive to zero or below, and that
+ends the run.  The event is located by Brent's zeroin on the continuous
+extension (Brent 1973, ch. 4), to an eta bracket below 1e-12, and the
+bracket's end with the smaller |guard| is the event point.  A guard arms
+only once it has been above _ARM_TOL, so restarting from a located event
+point does not re-fire it.  Every accepted step is also searched for a
+guard that dips through zero and back inside it, so a run can leave the
+step to error control.  The same extension supplies the stored samples,
+which follow the state where it moves rather than a grid in eta.  Moves
+are measured in the norm max_c |dy_c| / (1e-9 + |y_c|), with the larger
+|y_c| of the two ends, so a component is sampled relative to its own size
+down to 1e-9.  A step
 that moves more than sample_step stores the extension at theta = i/n,
 0 < i < n = ceil(move / sample_step), up to its event if one ends it, and
 then its end; a shorter step stores its end once the state has moved
@@ -100,6 +103,7 @@ _MAX_SAMPLES = 200_000  # a run stores at most this many samples besides its las
 _MOVE_FLOOR = 1e-9  # a in the sample norm max_c |dy_c| / (a + |y_c|)
 _PROBE_NODES = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_EPS2 = 2.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -395,30 +399,66 @@ def _initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, max_step):
 
 
 def _refine(guard, t0, h, y0, q, ga, tb, yb, gb):
-    """Locate a guard root between the step start t0 (guard value ga) and tb
-    (state yb, guard value gb of the other sign or zero) by bisection on the
-    continuous extension.
+    """Locate a guard root between the step start t0 (state y0, guard value
+    ga > 0) and tb (state yb, guard value gb <= 0) by Brent's zeroin on the
+    continuous extension: inverse quadratic and secant steps, with bisection
+    as the safeguard (Brent 1973, ch. 4).
 
-    Returns (eta, point).  The eta bracket is reduced below 1e-12, matching
-    the event-location contract.
+    Returns (eta, point).  The eta bracket is reduced below 1e-12, or to
+    adjacent floats, matching the event-location contract.  Of its two ends
+    the one with the smaller |guard| is returned, with the point the guard
+    was evaluated at; gb == 0 returns (tb, yb) without a guard call.
     """
     if gb == 0.0:
         return tb, yb
-    a, b = t0, tb
+    # b is the best estimate and c the other end of the bracket, each with
+    # its guard value and point: one guard value is below zero and the
+    # other is not; a is the previous b
+    a, fa, pa = t0, ga, y0
+    b, fb, pb = tb, gb, yb
+    c, fc, pc = a, fa, pa
+    d = e = b - a
     for _ in range(200):
-        mid = 0.5 * (a + b)
-        if b - a < 1e-12 or mid in (a, b):
+        if abs(fc) < abs(fb):
+            a, fa, pa, b, fb, pb, c, fc, pc = b, fb, pb, c, fc, pc, b, fb, pb
+        xm = 0.5 * (c - b)
+        mid = b + xm
+        if fb == 0.0 or abs(xm) < 0.5e-12 or mid == b or mid == c:
             break
-        gm = guard(_dense((mid - t0) / h, h, y0, q))
-        if gm == 0.0:
-            a = b = mid
-            break
-        if ga * gm < 0.0:
-            b = mid
+        tol1 = _EPS2 * abs(b) + 0.5e-12  # the least step, two ulps or more
+        if abs(xm) <= tol1 or abs(e) < tol1 or not abs(fa) > abs(fb):
+            d = e = xm
         else:
-            a, ga = mid, gm
-    t_star = 0.5 * (a + b)
-    return t_star, _dense((t_star - t0) / h, h, y0, q)
+            s = fb / fa
+            if a == c:  # secant
+                p, r = 2.0 * xm * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                u, v = fa / fc, fb / fc
+                p = s * (2.0 * xm * u * (u - v) - (b - a) * (v - 1.0))
+                r = (u - 1.0) * (v - 1.0) * (s - 1.0)
+            if p > 0.0:
+                r = -r
+            else:
+                p = -p
+            # taken if it lands within three quarters of the way to c and is
+            # under half the step before last; a nan fails both tests
+            if 2.0 * p < 3.0 * xm * r - abs(tol1 * r) and p < abs(0.5 * e * r):
+                e, d = d, p / r
+                # the first step shorter than tol1 is taken as it is, to
+                # land on the root; the next is Brent's step of tol1 toward
+                # c, which closes the bracket
+                if abs(d) <= tol1 and (abs(e) <= tol1 or b + d == b):
+                    d = tol1 if xm > 0.0 else -tol1
+            else:
+                d = e = xm
+        a, fa, pa = b, fb, pb
+        b += d
+        pb = _dense((b - t0) / h, h, y0, q)
+        fb = guard(pb)
+        if (fb < 0.0) == (fc < 0.0):
+            c, fc, pc = a, fa, pa
+            d = e = b - a
+    return b, pb
 
 
 def _hidden_dip(guard, g0, g1, h, y0, q):

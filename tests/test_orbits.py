@@ -28,6 +28,7 @@ from ssblow.field import (
     phase_from_chart,
 )
 from ssblow.integrate import EventSpec, IntegrationControls, integrate
+import ssblow.integrate
 import ssblow.orbits
 from ssblow.orbits import (
     FATE_ONLY_CONTROLS,
@@ -639,6 +640,28 @@ def test_sigma_star_workload_cost_does_not_grow(m, bracket, sigmas, steps):
     assert sum(e[1] for e in res.evaluations) <= steps
 
 
+def test_sigma_star_workload_locates_its_events_in_few_guard_calls(monkeypatch):
+    """The three searches of the benchmark's sigma-star workload at seed 0
+    end 15 runs at a located event.  Brent's zeroin locates them in at most
+    150 guard calls in all (97 in ssblow 0.35.0), where the bisection of
+    ssblow 0.34.0 took 654: a change that makes event location costlier
+    must say so here."""
+    calls = [0]
+    refine = ssblow.integrate._refine
+
+    def counted_refine(guard, *args):
+        def run(p):
+            calls[0] += 1
+            return guard(p)
+
+        return refine(run, *args)
+
+    monkeypatch.setattr(ssblow.integrate, "_refine", counted_refine)
+    for m, bracket in ((1.5, (3.0, 3.4)), (1.3, (3.0, 4.0)), (1.8, (3.0, 4.0))):
+        sigma_star(m, bracket, 1e-3)
+    assert 0 < calls[0] <= 150
+
+
 @pytest.mark.parametrize("m", [1.3, 1.5, 1.8])
 def test_sigma_star_takes_at_most_half_the_runs_of_bisection(m):
     """Bisection on (3, 4) takes 22 runs at tol 1e-6 and 32 at tol 1e-9.
@@ -900,7 +923,7 @@ def test_y_floor_fate(params15_3):
     )
     fate = classify_fate(traj, params15_3)
     assert fate.kind == FateKind.ENTERS_Q3
-    # the event is located in eta, where Y moves fast: 3.5e-8 off the floor
+    # the event is located in eta, where Y moves fast: 8.3e-11 off the floor
     assert fate.entry_point[1] == pytest.approx(ssblow.orbits._Y_FLOOR, rel=1e-10)
     assert fate.entry_point[0] >= ssblow.orbits._X_AWAY_TOL
     z_max = 0.25 * beta_over_alpha(params15_3) ** 2
