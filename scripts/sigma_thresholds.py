@@ -20,8 +20,6 @@ Three quantities are reported:
 import argparse
 import sys
 
-import numpy as np
-
 from ssblow.params import validate_params
 from ssblow.orbits import (
     FATE_ONLY_CONTROLS,
@@ -43,7 +41,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     m = args.m
 
-    grid0 = np.linspace(2.001, 2.2, 400)
+    # numpy's linspace(2.001, 2.2, 400) to the bit, without numpy
+    step = (2.2 - 2.001) / 399
+    grid0 = [2.001 + i * step for i in range(399)] + [2.2]
     s0 = empirical_sigma0(m, grid0)
     print("m = %g" % m)
     if s0 is None:
@@ -66,7 +66,7 @@ def main(argv=None) -> int:
 
     print("sigma_1 scan (floor-plane certificate + Q3 escape):")
     sigma1 = None
-    for sigma in np.arange(5.0, 16.1, 0.5):
+    for sigma in (5.0 + 0.5 * i for i in range(23)):
         pr = validate_params(m, sigma)
         gate = plane3_gate(pr)
         applicable = gate["exit_vector_above_plane"] and gate["x_star3_below_x_p2"]

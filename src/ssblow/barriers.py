@@ -158,9 +158,11 @@ def _r2_points(n: int, seed: int) -> np.ndarray:
 def barrier_catalog(params: Params) -> list[BarrierSpec]:
     """Construct every verifiable barrier with closed-form coefficients.
 
-    The plane a X + Z = c4 confining the orbits out of the origin takes
-    c4 = a X(P2) / 5: any positive level works at leading order, and this
-    one keeps its region well inside the origin's neighborhood.
+    One builder, y_plane, makes the three claims on planes {Y = c}:
+    midplane, box_wall_y and upper_plane_y.  The plane a X + Z = c4
+    confining the orbits out of the origin takes c4 = a X(P2) / 5: any
+    positive level works at leading order, and this one keeps its region
+    well inside the origin's neighborhood.
     """
     import numpy as np
 
@@ -183,23 +185,25 @@ def barrier_catalog(params: Params) -> list[BarrierSpec]:
 
     specs: list[BarrierSpec] = []
 
-    # --- midplane {Y = -beta/(2 alpha)}: flow sign is nonnegative below the
-    # vertex height, so orbits cannot cross right-to-left there.
-    def mid_sample(u):
-        x = u[:, 0] * x_hi
-        z = u[:, 1] * z_max
-        return np.column_stack([x, np.full(len(u), -boa / 2.0), z])
-
-    specs.append(
-        BarrierSpec(
-            id="midplane",
+    def y_plane(id, c, expected, x_top, z_top, x_gap=0.0):
+        """The claim on the plane {Y = c} over X in [0, x_top) and Z in
+        [0, z_top), X kept x_gap (relative) below x_top.  The flow sign is
+        Y' there: -c^2 - (beta/alpha) c + X (1 - c) - Z."""
+        return BarrierSpec(
+            id=id,
             coords="phase",
-            expected="nonnegative",
-            surface=lambda p: p[:, 1] + boa / 2.0,
-            sign_expr=lambda p: z_max + p[:, 0] * (1.0 + boa / 2.0) - p[:, 2],
-            sample=mid_sample,
+            expected=expected,
+            surface=lambda p: p[:, 1] - c,
+            sign_expr=lambda p: -c * c - boa * c + p[:, 0] * (1.0 - c) - p[:, 2],
+            sample=lambda u: np.column_stack(
+                [u[:, 0] * x_top * (1.0 - x_gap), np.full(len(u), c), u[:, 1] * z_top]
+            ),
         )
-    )
+
+    # --- midplane {Y = -beta/(2 alpha)}: flow sign is nonnegative below the
+    # vertex height, so orbits cannot cross right-to-left there.  Its
+    # constant -c^2 - (beta/alpha) c is z_max to the bit.
+    specs.append(y_plane("midplane", -boa / 2.0, "nonnegative", x_hi, z_max))
 
     # --- parabolic cylinder Z = -Y^2 - (beta/alpha) Y on its upper half:
     # the flow points strictly from inside to outside.
@@ -286,21 +290,7 @@ def barrier_catalog(params: Params) -> list[BarrierSpec]:
         )
     )
 
-    def wally_sample(u):
-        x = u[:, 0] * xp2 * (1.0 - 1e-9)
-        z = u[:, 1] * z_hi
-        return np.column_stack([x, np.full(len(u), yp2), z])
-
-    specs.append(
-        BarrierSpec(
-            id="box_wall_y",
-            coords="phase",
-            expected="negative",
-            surface=lambda p: p[:, 1] - yp2,
-            sign_expr=lambda p: -yp2 * yp2 - boa * yp2 + p[:, 0] * (1.0 - yp2) - p[:, 2],
-            sample=wally_sample,
-        )
-    )
+    specs.append(y_plane("box_wall_y", yp2, "negative", xp2, z_hi, x_gap=1e-9))
 
     # --- small-sigma cap plane c Y + Z = d.
     c1, d1 = cst["c"], cst["d"]
@@ -444,28 +434,7 @@ def barrier_catalog(params: Params) -> list[BarrierSpec]:
     # --- planes {Y = y0} with y0 > 1 can only be crossed right-to-left;
     # this is the ingredient sign fact behind tracing connections back to
     # the sign-change source at Y-infinity.
-    y0_high = 1.5
-
-    def upper_plane_sample(u):
-        x = u[:, 0] * x_hi
-        z = u[:, 1] * z_hi
-        return np.column_stack([x, np.full(len(u), y0_high), z])
-
-    specs.append(
-        BarrierSpec(
-            id="upper_plane_y",
-            coords="phase",
-            expected="negative",
-            surface=lambda p: p[:, 1] - y0_high,
-            sign_expr=lambda p: (
-                -y0_high * y0_high
-                - boa * y0_high
-                + p[:, 0] * (1.0 - y0_high)
-                - p[:, 2]
-            ),
-            sample=upper_plane_sample,
-        )
-    )
+    specs.append(y_plane("upper_plane_y", 1.5, "negative", x_hi, z_hi))
 
     # --- chart boundaries of the invariant region connecting Q1 to P2
     # inside {z = 0}: a line below and the y-nullcline curve above.

@@ -52,6 +52,8 @@ EXIT_VIOLATION = 4
 _SIGMA_FLOOR = 2.0 + 1e-3  # refuse nearly-degenerate exponents on the CLI
 _K_DEFAULT = 0.05  # the tail coefficient of classify --source p0 and profile --origin p0
 _K_HELP = "tail coefficient K of the p0 profile f ~ K xi^((sigma+2)/(2(m-1))) (default %g)" % _K_DEFAULT
+# the IntegrationControls fields that --rel-tol and the like set, in help and config order
+_CONTROL_FLAGS = ("rel_tol", "abs_tol", "max_step", "max_time")
 # the values a store_true config key may take, in any case
 _CONFIG_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
                     "0": False, "false": False, "no": False, "off": False}
@@ -103,13 +105,13 @@ def _set_config_defaults(parser: argparse.ArgumentParser, args: argparse.Namespa
 def _controls_from(args, base: IntegrationControls = IntegrationControls()) -> IntegrationControls:
     """base with the tolerances, step cap and time budget of the flags that
     hold a value."""
-    flags = {k: getattr(args, k) for k in ("rel_tol", "abs_tol", "max_step", "max_time")}
+    flags = {k: getattr(args, k) for k in _CONTROL_FLAGS}
     return replace(base, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _controls_config(c: IntegrationControls) -> dict:
     """The controls a flag sets, for a report's config block."""
-    return {"rel_tol": c.rel_tol, "abs_tol": c.abs_tol, "max_step": c.max_step, "max_time": c.max_time}
+    return {k: getattr(c, k) for k in _CONTROL_FLAGS}
 
 
 def _validated(m, *sigmas) -> list:
@@ -158,10 +160,8 @@ def _add_common(p: argparse.ArgumentParser, sigma=True):
 def _add_controls(p: argparse.ArgumentParser, base: IntegrationControls = IntegrationControls()):
     """Integration controls, for the commands that integrate, with the
     defaults of base."""
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=base.rel_tol)
-    p.add_argument("--abs-tol", dest="abs_tol", type=float, default=base.abs_tol)
-    p.add_argument("--max-step", dest="max_step", type=float, default=base.max_step)
-    p.add_argument("--max-time", dest="max_time", type=float, default=base.max_time)
+    for k in _CONTROL_FLAGS:
+        p.add_argument("--" + k.replace("_", "-"), dest=k, type=float, default=getattr(base, k))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -232,12 +232,17 @@ def interface_slopes(xi0: float, params: Params) -> InterfaceReport:
 
 @dataclass
 class SsodeResult:
+    """One profile run.  A vanishing run holds xi0, g' there and the
+    report and clearance that _classify_vanishing gives with its fate; a
+    "positive" run holds None for these and clearance 0.0."""
+
     frame: ProfileFrame
     fate: str  # "interface" | "sign_change" | "positive"
     xi0: float | None
     g_slope: float | None
     report: InterfaceReport | None
     record: dict  # the run record of the integration (Trajectory.record)
+    clearance: float = 0.0
 
 
 def _asymptotic_start(origin, params, xi_start, a=None, K=None):
@@ -316,22 +321,32 @@ def _vanishing(u) -> float:
 
 
 def _classify_vanishing(xi0: float, g_slope: float, params: Params):
+    """(fate, report, clearance) of a run that vanishes at xi0 with slope g_slope.
+
+    report holds the roots of the pressure-slope quadratic at xi0.  A
+    discriminant below -_DISC_TOL is a sign change, and one in
+    [-_DISC_TOL, 0) the double root -beta xi0 / 2.  Otherwise g_slope within
+    _SLOPE_TOL of the nearest root (report.matched_slope) is an interface.
+    clearance is how far the fate lies inside its case: the smaller of
+    |discriminant + _DISC_TOL| and, where there are roots, |nearest-root
+    distance - _SLOPE_TOL|, each over the sum of the magnitudes of its terms.
+    """
     report = interface_slopes(xi0, params)
-    report.matched_slope = None
+    exp = derive_exponents(params)
+    disc_scale = exp.beta**2 * xi0**2 + 4.0 * params.m * xi0**params.sigma
+    clearance = abs(report.discriminant + _DISC_TOL) / disc_scale
     if report.discriminant < -_DISC_TOL:
-        return "sign_change", report
+        return "sign_change", report, clearance
     if report.slope_minus is None:
-        # small negative discriminant within tolerance: treat as double root
-        exp = derive_exponents(params)
-        double = -exp.beta * xi0 / 2.0
-        report.slope_minus = report.slope_plus = double
-    candidates = [report.slope_minus, report.slope_plus]
-    dists = [abs(g_slope - c) for c in candidates]
-    best = 0 if dists[0] <= dists[1] else 1
-    if dists[best] <= _SLOPE_TOL:
-        report.matched_slope = candidates[best]
-        return "interface", report
-    return "sign_change", report
+        report.slope_minus = report.slope_plus = -exp.beta * xi0 / 2.0
+    lo, hi = report.slope_minus, report.slope_plus
+    root = lo if abs(g_slope - lo) <= abs(g_slope - hi) else hi
+    dist = abs(g_slope - root)
+    clearance = min(clearance, abs(dist - _SLOPE_TOL) / (abs(g_slope) + abs(root)))
+    if dist <= _SLOPE_TOL:
+        report.matched_slope = root
+        return "interface", report, clearance
+    return "sign_change", report, clearance
 
 
 def integrate_ssode(
@@ -393,37 +408,16 @@ def integrate_ssode(
     if hit is None:
         raise InconclusiveError("profile integration failed: %s" % traj.termination)
     xi0 = g_slope = report = None
-    if hit.id == "xi_cap":
-        fate = "positive"
-    else:
+    fate, clearance = "positive", 0.0
+    if hit.id == "vanishing":
         xi_h, g_h, g_slope = hit.point
         xi0 = xi_h + g_h / abs(g_slope)
-        fate, report = _classify_vanishing(xi0, g_slope, params)
+        fate, report, clearance = _classify_vanishing(xi0, g_slope, params)
 
     return SsodeResult(
         frame=ProfileFrame(traj.point_list(), params.m),
-        fate=fate, xi0=xi0, g_slope=g_slope, report=report, record=traj.record,
+        fate=fate, xi0=xi0, g_slope=g_slope, report=report, record=traj.record, clearance=clearance,
     )
-
-
-def _fate_clearance(result: SsodeResult, params: Params) -> float:
-    """How far the fate of a run lies inside its case of _classify_vanishing:
-    the smaller of |discriminant + _DISC_TOL| and, where the quadratic has
-    roots, |nearest-root distance - _SLOPE_TOL|, each divided by the sum
-    of the magnitudes of the terms it is formed from.  0 for a run with no
-    report, as a "positive" one."""
-    report = result.report
-    if report is None:
-        return 0.0
-    exp = derive_exponents(params)
-    xi0, g_slope = result.xi0, result.g_slope
-    disc_scale = exp.beta**2 * xi0**2 + 4.0 * params.m * xi0**params.sigma
-    clearance = abs(report.discriminant + _DISC_TOL) / disc_scale
-    if report.slope_minus is not None:
-        root = min((report.slope_minus, report.slope_plus), key=lambda c: abs(g_slope - c))
-        slope_edge = abs(abs(g_slope - root) - _SLOPE_TOL) / (abs(g_slope) + abs(root))
-        clearance = min(clearance, slope_edge)
-    return clearance
 
 
 def find_good_profile_P1(
@@ -449,14 +443,15 @@ def find_good_profile_P1(
     (integrate._coarse_controls).  Its fate is kept where it is "interface"
     or "sign_change" and clears both edges of the classification, the
     discriminant at -1e-6 and the nearest-root distance at 1e-2, by 1e3
-    times the coarse rel_tol relative to their scale (_fate_clearance).
-    A coarse "positive", an inconclusive coarse run and a fate inside that
+    times the coarse rel_tol relative to their scale: the run's clearance,
+    which _classify_vanishing forms with its fate.  A coarse "positive"
+    (clearance 0), an inconclusive coarse run and a fate inside that
     margin are rerun under controls, and an inconclusive rerun raises
     InconclusiveError.  Where the fate at a_star was kept from a coarse
     run, a_star is run once under controls, and a sign change there
-    raises InconclusiveError too.  So no a runs twice under controls, and the answer
-    is the one of a search that runs every a under controls.  Caller
-    controls with rel_tol 1e-8 or looser make no coarse pass.
+    raises InconclusiveError too.  So no a runs twice under controls, and
+    the answer is the one of a search that runs every a under controls.
+    Caller controls with rel_tol 1e-8 or looser make no coarse pass.
 
     The bracket and tol are checked before the first run, tol by the rule
     of sigma_star (orbits._check_tol).
@@ -484,7 +479,7 @@ def find_good_profile_P1(
             except InconclusiveError:
                 pass
             else:
-                if _fate_clearance(first, params) > 1e3 * coarse.rel_tol:
+                if first.clearance > 1e3 * coarse.rel_tol:
                     return first.fate == "sign_change", None
         run = run_at(a)
         return run.fate == "sign_change", run

@@ -447,11 +447,18 @@ def test_config_block_holds_only_the_values_used(tmp_path, capsys):
             BracketError, ["--origin", "p1", "--a-bracket", "1e-13", "1"], "no sign change at either end",
             id="no-sign-change-at-either-end",
         ),
+        (DomainError, ["--xi-start", "0"], "xi_start must be positive"),
+        (DomainError, ["--xi-start", "100"], "xi_start must lie below xi_cap"),
+        pytest.param(
+            DomainError, ["--origin", "p1", "--a-bracket", "1e-10", "1e-13"], "need 0 < a_lo < a_hi",
+            id="reversed-bracket",
+        ),
     ],
 )
 def test_profile_start_and_bracket_errors_exit_2(error, flags, named, capsys):
     """A bracket whose ends lie on the same side of the sign change exits 2
-    with a message naming that side, even where their fates differ."""
+    with a message naming that side, even where their fates differ; so do
+    an xi_start outside (0, xi_cap) and a bracket whose ends are reversed."""
     err = usage_error(capsys, error, "profile", "--m", "1.5", "--sigma", "3", *flags)
     assert named in err
 
@@ -1066,6 +1073,19 @@ def test_inconclusive_exit_code(capsys):
     rep = json.loads(out)
     assert rep["results"]["fate"] == "inconclusive"
     assert rep["warnings"]
+    # a search whose first run is inconclusive raises, and main maps that to 3
+    code, out, err = run_cli(
+        capsys, "sigma-star", "--m", "1.5", "--lo", "3", "--hi", "3.4", "--max-time", "1",
+    )
+    assert code == 3 and out == "" and err.startswith("inconclusive: ")
+    # a sweep reports every row and names the inconclusive sigmas
+    code, out, _ = run_cli(
+        capsys, "sweep", "--m", "1.5", "--sigmas", "3.0,3.4", "--max-time", "1", "--format", "json",
+    )
+    assert code == 3
+    rep = json.loads(out)
+    assert [row["fate"] for row in rep["results"]["rows"]] == ["inconclusive"] * 2
+    assert rep["warnings"] == ["inconclusive fates at sigma = [3.0, 3.4]"]
 
 
 def test_fmt_round_trip_exactness():
@@ -1089,6 +1109,13 @@ def test_trajectory_and_profile_readers_reject_a_wrong_header(reader, tmp_path):
     bad.write_text("sigma,fate,lambda_hat,xi0\n3,enters_q3,,\n")
     with pytest.raises(ValueError, match="not a (trajectory|profile) CSV"):
         reader(bad)
+
+
+def test_trajectory_reader_rejects_rows_shorter_than_the_header(tmp_path):
+    bad = tmp_path / "short.csv"
+    bad.write_text("eta,X,Y,Z\n0,1,2\n")
+    with pytest.raises(ValueError, match="rows of 3 values under 4 header columns"):
+        io_mod.read_trajectory_csv(bad)
 
 
 def test_one_row_csvs_round_trip(tmp_path):

@@ -482,6 +482,11 @@ def test_controls_validation():
     assert IntegrationControls(max_time=1.0, sample_step=1e-300).sample_step == 1e-300
 
 
+def test_integrate_refuses_a_start_that_is_not_3_d():
+    with pytest.raises(ValueError, match="3-D states"):
+        integrate(lambda t, y: (0.0, 0.0), (1.0, 0.0))
+
+
 def test_eta_strictly_increasing(p2_orbit_15_3):
     traj, _ = p2_orbit_15_3
     assert np.all(np.diff(traj.eta) > 0.0)

@@ -1083,6 +1083,28 @@ def test_p2_vertex_entry_brackets_the_limit_of_z():
     assert fate.diagnostics["z_gap"] == pytest.approx(sol.y[2, -1] - z_max, rel=1e-2)
 
 
+def test_z_bracket_below_the_vertex_bounds_y_by_h_less_sqrt_q(params15_3):
+    """At (1e-6, -0.1, 0.009), below the vertex band, W = Y + h is 0, below
+    sqrt(q), q = z_max - Z + X (1 + h), so the Z bracket bounds |Y| by
+    h - sqrt(q), which the certificate forms free of cancellation; its
+    value, lambda_hat and F are those of h - sqrt(q) formed directly."""
+    pr = params15_3
+    h = 0.5 * beta_over_alpha(pr)
+    z_max = h * h
+    x, y, z = 1e-6, -0.1, 0.009
+    assert y + h < math.sqrt(z_max - z + x * (1.0 + h))
+    ky = h - math.sqrt(z_max - z + x * (1.0 + h))
+    rise = z * math.expm1((pr.sigma - 2.0) * x / ((pr.m - 1.0) * ky))
+    gap = z_max - z - rise
+    value, cert, lam_hat, F = ssblow.orbits._entry_certificate(pr)(x, y, z)
+    assert cert == "z_limit"
+    assert value == pytest.approx(max(100.0 * rise - gap, min(y + h, 0.0) ** 2 - gap), rel=1e-12)
+    assert lam_hat == pytest.approx(math.sqrt(gap) - h, rel=1e-12)
+    assert F == pytest.approx(-gap, rel=1e-12)
+    # |Y| = 0.1 itself would bound the rise by a third less
+    assert 100.0 * rise - 100.0 * z * math.expm1((pr.sigma - 2.0) * x / ((pr.m - 1.0) * 0.1)) > 1e-6
+
+
 def test_entry_guard_makes_no_field_call(monkeypatch):
     """Tube entries, Z bracket entries and escapes, and midplane escapes
     alike: a run evaluates its guards without a single field call."""

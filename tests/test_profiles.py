@@ -249,6 +249,24 @@ def test_interface_slopes_examples(params15_3):
         interface_slopes(0.0, params15_3)
 
 
+def test_a_discriminant_just_below_0_is_a_double_root_interface(params15_3):
+    """Just beyond xi_max the discriminant is -1.78e-7, inside the -1e-6
+    tolerance: both slopes are the double root -beta xi0 / 2, a slope there
+    is an interface, and the clearance is the nearer of its two edges, the
+    discriminant's gap to -1e-6 over its scale."""
+    exp = derive_exponents(params15_3)
+    xi0 = exp.xi_max * (1.0 + 1e-7)
+    double = -exp.beta * xi0 / 2.0
+    fate, report, clearance = ssblow.profiles._classify_vanishing(xi0, double, params15_3)
+    assert report.discriminant == pytest.approx(-1.78e-7, rel=1e-2)
+    assert fate == "interface"
+    assert report.slope_minus == report.slope_plus == report.matched_slope == double
+    disc_scale = exp.beta**2 * xi0**2 + 4.0 * params15_3.m * xi0**params15_3.sigma
+    disc_edge = (report.discriminant + 1e-6) / disc_scale
+    assert disc_edge < 1e-2 / (2.0 * abs(double))
+    assert clearance == disc_edge
+
+
 @settings(max_examples=100)
 @given(st.floats(min_value=0.01, max_value=0.99))
 def test_interface_slopes_satisfy_quadratic(t):
@@ -377,6 +395,11 @@ def test_ssode_outcome_is_a_fate_or_a_surfaced_failure(origin, m, sigma, a, K):
         assert abs(res.g_slope - res.report.matched_slope) <= 1e-2
 
 
+def test_ssode_run_out_of_steps_is_inconclusive(params15_3):
+    with pytest.raises(InconclusiveError, match="max_steps"):
+        integrate_ssode("p2", params15_3, IntegrationControls(max_steps=5))
+
+
 def test_find_good_profile_P1_boundary_interface(params15_3):
     exp = derive_exponents(params15_3)
     a_star, res = find_good_profile_P1(params15_3, (1e-13, 1e-10), tol=1e-13)
@@ -490,9 +513,11 @@ def _vanishing_run(params, fate, edge_gap=None):
     offset = {"interface": 5e-3, "sign_change": 0.1}[fate]
     if edge_gap is not None:
         offset = 1e-2 - edge_gap if fate == "interface" else 1e-2 + edge_gap
-    got, report = ssblow.profiles._classify_vanishing(0.6, root + offset, params)
+    got, report, clearance = ssblow.profiles._classify_vanishing(0.6, root + offset, params)
     assert got == fate
-    return SsodeResult(frame=None, fate=fate, xi0=0.6, g_slope=root + offset, report=report, record={})
+    return SsodeResult(
+        frame=None, fate=fate, xi0=0.6, g_slope=root + offset, report=report, record={}, clearance=clearance,
+    )
 
 
 def _shoot_with(monkeypatch, params, law, **kwargs):
@@ -539,11 +564,11 @@ def test_find_good_profile_P1_keeps_only_coarse_fates_clear_of_the_edges(monkeyp
     assert res.fate == "interface" and a_star == pytest.approx(5e-11, abs=1e-12)
     assert [rel for _, rel in calls] == [1e-8] * (len(calls) - 1) + [1e-10]
     assert calls[-1][0] == a_star
-    assert ssblow.profiles._fate_clearance(_vanishing_run(params15_3, "interface"), params15_3) > 1e-5
+    assert _vanishing_run(params15_3, "interface").clearance > 1e-5
 
     # inside the margin at a_hi: 1e-7 from the slope edge
     inside = _vanishing_run(params15_3, "sign_change", edge_gap=1e-7)
-    assert ssblow.profiles._fate_clearance(inside, params15_3) < 1e-5
+    assert inside.clearance < 1e-5
     answer, calls = _shoot_with(
         monkeypatch, params15_3, _step_law(params15_3, lambda a: inside if a == 1e-10 else None)
     )
