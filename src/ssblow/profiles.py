@@ -368,7 +368,8 @@ def integrate_ssode(
     that event, and the pressure-slope quadratic at xi0 tells an interface
     from a sign change: g' must lie within 1e-2 of one of its roots.  A run
     that ends any other way (step underflow, step or s budget) raises
-    InconclusiveError.
+    InconclusiveError.  A start whose pressure g is not positive, as where
+    it underflows at a tiny xi_start, raises DomainError.
 
     controls sets rel_tol and the step in s, capped at 0.05; the frame
     holds the step ends where f > 0 (_frame), formed from the run's stored
@@ -386,6 +387,8 @@ def integrate_ssode(
         raise DomainError("xi_start must lie below xi_cap = %.6g" % xi_cap)
 
     g0, w0 = _asymptotic_start(origin, params, xi_start, a=a, K=K)
+    if not g0 > 0.0:
+        raise DomainError("xi_start = %.6g is too small: the start's pressure is %r" % (xi_start, g0))
 
     # The asymptotic origins start with g many orders below any sensible
     # phase-space abs_tol; error control must resolve g relative to itself

@@ -2,6 +2,7 @@
 pass/fail line with its runtime.  Every tolerance is pinned here; nothing is
 deferred to later calibration."""
 
+import cmath
 import time
 
 import numpy as np
@@ -18,9 +19,9 @@ from ssblow.params import (
 )
 from ssblow.field import (
     jacobian,
+    make_chart_rhs,
     p2_unstable_eigenvalue,
     p2_unstable_eigenvector,
-    classify_critical_points,
 )
 from ssblow.integrate import IntegrationControls
 from ssblow.orbits import (
@@ -83,35 +84,55 @@ def test_criterion_01_closed_form_suite():
             assert exp.alpha > 0 and exp.beta > 0
 
 
+def _assert_spectrum(got, expected, tol):
+    """got and expected are the same eigenvalues to tol: each expected value
+    is paired with the nearest computed one not yet paired."""
+    left = list(got)
+    for want in expected:
+        i = min(range(len(left)), key=lambda k: abs(left[k] - want))
+        assert abs(left.pop(i) - want) < tol, (list(got), expected)
+
+
 def test_criterion_02_eigen_suite():
+    """Closed-form spectra at the parabola points, P2 and Q1, against
+    np.linalg.eig on the analytic Jacobians."""
     with _Timer("2 eigen suite", 1.0):
         for m, sigma in GRID9:
             pr = validate_params(m, sigma)
             boa = beta_over_alpha(pr)
             lo, _ = lambda_range(pr)
-            lams = np.linspace(lo, 0.0, 101)
-            catalog = classify_critical_points(pr, lams)
-            for cp in [c for c in catalog if c.name == "P0_lambda"]:
-                lam = cp.lam
-                expected = sorted([(m - 1.0) * lam, -2.0 * lam - boa, 0.0])
-                got = sorted(cp.eigen.values.real)
-                assert np.allclose(got, expected, atol=1e-9)
-                J = jacobian(cp.location, pr)
-                assert np.max(cp.eigen.residuals(J)) < 1e-9
-            p2 = [c for c in catalog if c.name == "P2"][0]
-            re = sorted(p2.eigen.values.real)
+            for lam in np.linspace(lo, 0.0, 101):
+                J = np.array(jacobian(parabola_point(lam, pr), pr))
+                values, vectors = np.linalg.eig(J)
+                expected = ((m - 1.0) * lam, -2.0 * lam - boa, 0.0)
+                _assert_spectrum(values, expected, 1e-9)
+                for mu, v in zip(values, vectors.T):
+                    assert np.linalg.norm(J @ v - mu * v) / np.linalg.norm(v) < 1e-9
+            J = np.array(jacobian(p2_coordinates(pr), pr))
+            values, vectors = np.linalg.eig(J)
+            re = sorted(values.real)
             assert re[0] < 0 and re[1] < 0
             lam3 = p2_unstable_eigenvalue(pr)
             exp = derive_exponents(pr)
             assert abs(lam3 - (sigma - 2.0) * (m - 1.0) / (2.0 * (m + 1.0) * exp.alpha)) < 1e-15
             assert abs(re[2] - lam3) < 1e-9
+            # P2 has Z = 0, so J is block triangular: lam3 and the roots of
+            # its upper-left 2x2 block
+            tr = J[0, 0] + J[1, 1]
+            det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+            root = cmath.sqrt(tr * tr / 4.0 - det)
+            _assert_spectrum(values, (tr / 2.0 + root, tr / 2.0 - root, lam3), 1e-9)
             # unstable eigenvector matches its closed form to 1e-8 in direction
             e3 = np.asarray(p2_unstable_eigenvector(pr))
-            J = jacobian(p2_coordinates(pr), pr)
-            num = p2.eigen.vectors[:, np.argmax(p2.eigen.values.real)].real
+            num = vectors[:, np.argmax(values.real)].real
             cos = abs(np.dot(e3, num) / (np.linalg.norm(e3) * np.linalg.norm(num)))
             assert 1.0 - cos < 1e-8
             assert np.linalg.norm(J @ e3 - lam3 * e3) < 1e-9
+            # Q1 is the chart origin; central differences with unit steps
+            # are exact there, as the chart field is quadratic
+            chart = make_chart_rhs(pr)
+            Jq = np.column_stack([np.subtract(chart(0.0, e), chart(0.0, -e)) / 2.0 for e in np.eye(3)])
+            _assert_spectrum(np.linalg.eigvals(Jq), (1.0, 2.0, sigma), 1e-9)
 
 
 def test_criterion_03_parabola_connection_sigma_3():

@@ -449,6 +449,19 @@ def test_config_block_holds_only_the_values_used(tmp_path, capsys):
         ),
         (DomainError, ["--xi-start", "0"], "xi_start must be positive"),
         (DomainError, ["--xi-start", "100"], "xi_start must lie below xi_cap"),
+        # the start's pressure underflows to 0
+        pytest.param(
+            DomainError, ["--origin", "p0", "--xi-start", "1e-154"], "xi_start = 1e-154 is too small",
+            id="p0-start-pressure-underflows-at-1e-154",
+        ),
+        pytest.param(
+            DomainError, ["--origin", "p0", "--xi-start", "1e-160"], "xi_start = 1e-160 is too small",
+            id="p0-start-pressure-underflows-at-1e-160",
+        ),
+        pytest.param(
+            DomainError, ["--origin", "p2", "--xi-start", "1e-200"], "xi_start = 1e-200 is too small",
+            id="p2-start-pressure-underflows-at-1e-200",
+        ),
         pytest.param(
             DomainError, ["--origin", "p1", "--a-bracket", "1e-10", "1e-13"], "need 0 < a_lo < a_hi",
             id="reversed-bracket",
@@ -458,7 +471,8 @@ def test_config_block_holds_only_the_values_used(tmp_path, capsys):
 def test_profile_start_and_bracket_errors_exit_2(error, flags, named, capsys):
     """A bracket whose ends lie on the same side of the sign change exits 2
     with a message naming that side, even where their fates differ; so do
-    an xi_start outside (0, xi_cap) and a bracket whose ends are reversed."""
+    an xi_start outside (0, xi_cap) or so small that the start's pressure
+    underflows to 0, and a bracket whose ends are reversed."""
     err = usage_error(capsys, error, "profile", "--m", "1.5", "--sigma", "3", *flags)
     assert named in err
 
@@ -1166,10 +1180,8 @@ _PUBLIC_SURFACE = {
         "parabola_point", "parabola_z", "validate_params",
     ],
     "field": [
-        "CriticalPoint", "EigenData", "center_family_P0", "classify_critical_points",
-        "eigen_data", "infinity_chart_jacobian", "jacobian", "make_chart_rhs", "make_rhs",
-        "p2_chart_coordinates", "p2_unstable_eigenvalue", "p2_unstable_eigenvector",
-        "phase_from_chart",
+        "center_family_P0", "jacobian", "make_chart_rhs", "make_rhs", "p2_chart_coordinates",
+        "p2_unstable_eigenvalue", "p2_unstable_eigenvector", "phase_from_chart",
     ],
     "integrate": ["EventHit", "EventSpec", "IntegrationControls", "Trajectory", "integrate"],
     "orbits": [

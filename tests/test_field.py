@@ -14,8 +14,6 @@ from ssblow.params import (
 )
 from ssblow.field import (
     center_family_P0,
-    classify_critical_points,
-    infinity_chart_jacobian,
     jacobian,
     make_chart_rhs,
     make_rhs,
@@ -82,57 +80,38 @@ def test_origin_eigenvalues(params15_3):
     assert sorted(eig.real) == pytest.approx([-0.2, 0.0, 0.0], abs=1e-14)
 
 
+def _spectrum(pt, params):
+    """Real parts of the eigenvalues of the Jacobian at pt, sorted, and the
+    (stable, unstable, center) counts, where |Re| <= 1e-12 is center."""
+    re = sorted(np.linalg.eigvals(jacobian(pt, params)).real)
+    dims = (
+        sum(1 for v in re if v < -1e-12),
+        sum(1 for v in re if v > 1e-12),
+        sum(1 for v in re if abs(v) <= 1e-12),
+    )
+    return re, dims
+
+
 def test_classify_parabola_point_dimensions(params15_3):
-    pts = classify_critical_points(params15_3, lambda_grid=[-0.05])
-    cp = pts[0]
-    vals = sorted(cp.eigen.values.real)
-    assert vals == pytest.approx([-0.1, -0.025, 0.0], abs=1e-12)
-    assert (cp.eigen.stable_dim, cp.eigen.unstable_dim, cp.eigen.center_dim) == (2, 0, 1)
+    re, dims = _spectrum(parabola_point(-0.05, params15_3), params15_3)
+    assert re == pytest.approx([-0.1, -0.025, 0.0], abs=1e-12)
+    assert dims == (2, 0, 1)
 
 
 def test_classify_vertex_dimensions(params15_3):
     lo, _ = lambda_range(params15_3)
-    cp = classify_critical_points(params15_3, lambda_grid=[lo / 2.0])[0]
-    vals = sorted(cp.eigen.values.real)
-    assert vals == pytest.approx([-0.05, 0.0, 0.0], abs=1e-12)
-    assert (cp.eigen.stable_dim, cp.eigen.center_dim) == (1, 2)
+    re, (stable, _, center) = _spectrum(parabola_point(lo / 2.0, params15_3), params15_3)
+    assert re == pytest.approx([-0.05, 0.0, 0.0], abs=1e-12)
+    assert (stable, center) == (1, 2)
 
 
 def test_classify_lower_half_has_unstable_direction(params15_3):
-    cp = classify_critical_points(params15_3, lambda_grid=[-0.15])[0]
-    assert (cp.eigen.stable_dim, cp.eigen.unstable_dim, cp.eigen.center_dim) == (1, 1, 1)
-
-
-def test_eigen_residuals_across_catalog(params15_3):
-    for cp in classify_critical_points(params15_3):
-        if cp.eigen is None:
-            continue
-        J = (
-            jacobian(cp.location, params15_3)
-            if cp.coords == "phase"
-            else infinity_chart_jacobian(cp.location, params15_3)
-        )
-        assert np.max(cp.eigen.residuals(J)) < 1e-9
-
-
-def test_catalog_covers_all_infinity_points(params15_3):
-    names = {cp.name for cp in classify_critical_points(params15_3)}
-    assert {"P0_lambda", "P2", "Q1", "Q2", "Q3", "Q4", "Q5"} <= names
-    q4 = [cp for cp in classify_critical_points(params15_3) if cp.name == "Q4"][0]
-    assert q4.coords == "sphere" and q4.eigen is None
-    assert np.array_equal(q4.location, [0.0, 0.0, 1.0, 0.0])
-
-
-def test_field_vanishes_at_every_cataloged_finite_point(params15_3):
-    for cp in classify_critical_points(params15_3):
-        if cp.coords != "phase":
-            continue
-        assert np.max(np.abs(make_rhs(params15_3)(0.0, cp.location))) < 1e-12
+    _, dims = _spectrum(parabola_point(-0.15, params15_3), params15_3)
+    assert dims == (1, 1, 1)
 
 
 def test_p2_spectrum(params15_3):
-    cp = [c for c in classify_critical_points(params15_3) if c.name == "P2"][0]
-    re = sorted(cp.eigen.values.real)
+    re, _ = _spectrum(p2_coordinates(params15_3), params15_3)
     assert sum(1 for v in re if v < 0) == 2
     assert re[2] == pytest.approx(0.01, rel=1e-12)
     assert p2_unstable_eigenvalue(params15_3) == pytest.approx(0.01, rel=1e-13)
@@ -180,7 +159,10 @@ def test_infinity_chart_fixed_points(params15_3):
 
 
 def test_infinity_chart_linearization_at_q1(params15_3):
-    J = infinity_chart_jacobian((0.0, 0.0, 0.0), params15_3)
+    # central differences with unit steps are exact at the origin, as the
+    # chart field is quadratic
+    chart_rhs = make_chart_rhs(params15_3)
+    J = np.column_stack([np.subtract(chart_rhs(0.0, e), chart_rhs(0.0, -e)) / 2.0 for e in np.eye(3)])
     vals, vecs = np.linalg.eig(J)
     order = np.argsort(vals.real)
     assert vals.real[order] == pytest.approx([1.0, 2.0, 3.0], abs=1e-13)

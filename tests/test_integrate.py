@@ -12,8 +12,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import RK45, solve_ivp
 
-from ssblow.params import beta_over_alpha, validate_params
-from ssblow.field import make_chart_rhs, make_rhs, p2_coordinates
+from ssblow.params import beta_over_alpha, p2_coordinates, validate_params
+from ssblow.field import make_chart_rhs, make_rhs
 import ssblow.integrate as integrate_module
 from ssblow.integrate import (
     _PD,

@@ -210,3 +210,76 @@ def test_every_parameter_is_read():
         for u in unread_parameters(p.read_text())
     ]
     assert unread == []
+
+
+def imports_numpy(source: str) -> bool:
+    """Whether the module imports numpy or a submodule of it anywhere: at
+    module level, in a function, or under TYPE_CHECKING."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        if any(module.split(".")[0] == "numpy" for module in modules):
+            return True
+    return False
+
+
+def test_numpy_footprint_is_pinned():
+    """The scan finds numpy imported in a function, under TYPE_CHECKING and
+    by submodule, but not a name that merely mentions it; and the modules
+    of ssblow that import numpy are exactly these.  A module leaves the
+    list only on purpose, and none joins it."""
+    assert imports_numpy("def f():\n    import numpy as np\n")
+    assert imports_numpy("from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    import numpy\n")
+    assert imports_numpy("from numpy.linalg import eig\n")
+    assert not imports_numpy("import numpyish\nfrom .numpy_free import x\nnumpy = None\n")
+    found = [p.stem for p in sorted((ROOT / "src" / "ssblow").glob("*.py")) if imports_numpy(p.read_text())]
+    assert found == ["barriers", "integrate", "io"]
+
+
+def misrouted_imports(source: str, public: dict[str, list[str] | None]) -> list[str]:
+    """'line n: ssblow.module.name' for each public name (no leading
+    underscore) that the source imports from an ssblow module whose
+    __all__ lacks it.  public maps a module name ("" for the package) to
+    its __all__, or to None where it has none (cli, the package), and the
+    scan exempts those."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom) or node.level or (node.module or "").split(".")[0] != "ssblow":
+            continue
+        names = public[node.module[len("ssblow."):]]
+        for alias in node.names:
+            name = alias.name
+            if names is None or name.startswith("_") or name in names:
+                continue
+            found.append("line %d: %s.%s" % (node.lineno, node.module, name))
+    return found
+
+
+def test_every_public_name_is_imported_from_its_module():
+    """The scan flags a name read through a module that only imports it,
+    and not a private name or a name from a module without __all__; and no
+    file of the tests, the scripts or perfbench imports a public name
+    through a module other than its own."""
+    public = {"": None, "a": ["f"], "b": ["g"], "cli": None}
+    toy = (
+        "from ssblow.a import f, _h\n"
+        "from ssblow.b import f, g\n"
+        "from ssblow.cli import main\n"
+        "from ssblow import a as a_mod\n"
+    )
+    assert misrouted_imports(toy, public) == ["line 2: ssblow.b.f"]
+    public = {}
+    for p in sorted((ROOT / "src" / "ssblow").glob("*.py")):
+        tree = ast.parse(p.read_text())
+        has_all = any(_is_all(node) for node in tree.body)
+        public["" if p.stem == "__init__" else p.stem] = _public_names(tree) if has_all else None
+    files = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    files += sorted((ROOT / "perfbench").glob("*.py"))
+    found = [
+        "%s %s" % (p.relative_to(ROOT), m) for p in files for m in misrouted_imports(p.read_text(), public)
+    ]
+    assert found == []
